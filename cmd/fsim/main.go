@@ -7,7 +7,7 @@
 //	fsim watch [flags] <graph> <updates>
 //	fsim snapshot [flags] <graph> <out.fsnap>
 //	fsim snapshot -info <file.fsnap>
-//	fsim quotient [flags] <graph1> [<graph2>]
+//	fsim quotient <graph1> [<graph2>]
 //
 // With one graph argument, scores are computed from the graph to itself.
 // By default the top scoring pairs are printed; use -u to list the best
@@ -28,12 +28,9 @@
 // -snapshot warm starts from without recomputing; -info prints the
 // contents of an existing snapshot instead.
 //
-// The quotient subcommand reports how much the quotient-compression
-// front-end shrinks a computation: the structural-twin partition of each
-// graph (blocks, k-bisimulation classes, quotient-graph size) and the
-// candidate-pair reduction, then runs the compressed fixed point and
-// prints its timing — the scores are bit-identical to an uncompressed
-// run, so the ratio is pure saving.
+// The quotient subcommand prints structural-twin diagnostics: the twin
+// partition of each graph (blocks, k-bisimulation classes, quotient-graph
+// size).
 package main
 
 import (
@@ -252,13 +249,12 @@ func watch(args []string) {
 	}
 }
 
-// quotientCmd implements the "fsim quotient" subcommand: compression
-// diagnostics for the structural-twin quotient front-end.
+// quotientCmd implements the "fsim quotient" subcommand: structural-twin
+// diagnostics for one or two graphs.
 func quotientCmd(args []string) {
 	fs := flag.NewFlagSet("fsim quotient", flag.ExitOnError)
-	eng := cliflags.Register(fs, cliflags.Defaults{UBBeta: -1})
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: fsim quotient [flags] <graph1> [<graph2>]")
+		fmt.Fprintln(os.Stderr, "usage: fsim quotient <graph1> [<graph2>]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -269,37 +265,20 @@ func quotientCmd(args []string) {
 		os.Exit(2)
 	}
 
-	g1, err := fsim.ReadGraphFile(fs.Arg(0))
-	fatal(err)
-	g2 := g1
-	if fs.NArg() == 2 {
-		g2, err = fsim.ReadGraphFile(fs.Arg(1))
-		fatal(err)
-	}
-
-	describe := func(name string, g *fsim.Graph, p *fsim.QuotientPartition) {
+	describe := func(name string, g *fsim.Graph) {
 		n := g.NumNodes()
+		p := fsim.QuotientRefine(g, 2)
 		q := p.Summarize(g)
 		fmt.Printf("%s: %s\n", name, g.Stats())
 		fmt.Printf("  twin blocks: %d (%.2fx node compression, k-bisim classes: %d)\n",
 			p.NumBlocks(), float64(n)/float64(p.NumBlocks()), p.KBisimClasses)
 		fmt.Printf("  quotient graph: %s\n", q.Stats())
 	}
-	p1 := fsim.QuotientRefine(g1, 2)
-	describe("G1", g1, p1)
-	if g2 != g1 {
-		describe("G2", g2, fsim.QuotientRefine(g2, 2))
+	for i, name := range []string{"G1", "G2"}[:fs.NArg()] {
+		g, err := fsim.ReadGraphFile(fs.Arg(i))
+		fatal(err)
+		describe(name, g)
 	}
-
-	opts, err := eng.Options()
-	fatal(err)
-	res, err := fsim.CompressedCompute(g1, g2, opts)
-	fatal(err)
-	fmt.Printf("candidate pairs: %d full -> %d representative (%.2fx pair compression)\n",
-		res.CandidateCount, res.RepPairCount,
-		float64(res.CandidateCount)/float64(res.RepPairCount))
-	fmt.Printf("compressed fixed point: converged=%v iterations=%d time=%s\n",
-		res.Converged, res.Iterations, res.Duration.Round(time.Microsecond))
 }
 
 // snapshotCmd implements the "fsim snapshot" subcommand: compute the

@@ -6,8 +6,8 @@
 //	fsimbench [-quick] [-threads N] [-seed S] [-jsondir DIR] <experiment|all> [more experiments...]
 //
 // Experiments: table2 table5 fig4 fig5 fig6 fig7 fig8 fig9 table6 table7
-// table8 table9 delta topk dynamic serve snapshot scale compress cluster
-// apps (see DESIGN.md §4 for the experiment index). Nine experiments write
+// table8 table9 delta topk dynamic serve snapshot scale cluster apps (see
+// DESIGN.md §4 for the experiment index). Eight experiments write
 // machine-readable artifacts into -jsondir: delta writes BENCH_delta.json
 // (iteration-by-iteration active-pair trajectories of worklist-driven
 // delta convergence), topk writes BENCH_topk.json (single-source top-k
@@ -20,15 +20,13 @@
 // (binary snapshot save/load vs the cold text-parse + Compute restart
 // path), scale writes BENCH_scale.json (nodes × edges × threads sweep
 // of the dynamic chunk queue on ≥10⁵-edge power-law graphs: wall-clock,
-// speedup, load balance and a cross-thread determinism digest) and
-// compress writes BENCH_compress.json (quotient compression across label
-// skew: structural-twin blocks, candidate-pair reduction, wall-clock, and
-// a bit-parity digest against the uncompressed engine), cluster writes
-// BENCH_cluster.json (replicated serving tier over loopback sockets:
-// router throughput vs a single server, per-follower replication lag, and
-// kill/re-sync recovery time) and apps writes BENCH_apps.json (the served
-// application endpoints /match, /align and /nodesim: cached vs naive
-// throughput on Zipf-skewed traffic, with per-endpoint cache counters).
+// speedup, load balance and a cross-thread determinism digest), cluster
+// writes BENCH_cluster.json (replicated serving tier over loopback
+// sockets: router throughput vs a single server, per-follower replication
+// lag, and kill/re-sync recovery time) and apps writes BENCH_apps.json
+// (the served application endpoints /match, /align and /nodesim: cached
+// vs naive throughput on Zipf-skewed traffic, with per-endpoint cache
+// counters).
 package main
 
 import (

@@ -430,40 +430,3 @@ func ExampleResult_TopK() {
 	// 0 1.00
 	// 4 1.00
 }
-
-// ExampleCompressedCompute runs the fixed point through the quotient
-// front-end: structural twins — nodes with the same label and identical
-// literal neighbor sets — collapse into blocks, only one representative
-// pair per block pair is iterated, and every original pair still reads a
-// score bit-identical to an uncompressed Compute.
-func ExampleCompressedCompute() {
-	// Three interchangeable replicas: same label, identical adjacency.
-	b := fsim.NewBuilder()
-	store := b.AddNode("store")
-	shard := b.AddNode("shard")
-	var replicas []fsim.NodeID
-	for i := 0; i < 3; i++ {
-		r := b.AddNode("replica")
-		b.MustAddEdge(store, r)
-		b.MustAddEdge(r, shard)
-		replicas = append(replicas, r)
-	}
-	g := b.Build()
-
-	res, err := fsim.CompressedCompute(g, g, fsim.DefaultOptions(fsim.BJ))
-	if err != nil {
-		panic(err)
-	}
-	p, _ := res.Partitions()
-	fmt.Printf("blocks: %d of %d nodes\n", p.NumBlocks(), g.NumNodes())
-	fmt.Printf("iterated pairs: %d of %d\n", res.RepPairCount, res.CandidateCount)
-
-	full, _ := fsim.Compute(g, g, fsim.DefaultOptions(fsim.BJ))
-	fmt.Println("bit-identical:",
-		res.Score(replicas[0], replicas[2]) == full.Score(replicas[0], replicas[2]) &&
-			res.Score(store, replicas[1]) == full.Score(store, replicas[1]))
-	// Output:
-	// blocks: 3 of 5 nodes
-	// iterated pairs: 9 of 25
-	// bit-identical: true
-}

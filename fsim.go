@@ -52,8 +52,9 @@
 // Serving workloads that need the best matches of individual nodes rather
 // than the full score matrix should build a reusable Index with NewIndex:
 // queries (Index.TopK, Index.Query) run a localized fixed point over only
-// the pairs reachable from the query frontier, returning the same scores
-// and rankings as Compute. The index is immutable and safe for concurrent
+// the pairs reachable from the query frontier — on the same executor as
+// Compute, restricted to those pairs — returning the same scores and
+// rankings as Compute. The index is immutable and safe for concurrent
 // queries; locality — and therefore per-query speedup — comes from
 // candidate selectivity (Options.Theta, Options.UpperBoundOpt). See the
 // README's "Querying" section.
@@ -169,37 +170,16 @@ func OperatorsFor(v Variant) Operators { return core.OperatorsFor(v) }
 // fractional χ-simulation scores of all maintained node pairs.
 func Compute(g1, g2 *Graph, opts Options) (*Result, error) { return core.Compute(g1, g2, opts) }
 
-// QuotientResult holds a quotient-compressed computation: score reads over
-// the full pair universe (bit-identical to Compute's), the partitions, and
-// compression diagnostics (representative pairs vs full candidate pairs).
-type QuotientResult = quotient.Result
-
 // QuotientPartition groups a graph's nodes into structural-twin blocks —
 // equal labels, identical literal out- and in-neighbor sets — with one
-// representative and a member list per block.
+// representative and a member list per block. It backs the twin
+// diagnostics of `fsim quotient`; no score computation uses it.
 type QuotientPartition = quotient.Partition
 
 // QuotientRefine computes the structural-twin partition of g. k bounds the
 // k-bisimulation hash prefilter depth (the partition itself is independent
 // of k); Partition.Summarize collapses g into its quotient graph.
 func QuotientRefine(g *Graph, k int) *QuotientPartition { return quotient.Refine(g, k) }
-
-// CompressedCompute is Compute through the quotient-compression front-end:
-// both graphs are partitioned into structural-twin blocks, the fixed point
-// iterates representative pairs only (one per block pair), and block-level
-// scores fan back out on read — Result-equivalent scores, bit-identical to
-// an uncompressed Compute under every variant, store and convergence mode,
-// at a candidate-universe cost compressed by the product of the two
-// graphs' block-size distributions. Set Options.Quotient on a query index
-// (NewIndex) to get the same collapse on the serving path. Options with
-// PinDiagonal or Init are rejected with ErrQuotientIncompatible: both can
-// hand twin nodes different scores, which breaks the block sharing.
-func CompressedCompute(g1, g2 *Graph, opts Options) (*QuotientResult, error) {
-	return quotient.Compute(g1, g2, opts)
-}
-
-// ErrQuotientIncompatible marks options the quotient front-end rejects.
-var ErrQuotientIncompatible = quotient.ErrIncompatible
 
 // Ranked is one (node, score) entry of a top-k ranking, in descending
 // score order with ties broken by ascending node id.

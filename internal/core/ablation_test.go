@@ -68,6 +68,36 @@ func TestExactMatchingNeverBelowGreedy(t *testing.T) {
 	}
 }
 
+// TestExactMatchingAllocationFree pins the Hungarian branch of the
+// injective mapping operator to zero allocations once its scratch is warm:
+// the weight matrix comes from the operator scratch and the solver's
+// workspace from matching.Scratch, for square and tall neighbor sets alike.
+func TestExactMatchingAllocationFree(t *testing.T) {
+	ops := OperatorsFor(exact.BJ)
+	ops.ExactMatching = true
+	lookup := func(x, y graph.NodeID) float64 { return float64((3*x+5*y)%7) / 7 }
+	ids := func(n int) []graph.NodeID {
+		s := make([]graph.NodeID, n)
+		for i := range s {
+			s[i] = graph.NodeID(i)
+		}
+		return s
+	}
+	scratch := newOpScratch()
+	for _, dims := range [][2]int{{3, 3}, {4, 2}} {
+		s1, s2 := ids(dims[0]), ids(dims[1])
+		want := ops.neighborScore(s1, s2, nil, lookup, scratch) // warm up
+		allocs := testing.AllocsPerRun(100, func() {
+			if got := ops.neighborScore(s1, s2, nil, lookup, scratch); got != want {
+				t.Fatalf("%dx%d: score changed across calls: %v then %v", dims[0], dims[1], want, got)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%dx%d exact matching: %v allocations per evaluation, want 0", dims[0], dims[1], allocs)
+		}
+	}
+}
+
 // TestKBisimulationBothRefines verifies the two-sided signature extension
 // used by the alignment baselines: it refines at least as much as the
 // out-only signatures.

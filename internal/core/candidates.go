@@ -265,14 +265,6 @@ func (cs *CandidateSet) Graphs() (*graph.Graph, *graph.Graph) { return cs.g1, cs
 // Options returns the normalized options the set was built with.
 func (cs *CandidateSet) Options() Options { return cs.opts }
 
-// DenseStore reports whether the engine would keep this set's scores in
-// the dense n1×n2 buffer (as opposed to the sparse candidate-indexed
-// store). The two stores differ in observable conventions — the dense
-// store bakes §3.4 stand-ins into the buffer (rounding them through
-// float32 under Float32Scores) while the sparse store recomputes them on
-// read — so mirrors of the engine (internal/quotient) need the decision.
-func (cs *CandidateSet) DenseStore() bool { return cs.dense }
-
 // NumCandidates is |Hc|, the number of maintained pairs.
 func (cs *CandidateSet) NumCandidates() int {
 	if cs.allPairs {
@@ -393,26 +385,6 @@ func (cs *CandidateSet) ForEachRead(u, v graph.NodeID, fn func(x, y graph.NodeID
 // propagation.
 func (cs *CandidateSet) ForEachDependent(x, y graph.NodeID, fn func(u, v graph.NodeID)) {
 	forEachDependent(cs.g1, cs.g2, x, y, cs.opts.WPlus, cs.opts.WMinus, fn)
-}
-
-// EvalScratch holds the reusable per-worker buffers of EvalPair. It is not
-// safe for concurrent use; allocate one per goroutine.
-type EvalScratch struct {
-	op *opScratch
-}
-
-// NewEvalScratch returns an empty scratch for EvalPair.
-func NewEvalScratch() *EvalScratch { return &EvalScratch{op: newOpScratch()} }
-
-// EvalPair evaluates Equation 3 for one pair against an arbitrary
-// previous-iteration score accessor. lookup must resolve every pair of the
-// universe: candidate pairs to their buffered score and non-candidates to
-// their constant StandIn — the dense-store convention, under which
-// per-element label-eligibility checks are unnecessary (an ineligible
-// pair's 0 and a pruned pair's α·FSim̄ contribute exactly what the
-// constrained mapping would).
-func (cs *CandidateSet) EvalPair(u, v graph.NodeID, lookup func(x, y graph.NodeID) float64, s *EvalScratch) float64 {
-	return cs.updatePair(u, v, nil, lookup, s.op)
 }
 
 // updatePair evaluates Equation 3 for one pair.

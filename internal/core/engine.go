@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,22 +11,16 @@ import (
 	"fsim/internal/pairbits"
 )
 
-// engine holds one computation's candidate component and mutable score
-// buffers (Algorithm 1's Hc / Hp). The candidate map, label-similarity
-// cache and §3.4 bounds live in the embedded CandidateSet, shared with the
-// query subsystem; the engine adds the two score buffers:
-//
-//   - dense: two flat arrays over the full |V1|×|V2| pair universe.
-//     Non-candidate entries hold their constant stand-in (0, or α·FSim̄ for
-//     pruned pairs) in both buffers, so the mapping operators read scores
-//     with one array load and the update loop simply skips non-candidates —
-//     upper-bound pruning then reduces work proportionally, as in the
-//     paper.
-//   - sparse: buffers aligned to the candidate list (the literal Hc of
-//     Algorithm 1), used when the pair universe exceeds the dense memory
-//     cap.
+// engine is the one fixed-point executor (Algorithm 1, Lines 3–10): it
+// iterates Equation 3 over a slot layout with two score buffers (Hc / Hp),
+// either sweeping every iterated pair each round or, with the worklist
+// strategy, only the pairs whose inputs changed. The candidate map,
+// label-similarity cache and §3.4 bounds come from the embedded
+// CandidateSet; the layout decides which pairs the run iterates and where
+// their scores live (see layout).
 type engine struct {
 	*CandidateSet
+	lay layout
 
 	prev, cur []float64
 	// prev32/cur32 replace prev/cur when Options.Float32Scores is set: half
@@ -35,14 +30,123 @@ type engine struct {
 	f32           bool
 
 	// workers holds one reusable, cache-line-padded state per worker
-	// goroutine, allocated once per computation.
+	// goroutine.
 	workers []engineWorker
 
-	// Delta-mode worklist state (nil unless Options.DeltaMode). Slots are
-	// score-buffer indices: u·n2+v in dense mode, candidate position in
-	// sparse mode.
-	active     pairbits.Bitset // slots to recompute this iteration
-	nextActive pairbits.Bitset // slots reactivated by this iteration's dirty pairs
+	// Worklist state (nil unless worklist): slots to recompute this
+	// iteration, and slots reactivated by this iteration's dirty pairs.
+	worklist           bool
+	active, nextActive pairbits.Bitset
+}
+
+// layout is a run's slot plan: the slot count, slot → pair, pair → slot
+// for worklist marks, and how a previous-score read resolves (lookupFunc).
+// Three plans exist:
+//
+//   - dense (batch, pair universe within Options.DenseCapPairs): row-dense
+//     over every g1 node. Non-candidate slots hold their constant stand-in
+//     (0, or α·FSim̄ for pruned pairs) in both buffers, so the mapping
+//     operators read scores with one array load and the sweep skips
+//     non-candidates — upper-bound pruning reduces work proportionally.
+//   - sparse (batch, larger universes): a list layout aligned to the
+//     candidate list (the literal Hc of Algorithm 1); reads of missing
+//     pairs resolve per §3.4 through hash lookups.
+//   - rows (RowPlan, the query subsystem's dependency closures): row-dense
+//     over only the g1 nodes a closure touches; reads of other rows are
+//     non-candidates and return their stand-in.
+type layout struct {
+	slots int // score-buffer length and worklist bitset span
+	count int // iterated pairs
+
+	// A row-dense layout (list false) keeps pair (u, v) at slot
+	// row(u)·stride + v, with rows rows. rowOf maps a g1 node to its row
+	// (-1: no row) and rowNode inverts it; both nil mean row u is node u.
+	list    bool
+	rows    int
+	stride  int
+	rowOf   []int32
+	rowNode []graph.NodeID
+
+	// pairs lists the iterated pairs in sweep order. In a list layout slot
+	// i holds pairs[i] and index inverts it; a row-dense layout marks the
+	// iterated slots in member, and nil member means every slot, swept row
+	// by row.
+	pairs  []pairbits.Key
+	index  map[pairbits.Key]int32
+	member pairbits.Bitset
+}
+
+// row returns the buffer row of g1 node u in a row-dense layout.
+func (l *layout) row(u graph.NodeID) int {
+	if l.rowOf == nil {
+		return int(u)
+	}
+	return int(l.rowOf[u])
+}
+
+// sweepSlot returns the slot of pairs[pos] = (u, v).
+func (l *layout) sweepSlot(pos int, u, v graph.NodeID) int {
+	if l.list {
+		return pos
+	}
+	return l.row(u)*l.stride + int(v)
+}
+
+// pair decodes a slot back into its node pair.
+func (l *layout) pair(slot int) (graph.NodeID, graph.NodeID) {
+	if l.list {
+		return l.pairs[slot].Split()
+	}
+	r := slot / l.stride
+	u := graph.NodeID(r)
+	if l.rowNode != nil {
+		u = l.rowNode[r]
+	}
+	return u, graph.NodeID(slot % l.stride)
+}
+
+// mark puts pair (u, v) on worklist b when the layout iterates it;
+// non-iterated pairs (ineligible, pruned, outside a closure) hold
+// constants and are never recomputed.
+func (l *layout) mark(b pairbits.Bitset, u, v graph.NodeID) {
+	if l.list {
+		if pos, ok := l.index[pairbits.MakeKey(u, v)]; ok {
+			b.Set(int(pos))
+		}
+		return
+	}
+	r := l.row(u)
+	if r < 0 {
+		return
+	}
+	if i := r*l.stride + int(v); l.member == nil || l.member.Get(i) {
+		b.Set(i)
+	}
+}
+
+// markAll sets every iterated slot of b.
+func (l *layout) markAll(b pairbits.Bitset) {
+	if l.member != nil {
+		copy(b, l.member)
+		return
+	}
+	for i := range b {
+		b[i] = ^uint64(0)
+	}
+	if rem := l.slots % 64; rem != 0 {
+		b[len(b)-1] = uint64(1)<<uint(rem) - 1
+	}
+}
+
+// layout returns the batch slot plan of the set's score store.
+func (cs *CandidateSet) layout() layout {
+	if !cs.dense {
+		return layout{slots: len(cs.candPairs), count: len(cs.candPairs), list: true, pairs: cs.candPairs, index: cs.index}
+	}
+	return layout{
+		slots: cs.n1 * cs.n2, count: cs.NumCandidates(),
+		rows: cs.n1, stride: cs.n2, pairs: cs.candPairs, member: cs.candBits,
+	}
 }
 
 // chunkSlots is the target number of score slots a worker claims per grab
@@ -115,28 +219,90 @@ func ComputeOn(cs *CandidateSet) (*Result, error) {
 }
 
 // computeOn iterates Equation 3 to its fixed point over a prebuilt
-// candidate component.
+// candidate component, on the batch layout of its store.
 func computeOn(cs *CandidateSet, start time.Time) (*Result, error) {
-	e := &engine{CandidateSet: cs, f32: cs.opts.Float32Scores}
-	opts := cs.opts
+	e := &engine{CandidateSet: cs, lay: cs.layout(), f32: cs.opts.Float32Scores, worklist: cs.opts.DeltaMode}
 	e.initBuffers()
 	e.initScores()
-	e.initWorkers()
-
 	res := &Result{
-		cs:          cs,
-		PrunedCount: cs.prunedCount,
+		cs:             cs,
+		PrunedCount:    cs.prunedCount,
+		CandidateCount: cs.NumCandidates(),
+		Work:           make([]int64, cs.opts.Threads),
 	}
-	res.CandidateCount = cs.NumCandidates()
+	e.run(res)
+	// Latest completed iteration after the final swap.
+	res.scores = e.prev
+	res.scores32 = e.prev32
+	res.Duration = time.Since(start)
+	return res, nil
+}
 
-	if opts.DeltaMode {
+// RowPlan is the slot plan of a localized fixed point — the query
+// subsystem's dependency closures: row-dense score buffers of stride |V2|
+// over only the g1 nodes a closure touches. The caller fills the exported
+// fields; the plan keeps the executor's worker state, worklists and
+// trajectory between runs, so one plan per goroutine runs repeated queries
+// without reallocating them. A plan is not safe for concurrent use.
+type RowPlan struct {
+	// Rows maps a buffer row to its g1 node; RowOf (length |V1|) inverts
+	// it, with -1 for g1 nodes that have no row.
+	Rows  []graph.NodeID
+	RowOf []int32
+	// Member marks the closure's pairs (slot row·|V2| + v), the slots the
+	// run iterates. The closure must contain every candidate pair a
+	// member's Equation 3 update reads, so that the localized trajectory
+	// equals Compute's.
+	Member pairbits.Bitset
+	// Prev holds the seeded scores, len(Rows)·|V2| of them: FSim⁰ at
+	// member slots, and at every other slot of a row its constant §3.4
+	// stand-in (0 without one) — the dense store's convention. Cur is the
+	// second buffer; ComputeRows sizes and overwrites it.
+	Prev, Cur []float64
+
+	e   engine
+	res Result
+}
+
+// ComputeRows iterates Equation 3 to its fixed point over a row plan, on
+// one worker with the worklist strategy: every member is active in round
+// one, and afterwards a pair re-enters the worklist only when a pair its
+// update reads changed by more than Options.DeltaEps — applied only under
+// DeltaMode, as Compute does. Reads of g1 nodes without a row resolve to
+// their stand-ins. On return Prev holds the final scores (the two buffers
+// may have swapped).
+func (cs *CandidateSet) ComputeRows(p *RowPlan) (iterations int, converged bool) {
+	p.Cur = slices.Grow(p.Cur[:0], len(p.Prev))[:len(p.Prev)]
+	e := &p.e
+	e.CandidateSet = cs
+	e.lay = layout{
+		slots: len(p.Prev), count: p.Member.Count(),
+		rows: len(p.Rows), stride: cs.n2, rowOf: p.RowOf, rowNode: p.Rows, member: p.Member,
+	}
+	e.prev, e.cur = p.Prev, p.Cur
+	e.worklist = true
+	res := &p.res
+	*res = Result{Deltas: res.Deltas[:0], ActivePairs: res.ActivePairs[:0], Work: append(res.Work[:0], 0)}
+	e.run(res)
+	p.Prev, p.Cur = e.prev, e.cur
+	return res.Iterations, res.Converged
+}
+
+// run iterates to the fixed point over the engine's layout, recording the
+// trajectory in res; len(res.Work) is the worker count. prev holds the
+// seeded scores on entry and the latest completed iteration on return.
+func (e *engine) run(res *Result) {
+	opts := &e.opts
+	e.initWorkers(len(res.Work))
+	if e.worklist {
 		e.initWorklist()
 	}
-	res.Work = make([]int64, opts.Threads)
 	for it := 1; it <= opts.MaxIters; it++ {
 		var maxAbs, maxRel float64
-		if opts.DeltaMode {
-			res.ActivePairs = append(res.ActivePairs, e.active.Count())
+		if e.worklist {
+			if opts.DeltaMode {
+				res.ActivePairs = append(res.ActivePairs, e.active.Count())
+			}
 			maxAbs, maxRel = e.iterateDelta(res.Work)
 		} else {
 			maxAbs, maxRel = e.iterate(res.Work)
@@ -153,35 +319,31 @@ func computeOn(cs *CandidateSet, start time.Time) (*Result, error) {
 		}
 		if done {
 			res.Converged = true
-			break
+			return
 		}
-		if opts.DeltaMode {
+		if e.worklist {
 			e.syncAndAdvance()
 		}
 	}
-	// Latest completed iteration after the final swap.
-	res.scores = e.prev
-	res.scores32 = e.prev32
-	res.Duration = time.Since(start)
-	return res, nil
 }
 
-// eligibleFn returns the constraint for the mapping operators. The dense
-// store returns nil even for θ > 0: non-candidate entries hold constant 0
+// eligibleFn returns the constraint for the mapping operators. Row-dense
+// layouts return nil even for θ > 0: non-candidate entries hold constant 0
 // (or α·FSim̄) scores, which contribute exactly what the constrained
 // mapping would — 0 from ineligible pairs, the stand-in from pruned ones —
 // so per-element label checks are unnecessary.
 func (e *engine) eligibleFn() func(x, y graph.NodeID) bool {
-	if e.dense || e.opts.Theta == 0 {
+	if !e.lay.list || e.opts.Theta == 0 {
 		return nil
 	}
 	return e.eligible
 }
 
-// initBuffers allocates the two score buffers and bakes the constant §3.4
-// stand-ins of pruned pairs into the dense store (both buffers, forever).
+// initBuffers allocates the two batch score buffers and bakes the constant
+// §3.4 stand-ins of pruned pairs into the dense store (both buffers,
+// forever).
 func (e *engine) initBuffers() {
-	slots := e.numSlots()
+	slots := e.lay.slots
 	if e.f32 {
 		e.prev32 = make([]float32, slots)
 		e.cur32 = make([]float32, slots)
@@ -189,7 +351,7 @@ func (e *engine) initBuffers() {
 		e.prev = make([]float64, slots)
 		e.cur = make([]float64, slots)
 	}
-	if !e.dense {
+	if e.lay.list {
 		return
 	}
 	if ub := e.opts.UpperBoundOpt; ub != nil && ub.Alpha > 0 {
@@ -229,28 +391,23 @@ func (e *engine) prevScore(i int) float64 {
 	return e.prev[i]
 }
 
-// initWorkers allocates the padded per-worker states reused across
-// iterations (scratch, dirty capacity and score accessors survive the
-// per-iteration resets).
-func (e *engine) initWorkers() {
-	e.workers = make([]engineWorker, e.opts.Threads)
+// initWorkers (re)builds n padded per-worker states. Scratch and dirty
+// capacity survive from earlier runs of the same engine; the score
+// accessors are rebuilt for the current layout.
+func (e *engine) initWorkers(n int) {
+	if len(e.workers) != n {
+		e.workers = make([]engineWorker, n)
+	}
 	for t := range e.workers {
-		e.workers[t].updateState = updateState{
-			scratch: newOpScratch(), lookup: e.lookupFunc(), eligible: e.eligibleFn(),
+		w := &e.workers[t]
+		if w.scratch == nil {
+			w.scratch = newOpScratch()
 		}
+		w.lookup, w.eligible = e.lookupFunc(), e.eligibleFn()
 	}
 }
 
-// scoreIndex maps a candidate list position to its score-buffer index.
-func (e *engine) scoreIndex(pos int) int {
-	if e.dense {
-		u, v := e.candPairs[pos].Split()
-		return int(u)*e.n2 + int(v)
-	}
-	return pos
-}
-
-// initScores fills prev with FSim⁰ for every candidate pair.
+// initScores fills prev with FSim⁰ for every batch candidate pair.
 func (e *engine) initScores() {
 	if e.allPairs { // dense, all pairs
 		for u := 0; u < e.n1; u++ {
@@ -262,7 +419,7 @@ func (e *engine) initScores() {
 	}
 	for pos, k := range e.candPairs {
 		u, v := k.Split()
-		e.setPrev(e.scoreIndex(pos), e.InitScore(u, v))
+		e.setPrev(e.lay.sweepSlot(pos, u, v), e.InitScore(u, v))
 	}
 }
 
@@ -315,7 +472,7 @@ func (e *engine) updateSlot(st *updateState, u, v graph.NodeID, i int) float64 {
 	return d
 }
 
-// iterate runs one synchronous update of every candidate pair (Lines 4–9 of
+// iterate runs one synchronous update of every iterated pair (Lines 4–9 of
 // Algorithm 1). Workers claim contiguous cache-blocked chunks from a shared
 // atomic cursor: consecutive slots share CSR rows and score-buffer cache
 // lines, and a worker that lands on a run of heavy candidate rows simply
@@ -326,34 +483,35 @@ func (e *engine) updateSlot(st *updateState, u, v graph.NodeID, i int) float64 {
 // construction. It returns the maximum absolute and relative score changes.
 func (e *engine) iterate(work []int64) (maxAbs, maxRel float64) {
 	var cursor atomic.Int64
-	if e.allPairs { // dense over the full universe: chunk contiguous rows
+	l := &e.lay
+	if !l.list && l.member == nil { // every slot (batch all-pairs): chunk contiguous rows
 		target := 1
-		if e.n2 > 0 {
-			if target = chunkSlots / e.n2; target < 1 {
+		if l.stride > 0 {
+			if target = chunkSlots / l.stride; target < 1 {
 				target = 1
 			}
 		}
-		rows := chunkSize(e.n1, len(e.workers), target)
+		rows := chunkSize(l.rows, len(e.workers), target)
 		e.runWorkers(func(w *engineWorker) {
 			for {
 				end := int(cursor.Add(int64(rows)))
 				beg := end - rows
-				if beg >= e.n1 {
+				if beg >= l.rows {
 					return
 				}
-				if end > e.n1 {
-					end = e.n1
+				if end > l.rows {
+					end = l.rows
 				}
 				for u := beg; u < end; u++ {
-					base := u * e.n2
-					for v := 0; v < e.n2; v++ {
+					base := u * l.stride
+					for v := 0; v < l.stride; v++ {
 						e.updateSlot(&w.updateState, graph.NodeID(u), graph.NodeID(v), base+v)
 					}
 				}
 			}
 		})
-	} else { // chunk contiguous candidate-list positions
-		total := len(e.candPairs)
+	} else { // chunk contiguous positions of the pair list
+		total := len(l.pairs)
 		chunk := chunkSize(total, len(e.workers), chunkSlots)
 		e.runWorkers(func(w *engineWorker) {
 			for {
@@ -366,8 +524,8 @@ func (e *engine) iterate(work []int64) (maxAbs, maxRel float64) {
 					end = total
 				}
 				for pos := beg; pos < end; pos++ {
-					u, v := e.candPairs[pos].Split()
-					e.updateSlot(&w.updateState, u, v, e.scoreIndex(pos))
+					u, v := l.pairs[pos].Split()
+					e.updateSlot(&w.updateState, u, v, l.sweepSlot(pos, u, v))
 				}
 			}
 		})
@@ -376,8 +534,14 @@ func (e *engine) iterate(work []int64) (maxAbs, maxRel float64) {
 }
 
 // runWorkers resets every worker state, fans body out over the worker
-// goroutines and waits for the barrier.
+// goroutines and waits for the barrier. A single worker runs inline.
 func (e *engine) runWorkers(body func(w *engineWorker)) {
+	if len(e.workers) == 1 {
+		w := &e.workers[0]
+		w.begin()
+		body(w)
+		return
+	}
 	var wg sync.WaitGroup
 	for t := range e.workers {
 		w := &e.workers[t]
@@ -406,50 +570,31 @@ func (e *engine) reduce(work []int64) (maxAbs, maxRel float64) {
 	return maxAbs, maxRel
 }
 
-// numSlots is the worklist bitset span: one bit per score-buffer entry.
-func (e *engine) numSlots() int {
-	if e.dense {
-		return e.n1 * e.n2
-	}
-	return len(e.candPairs)
-}
-
-// slotPair decodes a worklist slot back into its node pair.
-func (e *engine) slotPair(slot int) (graph.NodeID, graph.NodeID) {
-	if e.dense {
-		return graph.NodeID(slot / e.n2), graph.NodeID(slot % e.n2)
-	}
-	return e.candPairs[slot].Split()
-}
-
-// initWorklist seeds delta mode. It establishes the two invariants the
-// strategy maintains between iterations: both score buffers agree at every
-// slot (so skipped pairs keep their value through the swap), and the active
-// set covers every pair whose Equation 3 inputs may still change — which at
-// the start is the entire candidate map, exactly like iteration 1 of the
-// full strategy.
+// initWorklist seeds the worklist strategy. It establishes the two
+// invariants the strategy maintains between iterations: both score buffers
+// agree at every slot (so skipped pairs keep their value through the
+// swap), and the active set covers every pair whose Equation 3 inputs may
+// still change — which at the start is every iterated pair, exactly like
+// iteration 1 of the full strategy. Worklist capacity from an earlier run
+// is reused.
 func (e *engine) initWorklist() {
 	copy(e.cur, e.prev)
 	copy(e.cur32, e.prev32)
-	slots := e.numSlots()
-	e.active = pairbits.NewBitset(slots)
-	e.nextActive = pairbits.NewBitset(slots)
-	e.markAll(e.active)
+	e.active = resetBits(e.active, e.lay.slots)
+	e.nextActive = resetBits(e.nextActive, e.lay.slots)
+	e.lay.markAll(e.active)
 }
 
-// markAll sets every candidate slot of b.
-func (e *engine) markAll(b pairbits.Bitset) {
-	if e.dense && !e.allPairs {
-		copy(b, e.candBits)
-		return
+// resetBits returns an all-clear bitset spanning n bits, reusing b's
+// capacity when it suffices.
+func resetBits(b pairbits.Bitset, n int) pairbits.Bitset {
+	words := (n + 63) / 64
+	if cap(b) < words {
+		return pairbits.NewBitset(n)
 	}
-	slots := e.numSlots()
-	for i := range b {
-		b[i] = ^uint64(0)
-	}
-	if rem := slots % 64; rem != 0 {
-		b[len(b)-1] = uint64(1)<<uint(rem) - 1
-	}
+	b = b[:words]
+	b.ClearAll()
+	return b
 }
 
 // iterateDelta runs one synchronous update of the active worklist only.
@@ -465,7 +610,11 @@ func (e *engine) markAll(b pairbits.Bitset) {
 // DeltaEps = 0), so both the scores and the returned extrema match the
 // full strategy.
 func (e *engine) iterateDelta(work []int64) (maxAbs, maxRel float64) {
-	eps := e.opts.DeltaEps
+	eps := 0.0 // DeltaEps is a DeltaMode knob; worklist runs outside it are exact
+	if e.opts.DeltaMode {
+		eps = e.opts.DeltaEps
+	}
+	l := &e.lay
 	words := len(e.active)
 	chunk := chunkSize(words, len(e.workers), chunkWords)
 	var cursor atomic.Int64
@@ -482,7 +631,7 @@ func (e *engine) iterateDelta(work []int64) (maxAbs, maxRel float64) {
 			for i := beg; i < end; i++ {
 				for word := e.active[i]; word != 0; word &= word - 1 {
 					slot := i*64 + bits.TrailingZeros64(word)
-					u, v := e.slotPair(slot)
+					u, v := l.pair(slot)
 					if d := e.updateSlot(&w.updateState, u, v, slot); d > eps {
 						w.dirty = append(w.dirty, slot)
 					}
@@ -491,21 +640,6 @@ func (e *engine) iterateDelta(work []int64) (maxAbs, maxRel float64) {
 		}
 	})
 	return e.reduce(work)
-}
-
-// markPair puts a candidate pair on the next worklist; non-candidates
-// (ineligible or pruned) hold constant stand-ins and are never recomputed.
-func (e *engine) markPair(u, v graph.NodeID) {
-	if e.dense {
-		i := int(u)*e.n2 + int(v)
-		if e.allPairs || e.candBits.Get(i) {
-			e.nextActive.Set(i)
-		}
-		return
-	}
-	if pos, ok := e.index[pairbits.MakeKey(u, v)]; ok {
-		e.nextActive.Set(int(pos))
-	}
 }
 
 // syncAndAdvance runs between delta iterations, after the buffer swap. It
@@ -531,22 +665,24 @@ func (e *engine) syncAndAdvance() {
 	for t := range e.workers {
 		dirtyTotal += len(e.workers[t].dirty)
 	}
-	if 4*dirtyTotal >= e.NumCandidates() {
+	l := &e.lay
+	if 4*dirtyTotal >= l.count {
 		// Most of the map changed: enumerating reverse adjacency would
 		// cost as much as the updates it schedules, and its union is
-		// (nearly) everything anyway. Reactivating all candidates is a
-		// superset of the precise frontier, so exactness is unaffected;
+		// (nearly) everything anyway. Reactivating all iterated pairs is
+		// a superset of the precise frontier, so exactness is unaffected;
 		// precise propagation resumes once the dirty set thins out.
-		e.markAll(e.nextActive)
+		l.markAll(e.nextActive)
 	} else {
-		mark := e.markPair
+		next := e.nextActive
+		mark := func(u, v graph.NodeID) { l.mark(next, u, v) }
 		damping := e.opts.Damping
 		for t := range e.workers {
 			for _, slot := range e.workers[t].dirty {
-				x, y := e.slotPair(slot)
+				x, y := l.pair(slot)
 				forEachDependent(e.g1, e.g2, x, y, e.opts.WPlus, e.opts.WMinus, mark)
 				if damping > 0 {
-					e.nextActive.Set(slot)
+					next.Set(slot)
 				}
 			}
 		}
@@ -556,12 +692,23 @@ func (e *engine) syncAndAdvance() {
 }
 
 // lookupFunc returns the previous-iteration score accessor used by the
-// mapping operators. The dense store is a single array load (non-candidate
-// entries already hold their constant stand-in). The sparse store resolves
+// mapping operators, built once per run for the engine's layout. The dense
+// store is a single array load (non-candidate entries already hold their
+// constant stand-in); a row plan adds one row-map load and resolves rows
+// it never materialized to their stand-ins. The sparse store resolves
 // missing pairs per §3.4: pruned pairs yield α·FSim̄, ineligible pairs 0.
 func (e *engine) lookupFunc() func(x, y graph.NodeID) float64 {
-	if e.dense {
-		n2 := e.n2
+	l := &e.lay
+	if !l.list {
+		n2 := l.stride
+		if rowOf := l.rowOf; rowOf != nil {
+			return func(x, y graph.NodeID) float64 {
+				if r := rowOf[x]; r >= 0 {
+					return e.prev[int(r)*n2+int(y)]
+				}
+				return e.StandIn(x, y)
+			}
+		}
 		if e.f32 {
 			return func(x, y graph.NodeID) float64 { return float64(e.prev32[int(x)*n2+int(y)]) }
 		}

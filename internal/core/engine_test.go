@@ -404,8 +404,18 @@ func TestDeltaFrontierShrinks(t *testing.T) {
 
 // TestDeltaDampingEquivalence covers the self-reactivation rule: with
 // damping a dirty pair depends on its own previous score, so it must stay
-// on the worklist until it stops moving.
+// on the worklist until it stops moving. On the random graphs nearly every
+// pair stays dirty and the worklist reactivates everything; the sink star
+// reaches precise propagation, where only self-reactivation keeps its
+// damped pairs moving.
 func TestDeltaDampingEquivalence(t *testing.T) {
+	type run struct {
+		name    string
+		g1, g2  *graph.Graph
+		opts    Options
+		precise bool // the worklist must reach precise propagation
+	}
+	var runs []run
 	g1 := dataset.RandomGraph(51, 25, 75, 3)
 	g2 := dataset.RandomGraph(52, 25, 75, 3)
 	for _, variant := range []exact.Variant{exact.DP, exact.BJ} {
@@ -413,22 +423,53 @@ func TestDeltaDampingEquivalence(t *testing.T) {
 		opts.Epsilon = 1e-8
 		opts.RelativeEps = false
 		opts.Damping = 0.5
-		rf, err := Compute(g1, g2, opts)
+		runs = append(runs, run{variant.String(), g1, g2, opts, false})
+	}
+	star, opts := dampedSinkStar(10)
+	runs = append(runs, run{"sink star", star, star, opts, true})
+	for _, r := range runs {
+		rf, err := Compute(r.g1, r.g2, r.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta := opts
+		delta := r.opts
 		delta.DeltaMode = true
-		rd, err := Compute(g1, g2, delta)
+		rd, err := Compute(r.g1, r.g2, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rf.ForEach(func(u, v graph.NodeID, s float64) {
 			if s2 := rd.Score(u, v); s2 != s {
-				t.Fatalf("variant %v damping: delta diverged at (%d,%d): %v vs %v", variant, u, v, s2, s)
+				t.Fatalf("%s damping: delta diverged at (%d,%d): %v vs %v", r.name, u, v, s2, s)
 			}
 		})
+		if last := rd.ActivePairs[len(rd.ActivePairs)-1]; r.precise && last*4 >= rd.CandidateCount {
+			t.Fatalf("%s: worklist never went precise: %v of %d pairs", r.name, rd.ActivePairs, rd.CandidateCount)
+		}
 	}
+}
+
+// dampedSinkStar builds the graph on which damping self-reactivation is
+// observable at DeltaEps = 0: a hub pointing at k sinks labelled "a" and
+// one labelled "b". Under w⁻ = 0 a sink pair reads nothing; the same-label
+// sink pairs sit at 1 from the start, while the 2k mixed-label pairs drift
+// toward their damped target on their own previous score alone. They are
+// few enough that the worklist propagates precisely instead of
+// reactivating everything.
+func dampedSinkStar(k int) (*graph.Graph, Options) {
+	b := graph.NewBuilder()
+	hub := b.AddNode("hub")
+	for i := 0; i <= k; i++ {
+		label := "a"
+		if i == k {
+			label = "b"
+		}
+		b.MustAddEdge(hub, b.AddNode(label))
+	}
+	opts := DefaultOptions(exact.BJ).WithPinnedIterations(30)
+	opts.WPlus, opts.WMinus = 0.8, 0
+	opts.Damping = 0.5
+	return b.Build(), opts
 }
 
 // TestDeltaThreadDeterminism extends the determinism guarantee to the

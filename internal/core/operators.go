@@ -201,28 +201,30 @@ func (op *Operators) neighborScore(
 			sum = d1
 			break
 		}
-		if op.ExactMatching {
-			// Ineligible pairs get weight 0: a maximum assignment never
-			// gains from them, so the optimum equals the eligible-only
-			// maximum-sum matching required by C3.
-			w2 := make([][]float64, n1)
-			for i, x := range s1 {
-				w2[i] = make([]float64, n2)
-				for j, y := range s2 {
-					if eligible == nil || eligible(x, y) {
-						w2[i][j] = lookup(x, y)
-					}
-				}
-			}
-			sum = matching.HungarianTotal(w2)
-			break
-		}
-		scratch.m.Grow(n1, n2)
 		w := scratch.weights
 		if cap(w) < n1*n2 {
 			w = make([]float64, n1*n2)
 		}
 		w = w[:n1*n2]
+		scratch.weights = w
+		if op.ExactMatching {
+			// Ineligible pairs get weight 0: a maximum assignment never
+			// gains from them, so the optimum equals the eligible-only
+			// maximum-sum matching required by C3.
+			for i, x := range s1 {
+				row := w[i*n2 : (i+1)*n2]
+				for j, y := range s2 {
+					if eligible == nil || eligible(x, y) {
+						row[j] = lookup(x, y)
+					} else {
+						row[j] = 0
+					}
+				}
+			}
+			_, sum = matching.Hungarian(w, n1, n2, scratch.m)
+			break
+		}
+		scratch.m.Grow(n1, n2)
 		if eligible == nil {
 			for i, x := range s1 {
 				row := w[i*n2 : (i+1)*n2]
@@ -243,7 +245,6 @@ func (op *Operators) neighborScore(
 			}
 		}
 		sum, _ = matching.GreedyDense(w, n1, n2, 0, scratch.m)
-		scratch.weights = w
 	}
 	return sum / op.omega(n1, n2)
 }

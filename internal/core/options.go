@@ -131,20 +131,6 @@ type Options struct {
 	// frontier. Must lie in [0, 1); ignored when DeltaMode is off.
 	DeltaEps float64
 
-	// Quotient opts the computation into the bisimulation-quotient
-	// compression front-end (internal/quotient, surfaced as
-	// fsim.CompressedCompute and the query.Index build path): structural
-	// twins — nodes with equal labels and identical literal out- and
-	// in-neighbor ID sets — provably receive bit-identical scores under
-	// every variant, so the fixed point runs over one representative pair
-	// per block pair and fans the scores back out. The flag is a build-time
-	// knob consumed by those front-ends; core.Compute/ComputeOn themselves
-	// ignore it (they always compute the full candidate set), and the
-	// snapshot codec does not persist it (a warm-started server serves
-	// stored scores, which are identical either way). Incompatible with
-	// PinDiagonal and Init hooks, which can assign twins different seeds.
-	Quotient bool
-
 	// Damping mixes each update with the previous score:
 	// FSimᵏ ← Damping·FSimᵏ⁻¹ + (1−Damping)·update. Zero (the default)
 	// is the paper's plain iteration. The greedy matching heuristic of the

@@ -29,7 +29,7 @@ func KBisimilar(g *graph.Graph, k int, u, v graph.NodeID) bool {
 
 // KBisimulationBoth is the two-sided extension using both N+ and N−; it is
 // the signature analogue of the paper's in+out data model and is used by
-// the alignment baselines and the quotient-compression front-end.
+// the alignment baselines and the structural-twin partition.
 func KBisimulationBoth(g *graph.Graph, k int) []Color {
 	return RefineSignatures(g, k, true).Colors
 }
@@ -52,7 +52,7 @@ type RefineResult struct {
 	// left to split). When false, colors describe exactly k rounds of
 	// refinement but the k+1-round partition could still be finer; callers
 	// that need a stable partition (Theorem 5 equivalence checks, the
-	// quotient front-end's diagnostics) must consult this flag rather than
+	// twin diagnostics of fsim quotient) must consult this flag rather than
 	// assume a generous k sufficed.
 	Converged bool
 }

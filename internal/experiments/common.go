@@ -72,7 +72,6 @@ func Registry() []struct {
 		{"serve", "HTTP serving layer load test: cache+coalescing vs naive recompute", Serve},
 		{"snapshot", "binary snapshot warm start vs cold text-parse + Compute", Snapshot},
 		{"scale", "nodes × edges × threads sweep: dynamic chunk queue speedup and determinism", Scale},
-		{"compress", "quotient compression across label skew: candidate reduction and bit-parity", Compress},
 		{"cluster", "replicated serving tier over loopback sockets: router throughput, replication lag, re-sync time", Cluster},
 		{"apps", "served application endpoints (/match, /align, /nodesim): cached vs naive throughput", Apps},
 	}

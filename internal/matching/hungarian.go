@@ -1,48 +1,55 @@
 package matching
 
 // Hungarian solves the maximum-weight assignment problem exactly on a dense
-// n1 × n2 matrix of non-negative weights, n1 ≤ n2 not required (the smaller
-// side is padded internally). It returns assign, where assign[i] is the
-// column matched to row i (or -1 when the row is left unmatched because
-// n1 > n2), and the total weight.
+// n1 × n2 matrix w of non-negative weights, stored row-major (entry (i, j)
+// at w[i*n2+j]); n1 ≤ n2 is not required (the larger side is left partly
+// unmatched). It returns assign, where assign[i] is the column matched to
+// row i (or -1 when the row is left unmatched because n1 > n2), and the
+// total weight. The workspace, and assign itself, live in s: assign is
+// valid until the next call on s, and a warmed-up s makes the call
+// allocation-free.
 //
 // The implementation is the O(n³) potentials ("Jonker-Volgenant style")
 // formulation of the Kuhn-Munkres algorithm, minimizing the negated
 // weights.
-func Hungarian(w [][]float64) ([]int, float64) {
-	n1 := len(w)
-	if n1 == 0 {
-		return nil, 0
+func Hungarian(w []float64, n1, n2 int, s *Scratch) ([]int, float64) {
+	assign := growInts(&s.assign, n1)
+	for i := range assign {
+		assign[i] = -1
 	}
-	n2 := len(w[0])
-	transposed := false
-	if n1 > n2 {
-		// Transpose so rows ≤ cols.
-		t := make([][]float64, n2)
-		for j := 0; j < n2; j++ {
-			t[j] = make([]float64, n1)
-			for i := 0; i < n1; i++ {
-				t[j][i] = w[i][j]
-			}
-		}
-		w, n1, n2 = t, n2, n1
-		transposed = true
+	if n1 == 0 || n2 == 0 {
+		return assign, 0
+	}
+	// Run over the rows ≤ cols view: entry (i, j) of the view lives at
+	// w[i*rs+j*cs], so a tall matrix is transposed by strides, not copied.
+	rs, cs := n2, 1
+	transposed := n1 > n2
+	if transposed {
+		n1, n2 = n2, n1
+		rs, cs = 1, n1
 	}
 
-	// cost[i][j] = -w[i][j]; minimize.
+	// cost(i, j) = -w(i, j); minimize.
 	const inf = 1e18
-	u := make([]float64, n1+1)
-	v := make([]float64, n2+1)
-	p := make([]int, n2+1) // p[j] = row assigned to column j (1-based; 0 = none)
-	way := make([]int, n2+1)
+	u := growFloats(&s.hu, n1+1)
+	v := growFloats(&s.hv, n2+1)
+	p := growInts(&s.hp, n2+1) // p[j] = row assigned to column j (1-based; 0 = none)
+	way := growInts(&s.way, n2+1)
+	minv := growFloats(&s.minv, n2+1)
+	if cap(s.used) < n2+1 {
+		s.used = make([]bool, n2+1)
+	}
+	used := s.used[:n2+1]
+	clear(u)
+	clear(v)
+	clear(p)
 
 	for i := 1; i <= n1; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, n2+1)
-		used := make([]bool, n2+1)
 		for j := range minv {
 			minv[j] = inf
+			used[j] = false
 		}
 		for {
 			used[j0] = true
@@ -53,7 +60,7 @@ func Hungarian(w [][]float64) ([]int, float64) {
 				if used[j] {
 					continue
 				}
-				cur := -w[i0-1][j-1] - u[i0] - v[j]
+				cur := -w[(i0-1)*rs+(j-1)*cs] - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -83,36 +90,32 @@ func Hungarian(w [][]float64) ([]int, float64) {
 		}
 	}
 
-	assignSmall := make([]int, n1)
-	for i := range assignSmall {
-		assignSmall[i] = -1
-	}
 	total := 0.0
 	for j := 1; j <= n2; j++ {
 		if p[j] != 0 {
-			assignSmall[p[j]-1] = j - 1
-			total += w[p[j]-1][j-1]
-		}
-	}
-	if !transposed {
-		return assignSmall, total
-	}
-	// Undo the transpose: original rows were the columns here.
-	assign := make([]int, n2)
-	for i := range assign {
-		assign[i] = -1
-	}
-	for smallRow, col := range assignSmall {
-		if col >= 0 {
-			assign[col] = smallRow
+			if transposed {
+				assign[j-1] = p[j] - 1 // view columns are the original rows
+			} else {
+				assign[p[j]-1] = j - 1
+			}
+			total += w[(p[j]-1)*rs+(j-1)*cs]
 		}
 	}
 	return assign, total
 }
 
-// HungarianTotal is a convenience wrapper returning only the optimal total
-// weight.
-func HungarianTotal(w [][]float64) float64 {
-	_, total := Hungarian(w)
-	return total
+// growFloats returns (*b)[:n], reallocating when the capacity is short.
+func growFloats(b *[]float64, n int) []float64 {
+	if cap(*b) < n {
+		*b = make([]float64, n)
+	}
+	return (*b)[:n]
+}
+
+// growInts returns (*b)[:n], reallocating when the capacity is short.
+func growInts(b *[]int, n int) []int {
+	if cap(*b) < n {
+		*b = make([]int, n)
+	}
+	return (*b)[:n]
 }

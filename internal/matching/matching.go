@@ -4,8 +4,9 @@
 //   - Greedy: the 1/2-approximate maximum-weight matching heuristic the
 //     paper cites (Avis, "A survey of heuristics for the weighted matching
 //     problem", 1983) — used inside the Mdp and Mbj mapping operators.
-//   - Hungarian: exact maximum-weight assignment — used by tests and the
-//     matching ablation to bound the greedy approximation loss.
+//   - Hungarian: exact maximum-weight assignment — the mapping operators'
+//     ExactMatching option, and the bound on the greedy approximation loss
+//     in tests.
 //   - HopcroftKarp: maximum-cardinality matching — used by the exact dp/bj
 //     simulation checkers, which need to decide whether a relation admits a
 //     (perfect) injective neighbor mapping.
@@ -174,11 +175,18 @@ func sortEdgesDesc(es []wEdge) {
 	}
 }
 
-// Scratch holds reusable buffers for GreedyDense.
+// Scratch holds reusable buffers for GreedyDense and Hungarian. It is not
+// safe for concurrent use.
 type Scratch struct {
 	edges []wEdge
 	usedL []bool
 	usedR []bool
+
+	// Hungarian's potentials, column assignment, augmenting-path links,
+	// slack and visited marks, and its returned row assignment.
+	hu, hv, minv    []float64
+	hp, way, assign []int
+	used            []bool
 }
 
 // NewScratch sizes a Scratch for weight matrices up to n1max × n2max.

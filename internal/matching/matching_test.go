@@ -51,17 +51,16 @@ func TestGreedyHalfApprox(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n1, n2 := 1+rng.Intn(5), 1+rng.Intn(5)
-		w := make([][]float64, n1)
+		w := make([]float64, n1*n2)
 		var edges []Edge
-		for i := range w {
-			w[i] = make([]float64, n2)
-			for j := range w[i] {
-				w[i][j] = rng.Float64()
-				edges = append(edges, Edge{i, j, w[i][j]})
+		for i := 0; i < n1; i++ {
+			for j := 0; j < n2; j++ {
+				w[i*n2+j] = rng.Float64()
+				edges = append(edges, Edge{i, j, w[i*n2+j]})
 			}
 		}
 		_, greedy := Greedy(edges)
-		opt := HungarianTotal(w)
+		_, opt := Hungarian(w, n1, n2, &Scratch{})
 		return greedy >= opt/2-1e-9 && greedy <= opt+1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
@@ -116,11 +115,11 @@ func TestGreedyDenseMinW(t *testing.T) {
 }
 
 func TestHungarianKnown(t *testing.T) {
-	w := [][]float64{
-		{5, 4},
-		{4, 1},
+	w := []float64{
+		5, 4,
+		4, 1,
 	}
-	assign, total := Hungarian(w)
+	assign, total := Hungarian(w, 2, 2, &Scratch{})
 	if total != 8 {
 		t.Fatalf("Hungarian total = %v, want 8", total)
 	}
@@ -131,8 +130,8 @@ func TestHungarianKnown(t *testing.T) {
 
 func TestHungarianRectangular(t *testing.T) {
 	// More rows than columns: one row stays unmatched.
-	w := [][]float64{{1}, {5}, {3}}
-	assign, total := Hungarian(w)
+	w := []float64{1, 5, 3}
+	assign, total := Hungarian(w, 3, 1, &Scratch{})
 	if total != 5 {
 		t.Fatalf("total = %v, want 5", total)
 	}
@@ -151,16 +150,15 @@ func TestHungarianRectangular(t *testing.T) {
 }
 
 // TestHungarianOptimal brute-forces small instances to verify optimality.
+// One scratch serves every instance, so reuse across sizes is covered too.
 func TestHungarianOptimal(t *testing.T) {
+	sc := &Scratch{}
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(4)
-		w := make([][]float64, n)
+		w := make([]float64, n*n)
 		for i := range w {
-			w[i] = make([]float64, n)
-			for j := range w[i] {
-				w[i][j] = rng.Float64()
-			}
+			w[i] = rng.Float64()
 		}
 		best := 0.0
 		perm := make([]int, n)
@@ -177,12 +175,13 @@ func TestHungarianOptimal(t *testing.T) {
 			}
 			for j := 0; j < n; j++ {
 				if used&(1<<j) == 0 {
-					rec(i+1, used|1<<j, sum+w[i][j])
+					rec(i+1, used|1<<j, sum+w[i*n+j])
 				}
 			}
 		}
 		rec(0, 0, 0)
-		return math.Abs(HungarianTotal(w)-best) < 1e-9
+		_, total := Hungarian(w, n, n, sc)
+		return math.Abs(total-best) < 1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -211,24 +210,26 @@ func TestHopcroftKarp(t *testing.T) {
 }
 
 // TestHopcroftKarpMatchesHungarian cross-checks maximum cardinality against
-// the Hungarian optimum on 0/1 weights.
+// the Hungarian optimum on 0/1 weights, reusing one scratch across wide
+// and tall shapes.
 func TestHopcroftKarpMatchesHungarian(t *testing.T) {
+	sc := &Scratch{}
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n1, n2 := 1+rng.Intn(5), 1+rng.Intn(5)
 		adj := make([][]int, n1)
-		w := make([][]float64, n1)
+		w := make([]float64, n1*n2)
 		for i := range adj {
-			w[i] = make([]float64, n2)
 			for j := 0; j < n2; j++ {
 				if rng.Float64() < 0.5 {
 					adj[i] = append(adj[i], j)
-					w[i][j] = 1
+					w[i*n2+j] = 1
 				}
 			}
 		}
 		_, size := HopcroftKarp(adj, n2)
-		return math.Abs(float64(size)-HungarianTotal(w)) < 1e-9
+		_, total := Hungarian(w, n1, n2, sc)
+		return math.Abs(float64(size)-total) < 1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

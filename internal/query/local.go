@@ -1,117 +1,68 @@
 package query
 
 import (
-	"math/bits"
+	"slices"
 
 	"fsim/internal/core"
 	"fsim/internal/graph"
 	"fsim/internal/pairbits"
 )
 
-// state is one query's scratch: the localized score store and worklist.
-// The store is row-sharded and dense within a row — a node x of g1 touched
-// by the closure gets a full |V2|-wide score slab, holding FSim⁰ for
+// state is one query's scratch: the dependency closure and its score rows.
+// The store is row-mapped and dense within a row — a node x of g1 touched
+// by the closure gets a full |V2|-wide score row, holding FSim⁰ for
 // candidates and the constant §3.4 stand-in for non-candidates, exactly
-// like the batch engine's dense store. Lookups during iteration are then
-// two array loads, and boundary semantics match Compute by construction.
-// States are pooled per Index and reused across queries; they are not safe
-// for concurrent use (the Index pool hands each goroutine its own).
+// like the batch engine's dense store; core.ComputeRows then iterates the
+// closure on the engine's executor. States are pooled per Index and reused
+// across queries; they are not safe for concurrent use (the Index pool
+// hands each goroutine its own).
 type state struct {
-	ix *Index
-	cs *core.CandidateSet
-
-	rowOf   []int32 // g1 node -> local row, -1 = absent
-	rowNode []graph.NodeID
-	// prevRows/curRows are the double-buffered slabs; localBits marks
-	// closure membership within each row.
-	prevRows, curRows [][]float64
-	localBits         []pairbits.Bitset
+	ix   *Index
+	cs   *core.CandidateSet
+	plan core.RowPlan
 
 	pairs []pairbits.Key // closure pairs in discovery order; doubles as BFS queue
-
-	active, nextActive pairbits.Bitset
-	dirty              []int
-	scratch            *core.EvalScratch
-
-	// free lists recycled across queries from the pool.
-	freeSlabs [][]float64
-	freeBits  []pairbits.Bitset
 }
 
 func newState(ix *Index) *state {
-	s := &state{ix: ix, cs: ix.cs, scratch: core.NewEvalScratch()}
-	s.rowOf = make([]int32, ix.n1)
-	for i := range s.rowOf {
-		s.rowOf[i] = -1
+	s := &state{ix: ix, cs: ix.cs}
+	s.plan.RowOf = make([]int32, ix.n1)
+	for i := range s.plan.RowOf {
+		s.plan.RowOf[i] = -1
 	}
 	return s
 }
 
-// addRow materializes the score slab of g1 node x.
+// addRow gives g1 node x a score row and returns its index.
 func (s *state) addRow(x graph.NodeID) int32 {
-	if r := s.rowOf[x]; r >= 0 {
+	p := &s.plan
+	if r := p.RowOf[x]; r >= 0 {
 		return r
 	}
-	r := int32(len(s.rowNode))
-	s.rowOf[x] = r
-	s.rowNode = append(s.rowNode, x)
-
-	take := func() []float64 {
-		if n := len(s.freeSlabs); n > 0 {
-			sl := s.freeSlabs[n-1]
-			s.freeSlabs = s.freeSlabs[:n-1]
-			return sl
-		}
-		return make([]float64, s.ix.n2)
+	r := int32(len(p.Rows))
+	p.RowOf[x] = r
+	p.Rows = append(p.Rows, x)
+	for words := (len(p.Rows)*s.ix.n2 + 63) / 64; len(p.Member) < words; {
+		p.Member = append(p.Member, 0)
 	}
-	// Non-candidates default to 0 (their stand-in without §3.4 bounds);
-	// walking the candidate row and the pruned-pair list covers the rest
-	// without probing all |V2| pairs.
-	prev := take()
-	for i := range prev {
-		prev[i] = 0
-	}
-	s.cs.ForEachCandidate(x, func(v graph.NodeID) {
-		prev[v] = s.cs.InitScore(x, v)
-	})
-	if s.ix.rowStandIns != nil {
-		for _, si := range s.ix.rowStandIns[x] {
-			prev[si.v] = si.score
-		}
-	}
-	cur := take()
-	copy(cur, prev)
-	s.prevRows = append(s.prevRows, prev)
-	s.curRows = append(s.curRows, cur)
-
-	var lb pairbits.Bitset
-	if n := len(s.freeBits); n > 0 {
-		lb = s.freeBits[n-1]
-		s.freeBits = s.freeBits[:n-1]
-		lb.ClearAll()
-	} else {
-		lb = pairbits.NewBitset(s.ix.n2)
-	}
-	s.localBits = append(s.localBits, lb)
 	return r
 }
 
 // addPair admits a candidate pair into the closure (idempotent).
 func (s *state) addPair(x, y graph.NodeID) {
-	r := s.addRow(x)
-	if s.localBits[r].Get(int(y)) {
+	slot := int(s.addRow(x))*s.ix.n2 + int(y)
+	if s.plan.Member.Get(slot) {
 		return
 	}
-	s.localBits[r].Set(int(y))
+	s.plan.Member.Set(slot)
 	s.pairs = append(s.pairs, pairbits.MakeKey(x, y))
 }
 
 // closure expands the frontier to its dependency closure: every candidate
 // pair some admitted pair's Equation 3 update reads, transitively.
 // Non-candidate reads stay out — they contribute constants, baked into the
-// row slabs. The closure property guarantees every score an iteration
-// reads is itself iterated, so the localized trajectory equals the batch
-// engine's.
+// rows. The closure property guarantees every score an iteration reads is
+// itself iterated, so the localized trajectory equals the batch engine's.
 func (s *state) closure() {
 	for head := 0; head < len(s.pairs); head++ {
 		x, y := s.pairs[head].Split()
@@ -123,143 +74,50 @@ func (s *state) closure() {
 	}
 }
 
-// lookup resolves a previous-iteration score: local rows answer from their
-// slab; rows never materialized hold no closure pairs, so the pair is a
-// non-candidate returning its stand-in.
-func (s *state) lookup(x, y graph.NodeID) float64 {
-	if r := s.rowOf[x]; r >= 0 {
-		return s.prevRows[r][y]
-	}
-	return s.cs.StandIn(x, y)
-}
-
-// run iterates the closure to the fixed point, mirroring the batch
-// engine's worklist strategy (engine.iterateDelta/syncAndAdvance): every
-// closure pair is active in round one; afterwards a pair re-enters the
-// worklist only when a pair its update reads changed by more than
-// Options.DeltaEps (0 by default — exact propagation). Convergence uses
-// the same Epsilon criterion over the pairs updated each round.
-func (s *state) run() Stats {
-	opts := s.cs.Options()
-	slots := len(s.rowNode) * s.ix.n2
-	if cap(s.active)*64 >= slots {
-		s.active = s.active[:(slots+63)/64]
-		s.active.ClearAll()
-		s.nextActive = s.nextActive[:(slots+63)/64]
-		s.nextActive.ClearAll()
-	} else {
-		s.active = pairbits.NewBitset(slots)
-		s.nextActive = pairbits.NewBitset(slots)
-	}
+// materialize seeds the score rows of the collected closure: FSim⁰ at
+// candidates and the §3.4 stand-in elsewhere. Non-candidates default to 0
+// (their stand-in without §3.4 bounds); walking the candidate row and the
+// pruned-pair list covers the rest without probing all |V2| pairs.
+func (s *state) materialize() {
+	p := &s.plan
 	n2 := s.ix.n2
-	for _, k := range s.pairs {
-		x, y := k.Split()
-		s.active.Set(int(s.rowOf[x])*n2 + int(y))
+	p.Prev = slices.Grow(p.Prev[:0], len(p.Rows)*n2)[:len(p.Rows)*n2]
+	clear(p.Prev)
+	for r, x := range p.Rows {
+		row := p.Prev[r*n2 : (r+1)*n2]
+		s.cs.ForEachCandidate(x, func(v graph.NodeID) {
+			row[v] = s.cs.InitScore(x, v)
+		})
+		if s.ix.rowStandIns != nil {
+			for _, si := range s.ix.rowStandIns[x] {
+				row[si.v] = si.score
+			}
+		}
 	}
-
-	st := Stats{LocalPairs: len(s.pairs)}
-	damping := opts.Damping
-	// DeltaEps is a DeltaMode knob; Compute ignores it otherwise and so
-	// must the localized iteration, or equivalence would break.
-	deltaEps := 0.0
-	if opts.DeltaMode {
-		deltaEps = opts.DeltaEps
-	}
-	lookup := s.lookup
-	for it := 1; it <= opts.MaxIters; it++ {
-		var maxAbs, maxRel float64
-		s.dirty = s.dirty[:0]
-		for w := 0; w < len(s.active); w++ {
-			for word := s.active[w]; word != 0; word &= word - 1 {
-				slot := w*64 + bits.TrailingZeros64(word)
-				r := slot / n2
-				x, y := s.rowNode[r], graph.NodeID(slot%n2)
-				sc := s.cs.EvalPair(x, y, lookup, s.scratch)
-				p := s.prevRows[r][y]
-				if damping > 0 {
-					sc = damping*p + (1-damping)*sc
-				}
-				s.curRows[r][y] = sc
-				d := sc - p
-				if d < 0 {
-					d = -d
-				}
-				if d > maxAbs {
-					maxAbs = d
-				}
-				if p > 0 {
-					if rel := d / p; rel > maxRel {
-						maxRel = rel
-					}
-				} else if d > 0 {
-					maxRel = 1
-				}
-				if d > deltaEps {
-					s.dirty = append(s.dirty, slot)
-				}
-			}
-		}
-		st.Iterations = it
-		s.prevRows, s.curRows = s.curRows, s.prevRows
-		var done bool
-		if opts.RelativeEps {
-			done = maxRel < opts.Epsilon
-		} else {
-			done = maxAbs < opts.Epsilon
-		}
-		if done {
-			st.Converged = true
-			break
-		}
-		// Restore the buffer-agreement invariant at recomputed slots, then
-		// build the next worklist from the dirty set's dependents within
-		// the closure.
-		for w, word := range s.active {
-			for ; word != 0; word &= word - 1 {
-				slot := w*64 + bits.TrailingZeros64(word)
-				s.curRows[slot/n2][slot%n2] = s.prevRows[slot/n2][slot%n2]
-			}
-		}
-		if 4*len(s.dirty) >= len(s.pairs) {
-			// Most of the closure changed: reactivating everything is a
-			// superset of the precise frontier at a fraction of the
-			// reverse-adjacency enumeration cost (the engine's shortcut).
-			for _, k := range s.pairs {
-				x, y := k.Split()
-				s.nextActive.Set(int(s.rowOf[x])*n2 + int(y))
-			}
-		} else {
-			for _, slot := range s.dirty {
-				x, y := s.rowNode[slot/n2], graph.NodeID(slot%n2)
-				s.cs.ForEachDependent(x, y, func(du, dv graph.NodeID) {
-					if r := s.rowOf[du]; r >= 0 && s.localBits[r].Get(int(dv)) {
-						s.nextActive.Set(int(r)*n2 + int(dv))
-					}
-				})
-				if damping > 0 {
-					s.nextActive.Set(slot)
-				}
-			}
-		}
-		s.active, s.nextActive = s.nextActive, s.active
-		s.nextActive.ClearAll()
-	}
-	return st
 }
 
-// reset returns the state to its pristine pooled form, recycling slabs and
-// bitsets.
+// run materializes the closure's rows and iterates them to the fixed
+// point.
+func (s *state) run() Stats {
+	s.materialize()
+	iters, converged := s.cs.ComputeRows(&s.plan)
+	return Stats{LocalPairs: len(s.pairs), Iterations: iters, Converged: converged}
+}
+
+// score reads the final score of a closure pair after run.
+func (s *state) score(u, v graph.NodeID) float64 {
+	return s.plan.Prev[int(s.plan.RowOf[u])*s.ix.n2+int(v)]
+}
+
+// reset returns the state to its pristine pooled form, keeping every
+// buffer's capacity.
 func (s *state) reset() {
-	for _, x := range s.rowNode {
-		s.rowOf[x] = -1
+	p := &s.plan
+	for _, x := range p.Rows {
+		p.RowOf[x] = -1
 	}
-	s.rowNode = s.rowNode[:0]
-	s.freeSlabs = append(s.freeSlabs, s.prevRows...)
-	s.freeSlabs = append(s.freeSlabs, s.curRows...)
-	s.prevRows = s.prevRows[:0]
-	s.curRows = s.curRows[:0]
-	s.freeBits = append(s.freeBits, s.localBits...)
-	s.localBits = s.localBits[:0]
+	p.Rows = p.Rows[:0]
+	clear(p.Member)
+	p.Member = p.Member[:0]
 	s.pairs = s.pairs[:0]
-	s.dirty = s.dirty[:0]
 }

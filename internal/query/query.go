@@ -10,12 +10,12 @@
 // query runs a query-localized fixed point: starting from the query
 // frontier it collects the dependency closure — the pairs whose scores the
 // frontier's Equation 3 updates read, transitively — and iterates only
-// those pairs, with a worklist that skips pairs whose inputs stopped
-// changing. Pairs outside the closure can never influence the frontier at
-// any iteration, so the localized trajectory is identical to the batch
-// engine's, and the returned scores agree with Compute up to the two
-// strategies' stopping times (bit-identical when both run a pinned number
-// of iterations).
+// those pairs on the batch engine's executor (core.ComputeRows), with a
+// worklist that skips pairs whose inputs stopped changing. Pairs outside
+// the closure can never influence the frontier at any iteration, so the
+// localized trajectory is identical to the batch engine's, and the
+// returned scores agree with Compute up to the two strategies' stopping
+// times (bit-identical when both run a pinned number of iterations).
 //
 // TopK additionally seeds the frontier through §3.4's upper bounds: a row
 // candidate whose Eq. 6 bound FSim̄(u, v) cannot reach the k-th best
@@ -40,7 +40,6 @@ import (
 	"fsim/internal/core"
 	"fsim/internal/graph"
 	"fsim/internal/pairbits"
-	"fsim/internal/quotient"
 	"fsim/internal/stats"
 )
 
@@ -64,15 +63,6 @@ type Index struct {
 	// walking the candidate row instead of probing all |V2| pairs.
 	rowStandIns [][]standIn
 	pool        *sync.Pool // *state
-	// rep1/rep2 (non-nil only with Options.Quotient) map each node to its
-	// structural-twin block representative: queries redirect (u, v) to
-	// (rep1[u], rep2[v]) before computing, so all members of a block pair
-	// share one localized fixed point. Twins provably carry bit-identical
-	// scores and identical candidate columns, so the redirect changes
-	// neither scores nor rankings — only how many distinct rows the index
-	// ever computes. Recomputed under the write lock on every Apply and
-	// ResetCandidates.
-	rep1, rep2 []graph.NodeID
 }
 
 // standIn is one pruned pair's constant score within a row.
@@ -90,12 +80,6 @@ func New(g1, g2 *graph.Graph, opts core.Options) (*Index, error) {
 		// float32-rounded scores here would break the Compute-identical
 		// contract the index is built on.
 		return nil, fmt.Errorf("query: Options.Float32Scores is a batch-compute option; the query index keeps float64 state")
-	}
-	if opts.Quotient && (opts.PinDiagonal || opts.Init != nil) {
-		// Both options can assign twin nodes different initial (and thus
-		// final) scores, so blocks no longer share one trajectory and the
-		// representative redirect would serve wrong scores.
-		return nil, fmt.Errorf("query: Options.Quotient is incompatible with PinDiagonal and Init (structural twins must share score trajectories)")
 	}
 	cs, err := core.NewCandidateSet(g1, g2, opts)
 	if err != nil {
@@ -156,36 +140,6 @@ func (ix *Index) resetLocked(cs *core.CandidateSet) {
 		ix.rowStandIns[u] = append(ix.rowStandIns[u], standIn{v: v, score: s})
 	})
 	ix.pool = &sync.Pool{New: func() any { return newState(ix) }}
-	ix.refreshRepsLocked()
-}
-
-// refreshRepsLocked (re)computes the quotient redirect tables from the
-// current graphs; callers hold the write lock. The tables stay nil unless
-// the index was built with Options.Quotient — New rejects the option
-// combinations (PinDiagonal, Init) under which the redirect would be
-// unsound, so reaching a non-nil table implies twin blocks share exact
-// score trajectories.
-func (ix *Index) refreshRepsLocked() {
-	ix.rep1, ix.rep2 = nil, nil
-	if !ix.cs.Options().Quotient {
-		return
-	}
-	g1, g2 := ix.cs.Graphs()
-	ix.rep1 = repTable(quotient.Refine(g1, quotient.DefaultRefineRounds))
-	if g2 == g1 {
-		ix.rep2 = ix.rep1
-	} else {
-		ix.rep2 = repTable(quotient.Refine(g2, quotient.DefaultRefineRounds))
-	}
-}
-
-// repTable flattens a partition into a node → block-representative map.
-func repTable(p *quotient.Partition) []graph.NodeID {
-	t := make([]graph.NodeID, len(p.BlockOf))
-	for u := range t {
-		t[u] = p.Rep[p.BlockOf[u]]
-	}
-	return t
 }
 
 // Apply patches the index in place for a mutated graph pair, so a live
@@ -243,10 +197,6 @@ func (ix *Index) Apply(g1, g2 *graph.Graph, touched1, touched2 []graph.NodeID) (
 			ix.rowStandIns[u] = append(row, standIn{v: v, score: sc.StandIn})
 		}
 	}
-	// A mutation can split or merge twin blocks, so the redirect tables are
-	// recomputed from scratch; partition refinement is linear-ish in the
-	// graph and cheap next to the patch it rides on.
-	ix.refreshRepsLocked()
 	return delta, nil
 }
 
@@ -277,7 +227,7 @@ func (ix *Index) Replay(seeds []pairbits.Key, fn func(u, v graph.NodeID, score f
 	st.Seeds = len(seeds)
 	for _, k := range s.pairs {
 		u, v := k.Split()
-		fn(u, v, s.prevRows[s.rowOf[u]][v])
+		fn(u, v, s.score(u, v))
 	}
 	return st, nil
 }
@@ -363,12 +313,6 @@ func (ix *Index) topKLocked(u graph.NodeID, k int) ([]stats.Ranked, Stats, error
 	if k <= 0 {
 		return nil, Stats{}, fmt.Errorf("query: k must be positive, got %d", k)
 	}
-	if ix.rep1 != nil {
-		// Quotient redirect: u's row is bit-identical to its twin
-		// representative's (same candidate columns, same scores), so compute
-		// the representative's ranking once and serve it for every member.
-		u = ix.rep1[u]
-	}
 	seeds := ix.seedRow(u, k)
 	if len(seeds) == 0 {
 		return nil, Stats{}, nil
@@ -383,9 +327,8 @@ func (ix *Index) topKLocked(u graph.NodeID, k int) ([]stats.Ranked, Stats, error
 	st.Seeds = len(seeds)
 
 	top := make([]stats.Ranked, len(seeds))
-	r := s.rowOf[u]
 	for i, v := range seeds {
-		top[i] = stats.Ranked{Index: int(v), Score: s.prevRows[r][v]}
+		top[i] = stats.Ranked{Index: int(v), Score: s.score(u, v)}
 	}
 	sort.Slice(top, func(a, b int) bool {
 		if top[a].Score != top[b].Score {
@@ -421,12 +364,6 @@ func (ix *Index) queryLocked(u, v graph.NodeID) (float64, Stats, error) {
 	if int(v) < 0 || int(v) >= ix.n2 {
 		return 0, Stats{}, fmt.Errorf("query: node %d out of range [0,%d)", v, ix.n2)
 	}
-	if ix.rep1 != nil {
-		// Quotient redirect: FSimχ(u, v) = FSimχ(rep(u), rep(v)) bit-exactly
-		// for structural twins, so all member pairs of a block pair share one
-		// localized fixed point (and one cache entry downstream).
-		u, v = ix.rep1[u], ix.rep2[v]
-	}
 	if !ix.cs.Contains(u, v) {
 		return ix.cs.StandIn(u, v), Stats{}, nil
 	}
@@ -436,7 +373,7 @@ func (ix *Index) queryLocked(u, v graph.NodeID) (float64, Stats, error) {
 	s.closure()
 	st := s.run()
 	st.Seeds = 1
-	return s.prevRows[s.rowOf[u]][v], st, nil
+	return s.score(u, v), st, nil
 }
 
 // seedRow selects the frontier of a TopK query: every candidate v of row u

@@ -53,10 +53,30 @@ func propertyGraphs(seed int64) (*graph.Graph, *graph.Graph) {
 //     candidate or not (non-candidates return the §3.4 stand-in).
 //   - Index.TopK(u, k) equals brute-force Compute + sort: same candidate
 //     identities, same scores, same tie-breaking.
+//
+// Damping and exact (Hungarian) matching join the inputs on a fraction of
+// seeds, on both stores: the localized worklist must re-activate a damped
+// pair on its own change, and the exact injective mapping must score
+// identically in both executors. They stay out of the converged property,
+// whose tolerance assumes undamped contraction.
 func TestBruteForceEquivalenceProperty(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		g1, g2 := propertyGraphs(seed)
 		opts, variant := propertyOptions(seed)
+		if seed%5 == 4 {
+			opts.Damping = 0.3
+		}
+		if seed%6 == 0 || seed%6 == 3 {
+			// An injective variant's operators, whatever the seed's
+			// variant: only MapInjective consults ExactMatching.
+			variant = exact.DP
+			if seed%12 >= 6 {
+				variant = exact.BJ
+			}
+			ops := core.OperatorsFor(variant)
+			ops.ExactMatching = true
+			opts.Operators = &ops
+		}
 		opts.Epsilon = 1e-300 // unreachable: both sides run exactly MaxIters rounds
 		opts.RelativeEps = false
 		opts.MaxIters = 20
@@ -119,6 +139,49 @@ func TestBruteForceEquivalenceProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDampedSelfReactivation runs a query whose closure goes quiet except
+// for damped pairs that read nothing. Two hubs share ten sinks labelled
+// "a"; h1 also points at a "b" sink and h2 at a "c" sink. Under w⁻ = 0 the
+// sink pairs read nothing: the a–a pairs sit at 1, while the mixed-label
+// ones move only on their own previous score, and are few enough that the
+// worklist propagates precisely — where the property's random graphs never
+// get. The b–c pair is the one left for the bijective matching of
+// FSim(h1, h2), so a frozen mixed pair would show in the query's score.
+func TestDampedSelfReactivation(t *testing.T) {
+	b := graph.NewBuilder()
+	h1, h2 := b.AddNode("hub"), b.AddNode("hub")
+	for i := 0; i < 10; i++ {
+		a := b.AddNode("a")
+		b.MustAddEdge(h1, a)
+		b.MustAddEdge(h2, a)
+	}
+	b.MustAddEdge(h1, b.AddNode("b"))
+	b.MustAddEdge(h2, b.AddNode("c"))
+	g := b.Build()
+	opts := core.DefaultOptions(exact.BJ).WithPinnedIterations(30)
+	opts.WPlus, opts.WMinus = 0.8, 0
+	opts.Damping = 0.5
+	opts.Threads = 1
+	res, err := core.Compute(g, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := New(g, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := ix.QueryStats(h1, h2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := res.Score(h1, h2); got != want {
+		t.Fatalf("Query(h1, h2) = %v, Compute = %v", got, want)
+	}
+	if st.LocalPairs != 1+11*11 {
+		t.Fatalf("closure has %d pairs, want the hub pair and 121 sink pairs", st.LocalPairs)
 	}
 }
 

@@ -1,10 +1,8 @@
-// Package quotient implements the bisimulation-quotient compression
-// front-end: a partition-refinement pass (hash-refined per Rau et al.,
-// arXiv:2204.05821) that groups structural twins — nodes with equal labels
-// and identical literal out- and in-neighbor ID sets — collapses each
-// equivalence block to one representative, runs the FSimχ fixed point over
-// representative pairs only, and fans the block-level scores back out to
-// the original node pairs, bit-identical to computing on the full graphs.
+// Package quotient computes structural-twin partitions: a
+// partition-refinement pass (hash-refined per Rau et al.,
+// arXiv:2204.05821) that groups nodes with equal labels and identical
+// literal out- and in-neighbor ID sets, and summarizes a graph into its
+// quotient graph. `fsim quotient` prints these as twin diagnostics.
 //
 // Why literal adjacency and not k-bisimulation proper: classical
 // (set-semantics) bisimulation merges nodes whose neighborhoods agree as
@@ -14,12 +12,10 @@
 // neighbor identity can perturb scores in the last ulp. Structural twins
 // are airtight: every Equation 3 update of (u, v) and of its twin pair
 // (u′, v) reads literally identical adjacency slices and identical
-// previous-iteration scores, so all four variants, both score stores and
-// both convergence strategies produce bit-identical trajectories. The
-// bounded k-bisimulation refinement (exact.RefineSignatures, both
-// directions) serves as the hash prefilter: twins are k-bisimilar for
-// every k, so bucketing by color first only shrinks the buckets the exact
-// adjacency certification has to compare.
+// previous-iteration scores. The bounded k-bisimulation refinement
+// (exact.RefineSignatures, both directions) serves as the hash prefilter:
+// twins are k-bisimilar for every k, so bucketing by color first only
+// shrinks the buckets the exact adjacency certification has to compare.
 package quotient
 
 import (
@@ -28,6 +24,11 @@ import (
 	"fsim/internal/exact"
 	"fsim/internal/graph"
 )
+
+// DefaultRefineRounds is the k-bisimulation prefilter depth `fsim quotient`
+// uses. The twin partition is independent of the depth (see Refine); two
+// rounds keep the hash buckets small at negligible cost.
+const DefaultRefineRounds = 2
 
 // Partition groups a graph's nodes into structural-twin blocks.
 type Partition struct {
@@ -106,11 +107,9 @@ func Refine(g *graph.Graph, k int) *Partition {
 // already determine the block adjacency exactly. Block b becomes quotient
 // node b; pair Summarize with Members for the block sizes.
 //
-// The quotient graph is a reporting and inspection artifact (fsim quotient,
-// the compress experiment): the score computation itself iterates
-// representative pairs of the ORIGINAL graphs, because collapsing blocks
-// changes neighbor multiplicities and degree normalizations and would break
-// bit-parity.
+// The quotient graph is a reporting and inspection artifact (fsim
+// quotient): collapsing blocks changes neighbor multiplicities and degree
+// normalizations, so scores are never computed on it.
 func (p *Partition) Summarize(g *graph.Graph) *graph.Graph {
 	b := graph.NewBuilder()
 	for _, rep := range p.Rep {

@@ -2,12 +2,9 @@ package quotient
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
-	"fsim/internal/core"
-	"fsim/internal/exact"
 	"fsim/internal/graph"
 )
 
@@ -47,125 +44,6 @@ func twinGraph(seed int64, n, m, labels, extra int) *graph.Graph {
 		}
 	}
 	return b.Build()
-}
-
-// TestQuotientEquivalence is the tentpole's contract: across 50 seeds —
-// cycling all four variants, both score stores (the sparse store forced
-// via DenseCapPairs=1), full and delta convergence, θ + §3.4 pruning,
-// damping, float32 scores, DeltaEps > 0, pinned and converging budgets —
-// the quotient-compressed computation returns bit-identical scores,
-// iteration counts, convergence verdicts and per-iteration delta
-// trajectories to the uncompressed core engine, over the entire pair
-// universe.
-func TestQuotientEquivalence(t *testing.T) {
-	variants := []exact.Variant{exact.S, exact.DP, exact.B, exact.BJ}
-	for seed := int64(0); seed < 50; seed++ {
-		variant := variants[seed%4]
-		g1 := twinGraph(1000+seed, 16, 40, 3, 12)
-		g2 := g1
-		if seed%3 == 0 { // cross-graph similarity on a third of the seeds
-			g2 = twinGraph(2000+seed, 14, 35, 3, 10)
-		}
-
-		opts := core.DefaultOptions(variant)
-		opts.MaxIters = 7
-		if seed%5 == 0 { // pinned budget: every iteration executes
-			opts.Epsilon = 1e-300
-			opts.RelativeEps = false
-		}
-		if seed%2 == 0 {
-			opts.Theta = 0.75
-			opts.UpperBoundOpt = &core.UpperBound{Alpha: 0.3, Beta: 0.85}
-		}
-		if seed%7 == 0 {
-			opts.Damping = 0.3
-		}
-		if seed%4 == 1 {
-			opts.Float32Scores = true
-		}
-
-		for _, sparse := range []bool{false, true} {
-			for _, delta := range []bool{false, true} {
-				o := opts
-				if sparse {
-					o.DenseCapPairs = 1
-				}
-				o.DeltaMode = delta
-				if delta && seed%6 == 0 {
-					o.DeltaEps = 1e-4
-				}
-				name := fmt.Sprintf("seed=%d variant=%s sparse=%v delta=%v", seed, variant, sparse, delta)
-
-				full, err := core.Compute(g1, g2, o)
-				if err != nil {
-					t.Fatalf("%s: core.Compute: %v", name, err)
-				}
-				q, err := Compute(g1, g2, o)
-				if err != nil {
-					t.Fatalf("%s: quotient.Compute: %v", name, err)
-				}
-
-				if q.RepPairCount >= q.CandidateCount {
-					t.Errorf("%s: no compression: %d rep pairs of %d candidates", name, q.RepPairCount, q.CandidateCount)
-				}
-				if q.Iterations != full.Iterations || q.Converged != full.Converged {
-					t.Fatalf("%s: trajectory mismatch: iters %d/%d converged %v/%v",
-						name, q.Iterations, full.Iterations, q.Converged, full.Converged)
-				}
-				if len(q.Deltas) != len(full.Deltas) {
-					t.Fatalf("%s: delta trajectory length %d != %d", name, len(q.Deltas), len(full.Deltas))
-				}
-				for i := range q.Deltas {
-					if math.Float64bits(q.Deltas[i]) != math.Float64bits(full.Deltas[i]) {
-						t.Fatalf("%s: Deltas[%d] %v != %v", name, i, q.Deltas[i], full.Deltas[i])
-					}
-				}
-				if delta {
-					if len(q.ActivePairs) != len(full.ActivePairs) {
-						t.Fatalf("%s: ActivePairs length %d != %d", name, len(q.ActivePairs), len(full.ActivePairs))
-					}
-					for i := range q.ActivePairs {
-						if q.ActivePairs[i] != full.ActivePairs[i] {
-							t.Fatalf("%s: ActivePairs[%d] %d != %d (expanded worklist is not the exact projection)",
-								name, i, q.ActivePairs[i], full.ActivePairs[i])
-						}
-					}
-				}
-
-				for u := 0; u < g1.NumNodes(); u++ {
-					for v := 0; v < g2.NumNodes(); v++ {
-						fs := full.Score(graph.NodeID(u), graph.NodeID(v))
-						qs := q.Score(graph.NodeID(u), graph.NodeID(v))
-						if math.Float64bits(fs) != math.Float64bits(qs) {
-							t.Fatalf("%s: Score(%d,%d) = %v (quotient) != %v (full)", name, u, v, qs, fs)
-						}
-					}
-				}
-
-				// ForEach must reproduce the full engine's visiting order
-				// and values exactly (the experiment digests depend on it).
-				type visit struct {
-					u, v graph.NodeID
-					bits uint64
-				}
-				var fullSeq, qSeq []visit
-				full.ForEach(func(u, v graph.NodeID, s float64) {
-					fullSeq = append(fullSeq, visit{u, v, math.Float64bits(s)})
-				})
-				q.ForEach(func(u, v graph.NodeID, s float64) {
-					qSeq = append(qSeq, visit{u, v, math.Float64bits(s)})
-				})
-				if len(fullSeq) != len(qSeq) {
-					t.Fatalf("%s: ForEach visits %d pairs, full visits %d", name, len(qSeq), len(fullSeq))
-				}
-				for i := range fullSeq {
-					if fullSeq[i] != qSeq[i] {
-						t.Fatalf("%s: ForEach[%d] = %+v != %+v", name, i, qSeq[i], fullSeq[i])
-					}
-				}
-			}
-		}
-	}
 }
 
 func TestRefineInvariants(t *testing.T) {
@@ -298,19 +176,5 @@ func TestSummarize(t *testing.T) {
 		if _, ok := got[e]; !ok {
 			t.Fatalf("missing quotient edge %v", e)
 		}
-	}
-}
-
-func TestComputeRejectsIncompatibleOptions(t *testing.T) {
-	g := twinGraph(3, 8, 16, 2, 4)
-	pin := core.DefaultOptions(exact.BJ)
-	pin.PinDiagonal = true
-	if _, err := Compute(g, g, pin); err != ErrIncompatible {
-		t.Fatalf("PinDiagonal: got %v, want ErrIncompatible", err)
-	}
-	ini := core.DefaultOptions(exact.BJ)
-	ini.Init = func(_, _ *graph.Graph, u, v graph.NodeID, ls float64) float64 { return 0.5 }
-	if _, err := Compute(g, g, ini); err != ErrIncompatible {
-		t.Fatalf("Init: got %v, want ErrIncompatible", err)
 	}
 }
