@@ -384,7 +384,7 @@ func WarmStart(path string) (*Maintainer, error) { return server.WarmStart(path)
 
 // SaveSnapshot atomically persists a Maintainer's complete state — the
 // CSR graph with labels, the candidate component with its §3.4 bounds,
-// the maintained score store and the graph version — as a crash-safe
+// the maintained scores and the graph version — as a crash-safe
 // binary snapshot (temporary file + rename, per-section checksums).
 // LoadSnapshot restores it without re-running the fixed point, which is
 // what turns a serving restart from minutes of Compute into an I/O-bound
@@ -396,7 +396,9 @@ func SaveSnapshot(mt *Maintainer, path string) error { return snapshot.Save(mt, 
 
 // LoadSnapshot reconstructs a Maintainer from a snapshot file. Corrupted
 // or truncated snapshots are rejected with an error wrapping
-// ErrSnapshotCorrupt; the loader never returns a silently-wrong state.
+// ErrSnapshotCorrupt; the loader never returns a silently-wrong state. A
+// snapshot of another format version is rejected with an error naming
+// both versions; cold-start from the graph text instead.
 func LoadSnapshot(path string) (*Maintainer, error) { return snapshot.Load(path) }
 
 // WriteSnapshot and ReadSnapshot are the io.Writer/io.Reader forms of

@@ -9,6 +9,7 @@ import (
 
 	"fsim/internal/graph"
 	"fsim/internal/pairbits"
+	"fsim/internal/stats"
 	"fsim/internal/strsim"
 )
 
@@ -325,6 +326,54 @@ func (cs *CandidateSet) InitScore(u, v graph.NodeID) float64 {
 // valid for every pair, candidate or not.
 func (cs *CandidateSet) Bound(u, v graph.NodeID) float64 {
 	return cs.upperBound(u, v, cs.LabelSim(u, v))
+}
+
+// Position returns where candidate pair (u, v) sits in the candidate
+// enumeration — u·|V2|+v when every pair is a candidate, else its index in
+// the row-major candidate list — or -1 when (u, v) is not a candidate.
+// Scores that outlive an engine run (Result, the dynamic maintainer's
+// store, snapshots) keep one float64 per candidate at these positions.
+func (cs *CandidateSet) Position(u, v graph.NodeID) int {
+	switch {
+	case cs.allPairs:
+		return int(u)*cs.n2 + int(v)
+	case cs.dense:
+		if !cs.candBits.Get(int(u)*cs.n2 + int(v)) {
+			return -1
+		}
+		lo, hi := cs.rowOff[u], cs.rowOff[u+1]
+		i, _ := slices.BinarySearch(cs.candPairs[lo:hi], pairbits.MakeKey(u, v))
+		return int(lo) + i
+	default:
+		if i, ok := cs.index[pairbits.MakeKey(u, v)]; ok {
+			return int(i)
+		}
+		return -1
+	}
+}
+
+// ScoreRow returns row u of a candidate-aligned score vector, read through
+// score(pos) at each candidate Position, as (v, score) pairs in ascending
+// v order.
+func (cs *CandidateSet) ScoreRow(u graph.NodeID, score func(pos int) float64) []stats.Ranked {
+	lo, hi := int(u)*cs.n2, (int(u)+1)*cs.n2
+	if !cs.allPairs {
+		lo, hi = int(cs.rowOff[u]), int(cs.rowOff[u+1])
+	}
+	out := make([]stats.Ranked, hi-lo)
+	for pos := lo; pos < hi; pos++ {
+		_, v := cs.pairAt(pos)
+		out[pos-lo] = stats.Ranked{Index: int(v), Score: score(pos)}
+	}
+	return out
+}
+
+// pairAt returns the candidate pair at position pos.
+func (cs *CandidateSet) pairAt(pos int) (u, v graph.NodeID) {
+	if cs.allPairs {
+		return graph.NodeID(pos / cs.n2), graph.NodeID(pos % cs.n2)
+	}
+	return cs.candPairs[pos].Split()
 }
 
 // ForEachCandidate calls fn for every candidate v of row u, in ascending v

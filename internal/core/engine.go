@@ -231,11 +231,30 @@ func computeOn(cs *CandidateSet, start time.Time) (*Result, error) {
 		Work:           make([]int64, cs.opts.Threads),
 	}
 	e.run(res)
-	// Latest completed iteration after the final swap.
-	res.scores = e.prev
-	res.scores32 = e.prev32
+	// prev holds the latest completed iteration after the final swap. The
+	// list and all-pairs layouts are candidate-aligned already; the dense
+	// bitmap layout keeps only its candidate slots, so no |V1|×|V2|
+	// buffer outlives the run.
+	res.scores, res.scores32 = e.prev, e.prev32
+	if !e.lay.list && !e.allPairs {
+		res.scores, res.scores32 = gatherCandidates(cs, e.prev), gatherCandidates(cs, e.prev32)
+	}
 	res.Duration = time.Since(start)
 	return res, nil
+}
+
+// gatherCandidates copies the candidate slots of a row-dense |V1|×|V2|
+// buffer into a vector aligned to the candidate positions (nil stays nil).
+func gatherCandidates[S float32 | float64](cs *CandidateSet, buf []S) []S {
+	if buf == nil {
+		return nil
+	}
+	out := make([]S, len(cs.candPairs))
+	for pos, k := range cs.candPairs {
+		u, v := k.Split()
+		out[pos] = buf[int(u)*cs.n2+int(v)]
+	}
+	return out
 }
 
 // RowPlan is the slot plan of a localized fixed point — the query

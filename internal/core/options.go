@@ -96,8 +96,9 @@ type Options struct {
 	// the platform int select the sparse store instead of mis-indexing.
 	DenseCapPairs int
 
-	// Float32Scores stores the score buffers as float32 instead of
-	// float64: half the memory footprint and memory bandwidth per
+	// Float32Scores keeps the engine's score buffers as float32 instead of
+	// float64 (the Result stores the final candidate scores widened to
+	// float64, exactly): half the memory footprint and memory bandwidth per
 	// iteration, at float32 precision (scores round to ~7 significant
 	// digits; convergence tests act on the rounded values). The default
 	// float64 path is unchanged and keeps its bit-exactness contract;

@@ -62,10 +62,11 @@ func (d *PatchDelta) Empty() bool {
 // decisions plus O(|Hc|) structural splicing, versus O(|V1|·|V2|)
 // decisions for a rebuild.
 //
-// Patching invalidates Results previously computed on this set (their
-// Score accessors read the set's layout); a dynamic.Maintainer keeps its
-// own score store for exactly that reason. Concurrent readers must be
-// excluded while Patch runs (query.Index.Apply write-locks).
+// Patching invalidates Results previously computed on this set: their
+// scores sit at candidate positions (Position), which a patch shifts.
+// Consumers that keep a candidate-aligned score vector across patches (the
+// dynamic maintainer) carry it over with RemapScores. Concurrent readers
+// must be excluded while Patch runs (query.Index.Apply write-locks).
 func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.NodeID) (*PatchDelta, error) {
 	if g1 == nil || g2 == nil {
 		return nil, errors.New("core: nil graph")
@@ -78,7 +79,7 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 	if cs.opts.PinDiagonal && n1 != n2 {
 		return nil, fmt.Errorf("core: PinDiagonal needs equally sized graphs, got |V1|=%d |V2|=%d", n1, n2)
 	}
-	if dense := n1*n2 <= cs.opts.DenseCapPairs; dense != cs.dense {
+	if densePairs(n1, n2, cs.opts.DenseCapPairs) != cs.dense {
 		return nil, ErrStoreShape
 	}
 	if err := checkExtends(cs.g1, g1); err != nil {
@@ -317,6 +318,46 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 		}
 	}
 	return delta, nil
+}
+
+// RemapScores carries a candidate-aligned score vector (one score per
+// candidate, at its Position) across the Patch that returned d: surviving
+// candidates keep their scores at their new positions, removed ones are
+// dropped, and added ones start at 0 — callers recompute them before
+// reading. It is one merge walk over the patched candidate list and the
+// key-sorted Added/Removed lists; old is returned unchanged when the
+// positions did not move.
+func (cs *CandidateSet) RemapScores(old []float64, d *PatchDelta) []float64 {
+	if cs.allPairs {
+		// Every pair is a candidate at u·|V2|+v: only node growth moves
+		// positions, by re-striding the rows.
+		if d.N2 == d.OldN2 && d.N1 == d.OldN1 {
+			return old
+		}
+		out := make([]float64, d.N1*d.N2)
+		for u := 0; u < d.OldN1; u++ {
+			copy(out[u*d.N2:u*d.N2+d.OldN2], old[u*d.OldN2:(u+1)*d.OldN2])
+		}
+		return out
+	}
+	if len(d.Added) == 0 && len(d.Removed) == 0 {
+		return old // node growth alone appends empty rows
+	}
+	out := make([]float64, len(cs.candPairs))
+	i, ai, ri := 0, 0, 0 // positions in old, Added, Removed
+	for pos, k := range cs.candPairs {
+		for ri < len(d.Removed) && d.Removed[ri] < k {
+			ri++ // a removed pair held the next old position
+			i++
+		}
+		if ai < len(d.Added) && d.Added[ai] == k {
+			ai++
+			continue
+		}
+		out[pos] = old[i]
+		i++
+	}
+	return out
 }
 
 // checkExtends verifies the append-only contract between an original graph

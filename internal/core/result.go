@@ -4,16 +4,17 @@ import (
 	"time"
 
 	"fsim/internal/graph"
-	"fsim/internal/pairbits"
 	"fsim/internal/stats"
 )
 
 // Result holds the converged FSimχ scores plus computation diagnostics.
 type Result struct {
-	cs     *CandidateSet
-	scores []float64 // dense: n1*n2 entries; sparse: aligned to cs.candPairs
-	// scores32 replaces scores when Options.Float32Scores is set (same
-	// layout, float32 precision); exactly one of the two is non-nil.
+	cs *CandidateSet
+	// scores holds one score per candidate pair, at its
+	// CandidateSet.Position; non-candidates resolve through StandIn.
+	// scores32 replaces it when Options.Float32Scores is set (same
+	// positions, float32 precision); exactly one of the two is non-nil.
+	scores   []float64
 	scores32 []float32
 
 	// Iterations is the number of update rounds executed.
@@ -59,85 +60,51 @@ func (r *Result) Candidates() *CandidateSet { return r.cs }
 // §3.4 stand-in: α·FSim̄ when upper-bound pruning retained the bound, else
 // 0.
 func (r *Result) Score(u, v graph.NodeID) float64 {
-	if r.cs.dense {
-		return r.at(int(u)*r.cs.n2 + int(v))
+	if pos := r.cs.Position(u, v); pos >= 0 {
+		return r.at(pos)
 	}
-	if i, ok := r.cs.index[pairbits.MakeKey(u, v)]; ok {
-		return r.at(int(i))
+	s := r.cs.StandIn(u, v)
+	if r.scores32 != nil && r.cs.dense {
+		// The dense engine iterated with the float32-rounded stand-in.
+		s = float64(float32(s))
 	}
-	return r.cs.StandIn(u, v)
+	return s
 }
 
-// at reads one slot of whichever score buffer the computation used.
-func (r *Result) at(i int) float64 {
+// at reads the score of the candidate at position pos.
+func (r *Result) at(pos int) float64 {
 	if r.scores32 != nil {
-		return float64(r.scores32[i])
+		return float64(r.scores32[pos])
 	}
-	return r.scores[i]
+	return r.scores[pos]
 }
+
+// Scores returns the candidate-aligned score vector: one score per
+// candidate pair, at its CandidateSet.Position — nil for a Float32Scores
+// result, whose scores are float32. The slice is the result's own; the
+// dynamic maintainer adopts it as its score store.
+func (r *Result) Scores() []float64 { return r.scores }
 
 // Contains reports whether the pair (u, v) is maintained in the candidate
 // map Hc.
 func (r *Result) Contains(u, v graph.NodeID) bool { return r.cs.Contains(u, v) }
 
-// scoreAt returns the score of the candidate at list position pos.
-func (r *Result) scoreAt(pos int) float64 {
-	if r.cs.dense {
-		u, v := r.cs.candPairs[pos].Split()
-		return r.at(int(u)*r.cs.n2 + int(v))
-	}
-	return r.at(pos)
-}
-
 // ForEach calls fn for every maintained pair in deterministic (u, v) order.
 func (r *Result) ForEach(fn func(u, v graph.NodeID, score float64)) {
-	if r.cs.allPairs {
-		for u := 0; u < r.cs.n1; u++ {
-			for v := 0; v < r.cs.n2; v++ {
-				fn(graph.NodeID(u), graph.NodeID(v), r.at(u*r.cs.n2+v))
-			}
-		}
-		return
-	}
-	for pos, k := range r.cs.candPairs {
-		u, v := k.Split()
-		fn(u, v, r.scoreAt(pos))
+	for pos, n := 0, r.cs.NumCandidates(); pos < n; pos++ {
+		u, v := r.cs.pairAt(pos)
+		fn(u, v, r.at(pos))
 	}
 }
 
 // Row returns the maintained scores of node u as (v, score) pairs in
 // ascending v order.
-func (r *Result) Row(u graph.NodeID) []stats.Ranked {
-	if r.cs.allPairs {
-		out := make([]stats.Ranked, r.cs.n2)
-		for v := 0; v < r.cs.n2; v++ {
-			out[v] = stats.Ranked{Index: v, Score: r.at(int(u)*r.cs.n2 + v)}
-		}
-		return out
-	}
-	lo, hi := r.cs.rowOff[u], r.cs.rowOff[u+1]
-	out := make([]stats.Ranked, 0, hi-lo)
-	for pos := lo; pos < hi; pos++ {
-		_, v := r.cs.candPairs[pos].Split()
-		out = append(out, stats.Ranked{Index: int(v), Score: r.scoreAt(int(pos))})
-	}
-	return out
-}
+func (r *Result) Row(u graph.NodeID) []stats.Ranked { return r.cs.ScoreRow(u, r.at) }
 
 // TopK returns the k best-scoring v for node u (descending score,
 // ascending v on ties).
 func (r *Result) TopK(u graph.NodeID, k int) []stats.Ranked {
-	row := r.Row(u)
-	scores := make([]float64, len(row))
-	for i, e := range row {
-		scores[i] = e.Score
-	}
-	top := stats.TopK(scores, k)
-	out := make([]stats.Ranked, len(top))
-	for i, t := range top {
-		out[i] = stats.Ranked{Index: row[t.Index].Index, Score: t.Score}
-	}
-	return out
+	return stats.TopRanked(r.Row(u), k)
 }
 
 // ArgMax returns every v attaining max_v FSim(u, v) over the maintained

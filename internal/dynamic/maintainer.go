@@ -33,10 +33,10 @@
 //
 // Exactness: with the iteration budget pinned (Options.MaxIters set and
 // Epsilon unreachable), maintained scores are bit-identical to a fresh
-// core.Compute on the mutated graph for the dense score store, and equal
-// within float-rounding for the hash-map store (the stores order their
-// per-pair arithmetic differently). Under adaptive ε-stopping both sides
-// sit within the contraction tail of the common fixed point, like
+// core.Compute on the mutated graph for the dense candidate store, and
+// equal within float-rounding for the hash-map store (the stores order
+// their per-pair arithmetic differently). Under adaptive ε-stopping both
+// sides sit within the contraction tail of the common fixed point, like
 // query.Index queries.
 package dynamic
 
@@ -117,7 +117,7 @@ type Maintainer struct {
 	opts  core.Options // normalized
 	cs    *core.CandidateSet
 	ix    *query.Index
-	store *scoreStore
+	store scoreStore
 	// log, when non-nil, retains applied change batches per version for
 	// change-log replication (see RetainChanges / ChangesSince).
 	log *changeLog
@@ -152,10 +152,9 @@ func New(g *graph.Graph, opts core.Options) (*Maintainer, error) {
 		opts:  cs.Options(),
 		cs:    cs,
 		ix:    query.NewFromCandidates(cs),
-		store: newScoreStore(cs),
+		store: scoreStore{scores: res.Scores()},
 	}
 	mt.snap.Store(g)
-	mt.store.fillFrom(cs, res)
 	return mt, nil
 }
 
@@ -337,7 +336,7 @@ func (mt *Maintainer) applyLocked(changes []graph.Change) (Stats, error) {
 	mt.g = g
 	mt.snap.Store(g)
 	mt.retainLocked(applied)
-	mt.store.remap(delta)
+	mt.store.remap(mt.cs, delta)
 
 	seeds := mt.seedPairs(touchedList, oldN, delta)
 	st.Seeds = len(seeds)
@@ -347,7 +346,7 @@ func (mt *Maintainer) applyLocked(changes []graph.Change) (Stats, error) {
 		if err != nil {
 			return st, err
 		}
-		mt.store.fillFrom(mt.cs, res)
+		mt.store.scores = res.Scores()
 		st.Full = true
 		st.Iterations, st.Converged = res.Iterations, res.Converged
 		st.Duration = time.Since(start)
@@ -355,7 +354,7 @@ func (mt *Maintainer) applyLocked(changes []graph.Change) (Stats, error) {
 	}
 	st.Cone = len(cone)
 	rst, err := mt.ix.Replay(cone, func(u, v graph.NodeID, score float64) {
-		mt.store.set(u, v, score)
+		mt.store.set(mt.cs, u, v, score)
 	})
 	if err != nil {
 		return st, err
@@ -380,8 +379,7 @@ func (mt *Maintainer) rebuild(g *graph.Graph) error {
 	}
 	mt.cs = cs
 	mt.ix.ResetCandidates(cs)
-	mt.store = newScoreStore(cs)
-	mt.store.fillFrom(cs, res)
+	mt.store.scores = res.Scores()
 	return nil
 }
 

@@ -3,124 +3,44 @@ package dynamic
 import (
 	"fsim/internal/core"
 	"fsim/internal/graph"
-	"fsim/internal/pairbits"
 	"fsim/internal/stats"
 )
 
-// scoreStore is the maintainer's long-lived score buffer, mirroring the
-// batch engine's two representations: a flat |V1|×|V2| array with the
-// §3.4 stand-in constants of non-candidates baked in (dense), or a hash
-// map over candidate pairs with stand-ins resolved through the candidate
-// set on read (sparse). It is write-only during maintenance — the
-// localized replay recomputes from FSim⁰, never from stored scores — so
-// numerical error cannot accumulate across updates.
+// scoreStore is the maintainer's long-lived score vector: one float64 per
+// candidate pair, at the pair's core.CandidateSet.Position, exactly the
+// layout of core.Result's scores. Non-candidates resolve to their §3.4
+// stand-in through the candidate set on read. It is write-only during
+// maintenance — the localized replay recomputes from FSim⁰, never from
+// stored scores — so numerical error cannot accumulate across updates.
 type scoreStore struct {
-	dense  bool
-	n1, n2 int
-	flat   []float64
-	m      map[pairbits.Key]float64
-}
-
-func newScoreStore(cs *core.CandidateSet) *scoreStore {
-	g1, g2 := cs.Graphs()
-	s := &scoreStore{n1: g1.NumNodes(), n2: g2.NumNodes()}
-	s.dense = s.n1*s.n2 <= cs.Options().DenseCapPairs
-	if s.dense {
-		s.flat = make([]float64, s.n1*s.n2)
-	} else {
-		s.m = make(map[pairbits.Key]float64, cs.NumCandidates())
-	}
-	return s
-}
-
-// fillFrom overwrites the store with a full batch result (the initial
-// computation and the full-recompute fallback).
-func (s *scoreStore) fillFrom(cs *core.CandidateSet, res *core.Result) {
-	if s.dense {
-		for i := range s.flat {
-			s.flat[i] = 0
-		}
-		cs.ForEachPruned(func(u, v graph.NodeID, standIn float64) {
-			s.flat[int(u)*s.n2+int(v)] = standIn
-		})
-		res.ForEach(func(u, v graph.NodeID, score float64) {
-			s.flat[int(u)*s.n2+int(v)] = score
-		})
-		return
-	}
-	clear(s.m)
-	res.ForEach(func(u, v graph.NodeID, score float64) {
-		s.m[pairbits.MakeKey(u, v)] = score
-	})
+	scores []float64
 }
 
 // score returns the maintained FSimχ(u, v): the stored score of candidate
 // pairs, the §3.4 stand-in of everything else — the same convention as
 // core.Result.Score.
 func (s *scoreStore) score(cs *core.CandidateSet, u, v graph.NodeID) float64 {
-	if s.dense {
-		return s.flat[int(u)*s.n2+int(v)]
-	}
-	if sc, ok := s.m[pairbits.MakeKey(u, v)]; ok {
-		return sc
+	if pos := cs.Position(u, v); pos >= 0 {
+		return s.scores[pos]
 	}
 	return cs.StandIn(u, v)
 }
 
 // set writes the maintained score of a candidate pair.
-func (s *scoreStore) set(u, v graph.NodeID, score float64) {
-	if s.dense {
-		s.flat[int(u)*s.n2+int(v)] = score
-		return
-	}
-	s.m[pairbits.MakeKey(u, v)] = score
+func (s *scoreStore) set(cs *core.CandidateSet, u, v graph.NodeID, score float64) {
+	s.scores[cs.Position(u, v)] = score
 }
 
-// remap re-lays the store after a candidate-set patch: the dense array is
-// resized for node growth, pairs that left the candidate map fall back to
-// their (possibly changed) stand-in constants, and stand-ins that moved
-// are re-baked. Scores of pairs that entered the map are left at their
-// stand-in default; the maintainer always replays them before reads.
-func (s *scoreStore) remap(delta *core.PatchDelta) {
-	if !s.dense {
-		s.n1, s.n2 = delta.N1, delta.N2
-		for _, k := range delta.Removed {
-			delete(s.m, k)
-		}
-		return
-	}
-	if delta.N1 != s.n1 || delta.N2 != s.n2 {
-		flat := make([]float64, delta.N1*delta.N2)
-		for u := 0; u < s.n1; u++ {
-			copy(flat[u*delta.N2:u*delta.N2+s.n2], s.flat[u*s.n2:(u+1)*s.n2])
-		}
-		s.flat, s.n1, s.n2 = flat, delta.N1, delta.N2
-	}
-	for _, k := range delta.Removed {
-		u, v := k.Split()
-		s.flat[int(u)*s.n2+int(v)] = 0
-	}
-	for _, sc := range delta.StandIns {
-		u, v := sc.Key.Split()
-		s.flat[int(u)*s.n2+int(v)] = sc.StandIn
-	}
+// remap carries the store across a candidate-set patch (see
+// core.CandidateSet.RemapScores). Pairs that entered the map start at 0;
+// the maintainer always replays them before reads.
+func (s *scoreStore) remap(cs *core.CandidateSet, delta *core.PatchDelta) {
+	s.scores = cs.RemapScores(s.scores, delta)
 }
 
 // topK ranks the maintained candidates of row u exactly like
 // core.Result.TopK: descending score, ties broken by ascending node id.
 func (s *scoreStore) topK(cs *core.CandidateSet, u graph.NodeID, k int) []stats.Ranked {
-	var row []stats.Ranked
-	cs.ForEachCandidate(u, func(v graph.NodeID) {
-		row = append(row, stats.Ranked{Index: int(v), Score: s.score(cs, u, v)})
-	})
-	scores := make([]float64, len(row))
-	for i, e := range row {
-		scores[i] = e.Score
-	}
-	top := stats.TopK(scores, k)
-	out := make([]stats.Ranked, len(top))
-	for i, t := range top {
-		out[i] = stats.Ranked{Index: row[t.Index].Index, Score: t.Score}
-	}
-	return out
+	row := cs.ScoreRow(u, func(pos int) float64 { return s.scores[pos] })
+	return stats.TopRanked(row, k)
 }

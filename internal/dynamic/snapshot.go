@@ -6,52 +6,46 @@ import (
 
 	"fsim/internal/core"
 	"fsim/internal/graph"
-	"fsim/internal/pairbits"
 	"fsim/internal/query"
 )
 
 // SnapshotState is the complete persistable state of a Maintainer: the
-// current graph snapshot, the candidate component, the maintained score
-// store in whichever representation it runs (exactly one of DenseScores
-// and SparseScores is set), and the graph-version counter. It is what the
-// binary snapshot codec (internal/snapshot) writes and reads, and what
-// NewFromSnapshot reconstructs a Maintainer from without recomputing the
-// fixed point.
+// current graph snapshot, the candidate component, the maintained scores
+// and the graph-version counter. It is what the binary snapshot codec
+// (internal/snapshot) writes and reads, and what NewFromSnapshot
+// reconstructs a Maintainer from without recomputing the fixed point.
 type SnapshotState struct {
 	Graph      *graph.Graph
 	Candidates *core.CandidateSet
 	Version    uint64
 
-	// DenseScores is the flat |V|×|V| score buffer (dense store), with the
-	// §3.4 stand-ins of non-candidates baked in.
-	DenseScores []float64
-	// SparseScores maps candidate pairs to scores (hash-map store).
-	SparseScores map[pairbits.Key]float64
+	// Scores holds one score per candidate pair, at its
+	// core.CandidateSet.Position (u·|V|+v when every pair is a candidate);
+	// non-candidates resolve to their §3.4 stand-ins through Candidates.
+	Scores []float64
 }
 
 // ViewSnapshot calls fn with a consistent view of the maintainer's state:
 // the read lock is held for the duration, so no Apply can interleave and
-// the state fn observes is exactly one graph version. The slices and maps
-// in the state are the maintainer's own — fn must treat them as read-only
-// and must not retain them past its return.
+// the state fn observes is exactly one graph version. The slices in the
+// state are the maintainer's own — fn must treat them as read-only and
+// must not retain them past its return.
 func (mt *Maintainer) ViewSnapshot(fn func(SnapshotState) error) error {
 	mt.mu.RLock()
 	defer mt.mu.RUnlock()
 	return fn(SnapshotState{
-		Graph:        mt.g,
-		Candidates:   mt.cs,
-		Version:      mt.ix.Version(),
-		DenseScores:  mt.store.flat,
-		SparseScores: mt.store.m,
+		Graph:      mt.g,
+		Candidates: mt.cs,
+		Version:    mt.ix.Version(),
+		Scores:     mt.store.scores,
 	})
 }
 
 // NewFromSnapshot reconstructs a Maintainer from a persisted state without
-// computing anything: the score store is adopted as-is and the live query
-// index resumes the version sequence at st.Version. The state's shape is
-// validated against the candidate component (which side of the store is
-// populated, buffer sizes, candidate membership of sparse keys); the
-// scores themselves are trusted, exactly like New trusts ComputeOn.
+// computing anything: the scores are adopted as-is and the live query
+// index resumes the version sequence at st.Version. The score count is
+// validated against the candidate component; the scores themselves are
+// trusted, exactly like New trusts ComputeOn.
 func NewFromSnapshot(st SnapshotState) (*Maintainer, error) {
 	if st.Graph == nil || st.Candidates == nil {
 		return nil, errors.New("dynamic: snapshot state needs a graph and a candidate component")
@@ -64,9 +58,8 @@ func NewFromSnapshot(st SnapshotState) (*Maintainer, error) {
 	if opts.Init != nil {
 		return nil, errors.New("dynamic: custom Options.Init is not supported; initial scores must be local to the pair")
 	}
-	store, err := scoreStoreFromSnapshot(st)
-	if err != nil {
-		return nil, err
+	if want := st.Candidates.NumCandidates(); len(st.Scores) != want {
+		return nil, fmt.Errorf("dynamic: score store wants %d entries (one per candidate), snapshot has %d", want, len(st.Scores))
 	}
 	mt := &Maintainer{
 		m:     graph.MutableOf(st.Graph),
@@ -74,40 +67,8 @@ func NewFromSnapshot(st SnapshotState) (*Maintainer, error) {
 		opts:  opts,
 		cs:    st.Candidates,
 		ix:    query.NewFromCandidatesAt(st.Candidates, st.Version),
-		store: store,
+		store: scoreStore{scores: st.Scores},
 	}
 	mt.snap.Store(st.Graph)
 	return mt, nil
-}
-
-// scoreStoreFromSnapshot validates and adopts a persisted score store.
-func scoreStoreFromSnapshot(st SnapshotState) (*scoreStore, error) {
-	cs := st.Candidates
-	g1, g2 := cs.Graphs()
-	s := &scoreStore{n1: g1.NumNodes(), n2: g2.NumNodes()}
-	s.dense = s.n1*s.n2 <= cs.Options().DenseCapPairs
-	if s.dense {
-		if st.SparseScores != nil {
-			return nil, errors.New("dynamic: snapshot carries a sparse score store for a dense candidate universe")
-		}
-		if len(st.DenseScores) != s.n1*s.n2 {
-			return nil, fmt.Errorf("dynamic: dense score store wants %d entries, snapshot has %d", s.n1*s.n2, len(st.DenseScores))
-		}
-		s.flat = st.DenseScores
-		return s, nil
-	}
-	if st.DenseScores != nil {
-		return nil, errors.New("dynamic: snapshot carries a dense score store for a sparse candidate universe")
-	}
-	if len(st.SparseScores) != cs.NumCandidates() {
-		return nil, fmt.Errorf("dynamic: sparse score store wants %d entries, snapshot has %d", cs.NumCandidates(), len(st.SparseScores))
-	}
-	for k := range st.SparseScores {
-		u, v := k.Split()
-		if !cs.Contains(u, v) {
-			return nil, fmt.Errorf("dynamic: sparse score store holds non-candidate pair (%d,%d)", u, v)
-		}
-	}
-	s.m = st.SparseScores
-	return s, nil
 }

@@ -2,8 +2,11 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -80,5 +83,27 @@ func TestCorruptEmptyAndGarbage(t *testing.T) {
 	}
 	for name, data := range cases {
 		mustRejectCorrupt(t, data, name)
+	}
+}
+
+// TestFormatVersionMismatch checks that a snapshot whose header carries
+// another format version — here version 1, whose SCOR section held a
+// dense |V|² buffer or a keyed sparse map — is refused with ErrVersion,
+// not reported as corruption, and that the error names both versions and
+// points the operator at a cold start.
+func TestFormatVersionMismatch(t *testing.T) {
+	data := validSnapshot(t, 0)
+	binary.LittleEndian.PutUint32(data[8:], 1)
+	_, err := Read(bytes.NewReader(data))
+	if err == nil {
+		t.Fatal("Read accepted a version 1 snapshot")
+	}
+	if !errors.Is(err, ErrVersion) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("want an ErrVersion error that does not wrap ErrCorrupt, got %v", err)
+	}
+	for _, want := range []string{"format version 1", fmt.Sprintf("version %d", formatVersion), "cold-start from the graph text"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("version error %q does not mention %q", err, want)
+		}
 	}
 }

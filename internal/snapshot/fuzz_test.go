@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"fsim/internal/core"
@@ -10,9 +11,9 @@ import (
 	"fsim/internal/graph"
 )
 
-// fuzzSeedSnapshots builds small valid snapshots covering the wire format's
-// branches: all-pairs, dense and sparse candidate stores, retained §3.4
-// bounds, and a non-zero graph version.
+// fuzzSeedSnapshots builds small valid snapshots in the current format
+// version covering the wire format's branches: all-pairs, dense and sparse
+// candidate stores, retained §3.4 bounds, and a non-zero graph version.
 func fuzzSeedSnapshots(f *testing.F) [][]byte {
 	f.Helper()
 	b := graph.NewBuilder()
@@ -66,9 +67,15 @@ func fuzzSeedSnapshots(f *testing.F) [][]byte {
 // over-allocate on lying length fields; anything it does accept must be a
 // self-consistent maintainer whose re-serialization round-trips.
 func FuzzLoadSnapshot(f *testing.F) {
-	for _, seed := range fuzzSeedSnapshots(f) {
+	seeds := fuzzSeedSnapshots(f)
+	for _, seed := range seeds {
 		f.Add(seed)
 	}
+	// The first seed relabeled as format version 1, to keep the version
+	// check on the explored paths.
+	old := append([]byte(nil), seeds[0]...)
+	binary.LittleEndian.PutUint32(old[8:], 1)
+	f.Add(old)
 	f.Add([]byte("FSIMSNAP"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,9 +1,9 @@
 // Package snapshot persists a dynamic.Maintainer — the CSR graph with its
 // label table, the candidate component with its §3.4 bounds, the
-// maintained score store in either representation, and the graph-version
-// counter — as a crash-safe binary file, so a serving process can warm
-// start from its last checkpoint instead of re-parsing text and re-running
-// the Algorithm 1 fixed point.
+// maintained scores, and the graph-version counter — as a crash-safe
+// binary file, so a serving process can warm start from its last
+// checkpoint instead of re-parsing text and re-running the Algorithm 1
+// fixed point.
 //
 // # Format
 //
@@ -15,8 +15,10 @@
 //	GRPH  the graph: label table, per-node labels, both CSR directions
 //	SCND  the candidate component: store shape, candidate enumeration,
 //	      retained §3.4 bounds of pruned pairs
-//	SCOR  the score store: the flat dense buffer, or the sparse
-//	      candidate-pair map in key order
+//	SCOR  the scores: a u64 count, then one f64 per candidate in SCND's
+//	      enumeration order (u·|V|+v when every pair is a candidate);
+//	      non-candidates carry no score, their §3.4 stand-ins re-derive
+//	      from SCND
 //	IVER  the query index's graph-version counter
 //
 // Each section is framed as a 4-byte tag, a u64 payload length, the
@@ -24,7 +26,9 @@
 // little-endian. Any truncation, bit flip or structural inconsistency
 // surfaces as an error wrapping ErrCorrupt — the loader validates every
 // invariant downstream code relies on and never returns a silently-wrong
-// maintainer.
+// maintainer. A header of another format version fails with ErrVersion
+// instead: version 1 files (a dense |V|² score buffer or a keyed sparse
+// map in SCOR) are not read; cold-start from the graph text.
 //
 // Only state that cannot be recomputed cheaply is stored: the label index,
 // degree maxima, similarity table, candidate bitmap/hash index and per-row
@@ -47,6 +51,7 @@ package snapshot
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -54,7 +59,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 
 	"fsim/internal/core"
 	"fsim/internal/dynamic"
@@ -65,14 +69,21 @@ import (
 )
 
 // ErrCorrupt marks a snapshot that failed validation: truncated, bit-flipped,
-// or structurally inconsistent. Every Load/Read failure on bad input wraps it.
+// or structurally inconsistent. Every Load/Read failure on bad input wraps
+// it, except a format-version mismatch (ErrVersion).
 var ErrCorrupt = errors.New("snapshot: corrupt or truncated snapshot")
+
+// ErrVersion marks a well-formed header carrying a format version this
+// build does not read — typically a snapshot written before the last
+// format change. Such a file is not damaged, only unreadable here; the
+// error names both versions and tells the operator to cold-start.
+var ErrVersion = errors.New("snapshot: unsupported format version")
 
 const (
 	magic = "FSIMSNAP"
 	// formatVersion is bumped on any wire-format change; readers reject
 	// versions they do not understand instead of guessing.
-	formatVersion = 1
+	formatVersion = 2
 
 	tagOptions    = "OPTS"
 	tagGraph      = "GRPH"
@@ -92,8 +103,8 @@ const (
 // written to disk afterwards, so the maintainer's read lock — which
 // excludes Apply — is held only for the memory-bound encoding, never
 // across disk I/O: a slow disk cannot stall the update path, at the price
-// of buffering one snapshot (roughly the score store's size) during the
-// call.
+// of buffering one snapshot (the graph, the candidate list with its
+// retained bounds, and one score per candidate) during the call.
 func Save(mt *dynamic.Maintainer, path string) error {
 	var buf bytes.Buffer
 	if err := Write(mt, &buf); err != nil {
@@ -174,7 +185,7 @@ func Write(mt *dynamic.Maintainer, w io.Writer) error {
 func writeState(st dynamic.SnapshotState, w io.Writer) error {
 	var hdr [12]byte
 	copy(hdr[:8], magic)
-	hdr[8] = formatVersion // u32 little-endian; high bytes stay zero
+	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -200,7 +211,7 @@ func writeState(st dynamic.SnapshotState, w io.Writer) error {
 	}
 
 	e.reset()
-	encodeScores(&e, st)
+	encodeScores(&e, st.Scores)
 	if err := writeSection(w, tagScores, e.b); err != nil {
 		return err
 	}
@@ -222,8 +233,9 @@ func Read(r io.Reader) (*dynamic.Maintainer, error) {
 	if string(hdr[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:8])
 	}
-	if v := uint32(hdr[8]) | uint32(hdr[9])<<8 | uint32(hdr[10])<<16 | uint32(hdr[11])<<24; v != formatVersion {
-		return nil, fmt.Errorf("%w: unsupported format version %d (this build reads %d)", ErrCorrupt, v, formatVersion)
+	if v := binary.LittleEndian.Uint32(hdr[8:]); v != formatVersion {
+		return nil, fmt.Errorf("%w: the file is format version %d, this build reads only version %d; cold-start from the graph text (the next checkpoint writes a version %d snapshot)",
+			ErrVersion, v, formatVersion, formatVersion)
 	}
 
 	payload, err := readSection(br, tagOptions)
@@ -254,10 +266,11 @@ func Read(r io.Reader) (*dynamic.Maintainer, error) {
 	if payload, err = readSection(br, tagScores); err != nil {
 		return nil, err
 	}
-	st := dynamic.SnapshotState{Graph: g, Candidates: cs}
-	if err := decodeScores(payload, &st); err != nil {
+	scores, err := decodeScores(payload)
+	if err != nil {
 		return nil, err
 	}
+	st := dynamic.SnapshotState{Graph: g, Candidates: cs, Scores: scores}
 
 	if payload, err = readSection(br, tagVersion); err != nil {
 		return nil, err
@@ -575,7 +588,7 @@ func decodeCandidates(payload []byte, g *graph.Graph, opts core.Options) (*core.
 	if d.err != nil {
 		return nil, d.err
 	}
-	if n := g.NumNodes(); data.PrunedCount < 0 || data.PrunedCount > n*n {
+	if n := int64(g.NumNodes()); data.PrunedCount < 0 || int64(data.PrunedCount) > n*n {
 		return nil, fmt.Errorf("%w: pruned count %d outside the %d×%d universe", ErrCorrupt, data.PrunedCount, n, n)
 	}
 	cs, err := core.NewCandidateSetFromData(g, g, opts, data)
@@ -585,75 +598,26 @@ func decodeCandidates(payload []byte, g *graph.Graph, opts core.Options) (*core.
 	return cs, nil
 }
 
-func encodeScores(e *enc, st dynamic.SnapshotState) {
-	if st.DenseScores != nil {
-		e.u8(1)
-		e.u64(uint64(len(st.DenseScores)))
-		e.f64s(st.DenseScores)
-		return
-	}
-	e.u8(0)
-	keys := make([]pairbits.Key, 0, len(st.SparseScores))
-	for k := range st.SparseScores {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	e.u64(uint64(len(keys)))
-	for _, k := range keys {
-		e.u64(uint64(k))
-		e.f64(st.SparseScores[k])
-	}
+func encodeScores(e *enc, scores []float64) {
+	e.u64(uint64(len(scores)))
+	e.f64s(scores)
 }
 
-func decodeScores(payload []byte, st *dynamic.SnapshotState) error {
+func decodeScores(payload []byte) ([]float64, error) {
 	d := dec{b: payload}
+	scores := d.f64s(d.count(8))
+	d.done()
+	if d.err != nil {
+		return nil, d.err
+	}
 	// Scores are convex combinations of label similarities, so anything
 	// outside [0,1] (a hair of float headroom allowed) marks corruption;
 	// the comparison is written to reject NaN as well.
 	const scoreMax = 1 + 1e-9
-	validScore := func(s float64) bool { return s >= 0 && s <= scoreMax }
-	switch dense := d.u8(); dense {
-	case 1:
-		n := d.count(8)
-		st.DenseScores = d.f64s(n)
-		if st.DenseScores == nil {
-			st.DenseScores = []float64{}
+	for i, s := range scores {
+		if !(s >= 0 && s <= scoreMax) {
+			return nil, fmt.Errorf("%w: score of candidate %d is %v, outside [0,1]", ErrCorrupt, i, s)
 		}
-		d.done()
-		if d.err != nil {
-			return d.err
-		}
-		for i, s := range st.DenseScores {
-			if !validScore(s) {
-				return fmt.Errorf("%w: dense score %d is %v, outside [0,1]", ErrCorrupt, i, s)
-			}
-		}
-	case 0:
-		n := d.count(16)
-		st.SparseScores = make(map[pairbits.Key]float64, n)
-		var prev pairbits.Key
-		for i := 0; i < n && d.err == nil; i++ {
-			k := pairbits.Key(d.u64())
-			s := d.f64()
-			if i > 0 && k <= prev {
-				return fmt.Errorf("%w: sparse score keys not strictly ascending at entry %d", ErrCorrupt, i)
-			}
-			if !validScore(s) {
-				return fmt.Errorf("%w: sparse score of pair %d is %v, outside [0,1]", ErrCorrupt, k, s)
-			}
-			st.SparseScores[k] = s
-			prev = k
-		}
-		d.done()
-		if d.err != nil {
-			return d.err
-		}
-	default:
-		return fmt.Errorf("%w: unknown score store mode %d", ErrCorrupt, dense)
 	}
-	return nil
-}
-
-func sortKeys(keys []pairbits.Key) {
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return scores, nil
 }

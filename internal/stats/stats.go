@@ -6,6 +6,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -92,16 +93,23 @@ func TopK(scores []float64, k int) []Ranked {
 	for i, s := range scores {
 		all[i] = Ranked{Index: i, Score: s}
 	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Score != all[b].Score {
-			return all[a].Score > all[b].Score
+	return TopRanked(all, k)
+}
+
+// TopRanked is TopK over entries that already carry their index: it sorts
+// rs in place (descending score, ascending Index on ties) and returns a
+// copy of its first k entries, so callers keeping rankings do not pin rs.
+func TopRanked(rs []Ranked, k int) []Ranked {
+	sort.Slice(rs, func(a, b int) bool {
+		if rs[a].Score != rs[b].Score {
+			return rs[a].Score > rs[b].Score
 		}
-		return all[a].Index < all[b].Index
+		return rs[a].Index < rs[b].Index
 	})
-	if k > len(all) {
-		k = len(all)
+	if k > len(rs) {
+		k = len(rs)
 	}
-	return all[:k]
+	return slices.Clone(rs[:k])
 }
 
 // ArgMaxSet returns every index attaining the maximum score (used by the
