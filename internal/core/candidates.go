@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"fsim/internal/graph"
 	"fsim/internal/pairbits"
@@ -18,13 +17,17 @@ import (
 // the candidate map Hc of Algorithm 1's Initializing step, the cached
 // label-similarity table, and the §3.4 upper bounds of pruned pairs.
 //
-// Two stores implement the membership structure:
+// Candidates are enumerated row-major, ascending v within each row
+// (candPairs/rowOff). Two stores implement membership tests on top:
 //
 //   - dense: a candidate bitmap over the full |V1|×|V2| pair universe (or
 //     nothing at all when θ = 0 and pruning is off — every pair is a
 //     candidate).
 //   - sparse: a hash map keyed by pair (the literal Hc of Algorithm 1),
 //     used when the pair universe exceeds Options.DenseCapPairs.
+//
+// Both stores keep the retained §3.4 bounds the same way, as a second CSR
+// beside the candidate rows.
 //
 // A CandidateSet is read-only after construction and therefore safe to
 // share between any number of concurrent readers.
@@ -48,21 +51,16 @@ type CandidateSet struct {
 	rowOff    []int32
 	index     map[pairbits.Key]int32 // sparse only
 
-	// Eq. 6 bounds of pruned pairs, retained only when α > 0. The sparse
-	// store keeps a map — the engine's lookup consults it on every missed
-	// pair, a hot path — while the dense store keeps a key-sorted slice
-	// (pruned pairs can be most of a dense universe, and the batch engine
-	// only replays them once into its buffers).
-	prunedUB   map[pairbits.Key]float64 // sparse only
-	prunedList []prunedPair             // dense only
+	// Eq. 6 bounds of pruned pairs, retained only when α > 0 (all three
+	// nil otherwise), under the rowOff contract: row u's pruned columns
+	// are prunedCol[prunedOff[u]:prunedOff[u+1]], ascending, with their
+	// bounds at the same positions of prunedBound. The stand-in of such a
+	// pair is α·bound.
+	prunedOff   []int32
+	prunedCol   []graph.NodeID
+	prunedBound []float64
 
 	prunedCount int
-}
-
-// prunedPair records one pruned pair's Eq. 6 bound in the dense store.
-type prunedPair struct {
-	k     pairbits.Key
-	bound float64
 }
 
 // NewCandidateSet validates (g1, g2, opts), normalizes the options and
@@ -141,12 +139,9 @@ func (cs *CandidateSet) build() error {
 	} else {
 		cs.index = make(map[pairbits.Key]int32)
 	}
-	keepBounds := false
-	if ub := cs.opts.UpperBoundOpt; ub != nil && ub.Alpha > 0 {
-		keepBounds = true
-		if !cs.dense {
-			cs.prunedUB = make(map[pairbits.Key]float64)
-		}
+	keepBounds := cs.keepsBounds()
+	if keepBounds {
+		cs.prunedOff = make([]int32, cs.n1+1)
 	}
 	var eligLabels [][]int32      // per g1 label, the g2 labels with L ≥ θ
 	var byLabel2 [][]graph.NodeID // per g2 label, its nodes ascending
@@ -157,14 +152,17 @@ func (cs *CandidateSet) build() error {
 	cs.rowOff = make([]int32, cs.n1+1)
 	for u := 0; u < cs.n1; u++ {
 		cs.rowOff[u] = int32(len(cs.candPairs))
+		if keepBounds {
+			cs.prunedOff[u] = int32(len(cs.prunedCol))
+		}
 		if eligLabels != nil {
 			rowScratch = rowScratch[:0]
 			for _, l2 := range eligLabels[cs.labels1[u]] {
 				rowScratch = append(rowScratch, byLabel2[l2]...)
 			}
 			// Enumeration order must be v-ascending within the row (the
-			// rowOff contract, and what keeps candPairs/prunedList
-			// key-sorted); the label blocks arrive out of order.
+			// rowOff contract for both candidate and pruned rows); the
+			// label blocks arrive out of order.
 			slices.Sort(rowScratch)
 			for _, vn := range rowScratch {
 				cs.decide(graph.NodeID(u), vn, keepBounds)
@@ -178,13 +176,27 @@ func (cs *CandidateSet) build() error {
 			return fmt.Errorf("core: candidate map exceeds %d pairs at row %d of %d (|V1|·|V2|=%d·%d); raise Theta or enable upper-bound pruning",
 				maxCandidates, u, cs.n1, cs.n1, cs.n2)
 		}
+		if len(cs.prunedCol) > maxCandidates {
+			return fmt.Errorf("core: retained §3.4 bounds exceed %d pairs at row %d of %d (|V1|·|V2|=%d·%d); raise Theta or set Alpha to 0",
+				maxCandidates, u, cs.n1, cs.n1, cs.n2)
+		}
 	}
 	cs.rowOff[cs.n1] = int32(len(cs.candPairs))
+	if keepBounds {
+		cs.prunedOff[cs.n1] = int32(len(cs.prunedCol))
+	}
 	return nil
 }
 
+// keepsBounds reports whether the options retain the Eq. 6 bounds of
+// pruned pairs (§3.4 with α > 0).
+func (cs *CandidateSet) keepsBounds() bool {
+	ub := cs.opts.UpperBoundOpt
+	return ub != nil && ub.Alpha > 0
+}
+
 // decide runs one pair through the candidate test and files it into the
-// store (candidate map, or pruned list/map when §3.4 rejected it). Callers
+// store (candidate rows, or pruned rows when §3.4 rejected it). Callers
 // must present pairs in (u, v)-ascending order.
 func (cs *CandidateSet) decide(un, vn graph.NodeID, keepBounds bool) {
 	ok, bound, pruned := cs.candidate(un, vn)
@@ -192,13 +204,8 @@ func (cs *CandidateSet) decide(un, vn graph.NodeID, keepBounds bool) {
 		if pruned {
 			cs.prunedCount++
 			if keepBounds {
-				if cs.dense {
-					// Enumeration order is (u, v) ascending, so the slice
-					// stays key-sorted for StandIn's binary search.
-					cs.prunedList = append(cs.prunedList, prunedPair{pairbits.MakeKey(un, vn), bound})
-				} else {
-					cs.prunedUB[pairbits.MakeKey(un, vn)] = bound
-				}
+				cs.prunedCol = append(cs.prunedCol, vn)
+				cs.prunedBound = append(cs.prunedBound, bound)
 			}
 		}
 		return
@@ -294,19 +301,21 @@ func (cs *CandidateSet) Contains(u, v graph.NodeID) bool {
 // Equation 3 (§3.4): α·FSim̄ when upper-bound pruning retained the bound, 0
 // otherwise. Candidate pairs have no stand-in; callers must check Contains.
 func (cs *CandidateSet) StandIn(u, v graph.NodeID) float64 {
-	if cs.prunedUB != nil {
-		if b, ok := cs.prunedUB[pairbits.MakeKey(u, v)]; ok {
-			return cs.opts.UpperBoundOpt.Alpha * b
-		}
-	}
-	if cs.prunedList != nil {
-		k := pairbits.MakeKey(u, v)
-		i := sort.Search(len(cs.prunedList), func(i int) bool { return cs.prunedList[i].k >= k })
-		if i < len(cs.prunedList) && cs.prunedList[i].k == k {
-			return cs.opts.UpperBoundOpt.Alpha * cs.prunedList[i].bound
-		}
+	if i, ok := cs.prunedPos(u, v); ok {
+		return cs.opts.UpperBoundOpt.Alpha * cs.prunedBound[i]
 	}
 	return 0
+}
+
+// prunedPos binary-searches row u of the retained-bound CSR for column v,
+// returning its position in prunedCol/prunedBound.
+func (cs *CandidateSet) prunedPos(u, v graph.NodeID) (int, bool) {
+	if cs.prunedOff == nil {
+		return 0, false
+	}
+	lo, hi := cs.prunedOff[u], cs.prunedOff[u+1]
+	i, ok := slices.BinarySearch(cs.prunedCol[lo:hi], v)
+	return int(lo) + i, ok
 }
 
 // InitScore returns FSim⁰(u, v) for a candidate pair: Options.Init when
@@ -391,20 +400,23 @@ func (cs *CandidateSet) ForEachCandidate(u graph.NodeID, fn func(v graph.NodeID)
 	}
 }
 
+// ForEachStandIn calls fn for every pruned pair of row u that retained a
+// §3.4 stand-in (α > 0), in ascending v order, with its stand-in α·FSim̄.
+func (cs *CandidateSet) ForEachStandIn(u graph.NodeID, fn func(v graph.NodeID, standIn float64)) {
+	if cs.prunedOff == nil {
+		return
+	}
+	alpha := cs.opts.UpperBoundOpt.Alpha
+	for i := cs.prunedOff[u]; i < cs.prunedOff[u+1]; i++ {
+		fn(cs.prunedCol[i], alpha*cs.prunedBound[i])
+	}
+}
+
 // ForEachPruned calls fn for every pruned pair that retained a §3.4
-// stand-in (α > 0), in unspecified order.
+// stand-in (α > 0), in row-major order: ascending u, then ascending v.
 func (cs *CandidateSet) ForEachPruned(fn func(u, v graph.NodeID, standIn float64)) {
-	alpha := 0.0
-	if ub := cs.opts.UpperBoundOpt; ub != nil {
-		alpha = ub.Alpha
-	}
-	for k, b := range cs.prunedUB {
-		u, v := k.Split()
-		fn(u, v, alpha*b)
-	}
-	for _, p := range cs.prunedList {
-		u, v := p.k.Split()
-		fn(u, v, alpha*p.bound)
+	for u := 0; u < cs.n1; u++ {
+		cs.ForEachStandIn(graph.NodeID(u), func(v graph.NodeID, s float64) { fn(graph.NodeID(u), v, s) })
 	}
 }
 

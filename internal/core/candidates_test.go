@@ -1,7 +1,15 @@
 package core
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"testing"
+
+	"fsim/internal/dataset"
+	"fsim/internal/exact"
+	"fsim/internal/graph"
+	"fsim/internal/pairbits"
 )
 
 // TestDensePairsOverflow pins the store-shape predicate's arithmetic: the
@@ -32,5 +40,83 @@ func TestDensePairsOverflow(t *testing.T) {
 	want := int64(big)*int64(big) <= int64(maxInt)
 	if got := densePairs(big, big, maxInt); got != want {
 		t.Errorf("densePairs(%d, %d, cap=maxInt) = %v, want %v", big, big, got, want)
+	}
+}
+
+// TestCandidateDataRejects tampers with a valid export of a candidate set
+// that retains §3.4 bounds, on both stores, and checks that
+// NewCandidateSetFromData refuses every inconsistent enumeration with a
+// descriptive error instead of returning a set whose lookups disagree
+// with what it enumerates.
+func TestCandidateDataRejects(t *testing.T) {
+	g := dataset.RandomGraph(11, 24, 72, 3)
+	for _, capPairs := range []int{DefaultOptions(exact.S).DenseCapPairs, 1} {
+		opts := DefaultOptions(exact.S)
+		opts.Theta = 0.9
+		opts.UpperBoundOpt = &UpperBound{Alpha: 0.3, Beta: 0.6}
+		opts.DenseCapPairs = capPairs
+		cs, err := NewCandidateSet(g, g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid := cs.Data()
+		if len(valid.CandPairs) == 0 || len(valid.PrunedKeys) == 0 {
+			t.Fatalf("cap %d: fixture has %d candidates and %d retained bounds, want both", capPairs, len(valid.CandPairs), len(valid.PrunedKeys))
+		}
+		ineligible := pairbits.Key(0)
+		found := false
+		for u := 0; u < g.NumNodes() && !found; u++ {
+			for v := 0; v < g.NumNodes(); v++ {
+				if cs.LabelSim(graph.NodeID(u), graph.NodeID(v)) < opts.Theta {
+					ineligible, found = pairbits.MakeKey(graph.NodeID(u), graph.NodeID(v)), true
+					break
+				}
+			}
+		}
+		if !found {
+			t.Fatal("fixture has no label-ineligible pair")
+		}
+
+		// withBound returns a copy of the valid data retaining one more
+		// bound, at k's key-sorted position.
+		withBound := func(k pairbits.Key) CandidateData {
+			d := valid
+			i, _ := slices.BinarySearch(valid.PrunedKeys, k)
+			d.PrunedKeys = slices.Insert(slices.Clone(valid.PrunedKeys), i, k)
+			d.PrunedBounds = slices.Insert(slices.Clone(valid.PrunedBounds), i, 0.5)
+			d.PrunedCount++
+			return d
+		}
+		cases := []struct {
+			name string
+			data CandidateData
+			want string
+		}{
+			{"candidate with a retained bound", withBound(valid.CandPairs[0]), "both a candidate"},
+			{"label-ineligible pair with a retained bound", withBound(ineligible), "label constraint"},
+			{"keys out of order", func() CandidateData {
+				d := valid
+				d.PrunedKeys = slices.Clone(valid.PrunedKeys)
+				d.PrunedKeys = append(d.PrunedKeys, d.PrunedKeys[0])
+				d.PrunedBounds = append(slices.Clone(valid.PrunedBounds), 0.5)
+				d.PrunedCount++
+				return d
+			}(), "not strictly ascending"},
+			{"NaN bound", func() CandidateData {
+				d := valid
+				d.PrunedBounds = slices.Clone(valid.PrunedBounds)
+				d.PrunedBounds[0] = math.NaN()
+				return d
+			}(), "outside [0,1]"},
+		}
+		for _, c := range cases {
+			_, err := NewCandidateSetFromData(g, g, opts, c.data)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("cap %d, %s: got error %v, want one mentioning %q", capPairs, c.name, err, c.want)
+			}
+		}
+		if _, err := NewCandidateSetFromData(g, g, opts, valid); err != nil {
+			t.Fatalf("cap %d: the untampered data was rejected: %v", capPairs, err)
+		}
 	}
 }

@@ -373,12 +373,8 @@ func (e *engine) initBuffers() {
 	if e.lay.list {
 		return
 	}
-	if ub := e.opts.UpperBoundOpt; ub != nil && ub.Alpha > 0 {
-		for _, p := range e.prunedList {
-			u, v := p.k.Split()
-			i := int(u)*e.n2 + int(v)
-			e.setBoth(i, ub.Alpha*p.bound)
-		}
+	for u := 0; u < e.n1; u++ {
+		e.ForEachStandIn(graph.NodeID(u), func(v graph.NodeID, s float64) { e.setBoth(u*e.n2+int(v), s) })
 	}
 }
 
@@ -733,19 +729,10 @@ func (e *engine) lookupFunc() func(x, y graph.NodeID) float64 {
 		}
 		return func(x, y graph.NodeID) float64 { return e.prev[int(x)*n2+int(y)] }
 	}
-	alpha := 0.0
-	if ub := e.opts.UpperBoundOpt; ub != nil {
-		alpha = ub.Alpha
-	}
 	return func(x, y graph.NodeID) float64 {
 		if i, ok := e.index[pairbits.MakeKey(x, y)]; ok {
 			return e.prevScore(int(i))
 		}
-		if alpha > 0 {
-			if b, ok := e.prunedUB[pairbits.MakeKey(x, y)]; ok {
-				return alpha * b
-			}
-		}
-		return 0
+		return e.StandIn(x, y)
 	}
 }

@@ -102,17 +102,6 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 		_, ok := oldIndex[pairbits.MakeKey(u, v)]
 		return ok
 	}
-	oldBound := func(k pairbits.Key) (float64, bool) {
-		if cs.prunedUB != nil {
-			b, ok := cs.prunedUB[k]
-			return b, ok
-		}
-		i := sort.Search(len(cs.prunedList), func(i int) bool { return cs.prunedList[i].k >= k })
-		if i < len(cs.prunedList) && cs.prunedList[i].k == k {
-			return cs.prunedList[i].bound, true
-		}
-		return 0, false
-	}
 
 	// Swap in the mutated graphs and extend the label caches; the
 	// similarity table is quadratic in labels only, so it is rebuilt
@@ -172,11 +161,6 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 		alpha = ub.Alpha
 	}
 	keepBounds := alpha > 0
-	type prunedChange struct {
-		k     pairbits.Key
-		bound float64
-		keep  bool
-	}
 	var prunedChanges []prunedChange
 	prunedDelta := 0
 
@@ -211,7 +195,9 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 			prunedChanges = append(prunedChanges, prunedChange{k, 0, false})
 			delta.StandIns = append(delta.StandIns, StandInChange{k, 0})
 		case pruned && wasPruned:
-			if old, _ := oldBound(k); old != bound {
+			// Rows and columns keep their old ranges until the splice, so
+			// the pre-patch bound is still found where it was.
+			if i, ok := cs.prunedPos(u, v); !ok || cs.prunedBound[i] != bound {
 				prunedChanges = append(prunedChanges, prunedChange{k, bound, true})
 				delta.StandIns = append(delta.StandIns, StandInChange{k, alpha * bound})
 			}
@@ -280,44 +266,62 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 		}
 	}
 
-	if keepBounds && len(prunedChanges) > 0 {
-		if !cs.dense {
-			for _, pc := range prunedChanges {
-				if pc.keep {
-					cs.prunedUB[pc.k] = pc.bound
-				} else {
-					delete(cs.prunedUB, pc.k)
-				}
+	if keepBounds && (len(prunedChanges) > 0 || n1 != oldN1) {
+		sort.Slice(prunedChanges, func(i, j int) bool { return prunedChanges[i].k < prunedChanges[j].k })
+		cs.splicePruned(prunedChanges, oldN1)
+	}
+	return delta, nil
+}
+
+// prunedChange is one pruned pair whose retained bound a Patch sets (keep)
+// or drops.
+type prunedChange struct {
+	k     pairbits.Key
+	bound float64
+	keep  bool
+}
+
+// splicePruned merges key-sorted bound changes into the retained-bound CSR
+// in one walk over its rows, extending it from oldN1 to cs.n1 rows. The
+// new slices are fresh, so a CandidateData exported earlier stays intact.
+func (cs *CandidateSet) splicePruned(changes []prunedChange, oldN1 int) {
+	n := len(cs.prunedCol) + len(changes)
+	col := make([]graph.NodeID, 0, n)
+	bound := make([]float64, 0, n)
+	off := make([]int32, cs.n1+1)
+	ci := 0
+	// emit applies the changes of row u that sort before key limit.
+	emit := func(limit pairbits.Key) {
+		for ; ci < len(changes) && changes[ci].k < limit; ci++ {
+			if changes[ci].keep {
+				_, v := changes[ci].k.Split()
+				col = append(col, v)
+				bound = append(bound, changes[ci].bound)
 			}
-		} else {
-			sort.Slice(prunedChanges, func(i, j int) bool { return prunedChanges[i].k < prunedChanges[j].k })
-			merged := make([]prunedPair, 0, len(cs.prunedList)+len(prunedChanges))
-			ci := 0
-			for _, p := range cs.prunedList {
-				for ci < len(prunedChanges) && prunedChanges[ci].k < p.k {
-					if prunedChanges[ci].keep {
-						merged = append(merged, prunedPair{prunedChanges[ci].k, prunedChanges[ci].bound})
-					}
-					ci++
-				}
-				if ci < len(prunedChanges) && prunedChanges[ci].k == p.k {
-					if prunedChanges[ci].keep {
-						merged = append(merged, prunedPair{p.k, prunedChanges[ci].bound})
+		}
+	}
+	for u := 0; u < cs.n1; u++ {
+		off[u] = int32(len(col))
+		if u < oldN1 {
+			for i := cs.prunedOff[u]; i < cs.prunedOff[u+1]; i++ {
+				k := pairbits.MakeKey(graph.NodeID(u), cs.prunedCol[i])
+				emit(k)
+				if ci < len(changes) && changes[ci].k == k {
+					if changes[ci].keep {
+						col = append(col, cs.prunedCol[i])
+						bound = append(bound, changes[ci].bound)
 					}
 					ci++
 					continue
 				}
-				merged = append(merged, p)
+				col = append(col, cs.prunedCol[i])
+				bound = append(bound, cs.prunedBound[i])
 			}
-			for ; ci < len(prunedChanges); ci++ {
-				if prunedChanges[ci].keep {
-					merged = append(merged, prunedPair{prunedChanges[ci].k, prunedChanges[ci].bound})
-				}
-			}
-			cs.prunedList = merged
 		}
+		emit(pairbits.MakeKey(graph.NodeID(u+1), 0))
 	}
-	return delta, nil
+	off[cs.n1] = int32(len(col))
+	cs.prunedOff, cs.prunedCol, cs.prunedBound = off, col, bound
 }
 
 // RemapScores carries a candidate-aligned score vector (one score per

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fsim/internal/dataset"
@@ -150,6 +151,28 @@ func assertSameCandidates(t *testing.T, seed int64, step int, got, want *Candida
 					seed, step, u, i, gotRow[i], wantRow[i])
 			}
 		}
+		type standIn struct {
+			v graph.NodeID
+			s float64
+		}
+		var gotSI, wantSI []standIn
+		got.ForEachStandIn(un, func(v graph.NodeID, s float64) { gotSI = append(gotSI, standIn{v, s}) })
+		want.ForEachStandIn(un, func(v graph.NodeID, s float64) { wantSI = append(wantSI, standIn{v, s}) })
+		if len(gotSI) != len(wantSI) {
+			t.Fatalf("seed %d step %d: row %d has %d stand-ins, fresh build %d",
+				seed, step, u, len(gotSI), len(wantSI))
+		}
+		for i := range gotSI {
+			if gotSI[i] != wantSI[i] {
+				t.Fatalf("seed %d step %d: row %d stand-in %d = %+v, fresh build %+v",
+					seed, step, u, i, gotSI[i], wantSI[i])
+			}
+		}
+	}
+	gd, wd := got.Data(), want.Data()
+	if !slices.Equal(gd.PrunedKeys, wd.PrunedKeys) || !slices.Equal(gd.PrunedBounds, wd.PrunedBounds) {
+		t.Fatalf("seed %d step %d: Data() retains %d bounds, fresh build %d (keys or bounds differ)",
+			seed, step, len(gd.PrunedKeys), len(wd.PrunedKeys))
 	}
 }
 

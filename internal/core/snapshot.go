@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"fsim/internal/graph"
 	"fsim/internal/pairbits"
@@ -40,8 +39,8 @@ type CandidateData struct {
 }
 
 // Data exposes the set's candidate enumeration and retained bounds for
-// serialization. The sparse store's bound map is flattened into key-sorted
-// parallel slices so the output is deterministic.
+// serialization. The retained bounds are emitted in row order, which is
+// key order, so the output is deterministic.
 func (cs *CandidateSet) Data() CandidateData {
 	d := CandidateData{
 		Dense:       cs.dense,
@@ -50,24 +49,14 @@ func (cs *CandidateSet) Data() CandidateData {
 		RowOff:      cs.rowOff,
 		PrunedCount: cs.prunedCount,
 	}
-	switch {
-	case len(cs.prunedList) > 0: // dense store: already key-sorted
-		d.PrunedKeys = make([]pairbits.Key, len(cs.prunedList))
-		d.PrunedBounds = make([]float64, len(cs.prunedList))
-		for i, p := range cs.prunedList {
-			d.PrunedKeys[i] = p.k
-			d.PrunedBounds[i] = p.bound
+	if len(cs.prunedCol) > 0 {
+		d.PrunedKeys = make([]pairbits.Key, 0, len(cs.prunedCol))
+		for u := 0; u < cs.n1; u++ {
+			for _, v := range cs.prunedCol[cs.prunedOff[u]:cs.prunedOff[u+1]] {
+				d.PrunedKeys = append(d.PrunedKeys, pairbits.MakeKey(graph.NodeID(u), v))
+			}
 		}
-	case len(cs.prunedUB) > 0: // sparse store: sort the map
-		d.PrunedKeys = make([]pairbits.Key, 0, len(cs.prunedUB))
-		for k := range cs.prunedUB {
-			d.PrunedKeys = append(d.PrunedKeys, k)
-		}
-		sort.Slice(d.PrunedKeys, func(i, j int) bool { return d.PrunedKeys[i] < d.PrunedKeys[j] })
-		d.PrunedBounds = make([]float64, len(d.PrunedKeys))
-		for i, k := range d.PrunedKeys {
-			d.PrunedBounds[i] = cs.prunedUB[k]
-		}
+		d.PrunedBounds = cs.prunedBound
 	}
 	return d
 }
@@ -75,11 +64,13 @@ func (cs *CandidateSet) Data() CandidateData {
 // NewCandidateSetFromData reconstructs a CandidateSet from a previously
 // exported enumeration, skipping the O(|V1|·|V2|) candidate decisions of
 // NewCandidateSet: the label caches and similarity table are rebuilt from
-// the graphs, and the membership index (dense bitmap or sparse hash map)
-// is re-derived from the pair list. The data's structural invariants are
-// validated — row offsets, key ordering, id ranges, store-shape agreement
-// with the options — so corrupted input yields a descriptive error, never
-// a set whose lookups silently disagree with its enumeration.
+// the graphs, the membership index (dense bitmap or sparse hash map) is
+// re-derived from the pair list, and the retained bounds are filed into
+// their row CSR. The data's structural invariants are validated — row
+// offsets, key ordering, id ranges, store-shape agreement with the
+// options, and that a retained bound belongs to a label-eligible
+// non-candidate — so corrupted input yields a descriptive error, never a
+// set whose lookups silently disagree with its enumeration.
 func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData) (*CandidateSet, error) {
 	if g1 == nil || g2 == nil {
 		return nil, fmt.Errorf("core: nil graph")
@@ -169,40 +160,42 @@ func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData)
 	if len(d.PrunedKeys) != len(d.PrunedBounds) {
 		return nil, fmt.Errorf("core: pruned keys/bounds lengths disagree: %d vs %d", len(d.PrunedKeys), len(d.PrunedBounds))
 	}
-	keepBounds := opts.UpperBoundOpt != nil && opts.UpperBoundOpt.Alpha > 0
+	keepBounds := cs.keepsBounds()
 	if !keepBounds && len(d.PrunedKeys) != 0 {
 		return nil, fmt.Errorf("core: candidate data retains %d bounds but α = 0 keeps none", len(d.PrunedKeys))
 	}
 	if d.PrunedCount < len(d.PrunedKeys) {
 		return nil, fmt.Errorf("core: pruned count %d below retained bound count %d", d.PrunedCount, len(d.PrunedKeys))
 	}
-	if len(d.PrunedKeys) > 0 {
-		for i, k := range d.PrunedKeys {
-			u, v := k.Split()
-			if int(u) < 0 || int(u) >= cs.n1 || int(v) < 0 || int(v) >= cs.n2 {
-				return nil, fmt.Errorf("core: pruned pair (%d,%d) outside the %d×%d universe", u, v, cs.n1, cs.n2)
-			}
-			if i > 0 && d.PrunedKeys[i-1] >= k {
-				return nil, fmt.Errorf("core: pruned keys not strictly ascending at position %d", i)
-			}
-			if b := d.PrunedBounds[i]; b < 0 || b > 1 {
-				return nil, fmt.Errorf("core: pruned bound %v of pair (%d,%d) outside [0,1]", b, u, v)
-			}
+	if !keepBounds {
+		return cs, nil
+	}
+	cs.prunedOff = make([]int32, cs.n1+1)
+	cs.prunedCol = make([]graph.NodeID, len(d.PrunedKeys))
+	cs.prunedBound = d.PrunedBounds
+	for i, k := range d.PrunedKeys {
+		u, v := k.Split()
+		if int(u) < 0 || int(u) >= cs.n1 || int(v) < 0 || int(v) >= cs.n2 {
+			return nil, fmt.Errorf("core: pruned pair (%d,%d) outside the %d×%d universe", u, v, cs.n1, cs.n2)
 		}
-		if cs.dense {
-			cs.prunedList = make([]prunedPair, len(d.PrunedKeys))
-			for i, k := range d.PrunedKeys {
-				cs.prunedList[i] = prunedPair{k: k, bound: d.PrunedBounds[i]}
-			}
-		} else {
-			cs.prunedUB = make(map[pairbits.Key]float64, len(d.PrunedKeys))
-			for i, k := range d.PrunedKeys {
-				cs.prunedUB[k] = d.PrunedBounds[i]
-			}
+		if i > 0 && d.PrunedKeys[i-1] >= k {
+			return nil, fmt.Errorf("core: pruned keys not strictly ascending at position %d", i)
 		}
-	} else if keepBounds && !cs.dense {
-		// Patch expects the map to exist whenever bounds are retained.
-		cs.prunedUB = make(map[pairbits.Key]float64)
+		if b := d.PrunedBounds[i]; !(b >= 0 && b <= 1) { // NaN fails too
+			return nil, fmt.Errorf("core: pruned bound %v of pair (%d,%d) outside [0,1]", b, u, v)
+		}
+		if cs.Contains(u, v) {
+			return nil, fmt.Errorf("core: pair (%d,%d) is both a candidate and a pruned pair with a retained bound", u, v)
+		}
+		if !cs.eligible(u, v) {
+			return nil, fmt.Errorf("core: pruned pair (%d,%d) fails the label constraint (L=%v < θ=%v), so it cannot hold a bound",
+				u, v, cs.LabelSim(u, v), opts.Theta)
+		}
+		cs.prunedCol[i] = v
+		cs.prunedOff[u+1]++
+	}
+	for u := 0; u < cs.n1; u++ {
+		cs.prunedOff[u+1] += cs.prunedOff[u]
 	}
 	return cs, nil
 }

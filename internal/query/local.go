@@ -77,7 +77,8 @@ func (s *state) closure() {
 // materialize seeds the score rows of the collected closure: FSim⁰ at
 // candidates and the §3.4 stand-in elsewhere. Non-candidates default to 0
 // (their stand-in without §3.4 bounds); walking the candidate row and the
-// pruned-pair list covers the rest without probing all |V2| pairs.
+// component's retained stand-ins of that row covers the rest without
+// probing all |V2| pairs.
 func (s *state) materialize() {
 	p := &s.plan
 	n2 := s.ix.n2
@@ -88,11 +89,9 @@ func (s *state) materialize() {
 		s.cs.ForEachCandidate(x, func(v graph.NodeID) {
 			row[v] = s.cs.InitScore(x, v)
 		})
-		if s.ix.rowStandIns != nil {
-			for _, si := range s.ix.rowStandIns[x] {
-				row[si.v] = si.score
-			}
-		}
+		s.cs.ForEachStandIn(x, func(v graph.NodeID, standIn float64) {
+			row[v] = standIn
+		})
 	}
 }
 

@@ -27,9 +27,8 @@
 // An Index is safe for any number of concurrent TopK/Query callers;
 // per-query state lives in a pooled scratch. On dynamic graphs an Index
 // stays live across mutations: Apply patches the shared candidate
-// component in place (see core.CandidateSet.Patch) and refreshes only the
-// affected stand-in rows, under a writer lock that excludes in-flight
-// queries.
+// component in place (see core.CandidateSet.Patch) under a writer lock
+// that excludes in-flight queries.
 package query
 
 import (
@@ -58,17 +57,7 @@ type Index struct {
 	// to cache: a version-v entry can be served for as long as the current
 	// version is still v, and can never silently go stale.
 	version uint64
-	// rowStandIns lists, per g1 node, the §3.4 stand-ins of its pruned
-	// pairs (nil when α = 0), so query states materialize a row slab by
-	// walking the candidate row instead of probing all |V2| pairs.
-	rowStandIns [][]standIn
-	pool        *sync.Pool // *state
-}
-
-// standIn is one pruned pair's constant score within a row.
-type standIn struct {
-	v     graph.NodeID
-	score float64
+	pool    *sync.Pool // *state
 }
 
 // New builds a query index over (g1, g2): the shared candidate component
@@ -132,21 +121,15 @@ func (ix *Index) resetLocked(cs *core.CandidateSet) {
 	ix.cs = cs
 	g1, g2 := cs.Graphs()
 	ix.n1, ix.n2 = g1.NumNodes(), g2.NumNodes()
-	ix.rowStandIns = nil
-	cs.ForEachPruned(func(u, v graph.NodeID, s float64) {
-		if ix.rowStandIns == nil {
-			ix.rowStandIns = make([][]standIn, ix.n1)
-		}
-		ix.rowStandIns[u] = append(ix.rowStandIns[u], standIn{v: v, score: s})
-	})
 	ix.pool = &sync.Pool{New: func() any { return newState(ix) }}
 }
 
 // Apply patches the index in place for a mutated graph pair, so a live
 // index stays valid across updates without a rebuild: the shared candidate
 // component is patched (core.CandidateSet.Patch — membership and §3.4
-// bounds re-decided only for touched rows and columns) and the per-row
-// stand-in lists are refreshed only where the patch changed a constant.
+// bounds re-decided only for touched rows and columns). The index derives
+// nothing else from the component — query states read candidate rows and
+// stand-ins from it directly — so there is nothing further to refresh.
 // Queries block for the duration of the patch and see either the old or
 // the new graph, never a mix. The PatchDelta is returned for callers that
 // maintain further derived state (the dynamic maintainer's score store).
@@ -166,36 +149,6 @@ func (ix *Index) Apply(g1, g2 *graph.Graph, touched1, touched2 []graph.NodeID) (
 		// counts; drop them rather than resize piecemeal.
 		ix.n1, ix.n2 = delta.N1, delta.N2
 		ix.pool = &sync.Pool{New: func() any { return newState(ix) }}
-		if ix.rowStandIns != nil {
-			for len(ix.rowStandIns) < ix.n1 {
-				ix.rowStandIns = append(ix.rowStandIns, nil)
-			}
-		}
-	}
-	if len(delta.StandIns) > 0 && ix.rowStandIns == nil {
-		ix.rowStandIns = make([][]standIn, ix.n1)
-	}
-	for _, sc := range delta.StandIns {
-		u, v := sc.Key.Split()
-		row := ix.rowStandIns[u]
-		pos := -1
-		for i := range row {
-			if row[i].v == v {
-				pos = i
-				break
-			}
-		}
-		switch {
-		case sc.StandIn == 0:
-			if pos >= 0 {
-				row[pos] = row[len(row)-1]
-				ix.rowStandIns[u] = row[:len(row)-1]
-			}
-		case pos >= 0:
-			row[pos].score = sc.StandIn
-		default:
-			ix.rowStandIns[u] = append(row, standIn{v: v, score: sc.StandIn})
-		}
 	}
 	return delta, nil
 }

@@ -306,3 +306,35 @@ func TestStatePooling(t *testing.T) {
 		}
 	}
 }
+
+// TestNewFromCandidatesCopiesNoStandIns pins that an index reads the §3.4
+// stand-ins from its candidate component instead of copying them: building
+// one allocates the same whether the component retains no bounds or
+// thousands, on both stores.
+func TestNewFromCandidatesCopiesNoStandIns(t *testing.T) {
+	g := dataset.RandomGraph(3, 60, 120, 2)
+	for _, store := range []struct {
+		name     string
+		capPairs int
+	}{{"dense", 0}, {"sparse", 1}} {
+		build := func(beta float64) (allocs float64, pruned int) {
+			opts := core.DefaultOptions(exact.S)
+			opts.UpperBoundOpt = &core.UpperBound{Alpha: 0.3, Beta: beta}
+			opts.DenseCapPairs = store.capPairs
+			cs, err := core.NewCandidateSet(g, g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(20, func() { NewFromCandidates(cs) }), cs.PrunedCount()
+		}
+		noneAllocs, none := build(0.5)
+		manyAllocs, many := build(0.95)
+		if none != 0 || many < 1000 {
+			t.Fatalf("%s: fixture prunes %d and %d pairs, want 0 and thousands", store.name, none, many)
+		}
+		if manyAllocs != noneAllocs {
+			t.Errorf("%s: NewFromCandidates allocates %v times over %d stand-ins but %v over none: it copies them",
+				store.name, manyAllocs, many, noneAllocs)
+		}
+	}
+}

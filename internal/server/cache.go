@@ -125,10 +125,12 @@ func newResultCache(capacity, shards int) *resultCache {
 		if i < extra {
 			n++
 		}
+		// The maps grow with use: presizing every shard to its capacity
+		// costs the full bound up front even when few keys are hot.
 		c.shards[i] = &cacheShard{
 			capacity: n,
 			ll:       list.New(),
-			items:    make(map[string]*list.Element, n),
+			items:    make(map[string]*list.Element),
 		}
 	}
 	return c

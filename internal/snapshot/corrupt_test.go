@@ -6,8 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"fsim/internal/core"
+	"fsim/internal/dataset"
+	"fsim/internal/dynamic"
+	"fsim/internal/exact"
+	"fsim/internal/graph"
+	"fsim/internal/pairbits"
 )
 
 // validSnapshot builds one serialized snapshot for the corruption suite.
@@ -104,6 +112,111 @@ func TestFormatVersionMismatch(t *testing.T) {
 	for _, want := range []string{"format version 1", fmt.Sprintf("version %d", formatVersion), "cold-start from the graph text"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("version error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// withCandidates re-encodes the SCND section of a valid snapshot after
+// edit has changed its candidate data, recomputing the section checksum so
+// the damage gets past the CRC to the structural validation behind it.
+// edit must copy any slice it changes: the data shares them with the
+// decoded candidate set.
+func withCandidates(tb testing.TB, data []byte, edit func(*core.CandidateData)) []byte {
+	tb.Helper()
+	tags := []string{tagOptions, tagGraph, tagCandidates, tagScores, tagVersion}
+	r := bytes.NewReader(data[12:])
+	payloads := make([][]byte, len(tags))
+	for i, tag := range tags {
+		p, err := readSection(r, tag)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		payloads[i] = p
+	}
+	opts, err := decodeOptions(payloads[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := decodeGraph(payloads[1])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cs, err := decodeCandidates(payloads[2], g, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := cs.Data()
+	edit(&d)
+	var e enc
+	encodeCandidates(&e, d)
+	payloads[2] = e.b
+	var buf bytes.Buffer
+	buf.Write(data[:12])
+	for i, tag := range tags {
+		if err := writeSection(&buf, tag, payloads[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// retainBound makes d retain a §3.4 bound for pair k, at its key-sorted
+// position.
+func retainBound(d *core.CandidateData, k pairbits.Key) {
+	i, _ := slices.BinarySearch(d.PrunedKeys, k)
+	d.PrunedKeys = slices.Insert(slices.Clone(d.PrunedKeys), i, k)
+	d.PrunedBounds = slices.Insert(slices.Clone(d.PrunedBounds), i, 0.5)
+	d.PrunedCount++
+}
+
+// TestCorruptCandidateData covers candidate sections that pass the CRC but
+// contradict themselves: a pair that is both a candidate and a pruned
+// pair with a retained bound, and a retained bound on a pair the label
+// constraint excludes. Both stores must refuse them with ErrCorrupt.
+func TestCorruptCandidateData(t *testing.T) {
+	g := dataset.RandomGraph(11, 24, 72, 3)
+	for _, capPairs := range []int{core.DefaultOptions(exact.S).DenseCapPairs, 1} {
+		opts := core.DefaultOptions(exact.S)
+		opts.Threads = 1
+		opts.Theta = 0.9
+		opts.UpperBoundOpt = &core.UpperBound{Alpha: 0.3, Beta: 0.6}
+		opts.DenseCapPairs = capPairs
+		mt, err := dynamic.New(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Write(mt, &buf); err != nil {
+			t.Fatal(err)
+		}
+		cs := mt.Index().Candidates()
+		var ineligible []pairbits.Key
+		for u := 0; u < g.NumNodes(); u++ {
+			for v := 0; v < g.NumNodes(); v++ {
+				if cs.LabelSim(graph.NodeID(u), graph.NodeID(v)) < opts.Theta {
+					ineligible = append(ineligible, pairbits.MakeKey(graph.NodeID(u), graph.NodeID(v)))
+				}
+			}
+		}
+		if len(ineligible) == 0 {
+			t.Fatal("fixture has no label-ineligible pair")
+		}
+		cases := []struct {
+			name string
+			edit func(*core.CandidateData)
+		}{
+			{"candidate pair with a retained bound", func(d *core.CandidateData) { retainBound(d, d.CandPairs[0]) }},
+			{"label-ineligible pair with a retained bound", func(d *core.CandidateData) { retainBound(d, ineligible[0]) }},
+		}
+		for _, c := range cases {
+			data := withCandidates(t, buf.Bytes(), c.edit)
+			_, err := Read(bytes.NewReader(data))
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("cap %d, %s: want ErrCorrupt, got %v", capPairs, c.name, err)
+			}
+		}
+		if _, err := Read(bytes.NewReader(withCandidates(t, buf.Bytes(), func(*core.CandidateData) {}))); err != nil {
+			t.Fatalf("cap %d: re-encoding the untouched candidate section broke the snapshot: %v", capPairs, err)
 		}
 	}
 }

@@ -76,6 +76,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 	old := append([]byte(nil), seeds[0]...)
 	binary.LittleEndian.PutUint32(old[8:], 1)
 	f.Add(old)
+	// The retained-bounds seed with a candidate pair also holding a bound:
+	// a CRC-valid section the loader must refuse.
+	f.Add(withCandidates(f, seeds[1], func(d *core.CandidateData) { retainBound(d, d.CandPairs[0]) }))
 	f.Add([]byte("FSIMSNAP"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

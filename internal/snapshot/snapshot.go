@@ -31,9 +31,9 @@
 // map in SCOR) are not read; cold-start from the graph text.
 //
 // Only state that cannot be recomputed cheaply is stored: the label index,
-// degree maxima, similarity table, candidate bitmap/hash index and per-row
-// stand-in lists are all re-derived on load, which keeps snapshots compact
-// and loading I/O-bound.
+// degree maxima, similarity table, candidate bitmap/hash index and the
+// row offsets of the retained bounds are all re-derived on load, which
+// keeps snapshots compact and loading I/O-bound.
 //
 // # Atomicity
 //
