@@ -2,34 +2,21 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"runtime"
-	"strings"
-	"time"
 
-	"fsim/internal/core"
 	"fsim/internal/dataset"
-	"fsim/internal/exact"
 	"fsim/internal/graph"
 	"fsim/internal/server"
-	"fsim/internal/stats"
 )
 
 // appsMode is one load pass over a single served application endpoint.
 type appsMode struct {
 	// Mode is "naive" (cache and coalescing disabled: every request runs
 	// the application core) or "cached" (the serving defaults).
-	Mode          string  `json:"mode"`
-	Requests      int     `json:"requests"`
-	Seconds       float64 `json:"seconds"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	MeanLatencyMs float64 `json:"mean_latency_ms"`
+	Mode string `json:"mode"`
+	loadRun
 	// Per-endpoint cache counters scraped from the /stats "cache" block
 	// the workload registry maintains (always zero in naive mode).
 	CacheHits   int64 `json:"cache_hits"`
@@ -58,13 +45,6 @@ type appsReport struct {
 	Endpoints []appsEndpoint `json:"endpoints"`
 }
 
-// appRequest is one element of an endpoint's traffic pool. A non-empty
-// body makes it a POST.
-type appRequest struct {
-	target string
-	body   string
-}
-
 // Apps load-tests the downstream-application endpoints the workload
 // registry serves — POST /match (pattern matching), POST /align (graph
 // alignment), GET /nodesim (pairwise node similarity) — comparing the
@@ -76,13 +56,7 @@ type appRequest struct {
 // stack. Writes BENCH_apps.json (in Config.JSONDir, default the working
 // directory).
 func Apps(cfg Config) error {
-	opts := core.DefaultOptions(exact.BJ)
-	opts.Threads = cfg.Threads
-	opts.Epsilon = 1e-300 // unreachable: every computation runs exactly MaxIters rounds
-	opts.RelativeEps = false
-	opts.MaxIters = 12
-	opts.Theta = 0.6
-	opts.UpperBoundOpt = &core.UpperBound{Alpha: 0.3, Beta: 0.5}
+	_, opts := servedOptions(cfg)
 
 	scale, clients, reads, distinct := 90, 4, 150, 12
 	if cfg.Quick {
@@ -95,7 +69,7 @@ func Apps(cfg Config) error {
 	endpoints := []struct {
 		name   string
 		method string
-		pool   []appRequest
+		pool   []request
 	}{
 		{"match", http.MethodPost, matchTraffic(g, distinct)},
 		{"align", http.MethodPost, alignTraffic(g, distinct)},
@@ -125,19 +99,19 @@ func Apps(cfg Config) error {
 			return err
 		}
 		for ei := range endpoints {
-			run, err := runAppLoad(srv, clients, reads, endpoints[ei].pool)
+			load, err := runLoad(inProcess(srv), clients, reads, poolReads(endpoints[ei].pool), nil, nil)
 			if err != nil {
 				return err
 			}
-			run.Mode = mode
 			// The registry's per-endpoint cache counters attribute hits
 			// and misses to this workload alone, so one cumulative scrape
 			// is exact even though the loads share a server.
-			cs, err := scrapeEndpointCache(srv, endpoints[ei].name)
+			sr, err := scrapeStats(srv)
 			if err != nil {
 				return err
 			}
-			run.CacheHits, run.CacheMisses = cs.Hits, cs.Misses
+			cs := sr.Cache[endpoints[ei].name]
+			run := appsMode{Mode: mode, loadRun: load, CacheHits: cs.Hits, CacheMisses: cs.Misses}
 			ep := &report.Endpoints[ei]
 			ep.Modes = append(ep.Modes, run)
 			if len(ep.Modes) == 2 && ep.Modes[0].ThroughputRPS > 0 {
@@ -147,44 +121,12 @@ func Apps(cfg Config) error {
 				fmt.Sprintf("%.0f req/s", run.ThroughputRPS),
 				fmt.Sprintf("%.3fms", run.MeanLatencyMs),
 				fmt.Sprint(run.CacheHits), fmt.Sprint(run.CacheMisses),
-				appsSpeedupCell(*ep))
+				speedupCell(ep.Speedup))
 		}
 	}
 	tab.write(cfg.out())
 
-	dir := cfg.JSONDir
-	if dir == "" {
-		dir = "."
-	}
-	path := filepath.Join(dir, "BENCH_apps.json")
-	data, err := json.MarshalIndent(report, "", " ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out(), "\nwrote %s\n", path)
-	return nil
-}
-
-func appsSpeedupCell(ep appsEndpoint) string {
-	if len(ep.Modes) < 2 || ep.Modes[0].ThroughputRPS == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1fx", ep.Modes[1].ThroughputRPS/ep.Modes[0].ThroughputRPS)
-}
-
-// hotCenters spreads `n` pool anchors evenly across the graph's node range.
-func hotCenters(g *graph.Graph, n int) []graph.NodeID {
-	if n > g.NumNodes() {
-		n = g.NumNodes()
-	}
-	out := make([]graph.NodeID, n)
-	for i := range out {
-		out[i] = graph.NodeID(i * (g.NumNodes() / n))
-	}
-	return out
+	return writeReport(cfg, "BENCH_apps.json", report)
 }
 
 // ballBody serializes the ≤limit-node ball around center as a /match or
@@ -205,10 +147,10 @@ func ballBody(g *graph.Graph, center graph.NodeID, limit int) string {
 // matchTraffic builds the /match pool: small query graphs cut from balls
 // around the hot anchors, matched under the cheap simple-simulation
 // variant.
-func matchTraffic(g *graph.Graph, distinct int) []appRequest {
-	var pool []appRequest
+func matchTraffic(g *graph.Graph, distinct int) []request {
+	var pool []request
 	for _, u := range hotCenters(g, distinct) {
-		pool = append(pool, appRequest{target: "/match?variant=s", body: ballBody(g, u, 4)})
+		pool = append(pool, request{target: "/match?variant=s", body: ballBody(g, u, 4)})
 	}
 	return pool
 }
@@ -216,10 +158,10 @@ func matchTraffic(g *graph.Graph, distinct int) []appRequest {
 // alignTraffic builds the /align pool: slightly larger ball subgraphs
 // aligned against the live graph under the default bj variant (θ = 1
 // keeps the candidate set tight).
-func alignTraffic(g *graph.Graph, distinct int) []appRequest {
-	var pool []appRequest
+func alignTraffic(g *graph.Graph, distinct int) []request {
+	var pool []request
 	for _, u := range hotCenters(g, distinct) {
-		pool = append(pool, appRequest{target: "/align", body: ballBody(g, u, 8)})
+		pool = append(pool, request{target: "/align", body: ballBody(g, u, 8)})
 	}
 	return pool
 }
@@ -227,85 +169,18 @@ func alignTraffic(g *graph.Graph, distinct int) []appRequest {
 // nodesimTraffic builds the /nodesim pool: hot node pairs cycling through
 // the three served measures (the structural pair scores and the localized
 // FSim query).
-func nodesimTraffic(g *graph.Graph, distinct int) []appRequest {
+func nodesimTraffic(g *graph.Graph, distinct int) []request {
 	measures := []string{"jaccard", "simgram", "fsim"}
 	centers := hotCenters(g, distinct)
-	var pool []appRequest
+	var pool []request
 	for i, u := range centers {
 		v := centers[(i+1)%len(centers)]
 		if u == v {
 			continue
 		}
-		pool = append(pool, appRequest{
+		pool = append(pool, request{
 			target: fmt.Sprintf("/nodesim?u=%d&v=%d&measure=%s", u, v, measures[i%len(measures)]),
 		})
 	}
 	return pool
-}
-
-// runAppLoad drives one endpoint's pool against srv: `clients` goroutines
-// each issue `reads` requests drawn Zipf-skewed from the pool (rank 0 the
-// hottest), all of which must answer 200.
-func runAppLoad(srv *server.Server, clients, reads int, pool []appRequest) (appsMode, error) {
-	total := clients * reads
-	var lat stats.Latency
-	errCh := make(chan error, clients)
-	done := make(chan struct{}, clients)
-
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		go func(c int) {
-			rng := rand.New(rand.NewSource(int64(9000 + c)))
-			zipf := rand.NewZipf(rng, 1.3, 1, uint64(len(pool)-1))
-			for j := 0; j < reads; j++ {
-				req := pool[zipf.Uint64()]
-				method := http.MethodGet
-				var body *strings.Reader
-				if req.body != "" {
-					method = http.MethodPost
-					body = strings.NewReader(req.body)
-				} else {
-					body = strings.NewReader("")
-				}
-				r := httptest.NewRequest(method, req.target, body)
-				w := httptest.NewRecorder()
-				t0 := time.Now()
-				srv.ServeHTTP(w, r)
-				lat.Observe(time.Since(t0))
-				if w.Code != http.StatusOK {
-					errCh <- fmt.Errorf("apps: %s %s: status %d: %s", method, req.target, w.Code, w.Body.String())
-					return
-				}
-			}
-			done <- struct{}{}
-		}(c)
-	}
-	for c := 0; c < clients; c++ {
-		select {
-		case err := <-errCh:
-			return appsMode{}, err
-		case <-done:
-		}
-	}
-	elapsed := time.Since(start)
-
-	return appsMode{
-		Requests:      total,
-		Seconds:       elapsed.Seconds(),
-		ThroughputRPS: float64(total) / elapsed.Seconds(),
-		MeanLatencyMs: float64(lat.Mean()) / float64(time.Millisecond),
-	}, nil
-}
-
-// scrapeEndpointCache reads one workload's cache counter block from
-// /stats (zero when caching is disabled).
-func scrapeEndpointCache(srv *server.Server, name string) (server.CacheEndpointStats, error) {
-	r := httptest.NewRequest(http.MethodGet, "/stats", nil)
-	w := httptest.NewRecorder()
-	srv.ServeHTTP(w, r)
-	var sr server.StatsResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &sr); err != nil {
-		return server.CacheEndpointStats{}, err
-	}
-	return sr.Cache[name], nil
 }

@@ -2,27 +2,15 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"fsim/internal/cluster"
-	"fsim/internal/core"
 	"fsim/internal/dataset"
-	"fsim/internal/exact"
-	"fsim/internal/graph"
 	"fsim/internal/server"
 	"fsim/internal/stats"
 )
@@ -34,15 +22,7 @@ type clusterLoad struct {
 	// "cluster" (reads go through the router, writes forward to the
 	// leader and replicate to the followers).
 	Topology string `json:"topology"`
-	Requests int    `json:"requests"`
-	// UpdateBatches/UpdateChanges is the write traffic interleaved at
-	// fixed points of the read workload (identical across topologies).
-	UpdateBatches int     `json:"update_batches"`
-	UpdateChanges int     `json:"update_changes"`
-	Seconds       float64 `json:"seconds"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	MeanLatencyMs float64 `json:"mean_latency_ms"`
-	MaxLatencyMs  float64 `json:"max_latency_ms"`
+	loadRun
 }
 
 // lagStats summarizes the replication-lag distribution: for every update
@@ -99,14 +79,7 @@ type clusterReport struct {
 // Writes BENCH_cluster.json (in Config.JSONDir, default the working
 // directory).
 func Cluster(cfg Config) error {
-	variant := exact.BJ
-	opts := core.DefaultOptions(variant)
-	opts.Threads = cfg.Threads
-	opts.Epsilon = 1e-300 // unreachable: every computation runs exactly MaxIters rounds
-	opts.RelativeEps = false
-	opts.MaxIters = 12
-	opts.Theta = 0.6
-	opts.UpperBoundOpt = &core.UpperBound{Alpha: 0.3, Beta: 0.5}
+	_, opts := servedOptions(cfg)
 
 	scale, followers, clients, reads, batches, batchSize, hot := 90, 2, 16, 300, 6, 4, 32
 	pollInterval := 5 * time.Millisecond
@@ -120,21 +93,14 @@ func Cluster(cfg Config) error {
 
 	// Pre-generate the update batches once so both topologies absorb the
 	// identical write stream.
-	stream := &updateStream{rng: rand.New(rand.NewSource(23 + cfg.Seed)), m: graph.MutableOf(g)}
-	allBatches := make([][]graph.Change, batches+1) // +1: the post-kill batch for the re-sync phase
-	for b := range allBatches {
-		allBatches[b] = make([]graph.Change, batchSize)
-		for i := range allBatches[b] {
-			allBatches[b][i] = stream.next()
-			if _, err := stream.m.Apply(allBatches[b][i]); err != nil {
-				return err
-			}
-		}
+	allBatches, err := updateBatches(g, 23+cfg.Seed, batches+1, batchSize) // +1: the post-kill batch for the re-sync phase
+	if err != nil {
+		return err
 	}
 	loadBatches := allBatches[:batches]
 
 	report := clusterReport{
-		Dataset: "NELL stand-in", Variant: variant.String(), MaxIters: opts.MaxIters,
+		Dataset: "NELL stand-in", Variant: opts.Variant.String(), MaxIters: opts.MaxIters,
 		Transport: "HTTP over loopback sockets",
 		NumCPU:    runtime.NumCPU(), Followers: followers,
 		Nodes: g.NumNodes(), Edges: g.NumEdges(),
@@ -148,14 +114,14 @@ func Cluster(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	mix := hotReads(hotCenters(g, hot))
 	singleTS := httptest.NewServer(single)
-	singleLoad, err := runClusterLoad(singleTS.URL, httpClient, clients, reads, hot, g.NumNodes(), loadBatches, nil)
+	singleLoad, err := runLoad(overHTTP(httpClient, singleTS.URL), clients, reads, mix, loadBatches, nil)
 	singleTS.Close()
 	if err != nil {
 		return err
 	}
-	singleLoad.Topology = "single"
-	report.Loads = append(report.Loads, singleLoad)
+	report.Loads = append(report.Loads, clusterLoad{Topology: "single", loadRun: singleLoad})
 
 	// The replicated tier: leader + followers + router, every hop a real
 	// loopback socket.
@@ -204,30 +170,32 @@ func Cluster(cfg Config) error {
 	defer router.Close()
 	routerTS := httptest.NewServer(router)
 	defer routerTS.Close()
-	for router.Ring().HealthyCount() < followers {
-		time.Sleep(2 * time.Millisecond)
+	if err := waitFor("the router to see every follower healthy", clusterWait, func() bool {
+		return router.Ring().HealthyCount() >= followers
+	}); err != nil {
+		return err
 	}
 
-	// Every write samples replication lag: spin until each follower
-	// serves the written version.
-	var lagMu sync.Mutex
+	// Every write samples replication lag: wait until each follower
+	// serves the written version. onWrite runs on runLoad's writer alone,
+	// and lagMs is read only after runLoad returns.
 	var lagMs []float64
-	onWrite := func(version uint64, wrote time.Time) {
-		for _, r := range fleet {
-			for r.f.Version() < version {
-				time.Sleep(200 * time.Microsecond)
+	onWrite := func(version uint64, wrote time.Time) error {
+		for i, r := range fleet {
+			if err := waitFor(fmt.Sprintf("follower %d to serve version %d", i, version), clusterWait, func() bool {
+				return r.f.Version() >= version
+			}); err != nil {
+				return err
 			}
-			lagMu.Lock()
 			lagMs = append(lagMs, float64(time.Since(wrote))/float64(time.Millisecond))
-			lagMu.Unlock()
 		}
+		return nil
 	}
-	clusterLoadRun, err := runClusterLoad(routerTS.URL, httpClient, clients, reads, hot, g.NumNodes(), loadBatches, onWrite)
+	clusterLoadRun, err := runLoad(overHTTP(httpClient, routerTS.URL), clients, reads, mix, loadBatches, onWrite)
 	if err != nil {
 		return err
 	}
-	clusterLoadRun.Topology = "cluster"
-	report.Loads = append(report.Loads, clusterLoadRun)
+	report.Loads = append(report.Loads, clusterLoad{Topology: "cluster", loadRun: clusterLoadRun})
 	if singleLoad.ThroughputRPS > 0 {
 		report.ThroughputVsSingle = clusterLoadRun.ThroughputRPS / singleLoad.ThroughputRPS
 	}
@@ -240,7 +208,7 @@ func Cluster(cfg Config) error {
 	if err := fleet[0].f.Close(context.Background()); err != nil {
 		return err
 	}
-	if _, err := postBatch(httpClient, leaderTS.URL, allBatches[batches]); err != nil {
+	if _, err := send(overHTTP(httpClient, leaderTS.URL), updates(allBatches[batches])); err != nil {
 		return err
 	}
 	target := leader.Maintainer().Version()
@@ -254,8 +222,11 @@ func Cluster(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	for reborn.Version() < target {
-		time.Sleep(200 * time.Microsecond)
+	if err := waitFor(fmt.Sprintf("the restarted follower to re-sync to version %d", target), clusterWait, func() bool {
+		return reborn.Version() >= target
+	}); err != nil {
+		reborn.Close(context.Background())
+		return err
 	}
 	report.ResyncMs = float64(time.Since(t0)) / float64(time.Millisecond)
 	report.ResyncVersion = reborn.Version()
@@ -278,152 +249,25 @@ func Cluster(cfg Config) error {
 		report.ReplicationLag.MeanMs, report.ReplicationLag.P50Ms, report.ReplicationLag.MaxMs,
 		report.ReplicationLag.Samples, report.ResyncVersion, report.ResyncMs, report.NumCPU)
 
-	dir := cfg.JSONDir
-	if dir == "" {
-		dir = "."
-	}
-	path := filepath.Join(dir, "BENCH_cluster.json")
-	data, err := json.MarshalIndent(report, "", " ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out(), "wrote %s\n", path)
-	return nil
+	return writeReport(cfg, "BENCH_cluster.json", report)
 }
 
-// runClusterLoad drives one mixed workload against baseURL over real HTTP:
-// `clients` goroutines each issue `reads` requests — 95% /topk against a
-// hot working set with Zipf-skewed popularity, 5% /query over distinct hot
-// pairs — while a writer posts the prepared batches at evenly spaced
-// points of the read progress. onWrite (optional) receives each write's
-// version token and completion time, for replication-lag sampling.
-func runClusterLoad(baseURL string, client *http.Client, clients, reads, hot, n int, batches [][]graph.Change, onWrite func(uint64, time.Time)) (clusterLoad, error) {
-	total := clients * reads
-	var done atomic.Int64
-	var lat stats.Latency
-	errCh := make(chan error, clients+1)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	fail := func(err error) {
-		errCh <- err
-		stopOnce.Do(func() { close(stop) })
-	}
+// clusterWait bounds every wait in the cluster experiment. A healthy
+// tier at full size settles in milliseconds; the bound only turns a
+// follower that never catches up into an error instead of a hang.
+const clusterWait = time.Minute
 
-	start := time.Now()
-	wg.Add(1)
-	go func() { // writer
-		defer wg.Done()
-		for b, batch := range batches {
-			threshold := int64((b + 1) * total / (len(batches) + 1))
-			for done.Load() < threshold {
-				select {
-				case <-stop:
-					return
-				default:
-					time.Sleep(200 * time.Microsecond)
-				}
-			}
-			version, err := postBatch(client, baseURL, batch)
-			if err != nil {
-				fail(fmt.Errorf("cluster: updates batch %d: %w", b, err))
-				return
-			}
-			if onWrite != nil {
-				onWrite(version, time.Now())
-			}
+// waitFor polls cond until it holds, or returns an error naming what it
+// waited for once timeout has passed.
+func waitFor(what string, timeout time.Duration, cond func() bool) error {
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("cluster: gave up after %v waiting for %s", timeout, what)
 		}
-	}()
-
-	if hot > n {
-		hot = n
+		time.Sleep(200 * time.Microsecond)
 	}
-	hotNodes := make([]int, hot)
-	for i := range hotNodes {
-		hotNodes[i] = i * (n / hot)
-	}
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(9000 + c)))
-			hotZipf := rand.NewZipf(rng, 1.3, 1, uint64(hot-1))
-			for j := 0; j < reads; j++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				target := fmt.Sprintf("%s/topk?u=%d&k=10", baseURL, hotNodes[hotZipf.Uint64()])
-				if j%20 == 19 {
-					u := hotNodes[hotZipf.Uint64()]
-					v := u
-					for v == u && hot > 1 {
-						v = hotNodes[hotZipf.Uint64()]
-					}
-					target = fmt.Sprintf("%s/query?u=%d&v=%d", baseURL, u, v)
-				}
-				t0 := time.Now()
-				resp, err := client.Get(target)
-				if err != nil {
-					fail(fmt.Errorf("cluster: %s: %w", target, err))
-					return
-				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				lat.Observe(time.Since(t0))
-				if resp.StatusCode != http.StatusOK {
-					fail(fmt.Errorf("cluster: %s: status %d", target, resp.StatusCode))
-					return
-				}
-				done.Add(1)
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errCh)
-	for err := range errCh {
-		return clusterLoad{}, err
-	}
-
-	updates := 0
-	for _, b := range batches {
-		updates += len(b)
-	}
-	return clusterLoad{
-		Requests:      total,
-		UpdateBatches: len(batches),
-		UpdateChanges: updates,
-		Seconds:       elapsed.Seconds(),
-		ThroughputRPS: float64(total) / elapsed.Seconds(),
-		MeanLatencyMs: float64(lat.Mean()) / float64(time.Millisecond),
-		MaxLatencyMs:  float64(lat.Max()) / float64(time.Millisecond),
-	}, nil
-}
-
-// postBatch writes one update batch to baseURL's /updates and returns the
-// version token from the response's X-Fsim-Version header — the
-// read-your-writes floor the replication-lag sampler waits on.
-func postBatch(client *http.Client, baseURL string, batch []graph.Change) (uint64, error) {
-	var lines []string
-	for _, c := range batch {
-		lines = append(lines, c.String())
-	}
-	resp, err := client.Post(baseURL+"/updates", "text/plain",
-		strings.NewReader(strings.Join(lines, "\n")+"\n"))
-	if err != nil {
-		return 0, err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("status %d: %s", resp.StatusCode, body)
-	}
-	return strconv.ParseUint(resp.Header.Get(server.VersionHeader), 10, 64)
+	return nil
 }
 
 // summarizeLag reduces the per-(batch, follower) lag samples to the

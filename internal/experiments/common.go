@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"time"
 	"unicode/utf8"
@@ -27,8 +30,8 @@ type Config struct {
 	Threads int
 	// Seed offsets all generators; 0 keeps the defaults.
 	Seed int64
-	// JSONDir receives machine-readable artifacts (BENCH_delta.json);
-	// "" means the working directory.
+	// JSONDir receives the machine-readable artifacts (every
+	// BENCH_*.json); "" means the working directory.
 	JSONDir string
 }
 
@@ -99,6 +102,39 @@ func Run(id string, cfg Config) error {
 		ids = append(ids, e.ID)
 	}
 	return fmt.Errorf("experiments: unknown id %q (want one of %s, or all)", id, strings.Join(ids, ", "))
+}
+
+// writeReport writes v as indented JSON to cfg.JSONDir/name and prints
+// the path it wrote.
+func writeReport(cfg Config, name string, v any) error {
+	dir := cfg.JSONDir
+	if dir == "" {
+		dir = "."
+	}
+	path := filepath.Join(dir, name)
+	data, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(cfg.out(), "\nwrote %s\n", path)
+	return nil
+}
+
+// servedOptions is the bj option pair the serving experiments share.
+// Every computation runs exactly 12 rounds, so served scores are
+// bit-identical to a fresh Compute at that budget. base is the paper's
+// θ = 0 setting; serving adds the selectivity optimizations (θ = 0.6,
+// §3.4 pruning at α = 0.3, β = 0.5).
+func servedOptions(cfg Config) (base, serving core.Options) {
+	base = core.DefaultOptions(exact.BJ).WithPinnedIterations(12)
+	base.Threads = cfg.Threads
+	serving = base
+	serving.Theta = 0.6
+	serving.UpperBoundOpt = &core.UpperBound{Alpha: 0.3, Beta: 0.5}
+	return base, serving
 }
 
 // nellGraph returns the sensitivity-analysis workhorse: the NELL stand-in

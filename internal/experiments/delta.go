@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 
 	"fsim/internal/core"
 	"fsim/internal/graph"
@@ -102,18 +99,5 @@ func Delta(cfg Config) error {
 	}
 	tab.write(cfg.out())
 
-	dir := cfg.JSONDir
-	if dir == "" {
-		dir = "."
-	}
-	path := filepath.Join(dir, "BENCH_delta.json")
-	data, err := json.MarshalIndent(report, "", " ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out(), "\nwrote %s\n", path)
-	return nil
+	return writeReport(cfg, "BENCH_delta.json", report)
 }

@@ -1,18 +1,14 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"time"
 
 	"fsim/internal/core"
 	"fsim/internal/dataset"
 	"fsim/internal/dynamic"
-	"fsim/internal/exact"
 	"fsim/internal/graph"
 )
 
@@ -115,7 +111,6 @@ func (s *updateStream) next() graph.Change {
 // comparable bit-for-bit; MaxDiffVsFresh records the observed deviation
 // (0 for the dense store).
 func Dynamic(cfg Config) error {
-	variant := exact.BJ
 	scale := 90
 	singles, batches, batchSize := 40, 10, 16
 	verifyEvery := 8
@@ -130,14 +125,7 @@ func Dynamic(cfg Config) error {
 	spec.Seed += cfg.Seed
 	g := spec.Generate()
 
-	base := core.DefaultOptions(variant)
-	base.Threads = cfg.Threads
-	base.Epsilon = 1e-300 // unreachable: every computation runs exactly MaxIters rounds
-	base.RelativeEps = false
-	base.MaxIters = 12
-	serving := base
-	serving.Theta = 0.6
-	serving.UpperBoundOpt = &core.UpperBound{Alpha: 0.3, Beta: 0.5}
+	base, serving := servedOptions(cfg)
 	// α = 0 (the paper's default pruning mode) drops the pruned pairs'
 	// stand-in constants entirely. That removes the widest update ripple:
 	// with α > 0 an edge change perturbs the Eq. 6 stand-in of every
@@ -147,7 +135,7 @@ func Dynamic(cfg Config) error {
 	lean.UpperBoundOpt = &core.UpperBound{Alpha: 0, Beta: 0.5}
 
 	report := dynReport{
-		Dataset: "NELL stand-in", Variant: variant.String(),
+		Dataset: "NELL stand-in", Variant: base.Variant.String(),
 		Nodes: g.NumNodes(), Edges: g.NumEdges(), MaxIters: base.MaxIters,
 	}
 	configs := []struct {
@@ -267,18 +255,5 @@ func Dynamic(cfg Config) error {
 	}
 	tab.write(cfg.out())
 
-	dir := cfg.JSONDir
-	if dir == "" {
-		dir = "."
-	}
-	path := filepath.Join(dir, "BENCH_dynamic.json")
-	data, err := json.MarshalIndent(report, "", " ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out(), "\nwrote %s\n", path)
-	return nil
+	return writeReport(cfg, "BENCH_dynamic.json", report)
 }

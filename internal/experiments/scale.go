@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -225,18 +222,5 @@ func Scale(cfg Config) error {
 	}
 	tab.write(cfg.out())
 
-	dir := cfg.JSONDir
-	if dir == "" {
-		dir = "."
-	}
-	path := filepath.Join(dir, "BENCH_scale.json")
-	data, err := json.MarshalIndent(report, "", " ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out(), "\nwrote %s\n", path)
-	return nil
+	return writeReport(cfg, "BENCH_scale.json", report)
 }

@@ -1,24 +1,12 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"fsim/internal/core"
 	"fsim/internal/dataset"
-	"fsim/internal/exact"
-	"fsim/internal/graph"
 	"fsim/internal/server"
-	"fsim/internal/stats"
 )
 
 // serveMode aggregates one load-test pass of a server configuration.
@@ -26,19 +14,7 @@ type serveMode struct {
 	// Mode is "naive" (cache and coalescing disabled: every request runs
 	// its own localized fixed point) or "cached" (the serving defaults).
 	Mode string `json:"mode"`
-	// Requests is the number of read requests served (all HTTP 200).
-	Requests int `json:"requests"`
-	// UpdateBatches/UpdateChanges is the write traffic interleaved at
-	// fixed points of the read workload (identical across modes).
-	UpdateBatches int `json:"update_batches"`
-	UpdateChanges int `json:"update_changes"`
-	// Seconds is the wall-clock of the whole mixed workload; Throughput
-	// is Requests/Seconds.
-	Seconds       float64 `json:"seconds"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	// Client-observed read latency.
-	MeanLatencyMs float64 `json:"mean_latency_ms"`
-	MaxLatencyMs  float64 `json:"max_latency_ms"`
+	loadRun
 	// Server-side counters after the run. ComputeMeanMs is the mean
 	// server-side localized-fixed-point latency, separating computation
 	// cost from client-observed queueing.
@@ -98,16 +74,7 @@ type serveReport struct {
 // full recomputations — speedup is honestly modest. Writes
 // BENCH_serve.json (in Config.JSONDir, default the working directory).
 func Serve(cfg Config) error {
-	variant := exact.BJ
-
-	base := core.DefaultOptions(variant)
-	base.Threads = cfg.Threads
-	base.Epsilon = 1e-300 // unreachable: every computation runs exactly MaxIters rounds
-	base.RelativeEps = false
-	base.MaxIters = 12
-	serving := base
-	serving.Theta = 0.6
-	serving.UpperBoundOpt = &core.UpperBound{Alpha: 0.3, Beta: 0.5}
+	base, serving := servedOptions(cfg)
 
 	servingScale, defaultScale := 90, 240
 	servingClients, servingReads, servingBatches := 16, 500, 4
@@ -138,7 +105,7 @@ func Serve(cfg Config) error {
 	}
 
 	report := serveReport{
-		Dataset: "NELL stand-in", Variant: variant.String(),
+		Dataset: "NELL stand-in", Variant: base.Variant.String(),
 		MaxIters: base.MaxIters, Transport: "in-process handler",
 	}
 	tab := &table{headers: []string{"config", "mode", "requests", "updates", "throughput", "mean latency", "hits", "misses", "coalesced", "speedup"}}
@@ -150,16 +117,9 @@ func Serve(cfg Config) error {
 
 		// Pre-generate the update batches once per config so both modes
 		// absorb the identical write stream.
-		stream := &updateStream{rng: rand.New(rand.NewSource(11 + cfg.Seed)), m: graph.MutableOf(g)}
-		batches := make([][]graph.Change, c.batches)
-		for b := range batches {
-			batches[b] = make([]graph.Change, batchSize)
-			for i := range batches[b] {
-				batches[b][i] = stream.next()
-				if _, err := stream.m.Apply(batches[b][i]); err != nil {
-					return err
-				}
-			}
+		batches, err := updateBatches(g, 11+cfg.Seed, c.batches, batchSize)
+		if err != nil {
+			return err
 		}
 
 		sc := serveConfig{
@@ -181,178 +141,42 @@ func Serve(cfg Config) error {
 				sc.InitialSeconds = time.Since(t0).Seconds()
 				sc.Candidates = srv.Maintainer().Index().Candidates().NumCandidates()
 			}
-			run, err := runServeLoad(srv, c.clients, c.reads, c.hot, batches)
+			load, err := runLoad(inProcess(srv), c.clients, c.reads, hotReads(hotCenters(g, c.hot)), batches, nil)
 			if err != nil {
 				return err
 			}
-			run.Mode = mode
+			sr, err := scrapeStats(srv)
+			if err != nil {
+				return err
+			}
+			run := serveMode{
+				Mode: mode, loadRun: load,
+				CacheHits: sr.CacheHits, CacheMisses: sr.CacheMisses, Coalesced: sr.Coalesced,
+				Computes: sr.ComputeLatency.Count, ComputeMeanMs: sr.ComputeLatency.MeanMs,
+			}
 			sc.Modes = append(sc.Modes, run)
+			if len(sc.Modes) == 2 && sc.Modes[0].ThroughputRPS > 0 {
+				sc.Speedup = sc.Modes[1].ThroughputRPS / sc.Modes[0].ThroughputRPS
+			}
 			tab.add(c.name, mode, fmt.Sprint(run.Requests),
 				fmt.Sprint(run.UpdateChanges),
 				fmt.Sprintf("%.0f req/s", run.ThroughputRPS),
 				fmt.Sprintf("%.3fms", run.MeanLatencyMs),
 				fmt.Sprint(run.CacheHits), fmt.Sprint(run.CacheMisses), fmt.Sprint(run.Coalesced),
-				speedupCell(sc))
-		}
-		if len(sc.Modes) == 2 && sc.Modes[0].ThroughputRPS > 0 {
-			sc.Speedup = sc.Modes[1].ThroughputRPS / sc.Modes[0].ThroughputRPS
+				speedupCell(sc.Speedup))
 		}
 		report.Configs = append(report.Configs, sc)
 	}
 	tab.write(cfg.out())
 
-	dir := cfg.JSONDir
-	if dir == "" {
-		dir = "."
-	}
-	path := filepath.Join(dir, "BENCH_serve.json")
-	data, err := json.MarshalIndent(report, "", " ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out(), "\nwrote %s\n", path)
-	return nil
+	return writeReport(cfg, "BENCH_serve.json", report)
 }
 
-func speedupCell(sc serveConfig) string {
-	if len(sc.Modes) < 2 || sc.Modes[0].ThroughputRPS == 0 {
+// speedupCell renders a cached-over-naive speedup, "-" until both modes
+// have run.
+func speedupCell(x float64) string {
+	if x == 0 {
 		return "-"
 	}
-	return fmt.Sprintf("%.1fx", sc.Modes[1].ThroughputRPS/sc.Modes[0].ThroughputRPS)
-}
-
-// runServeLoad drives one mixed read/update workload against srv:
-// `clients` goroutines each issue `reads` requests — 95% /topk against a
-// hot working set of `hot` nodes with Zipf-skewed popularity (the shape a
-// result cache exists for), 5% /query over pairs of hot nodes — while a
-// writer posts the prepared update batches at evenly spaced points of the
-// read progress, so every mode sees writes at the same workload
-// positions.
-func runServeLoad(srv *server.Server, clients, reads, hot int, batches [][]graph.Change) (serveMode, error) {
-	n := srv.Maintainer().Graph().NumNodes()
-	total := clients * reads
-	var done atomic.Int64
-	var lat stats.Latency
-	errCh := make(chan error, clients+1)
-	var wg sync.WaitGroup
-	// stop aborts the run on the first failure: a failed client stops
-	// incrementing `done`, so without it the writer would spin on a
-	// threshold that can never be reached.
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	fail := func(err error) {
-		errCh <- err
-		stopOnce.Do(func() { close(stop) })
-	}
-
-	start := time.Now()
-	wg.Add(1)
-	go func() { // writer
-		defer wg.Done()
-		for b, batch := range batches {
-			threshold := int64((b + 1) * total / (len(batches) + 1))
-			for done.Load() < threshold {
-				select {
-				case <-stop:
-					return
-				default:
-					time.Sleep(200 * time.Microsecond)
-				}
-			}
-			var lines []string
-			for _, c := range batch {
-				lines = append(lines, c.String())
-			}
-			r := httptest.NewRequest(http.MethodPost, "/updates", strings.NewReader(strings.Join(lines, "\n")+"\n"))
-			w := httptest.NewRecorder()
-			srv.ServeHTTP(w, r)
-			if w.Code != http.StatusOK {
-				fail(fmt.Errorf("serve: updates batch %d: status %d: %s", b, w.Code, w.Body.String()))
-				return
-			}
-		}
-	}()
-
-	if hot > n {
-		hot = n
-	}
-	hotNodes := make([]int, hot)
-	for i := range hotNodes {
-		hotNodes[i] = i * (n / hot)
-	}
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(7000 + c)))
-			hotZipf := rand.NewZipf(rng, 1.3, 1, uint64(hot-1))
-			for j := 0; j < reads; j++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				target := fmt.Sprintf("/topk?u=%d&k=10", hotNodes[hotZipf.Uint64()])
-				if j%20 == 19 {
-					// Draw a distinct pair: two independent Zipf samples
-					// over the same hot set collide often (the head ranks
-					// dominate), and u==v self-pairs are degenerate
-					// queries that inflate the cache hit rate.
-					u := hotNodes[hotZipf.Uint64()]
-					v := u
-					for v == u && hot > 1 {
-						v = hotNodes[hotZipf.Uint64()]
-					}
-					target = fmt.Sprintf("/query?u=%d&v=%d", u, v)
-				}
-				r := httptest.NewRequest(http.MethodGet, target, nil)
-				w := httptest.NewRecorder()
-				t0 := time.Now()
-				srv.ServeHTTP(w, r)
-				lat.Observe(time.Since(t0))
-				if w.Code != http.StatusOK {
-					fail(fmt.Errorf("serve: %s: status %d: %s", target, w.Code, w.Body.String()))
-					return
-				}
-				done.Add(1)
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errCh)
-	for err := range errCh {
-		return serveMode{}, err
-	}
-
-	// Scrape the server-side counters.
-	r := httptest.NewRequest(http.MethodGet, "/stats", nil)
-	w := httptest.NewRecorder()
-	srv.ServeHTTP(w, r)
-	var sr server.StatsResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &sr); err != nil {
-		return serveMode{}, err
-	}
-
-	updates := 0
-	for _, b := range batches {
-		updates += len(b)
-	}
-	return serveMode{
-		Requests:      total,
-		UpdateBatches: len(batches),
-		UpdateChanges: updates,
-		Seconds:       elapsed.Seconds(),
-		ThroughputRPS: float64(total) / elapsed.Seconds(),
-		MeanLatencyMs: float64(lat.Mean()) / float64(time.Millisecond),
-		MaxLatencyMs:  float64(lat.Max()) / float64(time.Millisecond),
-		CacheHits:     sr.CacheHits,
-		CacheMisses:   sr.CacheMisses,
-		Coalesced:     sr.Coalesced,
-		Computes:      sr.ComputeLatency.Count,
-		ComputeMeanMs: sr.ComputeLatency.MeanMs,
-	}, nil
+	return fmt.Sprintf("%.1fx", x)
 }

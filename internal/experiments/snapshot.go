@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,7 +9,6 @@ import (
 	"fsim/internal/core"
 	"fsim/internal/dataset"
 	"fsim/internal/dynamic"
-	"fsim/internal/exact"
 	"fsim/internal/graph"
 	"fsim/internal/snapshot"
 )
@@ -63,14 +61,7 @@ type snapshotReport struct {
 // scores equal the cold ones. Writes BENCH_snapshot.json (in
 // Config.JSONDir, default the working directory).
 func Snapshot(cfg Config) error {
-	variant := exact.BJ
-
-	base := core.DefaultOptions(variant)
-	base.Threads = cfg.Threads
-	base = base.WithPinnedIterations(12) // computations run exactly 12 rounds
-	serving := base
-	serving.Theta = 0.6
-	serving.UpperBoundOpt = &core.UpperBound{Alpha: 0.3, Beta: 0.5}
+	base, serving := servedOptions(cfg)
 
 	scale, repeats := 90, 3
 	if cfg.Quick {
@@ -83,7 +74,7 @@ func Snapshot(cfg Config) error {
 	}
 	defer os.RemoveAll(dir)
 
-	report := snapshotReport{Dataset: "NELL stand-in", Variant: variant.String(), MaxIters: base.MaxIters}
+	report := snapshotReport{Dataset: "NELL stand-in", Variant: base.Variant.String(), MaxIters: base.MaxIters}
 	tab := &table{headers: []string{"config", "nodes", "candidates", "cold parse+compute", "save", "load", "snapshot size", "speedup", "max diff"}}
 
 	for _, c := range []struct {
@@ -198,20 +189,7 @@ func Snapshot(cfg Config) error {
 	}
 	tab.write(cfg.out())
 
-	outDir := cfg.JSONDir
-	if outDir == "" {
-		outDir = "."
-	}
-	path := filepath.Join(outDir, "BENCH_snapshot.json")
-	data, err := json.MarshalIndent(report, "", " ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out(), "\nwrote %s\n", path)
-	return nil
+	return writeReport(cfg, "BENCH_snapshot.json", report)
 }
 
 func dur3(sec float64) string { return fmt.Sprintf("%.3fs", sec) }

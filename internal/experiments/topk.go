@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"time"
 
 	"fsim/internal/core"
@@ -168,18 +165,5 @@ func TopK(cfg Config) error {
 	}
 	tab.write(cfg.out())
 
-	dir := cfg.JSONDir
-	if dir == "" {
-		dir = "."
-	}
-	path := filepath.Join(dir, "BENCH_topk.json")
-	data, err := json.MarshalIndent(report, "", " ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out(), "\nwrote %s\n", path)
-	return nil
+	return writeReport(cfg, "BENCH_topk.json", report)
 }
