@@ -153,7 +153,7 @@ func ExampleServer() {
 	g := b.Build()
 
 	opts := fsim.DefaultOptions(fsim.BJ)
-	opts.Theta = 0.6 // selectivity keeps per-miss computations local
+	opts.Theta = 0.6 // selectivity keeps update cones local
 	opts.Threads = 1
 	srv, err := fsim.NewServer(g, opts, fsim.ServerOptions{})
 	if err != nil {

@@ -75,14 +75,14 @@
 //
 // # Serving
 //
-// NewServer puts an Index + Maintainer pair behind an HTTP JSON API for
-// concurrent traffic: reads (GET /topk, GET /query) go through a
-// graph-version-stamped result cache with singleflight coalescing, writes
-// (POST /updates) stream update batches into the maintainer, and every
-// response carries the graph version its scores were computed at — always
-// exactly the scores a fresh Compute on that snapshot would return. See
-// the README's "Serving" section for the endpoints, the consistency
-// contract and the tuning knobs.
+// NewServer puts a Maintainer behind an HTTP JSON API for concurrent
+// traffic: reads (GET /topk, GET /query) answer from the maintained
+// scores through a graph-version-stamped result cache with singleflight
+// coalescing, writes (POST /updates) stream update batches into the
+// maintainer, and every response carries the graph version its scores
+// belong to — always exactly the scores a fresh Compute on that snapshot
+// would return. See the README's "Serving" section for the endpoints, the
+// consistency contract and the tuning knobs.
 //
 // Exact ("yes-or-no") χ-simulation checks, strong simulation,
 // k-bisimulation signatures and the WL test live alongside the fractional
@@ -241,9 +241,9 @@ func ReadChanges(r io.Reader) ([]Change, error) { return graph.ReadChanges(r) }
 
 // Maintainer incrementally maintains the self-similarity FSimχ scores of
 // an evolving graph: Apply mutates and re-converges only the update's
-// cone of influence, Score/TopK read the maintained result, and Index
-// exposes a live query index that stays valid across updates. Safe for
-// concurrent readers.
+// cone of influence, Score/TopK read the maintained result (ScoreAt/TopKAt
+// also return the graph version read), and Index exposes the live query
+// index that re-converges updates. Safe for concurrent readers.
 type Maintainer = dynamic.Maintainer
 
 // MaintainStats reports one Maintainer.Apply's diagnostics (seed pairs,
@@ -259,16 +259,17 @@ type MaintainStats = dynamic.Stats
 func NewMaintainer(g *Graph, opts Options) (*Maintainer, error) { return dynamic.New(g, opts) }
 
 // Server is the HTTP JSON serving layer over a live Maintainer. Reads are
-// served by registered workloads — GET /topk and GET /query (similarity),
-// POST /match (pattern matching), POST /align (graph alignment), GET
-// /nodesim (pairwise node similarity) — all through one graph-version-
-// stamped result cache with singleflight coalescing and admission
-// control; POST /updates absorbs update-stream batches, GET /healthz and
-// GET /stats expose liveness and per-endpoint serving counters. Every
-// read response is stamped with the graph version it was computed at, and
-// its result is exactly what the underlying library call on that snapshot
-// would produce. Mount it on any http.Server and stop it with Shutdown;
-// see the README's "Serving" and "Served scenarios" sections.
+// served by registered workloads — GET /topk and GET /query (similarity,
+// read from the maintained scores), POST /match (pattern matching), POST
+// /align (graph alignment), GET /nodesim (pairwise node similarity) — all
+// through one graph-version-stamped result cache with singleflight
+// coalescing and admission control; POST /updates absorbs update-stream
+// batches, GET /healthz and GET /stats expose liveness and per-endpoint
+// serving counters. Every read response is stamped with the graph version
+// it was computed at, and its result is exactly what the underlying
+// library call on that snapshot would produce. Mount it on any
+// http.Server and stop it with Shutdown; see the README's "Serving" and
+// "Served scenarios" sections.
 type Server = server.Server
 
 // ServerOptions tunes the serving layer: result-cache size and sharding,

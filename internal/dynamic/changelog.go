@@ -91,12 +91,12 @@ func (mt *Maintainer) RetainChanges(maxVersions, maxChanges int) error {
 
 // retainLocked records one applied batch; a no-op unless RetainChanges
 // enabled the log. Callers hold the write lock and have already bumped the
-// version (the entry's version is read from the live index).
+// version.
 func (mt *Maintainer) retainLocked(changes []graph.Change) {
 	if mt.log == nil || len(changes) == 0 {
 		return
 	}
-	mt.log.append(mt.ix.Version(), changes)
+	mt.log.append(mt.version.Load(), changes)
 }
 
 // ChangesSince returns the retained version steps after `from` — the
@@ -114,7 +114,7 @@ func (mt *Maintainer) retainLocked(changes []graph.Change) {
 func (mt *Maintainer) ChangesSince(from uint64) ([]VersionedChanges, uint64, error) {
 	mt.mu.RLock()
 	defer mt.mu.RUnlock()
-	current := mt.ix.Version()
+	current := mt.version.Load()
 	if from == current {
 		return nil, current, nil
 	}

@@ -64,9 +64,9 @@ type Stats struct {
 	Applied int
 	// Version is the graph version after this Apply: the number of
 	// effective batches absorbed since construction (no-op batches leave
-	// it unchanged). It equals Index().Version() at return time and stamps
-	// which snapshot the batch produced — the serving layer keys its
-	// result cache on it.
+	// it unchanged). It equals Maintainer.Version at return time and
+	// stamps which snapshot the batch produced — the serving layer keys
+	// its result cache on it.
 	Version uint64
 	// Seeds is the number of worklist seed pairs: candidate pairs whose
 	// update rule reads a changed edge, plus dependents of candidacy and
@@ -103,9 +103,9 @@ const coneLimit = 4 // denominator: fall back when 4·|cone| > |Hc|
 // Maintainer incrementally maintains the self-similarity FSimχ scores of
 // an evolving graph (the paper's single-graph protocol: scores from the
 // graph to itself). Build one with New, mutate through Apply, and read
-// through Score/TopK — or query the live Index, which stays valid across
-// updates. A Maintainer is safe for concurrent readers; Apply excludes
-// them while it runs.
+// through Score/TopK, or ScoreAt/TopKAt to learn the version read as well.
+// A Maintainer is safe for concurrent readers; Apply excludes them while
+// it runs.
 type Maintainer struct {
 	mu sync.RWMutex
 	m  *graph.Mutable
@@ -113,11 +113,17 @@ type Maintainer struct {
 	// snap mirrors g behind an atomic pointer so liveness-style readers
 	// (Graph) never block behind an in-flight Apply, which holds mu
 	// exclusively for the whole re-convergence — up to a full recompute.
-	snap  atomic.Pointer[graph.Graph]
-	opts  core.Options // normalized
-	cs    *core.CandidateSet
-	ix    *query.Index
-	store scoreStore
+	snap atomic.Pointer[graph.Graph]
+	// version is the graph version: 0 at construction (or the snapshot's
+	// version on a warm start), +1 each time Apply patches or rebuilds the
+	// candidate component. It changes only under mu's write lock, so a read
+	// under mu pairs it with the state it stamps; Version reads it
+	// lock-free, so liveness probes and cache keys never wait on an Apply.
+	version atomic.Uint64
+	opts    core.Options // normalized
+	cs      *core.CandidateSet
+	ix      *query.Index
+	store   scoreStore
 	// log, when non-nil, retains applied change batches per version for
 	// change-log replication (see RetainChanges / ChangesSince).
 	log *changeLog
@@ -175,7 +181,7 @@ func (mt *Maintainer) Graph() *graph.Graph {
 func (mt *Maintainer) GraphAt() (*graph.Graph, uint64) {
 	mt.mu.RLock()
 	defer mt.mu.RUnlock()
-	return mt.g, mt.ix.Version()
+	return mt.g, mt.version.Load()
 }
 
 // Options returns the normalized options the maintainer runs with.
@@ -187,10 +193,11 @@ func (mt *Maintainer) Options() core.Options { return mt.opts }
 func (mt *Maintainer) Index() *query.Index { return mt.ix }
 
 // Version returns the current graph version: 0 at construction, +1 per
-// effective Apply (see Stats.Version). It delegates to the live index's
-// counter, so versions read here and versions stamped on index snapshots
-// (query.TopKSnapshot) are the same sequence.
-func (mt *Maintainer) Version() uint64 { return mt.ix.Version() }
+// effective Apply (see Stats.Version) — the sequence GraphAt, ScoreAt and
+// TopKAt stamp their reads with. It is lock-free: during an in-flight
+// Apply it may already return the version that Apply will produce, and
+// reads stamped with that version wait for the Apply to finish.
+func (mt *Maintainer) Version() uint64 { return mt.version.Load() }
 
 // SetApplyHook registers fn to observe every effective Apply: it runs just
 // before Apply returns, with the new graph version and the batch's Stats.
@@ -220,28 +227,42 @@ func (mt *Maintainer) Close() error {
 // candidate pairs their converged score, everything else its §3.4
 // stand-in, exactly like core.Result.Score.
 func (mt *Maintainer) Score(u, v graph.NodeID) (float64, error) {
+	score, _, err := mt.ScoreAt(u, v)
+	return score, err
+}
+
+// ScoreAt is Score together with the graph version the score belongs to,
+// both read under one lock hold, so the pair is consistent even while a
+// writer is applying updates. Out-of-range nodes fail with the same error
+// as query.Index.Query.
+func (mt *Maintainer) ScoreAt(u, v graph.NodeID) (float64, uint64, error) {
 	mt.mu.RLock()
 	defer mt.mu.RUnlock()
 	n := mt.g.NumNodes()
-	if int(u) < 0 || int(u) >= n || int(v) < 0 || int(v) >= n {
-		return 0, fmt.Errorf("dynamic: pair (%d,%d) out of range [0,%d)", u, v, n)
+	if err := query.CheckPair(u, v, n, n); err != nil {
+		return 0, 0, err
 	}
-	return mt.store.score(mt.cs, u, v), nil
+	return mt.store.score(mt.cs, u, v), mt.version.Load(), nil
 }
 
 // TopK returns the k best-scoring maintained candidates v for node u, in
 // descending score order with ties broken by ascending v — the ranking a
 // fresh core.Compute followed by Result.TopK would produce.
 func (mt *Maintainer) TopK(u graph.NodeID, k int) ([]stats.Ranked, error) {
+	top, _, err := mt.TopKAt(u, k)
+	return top, err
+}
+
+// TopKAt is TopK together with the graph version the ranking belongs to,
+// read under one lock hold like ScoreAt. Bad requests fail with the same
+// errors as query.Index.TopK.
+func (mt *Maintainer) TopKAt(u graph.NodeID, k int) ([]stats.Ranked, uint64, error) {
 	mt.mu.RLock()
 	defer mt.mu.RUnlock()
-	if int(u) < 0 || int(u) >= mt.g.NumNodes() {
-		return nil, fmt.Errorf("dynamic: node %d out of range [0,%d)", u, mt.g.NumNodes())
+	if err := query.CheckTopK(u, k, mt.g.NumNodes()); err != nil {
+		return nil, 0, err
 	}
-	if k <= 0 {
-		return nil, fmt.Errorf("dynamic: k must be positive, got %d", k)
-	}
-	return mt.store.topK(mt.cs, u, k), nil
+	return mt.store.topK(mt.cs, u, k), mt.version.Load(), nil
 }
 
 // Apply mutates the maintained graph by one batch of changes and
@@ -258,7 +279,7 @@ func (mt *Maintainer) Apply(changes []graph.Change) (Stats, error) {
 		return Stats{}, ErrClosed
 	}
 	st, err := mt.applyLocked(changes)
-	st.Version = mt.ix.Version()
+	st.Version = mt.version.Load()
 	if err == nil && st.Applied > 0 && mt.onApply != nil {
 		mt.onApply(st.Version, st)
 	}
@@ -333,6 +354,7 @@ func (mt *Maintainer) applyLocked(changes []graph.Change) (Stats, error) {
 	if err != nil {
 		return st, err
 	}
+	mt.version.Add(1)
 	mt.g = g
 	mt.snap.Store(g)
 	mt.retainLocked(applied)
@@ -379,6 +401,7 @@ func (mt *Maintainer) rebuild(g *graph.Graph) error {
 	}
 	mt.cs = cs
 	mt.ix.ResetCandidates(cs)
+	mt.version.Add(1)
 	mt.store.scores = res.Scores()
 	return nil
 }

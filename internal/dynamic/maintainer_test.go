@@ -361,6 +361,9 @@ func TestMaintainerStoreShapeRebuild(t *testing.T) {
 	if !st.Rebuilt || !st.Full {
 		t.Fatalf("expected a store-shape rebuild, got %+v", st)
 	}
+	if st.Version != 1 || mt.Version() != 1 {
+		t.Fatalf("rebuild left Stats.Version=%d Version()=%d, want 1/1", st.Version, mt.Version())
+	}
 	cur := mt.Graph()
 	fresh, err := core.Compute(cur, cur, opts)
 	if err != nil {

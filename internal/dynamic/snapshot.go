@@ -36,14 +36,15 @@ func (mt *Maintainer) ViewSnapshot(fn func(SnapshotState) error) error {
 	return fn(SnapshotState{
 		Graph:      mt.g,
 		Candidates: mt.cs,
-		Version:    mt.ix.Version(),
+		Version:    mt.version.Load(),
 		Scores:     mt.store.scores,
 	})
 }
 
 // NewFromSnapshot reconstructs a Maintainer from a persisted state without
-// computing anything: the scores are adopted as-is and the live query
-// index resumes the version sequence at st.Version. The score count is
+// computing anything: the scores are adopted as-is and the version
+// sequence resumes at st.Version, so version-keyed caches and clients
+// observe a continuous history across a restart. The score count is
 // validated against the candidate component; the scores themselves are
 // trusted, exactly like New trusts ComputeOn.
 func NewFromSnapshot(st SnapshotState) (*Maintainer, error) {
@@ -66,9 +67,10 @@ func NewFromSnapshot(st SnapshotState) (*Maintainer, error) {
 		g:     st.Graph,
 		opts:  opts,
 		cs:    st.Candidates,
-		ix:    query.NewFromCandidatesAt(st.Candidates, st.Version),
+		ix:    query.NewFromCandidates(st.Candidates),
 		store: scoreStore{scores: st.Scores},
 	}
+	mt.version.Store(st.Version)
 	mt.snap.Store(st.Graph)
 	return mt, nil
 }

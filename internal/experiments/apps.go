@@ -184,3 +184,12 @@ func nodesimTraffic(g *graph.Graph, distinct int) []request {
 	}
 	return pool
 }
+
+// speedupCell renders a cached-over-naive speedup, "-" until both modes
+// have run.
+func speedupCell(x float64) string {
+	if x == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.1fx", x)
+}

@@ -72,7 +72,6 @@ func Registry() []struct {
 		{"delta", "worklist delta convergence vs full recomputation", Delta},
 		{"topk", "single-source top-k queries vs full computation", TopK},
 		{"dynamic", "incremental maintenance under update streams vs full recompute", Dynamic},
-		{"serve", "HTTP serving layer load test: cache+coalescing vs naive recompute", Serve},
 		{"snapshot", "binary snapshot warm start vs cold text-parse + Compute", Snapshot},
 		{"scale", "nodes × edges × threads sweep: dynamic chunk queue speedup and determinism", Scale},
 		{"cluster", "replicated serving tier over loopback sockets: router throughput, replication lag, re-sync time", Cluster},

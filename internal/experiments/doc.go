@@ -23,6 +23,8 @@
 // Beyond the paper, the systems experiments measure this repository's
 // serving machinery and write machine-readable BENCH_*.json artifacts:
 // delta (worklist convergence), topk (single-source queries), dynamic
-// (incremental maintenance), serve (HTTP layer under mixed load) and
-// snapshot (binary warm start vs cold parse + Compute).
+// (incremental maintenance), snapshot (binary warm start vs cold parse +
+// Compute), scale (the engine's thread and size sweep), cluster (the
+// replicated tier over loopback sockets) and apps (the served application
+// endpoints).
 package experiments

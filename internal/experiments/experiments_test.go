@@ -23,7 +23,7 @@ func TestRegistryComplete(t *testing.T) {
 	// Every table and figure of the evaluation section must be present,
 	// plus the repo's own delta-convergence and top-k query benchmarks.
 	want := []string{"table2", "table5", "fig4", "fig5", "fig6", "fig7",
-		"fig8", "fig9", "table6", "table7", "table8", "table9", "delta", "topk", "dynamic", "serve", "snapshot", "scale", "cluster", "apps"}
+		"fig8", "fig9", "table6", "table7", "table8", "table9", "delta", "topk", "dynamic", "snapshot", "scale", "cluster", "apps"}
 	reg := Registry()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))
@@ -331,76 +331,6 @@ func TestTopKExperiment(t *testing.T) {
 		t.Fatal("serving configuration missing from report")
 	}
 	if !strings.Contains(buf.String(), "BENCH_topk.json") {
-		t.Fatal("experiment did not report the artifact path")
-	}
-}
-
-// TestServeExperiment runs the serving-layer load test at smoke size and
-// validates the BENCH_serve.json artifact: both configurations carry a
-// naive and a cached pass over identical traffic, the cached pass actually
-// hits its cache, the naive pass never does, and on the selective serving
-// configuration the cache+coalescing stack beats naive per-request
-// recomputation.
-func TestServeExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := quickCfg(&buf)
-	cfg.JSONDir = t.TempDir()
-	if err := Serve(cfg); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(cfg.JSONDir, "BENCH_serve.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Configs []struct {
-			Name    string  `json:"name"`
-			Speedup float64 `json:"speedup"`
-			Modes   []struct {
-				Mode          string  `json:"mode"`
-				Requests      int     `json:"requests"`
-				UpdateBatches int     `json:"update_batches"`
-				Throughput    float64 `json:"throughput_rps"`
-				CacheHits     int64   `json:"cache_hits"`
-				CacheMisses   int64   `json:"cache_misses"`
-				Computes      int64   `json:"computes"`
-			} `json:"modes"`
-		} `json:"configs"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Configs) != 2 {
-		t.Fatalf("report has %d configs, want 2 (serving + default)", len(report.Configs))
-	}
-	for _, c := range report.Configs {
-		if len(c.Modes) != 2 || c.Modes[0].Mode != "naive" || c.Modes[1].Mode != "cached" {
-			t.Fatalf("%s: modes %+v, want [naive cached]", c.Name, c.Modes)
-		}
-		naive, cached := c.Modes[0], c.Modes[1]
-		if naive.Requests == 0 || naive.Requests != cached.Requests {
-			t.Fatalf("%s: unequal request counts %d vs %d", c.Name, naive.Requests, cached.Requests)
-		}
-		if naive.UpdateBatches != cached.UpdateBatches {
-			t.Fatalf("%s: unequal update batches", c.Name)
-		}
-		if naive.CacheHits != 0 {
-			t.Errorf("%s: naive mode recorded %d cache hits", c.Name, naive.CacheHits)
-		}
-		if naive.Computes != int64(naive.Requests) {
-			t.Errorf("%s: naive mode computed %d of %d requests", c.Name, naive.Computes, naive.Requests)
-		}
-		if cached.CacheHits == 0 {
-			t.Errorf("%s: cached mode never hit its cache", c.Name)
-		}
-		if cached.Computes >= int64(cached.Requests) {
-			t.Errorf("%s: cached mode computed every request (%d of %d)", c.Name, cached.Computes, cached.Requests)
-		}
-		if c.Name == "serving" && c.Speedup < 1.5 {
-			t.Errorf("serving: cache+coalescing speedup %.2fx, want comfortably above 1x even at smoke size", c.Speedup)
-		}
-	}
-	if !strings.Contains(buf.String(), "BENCH_serve.json") {
 		t.Fatal("experiment did not report the artifact path")
 	}
 }

@@ -15,7 +15,7 @@ import (
 // dynamic chunk queue: an Index built and queried at any Threads setting
 // returns bit-identical TopK lists — same node identities, same score
 // bits, same tie-breaks. The serving configuration (FSim_bj, θ = 0.6,
-// §3.4 pruning, pinned iterations) mirrors the serve experiment.
+// §3.4 pruning, pinned iterations) mirrors the serving experiments.
 func TestTopKParallelDeterminism(t *testing.T) {
 	spec := dataset.PowerLaw(250, 1500, 60, 1.1, 23)
 	g := spec.Generate()

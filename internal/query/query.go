@@ -28,7 +28,11 @@
 // per-query state lives in a pooled scratch. On dynamic graphs an Index
 // stays live across mutations: Apply patches the shared candidate
 // component in place (see core.CandidateSet.Patch) under a writer lock
-// that excludes in-flight queries.
+// that excludes in-flight queries. The dynamic maintainer uses an Index
+// that way, as its replay engine (Replay); served reads come from the
+// maintainer's score store, not from here. TopK and Query are the
+// library's compute-on-demand API over a graph nobody maintains. The
+// graph version lives on the maintainer; an Index has none.
 package query
 
 import (
@@ -50,14 +54,7 @@ type Index struct {
 	mu     sync.RWMutex
 	cs     *core.CandidateSet
 	n1, n2 int
-	// version counts the graph snapshots this index has served: 0 at
-	// construction, +1 per Apply or ResetCandidates. Results stamped with
-	// the version they were computed at (TopKSnapshot, QuerySnapshot) are
-	// immutable facts about that snapshot, which is what makes them safe
-	// to cache: a version-v entry can be served for as long as the current
-	// version is still v, and can never silently go stale.
-	version uint64
-	pool    *sync.Pool // *state
+	pool   *sync.Pool // *state
 }
 
 // New builds a query index over (g1, g2): the shared candidate component
@@ -82,15 +79,7 @@ func New(g1, g2 *graph.Graph, opts core.Options) (*Index, error) {
 // uses this to run batch computation, queries and in-place patches against
 // one component.
 func NewFromCandidates(cs *core.CandidateSet) *Index {
-	return NewFromCandidatesAt(cs, 0)
-}
-
-// NewFromCandidatesAt is NewFromCandidates with the graph-version counter
-// seeded at version instead of 0. Warm starts use it to resume the version
-// sequence a snapshot was taken at, so version-keyed caches and clients
-// observe a continuous history across a restart.
-func NewFromCandidatesAt(cs *core.CandidateSet, version uint64) *Index {
-	ix := &Index{version: version}
+	ix := &Index{}
 	ix.resetLocked(cs)
 	return ix
 }
@@ -102,17 +91,7 @@ func NewFromCandidatesAt(cs *core.CandidateSet, version uint64) *Index {
 func (ix *Index) ResetCandidates(cs *core.CandidateSet) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.version++
 	ix.resetLocked(cs)
-}
-
-// Version returns the index's graph-version counter: 0 at construction,
-// incremented by every Apply and ResetCandidates. Two reads returning the
-// same version are guaranteed to have observed the same graph snapshot.
-func (ix *Index) Version() uint64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.version
 }
 
 // resetLocked (re)derives every index structure from cs; callers hold the
@@ -142,7 +121,6 @@ func (ix *Index) Apply(g1, g2 *graph.Graph, touched1, touched2 []graph.NodeID) (
 	if err != nil {
 		return nil, err
 	}
-	ix.version++
 	grown := delta.N1 != delta.OldN1 || delta.N2 != delta.OldN2
 	if grown {
 		// Pooled states size their row maps and slabs to the old node
@@ -220,51 +198,10 @@ func (ix *Index) TopKStats(u graph.NodeID, k int) ([]stats.Ranked, Stats, error)
 	return ix.topKLocked(u, k)
 }
 
-// TopKSnapshot is a cache-friendly top-k result: the ranking plus the
-// graph version it was computed at. Both are read under one lock hold, so
-// the pair is self-consistent even while a writer is applying updates —
-// the caching contract the serving layer builds on.
-type TopKSnapshot struct {
-	// Version is the index's graph version at computation time.
-	Version uint64
-	// Top is the ranking, immutable once returned.
-	Top []stats.Ranked
-	// Stats carries the localized computation's diagnostics.
-	Stats Stats
-}
-
-// ScoreSnapshot is the single-pair analogue of TopKSnapshot.
-type ScoreSnapshot struct {
-	Version uint64
-	Score   float64
-	Stats   Stats
-}
-
-// TopKSnapshot runs TopK and stamps the result with the graph version it
-// was computed at, atomically with respect to Apply.
-func (ix *Index) TopKSnapshot(u graph.NodeID, k int) (TopKSnapshot, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	top, st, err := ix.topKLocked(u, k)
-	return TopKSnapshot{Version: ix.version, Top: top, Stats: st}, err
-}
-
-// QuerySnapshot runs Query and stamps the result with the graph version it
-// was computed at, atomically with respect to Apply.
-func (ix *Index) QuerySnapshot(u, v graph.NodeID) (ScoreSnapshot, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	score, st, err := ix.queryLocked(u, v)
-	return ScoreSnapshot{Version: ix.version, Score: score, Stats: st}, err
-}
-
 // topKLocked implements TopK under a held read lock.
 func (ix *Index) topKLocked(u graph.NodeID, k int) ([]stats.Ranked, Stats, error) {
-	if int(u) < 0 || int(u) >= ix.n1 {
-		return nil, Stats{}, fmt.Errorf("query: node %d out of range [0,%d)", u, ix.n1)
-	}
-	if k <= 0 {
-		return nil, Stats{}, fmt.Errorf("query: k must be positive, got %d", k)
+	if err := CheckTopK(u, k, ix.n1); err != nil {
+		return nil, Stats{}, err
 	}
 	seeds := ix.seedRow(u, k)
 	if len(seeds) == 0 {
@@ -311,11 +248,8 @@ func (ix *Index) QueryStats(u, v graph.NodeID) (float64, Stats, error) {
 
 // queryLocked implements Query under a held read lock.
 func (ix *Index) queryLocked(u, v graph.NodeID) (float64, Stats, error) {
-	if int(u) < 0 || int(u) >= ix.n1 {
-		return 0, Stats{}, fmt.Errorf("query: node %d out of range [0,%d)", u, ix.n1)
-	}
-	if int(v) < 0 || int(v) >= ix.n2 {
-		return 0, Stats{}, fmt.Errorf("query: node %d out of range [0,%d)", v, ix.n2)
+	if err := CheckPair(u, v, ix.n1, ix.n2); err != nil {
+		return 0, Stats{}, err
 	}
 	if !ix.cs.Contains(u, v) {
 		return ix.cs.StandIn(u, v), Stats{}, nil
@@ -327,6 +261,31 @@ func (ix *Index) queryLocked(u, v graph.NodeID) (float64, Stats, error) {
 	st := s.run()
 	st.Seeds = 1
 	return s.score(u, v), st, nil
+}
+
+// CheckTopK validates a top-k read of node u over a graph of n nodes. It
+// returns the error TopK reports for a bad request; the dynamic
+// maintainer's reads share it, so both read paths fail with the same text.
+func CheckTopK(u graph.NodeID, k, n int) error {
+	if int(u) < 0 || int(u) >= n {
+		return fmt.Errorf("query: node %d out of range [0,%d)", u, n)
+	}
+	if k <= 0 {
+		return fmt.Errorf("query: k must be positive, got %d", k)
+	}
+	return nil
+}
+
+// CheckPair validates a single-pair read of (u, v) over graphs of n1 and
+// n2 nodes, with the error Query reports.
+func CheckPair(u, v graph.NodeID, n1, n2 int) error {
+	if int(u) < 0 || int(u) >= n1 {
+		return fmt.Errorf("query: node %d out of range [0,%d)", u, n1)
+	}
+	if int(v) < 0 || int(v) >= n2 {
+		return fmt.Errorf("query: node %d out of range [0,%d)", v, n2)
+	}
+	return nil
 }
 
 // seedRow selects the frontier of a TopK query: every candidate v of row u

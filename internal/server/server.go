@@ -1,6 +1,6 @@
 // Package server is the FSim serving layer: an HTTP JSON API over a live
-// query.Index + dynamic.Maintainer pair, built for concurrent read traffic
-// against an evolving graph.
+// dynamic.Maintainer, built for concurrent read traffic against an
+// evolving graph.
 //
 // Read endpoints are Workloads: registered computations the mux, cache
 // counters, and the cluster router's route table are generated from (see
@@ -26,13 +26,15 @@
 // Every read response carries the graphVersion it was computed at, and its
 // scores are exactly the scores a fresh core.Compute over the graph at
 // that version would produce (bit-identical under a pinned iteration
-// budget — the same guarantee query.Index carries). The contract survives
-// caching and concurrency by construction:
+// budget — the guarantee the maintainer's score store carries). The
+// contract survives caching and concurrency by construction:
 //
-//   - Read results come from query.Index snapshot queries, which stamp the
-//     version under the same lock hold that computes the scores — a
-//     response can never mix scores from one snapshot with the version of
-//     another.
+//   - /topk, /query and /nodesim?measure=fsim read the maintainer's score
+//     store (TopKAt, ScoreAt), and the other workloads read its graph
+//     (GraphAt). Each read stamps the version under the same lock hold
+//     that reads the state, and Apply changes both under the write lock —
+//     a response can never mix scores from one snapshot with the version
+//     of another.
 //   - The result cache keys on (endpoint, node args, version). A lookup
 //     always uses the current version, so entries from older snapshots are
 //     unreachable the instant an update commits; the maintainer's apply
@@ -40,13 +42,18 @@
 //
 // # Cost model
 //
-// A cache hit costs a map lookup; a miss costs one localized fixed point
-// (query.Index's query path). Singleflight coalescing collapses N
-// concurrent identical misses into one computation, so a thundering herd
-// behind a version bump pays for each distinct (u, k) once. Misses are
-// admission-controlled by a compute semaphore (Options.MaxInFlight);
-// overflow is answered with 429 rather than queued, keeping tail latency
-// bounded. Updates serialize through the maintainer's writer lock.
+// A cache hit costs a map lookup. A miss on /topk, /query or
+// /nodesim?measure=fsim is a store read: a row scan and sort, or one
+// lookup, plus the JSON encoding; the fixed point itself is paid once per
+// update, by Apply. Misses on /match, /align and the structural /nodesim
+// measures run their computation over the graph. Singleflight coalescing
+// collapses N concurrent identical misses into one computation, so a
+// thundering herd behind a version bump pays for each distinct key once.
+// Misses are admission-controlled by a compute semaphore
+// (Options.MaxInFlight); overflow is answered with 429 rather than queued,
+// keeping tail latency bounded. Updates serialize through the maintainer's
+// writer lock, and store reads wait while an Apply holds it; the graph
+// version (/healthz, cache keys) is read without it.
 package server
 
 import (
@@ -66,7 +73,6 @@ import (
 	"fsim/internal/core"
 	"fsim/internal/dynamic"
 	"fsim/internal/graph"
-	"fsim/internal/query"
 	"fsim/internal/snapshot"
 	"fsim/internal/stats"
 )
@@ -110,7 +116,7 @@ type Options struct {
 	// 0 uses the default (16).
 	CacheShards int
 	// DisableCoalescing turns off singleflight request coalescing, so
-	// concurrent identical misses compute independently. The serve
+	// concurrent identical misses compute independently. The apps
 	// benchmark uses it as the naive baseline.
 	DisableCoalescing bool
 	// MaxInFlight bounds concurrently running score computations (cache
@@ -171,7 +177,6 @@ func (o Options) withDefaults() Options {
 // Shutdown. All exported methods are safe for concurrent use.
 type Server struct {
 	mt   *dynamic.Maintainer
-	ix   *query.Index
 	opts Options
 
 	// workloads is this server's snapshot of the workload registry: the
@@ -233,7 +238,7 @@ func New(g *graph.Graph, opts core.Options, sopts Options) (*Server, error) {
 // invalidation and closes the maintainer on Shutdown.
 func NewFromMaintainer(mt *dynamic.Maintainer, sopts Options) *Server {
 	sopts = sopts.withDefaults()
-	s := &Server{mt: mt, ix: mt.Index(), opts: sopts}
+	s := &Server{mt: mt, opts: sopts}
 	s.workloads = map[string]*servedWorkload{}
 	for _, w := range registered() {
 		spec := w.Spec()
@@ -634,7 +639,7 @@ func (s *Server) serveComputed(w http.ResponseWriter, baseKey string, admission 
 		// itself propagates on the leader's goroutine.
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 	case err != nil:
-		// Index queries fail only on invalid node ids — a client error.
+		// Reads fail only on invalid parameters — a client error.
 		s.badRequest(w, err)
 	default:
 		w.Header().Set("X-Fsim-Cache", "miss")

@@ -66,86 +66,97 @@ func do(t *testing.T, s *Server, method, target, body string, out any) *httptest
 // hits alike.
 func TestServedScoresMatchCompute(t *testing.T) {
 	g := dataset.RandomGraph(11, 18, 54, 3)
-	s := newTestServer(t, g, Options{})
-	opts := testOptions()
-
-	// Build three always-effective batches against a mirror of the graph,
-	// recording the expected snapshot at every version.
-	mirror := graph.MutableOf(g)
-	snapshots := map[uint64]*graph.Graph{0: g}
-	var allBatches [][]graph.Change
-	for b := 0; b < 3; b++ {
-		var batch []graph.Change
-		for i := 0; i < 2; i++ {
-			c := effectiveChange(mirror, int64(100*b+i))
-			if _, err := mirror.Apply(c); err != nil {
+	// Both score stores: the dense default, and the hash-map store a cap
+	// of one pair forces. Each is compared with a fresh Compute on the
+	// same store.
+	for _, denseCap := range []int{0, 1} {
+		t.Run(fmt.Sprintf("DenseCapPairs=%d", denseCap), func(t *testing.T) {
+			opts := testOptions()
+			opts.DenseCapPairs = denseCap
+			s, err := New(g, opts, Options{})
+			if err != nil {
 				t.Fatal(err)
 			}
-			batch = append(batch, c)
-		}
-		allBatches = append(allBatches, batch)
-		snapshots[uint64(b+1)] = mirror.Snapshot()
-	}
 
-	check := func(version uint64) {
-		fresh, err := core.Compute(snapshots[version], snapshots[version], opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := snapshots[version].NumNodes()
-		for u := 0; u < n; u += 3 {
-			// Twice: the second round must be served from cache and still match.
-			for round := 0; round < 2; round++ {
-				var tr TopKResponse
-				w := do(t, s, http.MethodGet, fmt.Sprintf("/topk?u=%d&k=4", u), "", &tr)
-				if w.Code != http.StatusOK {
-					t.Fatalf("topk u=%d: status %d: %s", u, w.Code, w.Body.String())
+			// Build three always-effective batches against a mirror of the
+			// graph, recording the expected snapshot at every version.
+			mirror := graph.MutableOf(g)
+			snapshots := map[uint64]*graph.Graph{0: g}
+			var allBatches [][]graph.Change
+			for b := 0; b < 3; b++ {
+				var batch []graph.Change
+				for i := 0; i < 2; i++ {
+					c := effectiveChange(mirror, int64(100*b+i))
+					if _, err := mirror.Apply(c); err != nil {
+						t.Fatal(err)
+					}
+					batch = append(batch, c)
 				}
-				if tr.GraphVersion != version {
-					t.Fatalf("topk u=%d: version %d, want %d", u, tr.GraphVersion, version)
+				allBatches = append(allBatches, batch)
+				snapshots[uint64(b+1)] = mirror.Snapshot()
+			}
+
+			check := func(version uint64) {
+				fresh, err := core.Compute(snapshots[version], snapshots[version], opts)
+				if err != nil {
+					t.Fatal(err)
 				}
-				want := fresh.TopK(graph.NodeID(u), 4)
-				if len(tr.Results) != len(want) {
-					t.Fatalf("topk u=%d v%d: %d results, want %d", u, version, len(tr.Results), len(want))
-				}
-				for i := range want {
-					if tr.Results[i].Node != want[i].Index || tr.Results[i].Score != want[i].Score {
-						t.Fatalf("topk u=%d v%d round %d entry %d: (%d, %v), want (%d, %v)",
-							u, version, round, i, tr.Results[i].Node, tr.Results[i].Score, want[i].Index, want[i].Score)
+				n := snapshots[version].NumNodes()
+				for u := 0; u < n; u += 3 {
+					// Twice: the second round must be served from cache and still match.
+					for round := 0; round < 2; round++ {
+						var tr TopKResponse
+						w := do(t, s, http.MethodGet, fmt.Sprintf("/topk?u=%d&k=4", u), "", &tr)
+						if w.Code != http.StatusOK {
+							t.Fatalf("topk u=%d: status %d: %s", u, w.Code, w.Body.String())
+						}
+						if tr.GraphVersion != version {
+							t.Fatalf("topk u=%d: version %d, want %d", u, tr.GraphVersion, version)
+						}
+						want := fresh.TopK(graph.NodeID(u), 4)
+						if len(tr.Results) != len(want) {
+							t.Fatalf("topk u=%d v%d: %d results, want %d", u, version, len(tr.Results), len(want))
+						}
+						for i := range want {
+							if tr.Results[i].Node != want[i].Index || tr.Results[i].Score != want[i].Score {
+								t.Fatalf("topk u=%d v%d round %d entry %d: (%d, %v), want (%d, %v)",
+									u, version, round, i, tr.Results[i].Node, tr.Results[i].Score, want[i].Index, want[i].Score)
+							}
+						}
+						if round == 1 && w.Header().Get("X-Fsim-Cache") != "hit" {
+							t.Fatalf("topk u=%d v%d: second read not served from cache", u, version)
+						}
+					}
+					var qr QueryResponse
+					v := (u + 5) % n
+					if w := do(t, s, http.MethodGet, fmt.Sprintf("/query?u=%d&v=%d", u, v), "", &qr); w.Code != http.StatusOK {
+						t.Fatalf("query: status %d: %s", w.Code, w.Body.String())
+					}
+					if qr.GraphVersion != version || qr.Score != fresh.Score(graph.NodeID(u), graph.NodeID(v)) {
+						t.Fatalf("query (%d,%d) v%d: got (v%d, %v), want %v",
+							u, v, version, qr.GraphVersion, qr.Score, fresh.Score(graph.NodeID(u), graph.NodeID(v)))
 					}
 				}
-				if round == 1 && w.Header().Get("X-Fsim-Cache") != "hit" {
-					t.Fatalf("topk u=%d v%d: second read not served from cache", u, version)
-				}
 			}
-			var qr QueryResponse
-			v := (u + 5) % n
-			if w := do(t, s, http.MethodGet, fmt.Sprintf("/query?u=%d&v=%d", u, v), "", &qr); w.Code != http.StatusOK {
-				t.Fatalf("query: status %d: %s", w.Code, w.Body.String())
-			}
-			if qr.GraphVersion != version || qr.Score != fresh.Score(graph.NodeID(u), graph.NodeID(v)) {
-				t.Fatalf("query (%d,%d) v%d: got (v%d, %v), want %v",
-					u, v, version, qr.GraphVersion, qr.Score, fresh.Score(graph.NodeID(u), graph.NodeID(v)))
-			}
-		}
-	}
 
-	check(0)
-	for b, batch := range allBatches {
-		var lines []string
-		for _, c := range batch {
-			lines = append(lines, c.String())
-		}
-		var ur UpdateResponse
-		w := do(t, s, http.MethodPost, "/updates", strings.Join(lines, "\n")+"\n", &ur)
-		if w.Code != http.StatusOK {
-			t.Fatalf("updates: status %d: %s", w.Code, w.Body.String())
-		}
-		if ur.GraphVersion != uint64(b+1) || ur.Applied != len(batch) {
-			t.Fatalf("updates batch %d: got version %d applied %d, want version %d applied %d",
-				b, ur.GraphVersion, ur.Applied, b+1, len(batch))
-		}
-		check(uint64(b + 1))
+			check(0)
+			for b, batch := range allBatches {
+				var lines []string
+				for _, c := range batch {
+					lines = append(lines, c.String())
+				}
+				var ur UpdateResponse
+				w := do(t, s, http.MethodPost, "/updates", strings.Join(lines, "\n")+"\n", &ur)
+				if w.Code != http.StatusOK {
+					t.Fatalf("updates: status %d: %s", w.Code, w.Body.String())
+				}
+				if ur.GraphVersion != uint64(b+1) || ur.Applied != len(batch) {
+					t.Fatalf("updates batch %d: got version %d applied %d, want version %d applied %d",
+						b, ur.GraphVersion, ur.Applied, b+1, len(batch))
+				}
+				check(uint64(b + 1))
+			}
+		})
 	}
 }
 

@@ -46,8 +46,9 @@ type Workload interface {
 // ComputeFunc produces the marshaled response body and the graph version
 // the result was computed at. It runs inside the shared read path (after
 // cache miss, coalesced, admission-controlled), so it must capture the
-// graph state itself — atomically with the version it reports (GraphAt, or
-// a query.Index snapshot call). Errors are client errors (400).
+// graph state itself — atomically with the version it reports (one of the
+// maintainer's version-stamped reads: GraphAt, TopKAt, ScoreAt). Errors
+// are client errors (400).
 type ComputeFunc func() (body []byte, version uint64, err error)
 
 // AdmissionClass selects how a workload's cache misses are admitted.
@@ -258,9 +259,9 @@ func canonicalGraphHash(g *graph.Graph) string {
 
 // ---- builtin workloads ----
 
-// topkWorkload serves GET /topk — the incremental index's ranked
-// neighborhood query. The first registration; its wire format predates the
-// registry and is pinned byte-for-byte by the golden regression test.
+// topkWorkload serves GET /topk — a row of the maintained score store,
+// ranked. The first registration; its wire format predates the registry
+// and is pinned byte-for-byte by the golden regression test.
 type topkWorkload struct{}
 
 func (topkWorkload) Spec() WorkloadSpec {
@@ -277,21 +278,22 @@ func (topkWorkload) Prepare(s *Server, r *http.Request) (string, ComputeFunc, er
 		return "", nil, err
 	}
 	compute := func() ([]byte, uint64, error) {
-		snap, err := s.ix.TopKSnapshot(graph.NodeID(u), k)
+		top, version, err := s.mt.TopKAt(graph.NodeID(u), k)
 		if err != nil {
 			return nil, 0, err
 		}
-		resp := TopKResponse{U: u, K: k, GraphVersion: snap.Version, Results: make([]RankedScore, len(snap.Top))}
-		for i, t := range snap.Top {
+		resp := TopKResponse{U: u, K: k, GraphVersion: version, Results: make([]RankedScore, len(top))}
+		for i, t := range top {
 			resp.Results[i] = RankedScore{Node: t.Index, Score: t.Score}
 		}
 		body, err := json.Marshal(resp)
-		return body, snap.Version, err
+		return body, version, err
 	}
 	return fmt.Sprintf("%d/%d", u, k), compute, nil
 }
 
-// queryWorkload serves GET /query — one FSimχ score from the index.
+// queryWorkload serves GET /query — one FSimχ score from the maintained
+// store.
 type queryWorkload struct{}
 
 func (queryWorkload) Spec() WorkloadSpec {
@@ -308,12 +310,12 @@ func (queryWorkload) Prepare(s *Server, r *http.Request) (string, ComputeFunc, e
 		return "", nil, err
 	}
 	compute := func() ([]byte, uint64, error) {
-		snap, err := s.ix.QuerySnapshot(graph.NodeID(u), graph.NodeID(v))
+		score, version, err := s.mt.ScoreAt(graph.NodeID(u), graph.NodeID(v))
 		if err != nil {
 			return nil, 0, err
 		}
-		body, err := json.Marshal(QueryResponse{U: u, V: v, GraphVersion: snap.Version, Score: snap.Score})
-		return body, snap.Version, err
+		body, err := json.Marshal(QueryResponse{U: u, V: v, GraphVersion: version, Score: score})
+		return body, version, err
 	}
 	return fmt.Sprintf("%d/%d", u, v), compute, nil
 }
@@ -463,7 +465,7 @@ type NodeSimResponse struct {
 }
 
 // nodesimWorkload serves GET /nodesim?u=&v=&measure=. measure "fsim" (the
-// default) answers from the incremental index — bit-exact with /query; the
+// default) answers from the maintained store — bit-exact with /query; the
 // structural measures ("jaccard", "simgram") are deterministic functions of
 // the graph snapshot, computed per pair.
 type nodesimWorkload struct{}
@@ -488,12 +490,12 @@ func (nodesimWorkload) Prepare(s *Server, r *http.Request) (string, ComputeFunc,
 	var compute ComputeFunc
 	if measure == "fsim" {
 		compute = func() ([]byte, uint64, error) {
-			snap, err := s.ix.QuerySnapshot(graph.NodeID(u), graph.NodeID(v))
+			score, version, err := s.mt.ScoreAt(graph.NodeID(u), graph.NodeID(v))
 			if err != nil {
 				return nil, 0, err
 			}
-			body, err := json.Marshal(NodeSimResponse{U: u, V: v, Measure: measure, GraphVersion: snap.Version, Score: snap.Score})
-			return body, snap.Version, err
+			body, err := json.Marshal(NodeSimResponse{U: u, V: v, Measure: measure, GraphVersion: version, Score: score})
+			return body, version, err
 		}
 	} else {
 		m, err := nodesim.PairMeasureByName(measure)
