@@ -454,7 +454,9 @@ type WLResult = exact.WLResult
 // WL runs the WL test jointly over two graphs (§4.3, Theorem 5).
 func WL(g1, g2 *Graph, maxIter int) *WLResult { return exact.WL(g1, g2, maxIter) }
 
-// Label similarity functions for Options.Label (paper §3.3).
+// Label similarity functions for Options.Label (paper §3.3). Construction
+// calls L from Options.Threads goroutines, so a custom L must be safe for
+// concurrent use; these three are pure.
 var (
 	// Indicator is L_I: 1 iff the labels are equal.
 	Indicator strsim.Func = strsim.Indicator

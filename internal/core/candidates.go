@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"fsim/internal/graph"
 	"fsim/internal/pairbits"
@@ -83,7 +85,7 @@ func NewCandidateSet(g1, g2 *graph.Graph, opts Options) (*CandidateSet, error) {
 		ops:  opts.Operators,
 		n1:   g1.NumNodes(), n2: g2.NumNodes(),
 	}
-	cs.table = strsim.NewTable(opts.Label, g1.LabelNames(), g2.LabelNames())
+	cs.table = strsim.NewTable(opts.Label, g1.LabelNames(), g2.LabelNames(), opts.Threads)
 	cs.labels1 = make([]graph.Label, cs.n1)
 	for u := 0; u < cs.n1; u++ {
 		cs.labels1[u] = g1.Label(graph.NodeID(u))
@@ -127,63 +129,129 @@ const maxCandidates = math.MaxInt32
 // |Σ1|×|Σ2| similarity table, making construction O(|Σ1|·|Σ2| + eligible
 // pairs) instead of O(|V1|·|V2|) — the difference between seconds and
 // hours on the 10^5–10^6-edge graphs cmd/fsimgen generates. Both paths
-// funnel every probed pair through decide, so the candidate decisions are
-// identical by construction.
+// funnel every probed pair through the candidate test, so the candidate
+// decisions are identical by construction.
+//
+// Rows are independent, so Options.Threads workers claim chunks of rows
+// from a shared cursor, each appending the chunk's candidates and retained
+// bounds to its own buffers and recording the chunk's extent there. The
+// chunks are then concatenated in row order into exactly sized arrays, and
+// the bitmap or index is filled from the result on the calling goroutine:
+// the set is the same at any thread count and chunk schedule.
 func (cs *CandidateSet) build() error {
 	cs.allPairs = cs.dense && cs.opts.Theta == 0 && cs.opts.UpperBoundOpt == nil
 	if cs.allPairs {
 		return nil // every pair is a candidate
 	}
-	if cs.dense {
-		cs.candBits = pairbits.NewBitset(cs.n1 * cs.n2)
-	} else {
-		cs.index = make(map[pairbits.Key]int32)
-	}
 	keepBounds := cs.keepsBounds()
-	if keepBounds {
-		cs.prunedOff = make([]int32, cs.n1+1)
-	}
 	var eligLabels [][]int32      // per g1 label, the g2 labels with L ≥ θ
 	var byLabel2 [][]graph.NodeID // per g2 label, its nodes ascending
-	var rowScratch []graph.NodeID // per-row eligible columns, reused
 	if cs.opts.Theta > 0 {
 		eligLabels, byLabel2 = cs.labelBlocks()
 	}
+	// Each row stores its own size at rowOff[u+1] (and prunedOff[u+1]);
+	// rows are disjoint, so the workers never share an entry.
 	cs.rowOff = make([]int32, cs.n1+1)
-	for u := 0; u < cs.n1; u++ {
-		cs.rowOff[u] = int32(len(cs.candPairs))
-		if keepBounds {
-			cs.prunedOff[u] = int32(len(cs.prunedCol))
-		}
+	if keepBounds {
+		cs.prunedOff = make([]int32, cs.n1+1)
+	}
+	decideRow := func(w *rowWorker, u graph.NodeID) {
+		cand, kept := len(w.cand), len(w.prunedCol)
 		if eligLabels != nil {
-			rowScratch = rowScratch[:0]
+			w.row = w.row[:0]
 			for _, l2 := range eligLabels[cs.labels1[u]] {
-				rowScratch = append(rowScratch, byLabel2[l2]...)
+				w.row = append(w.row, byLabel2[l2]...)
 			}
 			// Enumeration order must be v-ascending within the row (the
 			// rowOff contract for both candidate and pruned rows); the
 			// label blocks arrive out of order.
-			slices.Sort(rowScratch)
-			for _, vn := range rowScratch {
-				cs.decide(graph.NodeID(u), vn, keepBounds)
+			slices.Sort(w.row)
+			for _, v := range w.row {
+				w.decide(cs, u, v, keepBounds)
 			}
 		} else {
 			for v := 0; v < cs.n2; v++ {
-				cs.decide(graph.NodeID(u), graph.NodeID(v), keepBounds)
+				w.decide(cs, u, graph.NodeID(v), keepBounds)
 			}
 		}
-		if len(cs.candPairs) > maxCandidates {
-			return fmt.Errorf("core: candidate map exceeds %d pairs at row %d of %d (|V1|·|V2|=%d·%d); raise Theta or enable upper-bound pruning",
-				maxCandidates, u, cs.n1, cs.n1, cs.n2)
-		}
-		if len(cs.prunedCol) > maxCandidates {
-			return fmt.Errorf("core: retained §3.4 bounds exceed %d pairs at row %d of %d (|V1|·|V2|=%d·%d); raise Theta or set Alpha to 0",
-				maxCandidates, u, cs.n1, cs.n1, cs.n2)
+		cs.rowOff[u+1] = int32(len(w.cand) - cand)
+		if keepBounds {
+			cs.prunedOff[u+1] = int32(len(w.prunedCol) - kept)
 		}
 	}
-	cs.rowOff[cs.n1] = int32(len(cs.candPairs))
+
+	rows := chunkSize(cs.n1, cs.opts.Threads, buildChunkRows)
+	segs := make([]rowSegment, (cs.n1+rows-1)/rows)
+	workers := make([]rowWorker, max(min(cs.opts.Threads, len(segs)), 1))
+	var cursor atomic.Int64
+	claim := func(w *rowWorker) {
+		for {
+			c := int(cursor.Add(1)) - 1
+			if c >= len(segs) {
+				return
+			}
+			seg := rowSegment{w: w, cand: len(w.cand), kept: len(w.prunedCol)}
+			for u := c * rows; u < min((c+1)*rows, cs.n1); u++ {
+				decideRow(w, graph.NodeID(u))
+			}
+			seg.candEnd, seg.keptEnd = len(w.cand), len(w.prunedCol)
+			segs[c] = seg
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(workers); i++ {
+		wg.Add(1)
+		go func(w *rowWorker) {
+			defer wg.Done()
+			claim(w)
+		}(&workers[i])
+	}
+	claim(&workers[0]) // the calling goroutine is worker 0
+	wg.Wait()
+
+	candOver := rowOffsets(cs.rowOff, maxCandidates)
+	keptOver := -1
 	if keepBounds {
-		cs.prunedOff[cs.n1] = int32(len(cs.prunedCol))
+		keptOver = rowOffsets(cs.prunedOff, maxCandidates)
+	}
+	if candOver >= 0 && (keptOver < 0 || candOver <= keptOver) {
+		return fmt.Errorf("core: candidate map exceeds %d pairs at row %d of %d (|V1|·|V2|=%d·%d); raise Theta or enable upper-bound pruning",
+			maxCandidates, candOver, cs.n1, cs.n1, cs.n2)
+	}
+	if keptOver >= 0 {
+		return fmt.Errorf("core: retained §3.4 bounds exceed %d pairs at row %d of %d (|V1|·|V2|=%d·%d); raise Theta or set Alpha to 0",
+			maxCandidates, keptOver, cs.n1, cs.n1, cs.n2)
+	}
+
+	if n := cs.rowOff[cs.n1]; n > 0 {
+		cs.candPairs = make([]pairbits.Key, 0, n)
+	}
+	if keepBounds {
+		if n := cs.prunedOff[cs.n1]; n > 0 {
+			cs.prunedCol = make([]graph.NodeID, 0, n)
+			cs.prunedBound = make([]float64, 0, n)
+		}
+	}
+	for _, seg := range segs {
+		w := seg.w
+		cs.candPairs = append(cs.candPairs, w.cand[seg.cand:seg.candEnd]...)
+		cs.prunedCol = append(cs.prunedCol, w.prunedCol[seg.kept:seg.keptEnd]...)
+		cs.prunedBound = append(cs.prunedBound, w.prunedBound[seg.kept:seg.keptEnd]...)
+	}
+	for i := range workers {
+		cs.prunedCount += workers[i].pruned
+	}
+	if cs.dense {
+		cs.candBits = pairbits.NewBitset(cs.n1 * cs.n2)
+		for _, k := range cs.candPairs {
+			u, v := k.Split()
+			cs.candBits.Set(int(u)*cs.n2 + int(v))
+		}
+	} else {
+		cs.index = make(map[pairbits.Key]int32, len(cs.candPairs))
+		for pos, k := range cs.candPairs {
+			cs.index[k] = int32(pos)
+		}
 	}
 	return nil
 }
@@ -195,28 +263,63 @@ func (cs *CandidateSet) keepsBounds() bool {
 	return ub != nil && ub.Alpha > 0
 }
 
-// decide runs one pair through the candidate test and files it into the
-// store (candidate rows, or pruned rows when §3.4 rejected it). Callers
-// must present pairs in (u, v)-ascending order.
-func (cs *CandidateSet) decide(un, vn graph.NodeID, keepBounds bool) {
-	ok, bound, pruned := cs.candidate(un, vn)
-	if !ok {
-		if pruned {
-			cs.prunedCount++
-			if keepBounds {
-				cs.prunedCol = append(cs.prunedCol, vn)
-				cs.prunedBound = append(cs.prunedBound, bound)
-			}
+// buildChunkRows is the number of rows a build worker claims per grab from
+// the row cursor (fewer on small graphs; see chunkSize).
+const buildChunkRows = 64
+
+// rowWorker is one build worker's output buffers, appended to across all
+// the chunks of rows it claims, plus its row scratch. The trailing pad
+// keeps adjacent workers' slice headers, written on every append, off each
+// other's cache lines (as engineWorker does).
+type rowWorker struct {
+	cand        []pairbits.Key
+	prunedCol   []graph.NodeID
+	prunedBound []float64
+	pruned      int            // pruned pairs decided, retained or not
+	row         []graph.NodeID // label-eligible columns of the current row
+	_           [128]byte
+}
+
+// rowSegment is where one chunk's candidates and retained bounds sit in
+// the buffers of the worker that decided it.
+type rowSegment struct {
+	w             *rowWorker
+	cand, candEnd int
+	kept, keptEnd int
+}
+
+// decide runs one pair through the candidate test and appends it to the
+// worker's candidates, or to its pruned columns when §3.4 rejected it.
+// Pairs of a row must arrive in ascending v order.
+func (w *rowWorker) decide(cs *CandidateSet, u, v graph.NodeID, keepBounds bool) {
+	ok, bound, pruned := cs.candidate(u, v)
+	switch {
+	case ok:
+		w.cand = append(w.cand, pairbits.MakeKey(u, v))
+	case pruned:
+		w.pruned++
+		if keepBounds {
+			w.prunedCol = append(w.prunedCol, v)
+			w.prunedBound = append(w.prunedBound, bound)
 		}
-		return
 	}
-	k := pairbits.MakeKey(un, vn)
-	if cs.dense {
-		cs.candBits.Set(int(un)*cs.n2 + int(vn))
-	} else {
-		cs.index[k] = int32(len(cs.candPairs))
+}
+
+// rowOffsets turns per-row sizes into row offsets in place: given the size
+// of row u at off[u+1] (and off[0] = 0), it leaves the start of row u at
+// off[u] and the total at off[len(off)-1]. It returns the first row at
+// which the running total exceeds limit — leaving that entry and the ones
+// after it unconverted — or -1 when none does.
+func rowOffsets(off []int32, limit int) int {
+	var total int64
+	for u := 0; u+1 < len(off); u++ {
+		total += int64(off[u+1])
+		if total > int64(limit) {
+			return u
+		}
+		off[u+1] = int32(total)
 	}
-	cs.candPairs = append(cs.candPairs, k)
+	return -1
 }
 
 // labelBlocks precomputes the label-constraint structure of the θ > 0

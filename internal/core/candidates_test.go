@@ -120,3 +120,36 @@ func TestCandidateDataRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestRowOffsets pins the row arithmetic of build's concatenation: per-row
+// sizes become row starts in place, and an overflow names the first row at
+// which the running total passes the limit — the row the candidate-map and
+// retained-bound errors report.
+func TestRowOffsets(t *testing.T) {
+	cases := []struct {
+		name  string
+		sizes []int32 // off[1:] on input
+		limit int
+		row   int
+		want  []int32 // off[1:] on output
+	}{
+		{"no rows", nil, 0, -1, nil},
+		{"fits", []int32{3, 0, 5, 2}, 11, -1, []int32{3, 3, 8, 10}},
+		{"total at the limit", []int32{3, 0, 5, 2}, 10, -1, []int32{3, 3, 8, 10}},
+		{"crosses at row 2", []int32{3, 0, 5, 2}, 7, 2, []int32{3, 3, 5, 2}},
+		{"crosses at row 0", []int32{3, 0, 5, 2}, 2, 0, []int32{3, 0, 5, 2}},
+		{"empty rows before the crossing", []int32{0, 0, 1}, 0, 2, []int32{0, 0, 1}},
+		// The running total is kept wider than int32: two rows that sum
+		// past MaxInt32 are caught, not wrapped negative.
+		{"int32 sum", []int32{math.MaxInt32, 1}, math.MaxInt32, 1, []int32{math.MaxInt32, 1}},
+	}
+	for _, c := range cases {
+		off := append([]int32{0}, c.sizes...)
+		if got := rowOffsets(off, c.limit); got != c.row {
+			t.Errorf("%s: row %d, want %d", c.name, got, c.row)
+		}
+		if !slices.Equal(off[1:], c.want) || off[0] != 0 {
+			t.Errorf("%s: offsets %v, want [0 %v]", c.name, off, c.want)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"testing"
 
 	"fsim/internal/dataset"
@@ -134,5 +135,82 @@ func TestParallelDeterminismAllPairs(t *testing.T) {
 			continue
 		}
 		requireBitIdentical(t, want, got, fmt.Sprintf("threads=%d", threads))
+	}
+}
+
+// TestParallelDeterminismCandidates is the row-chunked construction's
+// property: at every thread count NewCandidateSet yields the same candidate
+// data (pairs, row offsets, retained bounds), pruned count and stand-ins,
+// for both stores, with and without the label constraint and with and
+// without retained bounds; and NewCandidateSetFromData rebuilding one
+// thread's data on eight threads reproduces it. A 3-node graph has fewer
+// rows than most of the thread counts. Run under -race in CI against a
+// fsimgen-generated graph (see determinismGraph).
+func TestParallelDeterminismCandidates(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"workload", determinismGraph(t)},
+		{"3-node", dataset.RandomGraph(3, 3, 4, 2)},
+	}
+	for _, gc := range graphs {
+		for _, sparse := range []bool{false, true} {
+			for _, theta := range []float64{0, 0.6} {
+				for _, alpha := range []float64{0, 0.3} {
+					name := fmt.Sprintf("%s/sparse=%v/theta=%v/alpha=%v", gc.name, sparse, theta, alpha)
+					t.Run(name, func(t *testing.T) {
+						checkCandidateDeterminism(t, gc.g, sparse, theta, alpha)
+					})
+				}
+			}
+		}
+	}
+}
+
+func checkCandidateDeterminism(t *testing.T, g *graph.Graph, sparse bool, theta, alpha float64) {
+	opts := DefaultOptions(exact.BJ)
+	opts.Theta = theta
+	opts.UpperBoundOpt = &UpperBound{Alpha: alpha, Beta: 0.5}
+	if sparse {
+		opts.DenseCapPairs = 1
+	}
+	build := func(threads int) *CandidateSet {
+		o := opts
+		o.Threads = threads
+		cs, err := NewCandidateSet(g, g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+	standIns := func(cs *CandidateSet) []float64 {
+		var out []float64
+		cs.ForEachPruned(func(u, v graph.NodeID, s float64) { out = append(out, float64(u), float64(v), s) })
+		return out
+	}
+	ref := build(1)
+	want, wantStandIns := ref.Data(), standIns(ref)
+	if len(want.CandPairs) == 0 {
+		t.Fatal("empty candidate set: the property would be vacuous")
+	}
+	for _, threads := range determinismThreads[1:] {
+		cs := build(threads)
+		if !reflect.DeepEqual(cs.Data(), want) {
+			t.Fatalf("threads=%d: candidate data differs from threads=1", threads)
+		}
+		if cs.PrunedCount() != ref.PrunedCount() {
+			t.Fatalf("threads=%d: pruned count %d, want %d", threads, cs.PrunedCount(), ref.PrunedCount())
+		}
+		requireBitIdentical(t, wantStandIns, standIns(cs), fmt.Sprintf("threads=%d stand-ins", threads))
+	}
+	o := opts
+	o.Threads = 8
+	cs, err := NewCandidateSetFromData(g, g, o, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cs.Data(), want) {
+		t.Fatal("NewCandidateSetFromData at threads=8 does not reproduce the threads=1 data")
 	}
 }

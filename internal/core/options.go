@@ -60,6 +60,8 @@ type Options struct {
 	// Label is L(·), the label similarity function; default
 	// strsim.JaroWinkler (the paper's choice after Table 5). For
 	// well-definiteness it must return 1 iff its arguments are equal.
+	// Construction fills the label-pair table from Threads goroutines, so
+	// Label must be safe for concurrent use; the three built-ins are pure.
 	Label strsim.Func
 
 	// Theta is θ of the label-constrained mapping (Remark 2): node pairs

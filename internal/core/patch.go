@@ -116,7 +116,7 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 		cs.labels2 = append(cs.labels2, g2.Label(graph.NodeID(v)))
 	}
 	if relabeled {
-		cs.table = strsim.NewTable(cs.opts.Label, g1.LabelNames(), g2.LabelNames())
+		cs.table = strsim.NewTable(cs.opts.Label, g1.LabelNames(), g2.LabelNames(), cs.opts.Threads)
 	}
 
 	if cs.allPairs {

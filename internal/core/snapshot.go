@@ -88,7 +88,7 @@ func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData)
 		ops:  opts.Operators,
 		n1:   g1.NumNodes(), n2: g2.NumNodes(),
 	}
-	cs.table = strsim.NewTable(opts.Label, g1.LabelNames(), g2.LabelNames())
+	cs.table = strsim.NewTable(opts.Label, g1.LabelNames(), g2.LabelNames(), opts.Threads)
 	cs.labels1 = make([]graph.Label, cs.n1)
 	for u := 0; u < cs.n1; u++ {
 		cs.labels1[u] = g1.Label(graph.NodeID(u))

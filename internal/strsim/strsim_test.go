@@ -117,7 +117,7 @@ func TestByName(t *testing.T) {
 func TestTable(t *testing.T) {
 	n1 := []string{"a", "b"}
 	n2 := []string{"a", "c", "b"}
-	tab := NewTable(Indicator, n1, n2)
+	tab := NewTable(Indicator, n1, n2, 1)
 	if tab.Sim(0, 0) != 1 || tab.Sim(0, 1) != 0 || tab.Sim(1, 2) != 1 {
 		t.Fatal("table lookup wrong")
 	}
@@ -125,7 +125,7 @@ func TestTable(t *testing.T) {
 	if maxes[0] != 1 || maxes[1] != 1 {
 		t.Fatalf("MaxPerRow = %v", maxes)
 	}
-	tab2 := NewTable(Indicator, []string{"z"}, n2)
+	tab2 := NewTable(Indicator, []string{"z"}, n2, 1)
 	if got := tab2.MaxPerRow(); got[0] != 0 {
 		t.Fatalf("MaxPerRow for unmatched label = %v", got)
 	}

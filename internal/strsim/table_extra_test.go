@@ -1,21 +1,30 @@
 package strsim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
 
 // TestTableMatchesFunction property-checks the cache: every table entry
-// equals a direct function evaluation.
+// equals a direct function evaluation, whether the table is filled on one
+// goroutine or fanned out over several (the vocabularies are large enough
+// for NewTable to split them into chunks).
 func TestTableMatchesFunction(t *testing.T) {
 	names1 := []string{"alpha", "beta", "gamma", ""}
 	names2 := []string{"alpha", "delta", "be", "gamma"}
+	for i := 0; i < 90; i++ {
+		names1 = append(names1, fmt.Sprintf("label-%d", i*7))
+		names2 = append(names2, fmt.Sprintf("label-%d", i*5))
+	}
 	for _, tc := range allFuncs {
-		tab := NewTable(tc.fn, names1, names2)
-		for i, a := range names1 {
-			for j, b := range names2 {
-				if tab.Sim(i, j) != tc.fn(a, b) {
-					t.Fatalf("%s: table[%d][%d] != fn(%q,%q)", tc.name, i, j, a, b)
+		for _, threads := range []int{1, 2, 8} {
+			tab := NewTable(tc.fn, names1, names2, threads)
+			for i, a := range names1 {
+				for j, b := range names2 {
+					if tab.Sim(i, j) != tc.fn(a, b) {
+						t.Fatalf("%s threads=%d: table[%d][%d] != fn(%q,%q)", tc.name, threads, i, j, a, b)
+					}
 				}
 			}
 		}
