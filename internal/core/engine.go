@@ -41,19 +41,23 @@ type engine struct {
 
 // layout is a run's slot plan: the slot count, slot → pair, pair → slot
 // for worklist marks, and how a previous-score read resolves (lookupFunc).
-// Three plans exist:
+// Two plans exist:
 //
-//   - dense (batch, pair universe within Options.DenseCapPairs): row-dense
-//     over every g1 node. Non-candidate slots hold their constant stand-in
-//     (0, or α·FSim̄ for pruned pairs) in both buffers, so the mapping
-//     operators read scores with one array load and the sweep skips
-//     non-candidates — upper-bound pruning reduces work proportionally.
-//   - sparse (batch, larger universes): a list layout aligned to the
-//     candidate list (the literal Hc of Algorithm 1); reads of missing
-//     pairs resolve per §3.4 through hash lookups.
-//   - rows (RowPlan, the query subsystem's dependency closures): row-dense
-//     over only the g1 nodes a closure touches; reads of other rows are
-//     non-candidates and return their stand-in.
+//   - list (batch, any store with a candidate map): one slot per
+//     candidate, aligned to the row-major candidate list (the literal Hc
+//     of Algorithm 1), so the buffers are the result's scores as they
+//     stand. A pair resolves to its slot by the rank of its bit in the
+//     candidate bitmap (dense store) or through the index map (sparse
+//     store, pair universe beyond Options.DenseCapPairs). A non-candidate
+//     pair reads its §3.4 stand-in: α·FSim̄ for a retained bound — found
+//     by the rank of the pruned-pair bitmap, or by StandIn's row search on
+//     the sparse store — and 0 otherwise.
+//   - row-dense: pair (u, v) at slot row(u)·stride + v. Batch all-pairs
+//     runs (θ = 0, pruning off) cover every g1 node, every slot a
+//     candidate; RowPlan (the query subsystem's dependency closures)
+//     covers only the g1 nodes a closure touches, with its non-candidate
+//     slots holding their constant stand-ins and reads of other rows
+//     resolving to theirs.
 type layout struct {
 	slots int // score-buffer length and worklist bitset span
 	count int // iterated pairs
@@ -68,11 +72,16 @@ type layout struct {
 	rowNode []graph.NodeID
 
 	// pairs lists the iterated pairs in sweep order. In a list layout slot
-	// i holds pairs[i] and index inverts it; a row-dense layout marks the
-	// iterated slots in member, and nil member means every slot, swept row
-	// by row.
+	// i holds pairs[i]; index (sparse store) or cand, the rank of the
+	// candidate bitmap over universe slots u·stride + v (dense store),
+	// inverts it, and pruned ranks the retained-bound pairs of the dense
+	// universe (zero without retained bounds). A row-dense layout marks
+	// the iterated slots in member, and nil member means every slot, swept
+	// row by row.
 	pairs  []pairbits.Key
 	index  map[pairbits.Key]int32
+	cand   pairbits.Rank
+	pruned pairbits.Rank
 	member pairbits.Bitset
 }
 
@@ -105,13 +114,23 @@ func (l *layout) pair(slot int) (graph.NodeID, graph.NodeID) {
 	return u, graph.NodeID(slot % l.stride)
 }
 
+// position resolves pair (u, v) to its slot in a list layout, reporting
+// whether the pair is a candidate.
+func (l *layout) position(u, v graph.NodeID) (int, bool) {
+	if l.index != nil {
+		i, ok := l.index[pairbits.MakeKey(u, v)]
+		return int(i), ok
+	}
+	return l.cand.Index(int(u)*l.stride + int(v))
+}
+
 // mark puts pair (u, v) on worklist b when the layout iterates it;
 // non-iterated pairs (ineligible, pruned, outside a closure) hold
 // constants and are never recomputed.
 func (l *layout) mark(b pairbits.Bitset, u, v graph.NodeID) {
 	if l.list {
-		if pos, ok := l.index[pairbits.MakeKey(u, v)]; ok {
-			b.Set(int(pos))
+		if pos, ok := l.position(u, v); ok {
+			b.Set(pos)
 		}
 		return
 	}
@@ -138,15 +157,36 @@ func (l *layout) markAll(b pairbits.Bitset) {
 	}
 }
 
-// layout returns the batch slot plan of the set's score store.
+// layout returns the batch slot plan of the set's score store. The dense
+// store's ranks are built here, once per run, and only read afterwards.
 func (cs *CandidateSet) layout() layout {
-	if !cs.dense {
-		return layout{slots: len(cs.candPairs), count: len(cs.candPairs), list: true, pairs: cs.candPairs, index: cs.index}
+	if cs.allPairs {
+		return layout{slots: cs.n1 * cs.n2, count: cs.n1 * cs.n2, rows: cs.n1, stride: cs.n2}
 	}
-	return layout{
-		slots: cs.n1 * cs.n2, count: cs.NumCandidates(),
-		rows: cs.n1, stride: cs.n2, pairs: cs.candPairs, member: cs.candBits,
+	l := layout{
+		slots: len(cs.candPairs), count: len(cs.candPairs),
+		list: true, stride: cs.n2, pairs: cs.candPairs, index: cs.index,
 	}
+	if cs.dense {
+		l.cand = pairbits.NewRank(cs.candBits)
+		if cs.prunedOff != nil {
+			l.pruned = pairbits.NewRank(cs.prunedBits())
+		}
+	}
+	return l
+}
+
+// prunedBits marks the retained-bound pairs of the dense store's pair
+// universe (slot u·|V2|+v). The CSR lists them row-major, v-ascending, so
+// a marked slot's rank is its position in prunedCol/prunedBound.
+func (cs *CandidateSet) prunedBits() pairbits.Bitset {
+	b := pairbits.NewBitset(cs.n1 * cs.n2)
+	for u := 0; u < cs.n1; u++ {
+		for _, v := range cs.prunedCol[cs.prunedOff[u]:cs.prunedOff[u+1]] {
+			b.Set(u*cs.n2 + int(v))
+		}
+	}
+	return b
 }
 
 // chunkSlots is the target number of score slots a worker claims per grab
@@ -231,30 +271,11 @@ func computeOn(cs *CandidateSet, start time.Time) (*Result, error) {
 		Work:           make([]int64, cs.opts.Threads),
 	}
 	e.run(res)
-	// prev holds the latest completed iteration after the final swap. The
-	// list and all-pairs layouts are candidate-aligned already; the dense
-	// bitmap layout keeps only its candidate slots, so no |V1|×|V2|
-	// buffer outlives the run.
+	// prev holds the latest completed iteration after the final swap; both
+	// batch layouts are candidate-aligned, so it is the result as it stands.
 	res.scores, res.scores32 = e.prev, e.prev32
-	if !e.lay.list && !e.allPairs {
-		res.scores, res.scores32 = gatherCandidates(cs, e.prev), gatherCandidates(cs, e.prev32)
-	}
 	res.Duration = time.Since(start)
 	return res, nil
-}
-
-// gatherCandidates copies the candidate slots of a row-dense |V1|×|V2|
-// buffer into a vector aligned to the candidate positions (nil stays nil).
-func gatherCandidates[S float32 | float64](cs *CandidateSet, buf []S) []S {
-	if buf == nil {
-		return nil
-	}
-	out := make([]S, len(cs.candPairs))
-	for pos, k := range cs.candPairs {
-		u, v := k.Split()
-		out[pos] = buf[int(u)*cs.n2+int(v)]
-	}
-	return out
 }
 
 // RowPlan is the slot plan of a localized fixed point — the query
@@ -275,8 +296,8 @@ type RowPlan struct {
 	Member pairbits.Bitset
 	// Prev holds the seeded scores, len(Rows)·|V2| of them: FSim⁰ at
 	// member slots, and at every other slot of a row its constant §3.4
-	// stand-in (0 without one) — the dense store's convention. Cur is the
-	// second buffer; ComputeRows sizes and overwrites it.
+	// stand-in (0 without one). Cur is the second buffer; ComputeRows sizes
+	// and overwrites it.
 	Prev, Cur []float64
 
 	e   engine
@@ -346,21 +367,21 @@ func (e *engine) run(res *Result) {
 	}
 }
 
-// eligibleFn returns the constraint for the mapping operators. Row-dense
-// layouts return nil even for θ > 0: non-candidate entries hold constant 0
-// (or α·FSim̄) scores, which contribute exactly what the constrained
-// mapping would — 0 from ineligible pairs, the stand-in from pruned ones —
-// so per-element label checks are unnecessary.
+// eligibleFn returns the constraint for the mapping operators. Only the
+// sparse store checks it per element; every other layout returns nil even
+// for θ > 0: a non-candidate read yields a constant 0 (or α·FSim̄), which
+// contributes exactly what the constrained mapping would — 0 from
+// ineligible pairs, the stand-in from pruned ones — so per-element label
+// checks are unnecessary.
 func (e *engine) eligibleFn() func(x, y graph.NodeID) bool {
-	if !e.lay.list || e.opts.Theta == 0 {
+	if e.lay.index == nil || e.opts.Theta == 0 {
 		return nil
 	}
 	return e.eligible
 }
 
-// initBuffers allocates the two batch score buffers and bakes the constant
-// §3.4 stand-ins of pruned pairs into the dense store (both buffers,
-// forever).
+// initBuffers allocates the two batch score buffers, one slot per
+// iterated pair.
 func (e *engine) initBuffers() {
 	slots := e.lay.slots
 	if e.f32 {
@@ -370,23 +391,6 @@ func (e *engine) initBuffers() {
 		e.prev = make([]float64, slots)
 		e.cur = make([]float64, slots)
 	}
-	if e.lay.list {
-		return
-	}
-	for u := 0; u < e.n1; u++ {
-		e.ForEachStandIn(graph.NodeID(u), func(v graph.NodeID, s float64) { e.setBoth(u*e.n2+int(v), s) })
-	}
-}
-
-// setBoth writes a constant into the same slot of both buffers.
-func (e *engine) setBoth(i int, s float64) {
-	if e.f32 {
-		e.prev32[i] = float32(s)
-		e.cur32[i] = float32(s)
-		return
-	}
-	e.prev[i] = s
-	e.cur[i] = s
 }
 
 // setPrev seeds one slot of the previous-iteration buffer.
@@ -707,11 +711,11 @@ func (e *engine) syncAndAdvance() {
 }
 
 // lookupFunc returns the previous-iteration score accessor used by the
-// mapping operators, built once per run for the engine's layout. The dense
-// store is a single array load (non-candidate entries already hold their
-// constant stand-in); a row plan adds one row-map load and resolves rows
-// it never materialized to their stand-ins. The sparse store resolves
-// missing pairs per §3.4: pruned pairs yield α·FSim̄, ineligible pairs 0.
+// mapping operators, built once per run for the engine's layout. All
+// pairs is a single array load; a row plan adds one row-map load and
+// resolves rows it never materialized to their stand-ins. The list layout
+// resolves a pair to its slot (position) and a non-candidate to its §3.4
+// stand-in: α·FSim̄ for a retained bound, 0 otherwise.
 func (e *engine) lookupFunc() func(x, y graph.NodeID) float64 {
 	l := &e.lay
 	if !l.list {
@@ -729,10 +733,48 @@ func (e *engine) lookupFunc() func(x, y graph.NodeID) float64 {
 		}
 		return func(x, y graph.NodeID) float64 { return e.prev[int(x)*n2+int(y)] }
 	}
-	return func(x, y graph.NodeID) float64 {
-		if i, ok := e.index[pairbits.MakeKey(x, y)]; ok {
-			return e.prevScore(int(i))
+	if l.index != nil {
+		return func(x, y graph.NodeID) float64 {
+			if i, ok := l.index[pairbits.MakeKey(x, y)]; ok {
+				return e.prevScore(int(i))
+			}
+			return e.StandIn(x, y)
 		}
-		return e.StandIn(x, y)
 	}
+	n2, cand := l.stride, l.cand
+	if e.f32 {
+		return func(x, y graph.NodeID) float64 {
+			i := int(x)*n2 + int(y)
+			if pos, ok := cand.Index(i); ok {
+				return float64(e.prev32[pos])
+			}
+			return e.rankedStandIn(i)
+		}
+	}
+	return func(x, y graph.NodeID) float64 {
+		i := int(x)*n2 + int(y)
+		if pos, ok := cand.Index(i); ok {
+			return e.prev[pos]
+		}
+		return e.rankedStandIn(i)
+	}
+}
+
+// rankedStandIn returns the stand-in of non-candidate slot i of the dense
+// store's pair universe: α·FSim̄ for a retained bound — rounded to float32
+// under Float32Scores, the precision its scores iterate at — and 0
+// otherwise.
+func (e *engine) rankedStandIn(i int) float64 {
+	if e.prunedOff == nil {
+		return 0
+	}
+	j, ok := e.lay.pruned.Index(i)
+	if !ok {
+		return 0
+	}
+	s := e.opts.UpperBoundOpt.Alpha * e.prunedBound[j]
+	if e.f32 {
+		s = float64(float32(s))
+	}
+	return s
 }

@@ -249,7 +249,9 @@ func TestThreadDeterminism(t *testing.T) {
 // TestStoreEquivalence verifies that all three candidate stores — fully
 // dense, dense with a candidate bitmap (forced via a no-op upper bound),
 // and the sparse hash map (forced via DenseCapPairs = 1) — produce
-// identical scores.
+// bit-identical scores. A second pair of runs prunes with α > 0, so that
+// non-candidate reads resolve to retained §3.4 stand-ins: the dense
+// store's pruned-bitmap rank must read exactly the hash map's StandIn.
 func TestStoreEquivalence(t *testing.T) {
 	g1 := dataset.RandomGraph(31, 30, 90, 3)
 	g2 := dataset.RandomGraph(32, 35, 100, 3)
@@ -281,13 +283,53 @@ func TestStoreEquivalence(t *testing.T) {
 		}
 
 		rd.ForEach(func(u, v graph.NodeID, s float64) {
-			if s2 := rb.Score(u, v); math.Abs(s-s2) > 1e-12 {
+			if s2 := rb.Score(u, v); s != s2 {
 				t.Fatalf("variant %v: bitmap/dense mismatch at (%d,%d): %v vs %v", variant, u, v, s, s2)
 			}
-			if s2 := rh.Score(u, v); math.Abs(s-s2) > 1e-12 {
+			if s2 := rh.Score(u, v); s != s2 {
 				t.Fatalf("variant %v: hash/dense mismatch at (%d,%d): %v vs %v", variant, u, v, s, s2)
 			}
 		})
+
+		pruned := dense
+		pruned.UpperBoundOpt = &UpperBound{Alpha: 0.3, Beta: 0.6}
+		rp, err := Compute(g1, g2, pruned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prunedHash := pruned
+		prunedHash.DenseCapPairs = 1
+		rph, err := Compute(g1, g2, prunedHash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rp.PrunedCount == 0 || rp.PrunedCount != rph.PrunedCount {
+			t.Fatalf("variant %v: pruned counts %d (bitmap) and %d (hash), want equal and > 0",
+				variant, rp.PrunedCount, rph.PrunedCount)
+		}
+		e := &engine{CandidateSet: rp.cs, lay: rp.cs.layout(), prev: rp.scores}
+		lookup := e.lookupFunc()
+		standIns := 0
+		for u := 0; u < g1.NumNodes(); u++ {
+			for v := 0; v < g2.NumNodes(); v++ {
+				un, vn := graph.NodeID(u), graph.NodeID(v)
+				if s, s2 := rp.Score(un, vn), rph.Score(un, vn); s != s2 {
+					t.Fatalf("variant %v: α > 0 hash/bitmap mismatch at (%d,%d): %v vs %v", variant, u, v, s, s2)
+				}
+				want := rph.cs.StandIn(un, vn)
+				if rp.Contains(un, vn) {
+					want = rp.Score(un, vn)
+				} else if want > 0 {
+					standIns++
+				}
+				if got := lookup(un, vn); got != want {
+					t.Fatalf("variant %v: dense read of (%d,%d) = %v, want %v", variant, u, v, got, want)
+				}
+			}
+		}
+		if standIns == 0 {
+			t.Fatalf("variant %v: no retained stand-in was read", variant)
+		}
 	}
 }
 
@@ -314,7 +356,7 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 			full.Theta = 0.5
 		}
 		if seed%5 == 2 {
-			full.UpperBoundOpt = &UpperBound{Alpha: 0.3, Beta: 0.4}
+			full.UpperBoundOpt = &UpperBound{Alpha: 0.3, Beta: 0.6}
 		}
 		rf, err := Compute(g1, g2, full)
 		if err != nil {
@@ -523,9 +565,10 @@ func TestDeltaEpsValidation(t *testing.T) {
 	}
 }
 
-// TestThetaStoreEquivalence verifies dense-bitmap vs hash-map equivalence
-// under an active label constraint (θ > 0), where the two stores take
-// different eligibility paths (precomputed zeros vs per-element checks).
+// TestThetaStoreEquivalence verifies bit-identical dense-bitmap and
+// hash-map scores under an active label constraint (θ > 0), where the two
+// stores take different eligibility paths (constant zero reads vs
+// per-element checks).
 func TestThetaStoreEquivalence(t *testing.T) {
 	g1 := dataset.RandomGraph(33, 30, 90, 4)
 	g2 := dataset.RandomGraph(34, 35, 100, 4)
@@ -548,7 +591,7 @@ func TestThetaStoreEquivalence(t *testing.T) {
 			t.Fatalf("variant %v: candidate counts differ: %d vs %d", variant, rb.CandidateCount, rh.CandidateCount)
 		}
 		rb.ForEach(func(u, v graph.NodeID, s float64) {
-			if s2 := rh.Score(u, v); math.Abs(s-s2) > 1e-12 {
+			if s2 := rh.Score(u, v); s != s2 {
 				t.Fatalf("variant %v: θ>0 store mismatch at (%d,%d): %v vs %v", variant, u, v, s, s2)
 			}
 		})

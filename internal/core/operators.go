@@ -244,7 +244,7 @@ func (op *Operators) neighborScore(
 				}
 			}
 		}
-		sum, _ = matching.GreedyDense(w, n1, n2, 0, scratch.m)
+		sum, _ = matching.GreedyDense(w, n1, n2, scratch.m)
 	}
 	return sum / op.omega(n1, n2)
 }

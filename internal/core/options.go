@@ -93,7 +93,9 @@ type Options struct {
 	// DenseCapPairs bounds the dense score store: when |V1|·|V2| exceeds
 	// it, the engine falls back to the hash-map candidate store of
 	// Algorithm 1 (slower lookups, memory proportional to |Hc|). 0 uses
-	// the default of 48M pairs (~0.8 GB for the two buffers). The product
+	// the default of 48M pairs: ~9 MB per pair bitmap with its rank, and
+	// ~0.8 GB for the two float64 buffers when every pair is a candidate
+	// (θ = 0, pruning off). The product
 	// is evaluated in 64-bit arithmetic, so pair universes that overflow
 	// the platform int select the sparse store instead of mis-indexing.
 	DenseCapPairs int

@@ -33,11 +33,9 @@
 //
 // Exactness: with the iteration budget pinned (Options.MaxIters set and
 // Epsilon unreachable), maintained scores are bit-identical to a fresh
-// core.Compute on the mutated graph for the dense candidate store, and
-// equal within float-rounding for the hash-map store (the stores order
-// their per-pair arithmetic differently). Under adaptive ε-stopping both
-// sides sit within the contraction tail of the common fixed point, like
-// query.Index queries.
+// core.Compute on the mutated graph, on either candidate store. Under
+// adaptive ε-stopping both sides sit within the contraction tail of the
+// common fixed point, like query.Index queries.
 package dynamic
 
 import (

@@ -2,7 +2,6 @@ package dynamic
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -72,9 +71,7 @@ func randomBatch(rng *rand.Rand, n int) []graph.Change {
 // every applied batch,
 //
 //   - Maintainer.Score equals a fresh core.Compute on the mutated graph
-//     for every pair of the universe — bit-identically on the dense score
-//     store, within float rounding on the hash-map store (the stores order
-//     their per-pair arithmetic differently, as in the query suite);
+//     for every pair of the universe, bit for bit on either score store;
 //   - Maintainer.TopK and the live Index.TopK equal the fresh Compute's
 //     ranking (same candidates, same scores, same tie-breaking).
 func TestIncrementalEquivalenceProperty(t *testing.T) {
@@ -87,10 +84,6 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 		mt, err := New(g, opts)
 		if err != nil {
 			t.Fatal(err)
-		}
-		tol := 0.0
-		if opts.DenseCapPairs == 1 {
-			tol = 1e-12
 		}
 		for step := 0; step < 5; step++ {
 			batch := randomBatch(rng, mt.Graph().NumNodes())
@@ -111,9 +104,9 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := fresh.Score(un, vn)
-					if math.Abs(got-want) > tol {
-						t.Fatalf("seed %d %v step %d: Score(%d,%d) = %v, fresh Compute %v (tol %v)",
-							seed, variant, step, u, v, got, want, tol)
+					if got != want {
+						t.Fatalf("seed %d %v step %d: Score(%d,%d) = %v, fresh Compute %v",
+							seed, variant, step, u, v, got, want)
 					}
 				}
 			}
@@ -130,7 +123,7 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSameRanking(t, seed, step, u, "Maintainer.TopK", got, want, tol)
+				assertSameRanking(t, seed, step, u, "Maintainer.TopK", got, want)
 
 				live, err := mt.Index().TopK(un, 3)
 				if err != nil {
@@ -140,24 +133,24 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSameRanking(t, seed, step, u, "live Index.TopK vs fresh Compute", live, want, tol)
-				assertSameRanking(t, seed, step, u, "live Index.TopK vs fresh Index", live, oracle, 0)
+				assertSameRanking(t, seed, step, u, "live Index.TopK vs fresh Compute", live, want)
+				assertSameRanking(t, seed, step, u, "live Index.TopK vs fresh Index", live, oracle)
 			}
 		}
 	}
 }
 
-func assertSameRanking(t *testing.T, seed int64, step, u int, what string, got, want []stats.Ranked, tol float64) {
+func assertSameRanking(t *testing.T, seed int64, step, u int, what string, got, want []stats.Ranked) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("seed %d step %d: %s(%d) returned %d entries, want %d", seed, step, what, u, len(got), len(want))
 	}
 	for i := range want {
-		if math.Abs(got[i].Score-want[i].Score) > tol {
-			t.Fatalf("seed %d step %d: %s(%d)[%d] score %v, want %v (tol %v)",
-				seed, step, what, u, i, got[i].Score, want[i].Score, tol)
+		if got[i].Score != want[i].Score {
+			t.Fatalf("seed %d step %d: %s(%d)[%d] score %v, want %v",
+				seed, step, what, u, i, got[i].Score, want[i].Score)
 		}
-		if tol == 0 && got[i].Index != want[i].Index {
+		if got[i].Index != want[i].Index {
 			t.Fatalf("seed %d step %d: %s(%d)[%d] = node %d, want node %d",
 				seed, step, what, u, i, got[i].Index, want[i].Index)
 		}

@@ -42,7 +42,7 @@ type dynRun struct {
 	FullFallbacks int `json:"full_fallbacks"`
 	// MaxDiffVsFresh is the maximum absolute deviation of maintained
 	// scores from a fresh Compute over all pairs at the verification
-	// points (0 by construction under the pinned budget and dense store).
+	// points (0 by construction under the pinned budget, on either store).
 	MaxDiffVsFresh float64 `json:"max_diff_vs_fresh"`
 }
 
@@ -109,7 +109,7 @@ func (s *updateStream) next() graph.Change {
 // and amortizes one full recompute across the batch instead. The
 // iteration budget is pinned so maintained and from-scratch scores are
 // comparable bit-for-bit; MaxDiffVsFresh records the observed deviation
-// (0 for the dense store).
+// (0 on either store).
 func Dynamic(cfg Config) error {
 	scale := 90
 	singles, batches, batchSize := 40, 10, 16

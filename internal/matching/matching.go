@@ -52,34 +52,41 @@ func Greedy(edges []Edge) ([]Edge, float64) {
 	return picked, total
 }
 
-// GreedyDense computes the same greedy matching over a dense weight matrix
-// w (n1 rows × n2 cols) where entries below minW are excluded. It avoids
-// materializing the edge list and the maps of Greedy; this is the hot path
-// of the Mdp/Mbj operators (hand-rolled sort: sort.Slice's reflection
-// swapper dominated profiles). It returns the matched total weight and the
-// number of matched pairs. The scratch is caller-provided to keep the hot
-// loop allocation-free.
-func GreedyDense(w []float64, n1, n2 int, minW float64, scratch *Scratch) (float64, int) {
+// GreedyDense computes the same greedy matching as Greedy over a dense
+// weight matrix w (n1 rows × n2 cols), considering only the entries with
+// weight > 0. Zero and negative entries (the mapping operators mark
+// label-ineligible pairs with -1) never enter the sort: a zero-weight edge
+// sorts after every positive one, so it cannot change which positive edges
+// are picked or the order their weights are summed in, and adding +0
+// leaves the total unchanged. The total therefore equals Greedy's over the
+// full non-negative edge list, bit for bit, while the sort only pays for
+// the positive entries — on sparse score matrices a small fraction of
+// n1·n2. GreedyDense avoids materializing the edge list and the maps of
+// Greedy; this is the hot path of the Mdp/Mbj operators (hand-rolled sort:
+// sort.Slice's reflection swapper dominated profiles). It returns the
+// matched total weight and the number of positive-weight matches. The
+// scratch is caller-provided to keep the hot loop allocation-free.
+func GreedyDense(w []float64, n1, n2 int, scratch *Scratch) (float64, int) {
 	// Fast path: one row (or one column) needs no matching — the greedy
-	// optimum is the single best eligible entry. Sparse graphs hit this
+	// optimum is the single best positive entry. Sparse graphs hit this
 	// for the vast majority of neighborhood pairs.
 	if n1 == 1 || n2 == 1 {
-		best := minW - 1
+		best := 0.0
 		for _, x := range w[:n1*n2] {
-			if x >= minW && x > best {
+			if x > best {
 				best = x
 			}
 		}
-		if best < minW {
+		if best == 0 {
 			return 0, 0
 		}
 		return best, 1
 	}
 
 	edges := scratch.edges[:0]
-	for i := 0; i < n1*n2; i++ {
-		if w[i] >= minW {
-			edges = append(edges, wEdge{w: w[i], idx: int32(i)})
+	for i, x := range w[:n1*n2] {
+		if x > 0 {
+			edges = append(edges, wEdge{w: x, idx: int32(i)})
 		}
 	}
 	sortEdgesDesc(edges)

@@ -87,7 +87,7 @@ func TestGreedyDenseMatchesGreedy(t *testing.T) {
 		}
 		_, wantTotal := Greedy(edges)
 		scratch.Grow(n1, n2)
-		got, _ := GreedyDense(w, n1, n2, 0, scratch)
+		got, _ := GreedyDense(w, n1, n2, scratch)
 		return math.Abs(got-wantTotal) < 1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
@@ -95,22 +95,76 @@ func TestGreedyDenseMatchesGreedy(t *testing.T) {
 	}
 }
 
+// TestGreedyZeroHeavyMatchesGreedy property-checks GreedyDense on the
+// weight matrices the mapping operators actually see: mostly exact zeros
+// (non-candidate pairs) with a few quantized, often tied, positive scores.
+// GreedyDense leaves the zeros out of its sort, which must not change the
+// total at all — it is compared with ==, not a tolerance, against the
+// edge-list Greedy over every entry, zeros included.
+func TestGreedyZeroHeavyMatchesGreedy(t *testing.T) {
+	scratch := NewScratch(4, 4)
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n1, n2 := 1+rng.Intn(12), 1+rng.Intn(12)
+		w := make([]float64, n1*n2)
+		edges := make([]Edge, 0, n1*n2)
+		zeros := 0
+		for i := 0; i < n1; i++ {
+			for j := 0; j < n2; j++ {
+				x := 0.0
+				if rng.Intn(20) == 0 { // ~5% positive, the rest exactly 0
+					x = float64(1+rng.Intn(4)) / 7
+				}
+				if x == 0 {
+					zeros++
+				}
+				w[i*n2+j] = x
+				edges = append(edges, Edge{i, j, x})
+			}
+		}
+		if 10*zeros < 9*n1*n2 {
+			return true // fewer than 90% zeros: not the case under test
+		}
+		_, want := Greedy(edges)
+		scratch.Grow(n1, n2)
+		got, _ := GreedyDense(w, n1, n2, scratch)
+		if got != want {
+			t.Logf("seed %d (%d×%d): GreedyDense %v, Greedy %v", seed, n1, n2, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGreedyDenseMinW(t *testing.T) {
 	scratch := NewScratch(4, 4)
 	w := []float64{0.9, -1, -1, 0.8}
-	total, count := GreedyDense(w, 2, 2, 0, scratch)
+	total, count := GreedyDense(w, 2, 2, scratch)
 	if math.Abs(total-1.7) > 1e-9 || count != 2 {
 		t.Fatalf("total=%v count=%d", total, count)
 	}
 	// Single row fast path.
-	total, count = GreedyDense([]float64{-1, 0.3, 0.7}, 1, 3, 0, scratch)
+	total, count = GreedyDense([]float64{-1, 0.3, 0.7}, 1, 3, scratch)
 	if total != 0.7 || count != 1 {
 		t.Fatalf("fast path total=%v count=%d", total, count)
 	}
 	// All excluded.
-	total, count = GreedyDense([]float64{-1, -1}, 1, 2, 0, scratch)
+	total, count = GreedyDense([]float64{-1, -1}, 1, 2, scratch)
 	if total != 0 || count != 0 {
 		t.Fatalf("excluded: total=%v count=%d", total, count)
+	}
+	// Zero weights add nothing and are not counted as matches: only the
+	// positive entry (1, 2) is matched.
+	total, count = GreedyDense([]float64{0, 0, 0, 0, 0, 0.5}, 2, 3, scratch)
+	if total != 0.5 || count != 1 {
+		t.Fatalf("zero weights: total=%v count=%d", total, count)
+	}
+	total, count = GreedyDense([]float64{0, 0, 0}, 1, 3, scratch)
+	if total != 0 || count != 0 {
+		t.Fatalf("all zero fast path: total=%v count=%d", total, count)
 	}
 }
 

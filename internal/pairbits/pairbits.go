@@ -48,3 +48,32 @@ func (b Bitset) ClearAll() {
 		b[i] = 0
 	}
 }
+
+// Rank answers rank queries over a bitset: where a marked slot falls among
+// all marked slots in ascending order. It keeps one prefix count per word,
+// so a query is two loads and a popcount. The bitset must not change while
+// the rank is in use; a Rank is then safe for concurrent readers.
+type Rank struct {
+	bits Bitset
+	pre  []int32
+}
+
+// NewRank builds the per-word prefix counts of b, which may mark at most
+// math.MaxInt32 slots.
+func NewRank(b Bitset) Rank {
+	pre := make([]int32, len(b))
+	n := int32(0)
+	for i, w := range b {
+		pre[i] = n
+		n += int32(bits.OnesCount64(w))
+	}
+	return Rank{bits: b, pre: pre}
+}
+
+// Index returns the number of marked slots below slot i — slot i's index
+// among the marked slots when it is one — and whether slot i is marked.
+func (r Rank) Index(i int) (int, bool) {
+	w := r.bits[i/64]
+	bit := uint64(1) << (uint(i) % 64)
+	return int(r.pre[i/64]) + bits.OnesCount64(w&(bit-1)), w&bit != 0
+}

@@ -33,3 +33,24 @@ func TestBitset(t *testing.T) {
 		t.Fatal("ClearAll left bits set")
 	}
 }
+
+// TestRank checks Rank.Index against a linear count of the marked slots
+// below each slot, across word boundaries.
+func TestRank(t *testing.T) {
+	const n = 200
+	b := NewBitset(n)
+	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 150, 199} {
+		b.Set(i)
+	}
+	r := NewRank(b)
+	below := 0
+	for i := 0; i < n; i++ {
+		got, marked := r.Index(i)
+		if got != below || marked != b.Get(i) {
+			t.Fatalf("Index(%d) = (%d, %v), want (%d, %v)", i, got, marked, below, b.Get(i))
+		}
+		if marked {
+			below++
+		}
+	}
+}

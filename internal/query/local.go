@@ -11,8 +11,8 @@ import (
 // state is one query's scratch: the dependency closure and its score rows.
 // The store is row-mapped and dense within a row — a node x of g1 touched
 // by the closure gets a full |V2|-wide score row, holding FSim⁰ for
-// candidates and the constant §3.4 stand-in for non-candidates, exactly
-// like the batch engine's dense store; core.ComputeRows then iterates the
+// candidates and the constant §3.4 stand-in for non-candidates, so every
+// read within a row is one array load; core.ComputeRows then iterates the
 // closure on the engine's executor. States are pooled per Index and reused
 // across queries; they are not safe for concurrent use (the Index pool
 // hands each goroutine its own).

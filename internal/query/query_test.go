@@ -45,9 +45,8 @@ func propertyGraphs(seed int64) (*graph.Graph, *graph.Graph) {
 // property over 50 seeded random graph pairs, all four variants and both
 // candidate stores. Under a pinned iteration budget (Epsilon unreachable,
 // so the batch engine and the localized query run the same number of
-// rounds) the localized trajectory must reproduce Compute's scores — for
-// the dense store bit-identically, for the hash-map store within float
-// rounding (the stores order their per-pair arithmetic differently):
+// rounds) the localized trajectory must reproduce Compute's scores bit
+// for bit, on either store:
 //
 //   - Index.Query(u, v) equals Result.Score(u, v) for every pair,
 //     candidate or not (non-candidates return the §3.4 stand-in).
@@ -89,11 +88,6 @@ func TestBruteForceEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tol := 0.0
-		if opts.DenseCapPairs == 1 {
-			tol = 1e-12
-		}
-
 		// Single-pair queries over a deterministic third of the universe
 		// (every pair is still covered across the 50 seeds).
 		for u := 0; u < g1.NumNodes(); u++ {
@@ -107,9 +101,9 @@ func TestBruteForceEquivalenceProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := res.Score(un, vn)
-				if math.Abs(got-want) > tol {
-					t.Fatalf("seed %d %v: Query(%d,%d) = %v, Compute = %v (tol %v)",
-						seed, variant, u, v, got, want, tol)
+				if got != want {
+					t.Fatalf("seed %d %v: Query(%d,%d) = %v, Compute = %v",
+						seed, variant, u, v, got, want)
 				}
 			}
 		}
@@ -128,11 +122,11 @@ func TestBruteForceEquivalenceProperty(t *testing.T) {
 						seed, variant, u, k, len(got), len(want))
 				}
 				for i := range want {
-					if math.Abs(got[i].Score-want[i].Score) > tol {
+					if got[i].Score != want[i].Score {
 						t.Fatalf("seed %d %v: TopK(%d,%d)[%d] score %v, brute force %v",
 							seed, variant, u, k, i, got[i].Score, want[i].Score)
 					}
-					if tol == 0 && got[i].Index != want[i].Index {
+					if got[i].Index != want[i].Index {
 						t.Fatalf("seed %d %v: TopK(%d,%d)[%d] = node %d, brute force node %d",
 							seed, variant, u, k, i, got[i].Index, want[i].Index)
 					}
