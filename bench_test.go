@@ -3,14 +3,14 @@ package fsim
 // Benchmarks: one per table and figure of the paper's evaluation (§5), each
 // running the corresponding experiment harness on reduced ("Quick")
 // workloads so `go test -bench=.` exercises every reproduction path in
-// minutes. Full-scale runs (the numbers recorded in EXPERIMENTS.md) come
-// from `go run ./cmd/fsimbench <experiment>`.
+// minutes. Full-scale runs come from `go run ./cmd/fsimbench <experiment>`.
 //
-// The Ablation* benchmarks isolate the design decisions called out in
-// DESIGN.md §5: greedy vs exact Hungarian mapping, and the dense-array vs
-// hash-map candidate stores.
+// The Ablation* benchmarks isolate two engine design decisions: greedy vs
+// exact Hungarian mapping, and the dense-array vs hash-map candidate
+// stores.
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
@@ -93,7 +93,7 @@ func BenchmarkEngineVariants(b *testing.B) {
 }
 
 // BenchmarkAblationMatching isolates the greedy-vs-Hungarian mapping
-// choice inside the bj variant (DESIGN.md §5): exact matching restores
+// choice inside the bj variant: exact matching restores
 // Theorem 1's C3 at a large constant-factor cost.
 func BenchmarkAblationMatching(b *testing.B) {
 	g := dataset.MustPaperSpec("NELL", 480).Generate()
@@ -177,8 +177,8 @@ func BenchmarkDeltaConvergence(b *testing.B) {
 // servingOptions is the query-serving configuration shared by
 // BenchmarkComputeFull and BenchmarkTopK: the Remark 2 label constraint
 // plus §3.4 upper-bound pruning thin the candidate map, which is where
-// localized queries pay off (BENCH_topk.json records the full sweep,
-// including the θ = 0 worst case).
+// localized queries pay off; at θ = 0 a query's closure spans most of
+// the candidate map and the speedup disappears.
 func servingOptions() Options {
 	opts := DefaultOptions(BJ)
 	opts.Threads = 1
@@ -198,6 +198,29 @@ func BenchmarkComputeFull(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSnapshotLoad is the warm-start counterpart of
+// BenchmarkComputeFull: restoring a serving-configuration maintainer from
+// its binary snapshot instead of re-running the fixed point. It also
+// reports the snapshot's size.
+func BenchmarkSnapshotLoad(b *testing.B) {
+	mt, err := NewMaintainer(benchGraph(), servingOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(mt, &buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "snapshot-bytes")
 }
 
 // BenchmarkTopK measures one TopK(u, 10) query against a prebuilt shared

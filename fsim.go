@@ -90,7 +90,8 @@
 // (paper §4.3). The subpackages under internal/ implement the evaluation
 // substrates (synthetic datasets, pattern matching, node similarity and
 // graph alignment case studies); the cmd/fsimbench binary regenerates
-// every table and figure of the paper.
+// every table and figure of the paper, and the bench module's fsimperf
+// measures the serving layers.
 package fsim
 
 import (

@@ -52,8 +52,8 @@ func F1(alignment [][]graph.NodeID, n2 int) float64 {
 
 // Evolve produces the next version of a graph: node identities persist (the
 // paper's URIs), growth adds new nodes wired into the existing structure,
-// and a fraction of edges churn. This replaces the Guide-to-Pharmacology
-// version snapshots (DESIGN.md §3).
+// and a fraction of edges churn. This stands in for the paper's
+// Guide-to-Pharmacology version snapshots, which are not available offline.
 type Evolve struct {
 	// NodeGrowth is the fraction of new nodes added (G1→G2 in the paper
 	// grows ~4%).

@@ -9,7 +9,7 @@ import (
 	"fsim/internal/graph"
 )
 
-// TestSimRankPinnedDiagonalMatters is the DESIGN.md §5 ablation: without
+// TestSimRankPinnedDiagonalMatters is the pinned-diagonal ablation: without
 // PinDiagonal the framework's product configuration drifts from SimRank,
 // whose fixed point requires s(u,u) = 1. The test shows (a) the unpinned
 // diagonal falls below 1 and (b) off-diagonal scores then disagree with

@@ -57,7 +57,7 @@ func TestEmptyAndTinyGraphs(t *testing.T) {
 }
 
 // TestEmptyNeighborhoodSemantics pins the 0/0 resolution of Equation 2
-// (DESIGN.md §2.3) against the exact relations on crafted shapes.
+// against the exact relations on crafted shapes.
 func TestEmptyNeighborhoodSemantics(t *testing.T) {
 	// u has one out-neighbor; v has none (same labels).
 	b1 := graph.NewBuilder()
@@ -192,7 +192,7 @@ func TestAsymmetricScoreOrientation(t *testing.T) {
 	}
 }
 
-// TestGreedyVsHungarianDeviation bounds the ablation of DESIGN.md §5: the
+// TestGreedyVsHungarianDeviation bounds the greedy-vs-Hungarian ablation: the
 // converged greedy scores never exceed the exact-matching scores by more
 // than numerical noise, and on sparse random graphs they stay close.
 func TestGreedyVsHungarianDeviation(t *testing.T) {

@@ -42,7 +42,7 @@ const (
 // Operators bundles the mapping and normalizing operators together with the
 // variant's empty-neighborhood semantics. Equation 2 is 0/0 when a side has
 // no neighbors; the Empty* fields resolve those cases so that simulation
-// definiteness (P2) holds — see DESIGN.md §2.3.
+// definiteness (P2) holds.
 type Operators struct {
 	Mapping MappingKind
 	Norm    NormKind

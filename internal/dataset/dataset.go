@@ -7,7 +7,7 @@
 // out-/in-degrees — optionally scaled down by an integer factor so the full
 // experiment suite fits a small machine. The sensitivity and efficiency
 // experiments measure relative behaviour across configurations, which
-// depends on exactly these distributional properties (see DESIGN.md §3).
+// depends on exactly these distributional properties.
 //
 // The package also provides the error-injection and densification
 // workloads of Fig 5 and Fig 9(b), and random query extraction for the
@@ -39,7 +39,7 @@ type Spec struct {
 }
 
 // table4 holds the published statistics of the paper's Table 4, plus the
-// default down-scale factor used by this reproduction (DESIGN.md §3).
+// default down-scale factor used by this reproduction.
 var table4 = []struct {
 	name                                string
 	edges, nodes, labels, maxOut, maxIn int

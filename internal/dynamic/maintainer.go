@@ -18,18 +18,17 @@
 // The per-update cost is proportional to the update's cone of influence,
 // not to the graph: it pays off exactly when the candidate map is
 // selective (a label constraint θ > 0, §3.4 upper-bound pruning) and the
-// graph has locality the cone can respect. On the well-connected NELL
-// stand-in's serving configuration, a single edge's cone covers ~25% of
-// the candidate map and maintenance runs ~8x faster than a full Compute;
-// a 16-change batch saturates the locality threshold and falls back to
-// one full recompute per batch — ~22x per update by amortization (see
-// BENCH_dynamic.json for both). Under θ = 0 every pair is a candidate of
-// every other, the cone saturates immediately, and per-update cost is
-// honestly that of a full recomputation. Graphs with genuinely local
-// structure (disconnected or label-stratified regions) do better: the
-// cone — and the cost — stays inside the mutated region, as the locality
-// tests in this package demonstrate. The same economics governed the
-// query subsystem (PR 2); dynamic maintenance inherits them.
+// graph has locality the cone can respect. A batch whose union cone
+// exceeds the locality threshold falls back to one full recompute, which
+// still amortizes over the batch's changes; the bench module's fsimperf
+// reports the cone (dynamic.cone) and the cost of an Apply
+// (dynamic.apply_p50_ms) on the serving configuration. Under θ = 0 every
+// pair is a candidate of every other, the cone saturates immediately, and
+// per-update cost is honestly that of a full recomputation. Graphs with
+// genuinely local structure (disconnected or label-stratified regions) do
+// better: the cone — and the cost — stays inside the mutated region, as
+// the locality tests in this package demonstrate. The same economics
+// govern the query subsystem.
 //
 // Exactness: with the iteration budget pinned (Options.MaxIters set and
 // Epsilon unreachable), maintained scores are bit-identical to a fresh

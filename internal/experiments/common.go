@@ -16,7 +16,6 @@ import (
 	"fsim/internal/exact"
 	"fsim/internal/graph"
 	"fsim/internal/stats"
-	"fsim/internal/strsim"
 )
 
 // Config tunes an experiment run.
@@ -70,12 +69,7 @@ func Registry() []struct {
 		{"table8", "nDCG of node similarity algorithms", Table8},
 		{"table9", "graph alignment F1", Table9},
 		{"delta", "worklist delta convergence vs full recomputation", Delta},
-		{"topk", "single-source top-k queries vs full computation", TopK},
-		{"dynamic", "incremental maintenance under update streams vs full recompute", Dynamic},
-		{"snapshot", "binary snapshot warm start vs cold text-parse + Compute", Snapshot},
 		{"scale", "nodes × edges × threads sweep: dynamic chunk queue speedup and determinism", Scale},
-		{"cluster", "replicated serving tier over loopback sockets: router throughput, replication lag, re-sync time", Cluster},
-		{"apps", "served application endpoints (/match, /align, /nodesim): cached vs naive throughput", Apps},
 	}
 }
 
@@ -120,20 +114,6 @@ func writeReport(cfg Config, name string, v any) error {
 	}
 	fmt.Fprintf(cfg.out(), "\nwrote %s\n", path)
 	return nil
-}
-
-// servedOptions is the bj option pair the serving experiments share.
-// Every computation runs exactly 12 rounds, so served scores are
-// bit-identical to a fresh Compute at that budget. base is the paper's
-// θ = 0 setting; serving adds the selectivity optimizations (θ = 0.6,
-// §3.4 pruning at α = 0.3, β = 0.5).
-func servedOptions(cfg Config) (base, serving core.Options) {
-	base = core.DefaultOptions(exact.BJ).WithPinnedIterations(12)
-	base.Threads = cfg.Threads
-	serving = base
-	serving.Theta = 0.6
-	serving.UpperBoundOpt = &core.UpperBound{Alpha: 0.3, Beta: 0.5}
-	return base, serving
 }
 
 // nellGraph returns the sensitivity-analysis workhorse: the NELL stand-in
@@ -252,7 +232,5 @@ func dur(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())
 }
 
-// variantLabels renders the four χ names in paper order.
+// variantOrder lists the four χ variants in paper order.
 var variantOrder = []exact.Variant{exact.S, exact.DP, exact.B, exact.BJ}
-
-var _ = strsim.Indicator // referenced by sibling files

@@ -4,8 +4,7 @@
 // reachable both from cmd/fsimbench and from the repository-root
 // benchmarks.
 //
-// The experiment ids map to paper artifacts as follows (see DESIGN.md §4
-// for workloads and parameters):
+// The experiment ids map to paper artifacts as follows:
 //
 //	table2  Figure 1 example scores            (§2, Table 2)
 //	table5  initialization sensitivity         (§5.2, Table 5)
@@ -20,11 +19,9 @@
 //	table8  node-similarity nDCG               (§5.4, Table 8)
 //	table9  graph-alignment F1                 (§5.4, Table 9)
 //
-// Beyond the paper, the systems experiments measure this repository's
-// serving machinery and write machine-readable BENCH_*.json artifacts:
-// delta (worklist convergence), topk (single-source queries), dynamic
-// (incremental maintenance), snapshot (binary warm start vs cold parse +
-// Compute), scale (the engine's thread and size sweep), cluster (the
-// replicated tier over loopback sockets) and apps (the served application
-// endpoints).
+// Beyond the paper, two engine experiments write machine-readable
+// BENCH_*.json artifacts: delta (worklist convergence against full
+// recomputation) and scale (the engine's thread and size sweep). The
+// serving layers above the engine are measured by the bench module's
+// fsimperf, not here.
 package experiments

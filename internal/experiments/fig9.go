@@ -13,11 +13,11 @@ import (
 // FSimbj{ub, θ=1} with 1–32 threads on the NELL and ACMCit stand-ins, and
 // (b) running time while multiplying graph density ×1–×50.
 //
-// Substitution note (DESIGN.md §3): this container exposes a single CPU
-// core, so wall-clock speedup cannot manifest; panel (a) therefore also
-// reports the engine's load-balance factor (max shard work / mean shard
-// work; 1.0 = perfectly even), which is the property the paper's
-// round-robin distribution claim rests on.
+// Wall-clock speedup stops at the host's core count (threads beyond it
+// time-slice the cores), so panel (a) also reports the engine's
+// load-balance factor (max shard work / mean shard work; 1.0 = perfectly
+// even), the property the paper's round-robin distribution claim rests
+// on.
 func Fig9(cfg Config) error {
 	w := cfg.out()
 
@@ -43,7 +43,7 @@ func Fig9(cfg Config) error {
 		return computeSelf(g, opts)
 	}
 
-	fmt.Fprintln(w, "(a) FSim_bj{ub,θ=1} vs number of threads (single-core host: see load balance)")
+	fmt.Fprintln(w, "(a) FSim_bj{ub,θ=1} vs number of threads (speedup stops at the host's cores: see load balance)")
 	ta := &table{headers: []string{"threads", "NELL time", "NELL balance", "ACMCit time", "ACMCit balance"}}
 	for _, threads := range threadCounts {
 		rn, err := run(nell, threads)
@@ -60,7 +60,7 @@ func Fig9(cfg Config) error {
 	ta.write(w)
 
 	fmt.Fprintln(w, "\n(b) FSim_bj{ub,θ=1} vs density multiplier (NELL/ACMCit stand-ins, reduced base size)")
-	// Much smaller bases keep the ×50 point tractable on one core: the
+	// Much smaller bases keep the ×50 point tractable on a small host: the
 	// same-label pair products grow quadratically in |E|, so the ×50
 	// multiplier costs 2500× the base point.
 	nellSmall := mk("NELL", nellScale*4)

@@ -17,7 +17,7 @@ import (
 // their (unique) names. The real DBIS download is unavailable offline; the
 // generator plants the structures Tables 7–8 test for — research areas,
 // venue tiers, and duplicate venue identities (WWW1/WWW2/WWW3 mirroring
-// WWW's community), see DESIGN.md §3.
+// WWW's community).
 type Network struct {
 	G *graph.Graph
 	// Venues lists the venue nodes; VenueName/VenueArea/VenueTier are
