@@ -552,17 +552,17 @@ func (cs *CandidateSet) ForEachDependent(x, y graph.NodeID, fn func(u, v graph.N
 }
 
 // updatePair evaluates Equation 3 for one pair.
-func (cs *CandidateSet) updatePair(u, v graph.NodeID, eligible func(x, y graph.NodeID) bool, lookup func(x, y graph.NodeID) float64, scratch *opScratch) float64 {
+func (cs *CandidateSet) updatePair(u, v graph.NodeID, lookup func(x, y graph.NodeID) float64, scratch *opScratch) float64 {
 	if cs.opts.PinDiagonal && u == v {
 		return 1
 	}
 	o := &cs.opts
 	s := (1 - o.WPlus - o.WMinus) * cs.LabelSim(u, v)
 	if o.WPlus > 0 {
-		s += o.WPlus * cs.ops.neighborScore(cs.g1.Out(u), cs.g2.Out(v), eligible, lookup, scratch)
+		s += o.WPlus * cs.ops.neighborScore(cs.g1.Out(u), cs.g2.Out(v), lookup, scratch)
 	}
 	if o.WMinus > 0 {
-		s += o.WMinus * cs.ops.neighborScore(cs.g1.In(u), cs.g2.In(v), eligible, lookup, scratch)
+		s += o.WMinus * cs.ops.neighborScore(cs.g1.In(u), cs.g2.In(v), lookup, scratch)
 	}
 	return s
 }

@@ -56,7 +56,8 @@ func determinismGraph(t *testing.T) *graph.Graph {
 }
 
 // TestParallelDeterminism is the dynamic chunk queue's core property: for
-// every variant, both stores, full and delta strategies, and a float32 run,
+// every variant, both stores, full and delta strategies, and a damped delta
+// run on each store (a dirty pair re-enters the worklist on its own),
 // Compute returns bit-identical scores at every thread count. The chunk
 // schedule (which worker claims which chunk, and in what order) varies
 // freely across runs; the synchronous Jacobi update makes the scores
@@ -79,7 +80,8 @@ func TestParallelDeterminism(t *testing.T) {
 		{"sparse-full", func(o *Options) { o.DenseCapPairs = 1 }},
 		{"dense-delta", func(o *Options) { o.DeltaMode = true }},
 		{"sparse-delta", func(o *Options) { o.DenseCapPairs = 1; o.DeltaMode = true }},
-		{"dense-f32", func(o *Options) { o.Float32Scores = true }},
+		{"dense-delta-damped", func(o *Options) { o.DeltaMode = true; o.Damping = 0.5 }},
+		{"sparse-delta-damped", func(o *Options) { o.DenseCapPairs = 1; o.DeltaMode = true; o.Damping = 0.5 }},
 	}
 	for _, variant := range exact.Variants {
 		for _, kind := range kinds {

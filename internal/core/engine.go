@@ -23,11 +23,6 @@ type engine struct {
 	lay layout
 
 	prev, cur []float64
-	// prev32/cur32 replace prev/cur when Options.Float32Scores is set: half
-	// the store footprint and memory traffic, at float32 precision. Exactly
-	// one of the two buffer pairs is allocated.
-	prev32, cur32 []float32
-	f32           bool
 
 	// workers holds one reusable, cache-line-padded state per worker
 	// goroutine.
@@ -41,17 +36,19 @@ type engine struct {
 
 // layout is a run's slot plan: the slot count, slot → pair, pair → slot
 // for worklist marks, and how a previous-score read resolves (lookupFunc).
-// Two plans exist:
+// Every plan reads a non-candidate pair as its §3.4 stand-in and a
+// label-ineligible pair as 0, so the mapping operators need no label
+// check of their own. Two plans exist:
 //
 //   - list (batch, any store with a candidate map): one slot per
 //     candidate, aligned to the row-major candidate list (the literal Hc
 //     of Algorithm 1), so the buffers are the result's scores as they
 //     stand. A pair resolves to its slot by the rank of its bit in the
 //     candidate bitmap (dense store) or through the index map (sparse
-//     store, pair universe beyond Options.DenseCapPairs). A non-candidate
-//     pair reads its §3.4 stand-in: α·FSim̄ for a retained bound — found
-//     by the rank of the pruned-pair bitmap, or by StandIn's row search on
-//     the sparse store — and 0 otherwise.
+//     store, pair universe beyond Options.DenseCapPairs, which checks the
+//     label constraint first). A non-candidate pair reads α·FSim̄ for a
+//     retained bound — found by the rank of the pruned-pair bitmap, or by
+//     StandIn's row search on the sparse store — and 0 otherwise.
 //   - row-dense: pair (u, v) at slot row(u)·stride + v. Batch all-pairs
 //     runs (θ = 0, pruning off) cover every g1 node, every slot a
 //     candidate; RowPlan (the query subsystem's dependency closures)
@@ -261,8 +258,9 @@ func ComputeOn(cs *CandidateSet) (*Result, error) {
 // computeOn iterates Equation 3 to its fixed point over a prebuilt
 // candidate component, on the batch layout of its store.
 func computeOn(cs *CandidateSet, start time.Time) (*Result, error) {
-	e := &engine{CandidateSet: cs, lay: cs.layout(), f32: cs.opts.Float32Scores, worklist: cs.opts.DeltaMode}
-	e.initBuffers()
+	e := &engine{CandidateSet: cs, lay: cs.layout(), worklist: cs.opts.DeltaMode}
+	e.prev = make([]float64, e.lay.slots)
+	e.cur = make([]float64, e.lay.slots)
 	e.initScores()
 	res := &Result{
 		cs:             cs,
@@ -273,7 +271,7 @@ func computeOn(cs *CandidateSet, start time.Time) (*Result, error) {
 	e.run(res)
 	// prev holds the latest completed iteration after the final swap; both
 	// batch layouts are candidate-aligned, so it is the result as it stands.
-	res.scores, res.scores32 = e.prev, e.prev32
+	res.scores = e.prev
 	res.Duration = time.Since(start)
 	return res, nil
 }
@@ -350,7 +348,6 @@ func (e *engine) run(res *Result) {
 		res.Iterations = it
 		res.Deltas = append(res.Deltas, maxAbs)
 		e.prev, e.cur = e.cur, e.prev
-		e.prev32, e.cur32 = e.cur32, e.prev32
 		var done bool
 		if opts.RelativeEps {
 			done = maxRel < opts.Epsilon
@@ -367,52 +364,9 @@ func (e *engine) run(res *Result) {
 	}
 }
 
-// eligibleFn returns the constraint for the mapping operators. Only the
-// sparse store checks it per element; every other layout returns nil even
-// for θ > 0: a non-candidate read yields a constant 0 (or α·FSim̄), which
-// contributes exactly what the constrained mapping would — 0 from
-// ineligible pairs, the stand-in from pruned ones — so per-element label
-// checks are unnecessary.
-func (e *engine) eligibleFn() func(x, y graph.NodeID) bool {
-	if e.lay.index == nil || e.opts.Theta == 0 {
-		return nil
-	}
-	return e.eligible
-}
-
-// initBuffers allocates the two batch score buffers, one slot per
-// iterated pair.
-func (e *engine) initBuffers() {
-	slots := e.lay.slots
-	if e.f32 {
-		e.prev32 = make([]float32, slots)
-		e.cur32 = make([]float32, slots)
-	} else {
-		e.prev = make([]float64, slots)
-		e.cur = make([]float64, slots)
-	}
-}
-
-// setPrev seeds one slot of the previous-iteration buffer.
-func (e *engine) setPrev(i int, s float64) {
-	if e.f32 {
-		e.prev32[i] = float32(s)
-		return
-	}
-	e.prev[i] = s
-}
-
-// prevScore reads one slot of the previous-iteration buffer.
-func (e *engine) prevScore(i int) float64 {
-	if e.f32 {
-		return float64(e.prev32[i])
-	}
-	return e.prev[i]
-}
-
 // initWorkers (re)builds n padded per-worker states. Scratch and dirty
 // capacity survive from earlier runs of the same engine; the score
-// accessors are rebuilt for the current layout.
+// accessor is rebuilt for the current layout.
 func (e *engine) initWorkers(n int) {
 	if len(e.workers) != n {
 		e.workers = make([]engineWorker, n)
@@ -422,7 +376,7 @@ func (e *engine) initWorkers(n int) {
 		if w.scratch == nil {
 			w.scratch = newOpScratch()
 		}
-		w.lookup, w.eligible = e.lookupFunc(), e.eligibleFn()
+		w.lookup = e.lookupFunc()
 	}
 }
 
@@ -431,49 +385,40 @@ func (e *engine) initScores() {
 	if e.allPairs { // dense, all pairs
 		for u := 0; u < e.n1; u++ {
 			for v := 0; v < e.n2; v++ {
-				e.setPrev(u*e.n2+v, e.InitScore(graph.NodeID(u), graph.NodeID(v)))
+				e.prev[u*e.n2+v] = e.InitScore(graph.NodeID(u), graph.NodeID(v))
 			}
 		}
 		return
 	}
 	for pos, k := range e.candPairs {
 		u, v := k.Split()
-		e.setPrev(e.lay.sweepSlot(pos, u, v), e.InitScore(u, v))
+		e.prev[e.lay.sweepSlot(pos, u, v)] = e.InitScore(u, v)
 	}
 }
 
 // updateState is one worker's reusable per-iteration context: operator
-// scratch, score accessors and running extrema. Both iteration strategies
+// scratch, score accessor and running extrema. Both iteration strategies
 // (full and delta) update pairs through updateSlot so their per-pair
 // arithmetic is identical by construction.
 type updateState struct {
-	scratch  *opScratch
-	lookup   func(x, y graph.NodeID) float64
-	eligible func(x, y graph.NodeID) bool
-	work     int64
-	maxAbs   float64
-	maxRel   float64
+	scratch *opScratch
+	lookup  func(x, y graph.NodeID) float64
+	work    int64
+	maxAbs  float64
+	maxRel  float64
 }
 
 // updateSlot recomputes pair (u, v) into cur[i] (Lines 5–8 of Algorithm 1)
-// and returns the absolute score change. Under Float32Scores the change is
-// measured between the stored (rounded) values, so the convergence
-// criterion and the delta worklist's stability test act on exactly the
-// scores later iterations will read.
+// and returns the absolute score change.
 func (e *engine) updateSlot(st *updateState, u, v graph.NodeID, i int) float64 {
-	s := e.updatePair(u, v, st.eligible, st.lookup, st.scratch)
+	s := e.updatePair(u, v, st.lookup, st.scratch)
 	st.work += int64(e.g1.OutDegree(u))*int64(e.g2.OutDegree(v)) +
 		int64(e.g1.InDegree(u))*int64(e.g2.InDegree(v)) + 1
-	p := e.prevScore(i)
+	p := e.prev[i]
 	if damping := e.opts.Damping; damping > 0 {
 		s = damping*p + (1-damping)*s
 	}
-	if e.f32 {
-		e.cur32[i] = float32(s)
-		s = float64(e.cur32[i])
-	} else {
-		e.cur[i] = s
-	}
+	e.cur[i] = s
 	d := s - p
 	if d < 0 {
 		d = -d
@@ -598,7 +543,6 @@ func (e *engine) reduce(work []int64) (maxAbs, maxRel float64) {
 // is reused.
 func (e *engine) initWorklist() {
 	copy(e.cur, e.prev)
-	copy(e.cur32, e.prev32)
 	e.active = resetBits(e.active, e.lay.slots)
 	e.nextActive = resetBits(e.nextActive, e.lay.slots)
 	e.lay.markAll(e.active)
@@ -673,11 +617,7 @@ func (e *engine) syncAndAdvance() {
 	for w, word := range e.active {
 		for ; word != 0; word &= word - 1 {
 			slot := w*64 + bits.TrailingZeros64(word)
-			if e.f32 {
-				e.cur32[slot] = e.prev32[slot]
-			} else {
-				e.cur[slot] = e.prev[slot]
-			}
+			e.cur[slot] = e.prev[slot]
 		}
 	}
 	dirtyTotal := 0
@@ -711,11 +651,15 @@ func (e *engine) syncAndAdvance() {
 }
 
 // lookupFunc returns the previous-iteration score accessor used by the
-// mapping operators, built once per run for the engine's layout. All
-// pairs is a single array load; a row plan adds one row-map load and
-// resolves rows it never materialized to their stand-ins. The list layout
-// resolves a pair to its slot (position) and a non-candidate to its §3.4
-// stand-in: α·FSim̄ for a retained bound, 0 otherwise.
+// mapping operators, built once per run for the engine's layout. The
+// accessor alone decides what a non-candidate contributes: its §3.4
+// stand-in, α·FSim̄ for a retained bound, and 0 otherwise, which for a
+// label-ineligible pair is what excluding it from the mapping would
+// contribute (see neighborScore). All pairs is a single array load; a row
+// plan adds one row-map load and resolves rows it never materialized to
+// their stand-ins. The list layout resolves a pair to its slot (position).
+// On the sparse store under θ > 0 the label check runs before the index
+// probe: it costs less than the map miss it saves.
 func (e *engine) lookupFunc() func(x, y graph.NodeID) float64 {
 	l := &e.lay
 	if !l.list {
@@ -728,29 +672,21 @@ func (e *engine) lookupFunc() func(x, y graph.NodeID) float64 {
 				return e.StandIn(x, y)
 			}
 		}
-		if e.f32 {
-			return func(x, y graph.NodeID) float64 { return float64(e.prev32[int(x)*n2+int(y)]) }
-		}
 		return func(x, y graph.NodeID) float64 { return e.prev[int(x)*n2+int(y)] }
 	}
 	if l.index != nil {
+		constrained := e.opts.Theta > 0
 		return func(x, y graph.NodeID) float64 {
+			if constrained && !e.eligible(x, y) {
+				return 0
+			}
 			if i, ok := l.index[pairbits.MakeKey(x, y)]; ok {
-				return e.prevScore(int(i))
+				return e.prev[i]
 			}
 			return e.StandIn(x, y)
 		}
 	}
 	n2, cand := l.stride, l.cand
-	if e.f32 {
-		return func(x, y graph.NodeID) float64 {
-			i := int(x)*n2 + int(y)
-			if pos, ok := cand.Index(i); ok {
-				return float64(e.prev32[pos])
-			}
-			return e.rankedStandIn(i)
-		}
-	}
 	return func(x, y graph.NodeID) float64 {
 		i := int(x)*n2 + int(y)
 		if pos, ok := cand.Index(i); ok {
@@ -761,9 +697,7 @@ func (e *engine) lookupFunc() func(x, y graph.NodeID) float64 {
 }
 
 // rankedStandIn returns the stand-in of non-candidate slot i of the dense
-// store's pair universe: α·FSim̄ for a retained bound — rounded to float32
-// under Float32Scores, the precision its scores iterate at — and 0
-// otherwise.
+// store's pair universe: α·FSim̄ for a retained bound, 0 otherwise.
 func (e *engine) rankedStandIn(i int) float64 {
 	if e.prunedOff == nil {
 		return 0
@@ -772,9 +706,5 @@ func (e *engine) rankedStandIn(i int) float64 {
 	if !ok {
 		return 0
 	}
-	s := e.opts.UpperBoundOpt.Alpha * e.prunedBound[j]
-	if e.f32 {
-		s = float64(float32(s))
-	}
-	return s
+	return e.opts.UpperBoundOpt.Alpha * e.prunedBound[j]
 }

@@ -566,34 +566,75 @@ func TestDeltaEpsValidation(t *testing.T) {
 }
 
 // TestThetaStoreEquivalence verifies bit-identical dense-bitmap and
-// hash-map scores under an active label constraint (θ > 0), where the two
-// stores take different eligibility paths (constant zero reads vs
-// per-element checks).
+// hash-map scores under an active label constraint (θ > 0). The dense
+// store reads a label-ineligible pair as 0 from its candidate bitmap; the
+// hash map's lookup returns 0 for it from the label check, before its
+// index probe. The mapping operators never check θ themselves, so the
+// cases cover every operator branch that reads such a 0 where the
+// constraint used to exclude the pair: best and bidirectional, greedy and
+// Hungarian matching, the product mapping (SimRank) and the max-normalized
+// matching (RoleSim) on a self-pair, and §3.4 pruning with stand-ins.
 func TestThetaStoreEquivalence(t *testing.T) {
 	g1 := dataset.RandomGraph(33, 30, 90, 4)
 	g2 := dataset.RandomGraph(34, 35, 100, 4)
+	type thetaCase struct {
+		name string
+		self bool // score g1 against itself
+		opts Options
+	}
+	var cases []thetaCase
+	for _, variant := range exact.Variants {
+		cases = append(cases, thetaCase{variant.String(), false, DefaultOptions(variant)})
+	}
+	for _, variant := range []exact.Variant{exact.DP, exact.BJ} {
+		opts := DefaultOptions(variant)
+		ops := OperatorsFor(variant)
+		ops.ExactMatching = true
+		opts.Operators = &ops
+		cases = append(cases, thetaCase{variant.String() + "/hungarian", false, opts})
+	}
+	simRank, roleSim := SimRankOptions(0.8), RoleSimOptions(0.2)
+	simRank.Label, roleSim.Label = nil, nil // the default label similarity, so θ bites
+	cases = append(cases, thetaCase{"simrank", true, simRank}, thetaCase{"rolesim", true, roleSim})
 	for _, variant := range exact.Variants {
 		opts := DefaultOptions(variant)
-		opts.Theta = 0.6
-		opts.Epsilon = 1e-8
-		opts.RelativeEps = false
-		rb, err := Compute(g1, g2, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hash := opts
-		hash.DenseCapPairs = 1
-		rh, err := Compute(g1, g2, hash)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rb.CandidateCount != rh.CandidateCount {
-			t.Fatalf("variant %v: candidate counts differ: %d vs %d", variant, rb.CandidateCount, rh.CandidateCount)
-		}
-		rb.ForEach(func(u, v graph.NodeID, s float64) {
-			if s2 := rh.Score(u, v); s != s2 {
-				t.Fatalf("variant %v: θ>0 store mismatch at (%d,%d): %v vs %v", variant, u, v, s, s2)
+		opts.UpperBoundOpt = &UpperBound{Alpha: 0.3, Beta: 0.6}
+		cases = append(cases, thetaCase{variant.String() + "/pruned", false, opts})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			opts := c.opts
+			opts.Theta = 0.8 // labels Lk and Lj (k ≠ j) are Jaro–Winkler 0.7 apart
+			opts.Epsilon = 1e-8
+			opts.RelativeEps = false
+			h1, h2 := g1, g2
+			if c.self {
+				h2 = g1
 			}
+			rb, err := Compute(h1, h2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rb.cs.dense || rb.cs.allPairs || rb.CandidateCount == 0 {
+				t.Fatalf("want the dense store with a non-empty candidate bitmap (%d candidates)", rb.CandidateCount)
+			}
+			if h1.NumNodes()*h2.NumNodes() == rb.CandidateCount+rb.PrunedCount {
+				t.Fatal("θ excluded no pair; the test would be vacuous")
+			}
+			hash := opts
+			hash.DenseCapPairs = 1
+			rh, err := Compute(h1, h2, hash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rb.CandidateCount != rh.CandidateCount {
+				t.Fatalf("candidate counts differ: %d vs %d", rb.CandidateCount, rh.CandidateCount)
+			}
+			rb.ForEach(func(u, v graph.NodeID, s float64) {
+				if s2 := rh.Score(u, v); s != s2 {
+					t.Fatalf("θ>0 store mismatch at (%d,%d): %v vs %v", u, v, s, s2)
+				}
+			})
 		})
 	}
 }

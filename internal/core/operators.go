@@ -13,8 +13,9 @@ import (
 type MappingKind int
 
 const (
-	// MapBest pairs every x ∈ S1 with its best-scoring eligible y ∈ S2
-	// (the fs of Table 3; simple simulation).
+	// MapBest pairs every x ∈ S1 with its best-scoring y ∈ S2 (the fs of
+	// Table 3; simple simulation). A label-ineligible pair reads 0, so an
+	// x without an eligible partner contributes 0.
 	MapBest MappingKind = iota
 	// MapInjective pairs up to min(|S1|, |S2|) nodes injectively,
 	// maximizing the score sum via the greedy weighted-matching heuristic
@@ -126,14 +127,15 @@ func (op *Operators) mapBound(n1, n2, e1, e2 int) float64 {
 // neighborScore computes FSimχ(S1, S2) of Equation 2 for one direction:
 // the mapping operator's maximum score mass divided by Ωχ, with the
 // empty-set conventions applied. lookup returns the previous-iteration
-// score of a cross pair; eligible applies the label constraint θ — nil
-// means every pair is eligible (θ = 0), saving the per-element call.
+// score of a cross pair, and 0 for a label-ineligible one (Remark 2).
+// Scores are never negative, so a pair read as 0 adds nothing to a
+// maximum, a sum or a matching: every operator gives exactly what it
+// would with the pair excluded, and none checks θ itself.
 //
 // n1 × n2 weight problems for MapInjective reuse the caller's scratch to
 // stay allocation-free in the hot loop.
 func (op *Operators) neighborScore(
 	s1, s2 []graph.NodeID,
-	eligible func(x, y graph.NodeID) bool,
 	lookup func(x, y graph.NodeID) float64,
 	scratch *opScratch,
 ) float64 {
@@ -149,52 +151,34 @@ func (op *Operators) neighborScore(
 	var sum float64
 	switch op.Mapping {
 	case MapBest:
-		sum = bestSum(s1, s2, eligible, lookup)
+		sum = bestSum(s1, s2, lookup)
 	case MapBidirectional:
-		var revEligible func(y, x graph.NodeID) bool
-		if eligible != nil {
-			revEligible = func(y, x graph.NodeID) bool { return eligible(x, y) }
-		}
-		sum = bestSum(s1, s2, eligible, lookup) +
-			bestSum(s2, s1, revEligible,
-				func(y, x graph.NodeID) float64 { return lookup(x, y) })
+		sum = bestSum(s1, s2, lookup) +
+			bestSum(s2, s1, func(y, x graph.NodeID) float64 { return lookup(x, y) })
 	case MapProduct:
 		for _, x := range s1 {
 			for _, y := range s2 {
-				if eligible == nil || eligible(x, y) {
-					sum += lookup(x, y)
-				}
+				sum += lookup(x, y)
 			}
 		}
 	case MapInjective:
 		if n1 == 1 || n2 == 1 {
 			// An injective matching with a single-element side is just the
-			// best eligible pair; skip the weight matrix entirely.
-			best, seen := 0.0, false
+			// best pair; skip the weight matrix entirely.
 			for _, x := range s1 {
 				for _, y := range s2 {
-					if eligible != nil && !eligible(x, y) {
-						continue
-					}
-					if s := lookup(x, y); !seen || s > best {
-						best, seen = s, true
+					if s := lookup(x, y); s > sum {
+						sum = s
 					}
 				}
-			}
-			if seen {
-				sum = best
 			}
 			break
 		}
 		if n1 == 2 && n2 == 2 {
 			// 2×2 matching in closed form: the better of the two diagonals
 			// (which is also exact, not just greedy).
-			w00 := pairWeight(s1[0], s2[0], eligible, lookup)
-			w01 := pairWeight(s1[0], s2[1], eligible, lookup)
-			w10 := pairWeight(s1[1], s2[0], eligible, lookup)
-			w11 := pairWeight(s1[1], s2[1], eligible, lookup)
-			d1 := nonNeg(w00) + nonNeg(w11)
-			d2 := nonNeg(w01) + nonNeg(w10)
+			d1 := lookup(s1[0], s2[0]) + lookup(s1[1], s2[1])
+			d2 := lookup(s1[0], s2[1]) + lookup(s1[1], s2[0])
 			if d2 > d1 {
 				d1 = d2
 			}
@@ -207,43 +191,17 @@ func (op *Operators) neighborScore(
 		}
 		w = w[:n1*n2]
 		scratch.weights = w
-		if op.ExactMatching {
-			// Ineligible pairs get weight 0: a maximum assignment never
-			// gains from them, so the optimum equals the eligible-only
-			// maximum-sum matching required by C3.
-			for i, x := range s1 {
-				row := w[i*n2 : (i+1)*n2]
-				for j, y := range s2 {
-					if eligible == nil || eligible(x, y) {
-						row[j] = lookup(x, y)
-					} else {
-						row[j] = 0
-					}
-				}
+		for i, x := range s1 {
+			row := w[i*n2 : (i+1)*n2]
+			for j, y := range s2 {
+				row[j] = lookup(x, y)
 			}
+		}
+		if op.ExactMatching {
 			_, sum = matching.Hungarian(w, n1, n2, scratch.m)
 			break
 		}
 		scratch.m.Grow(n1, n2)
-		if eligible == nil {
-			for i, x := range s1 {
-				row := w[i*n2 : (i+1)*n2]
-				for j, y := range s2 {
-					row[j] = lookup(x, y)
-				}
-			}
-		} else {
-			for i, x := range s1 {
-				row := w[i*n2 : (i+1)*n2]
-				for j, y := range s2 {
-					if eligible(x, y) {
-						row[j] = lookup(x, y)
-					} else {
-						row[j] = -1 // excluded from the matching
-					}
-				}
-			}
-		}
 		sum, _ = matching.GreedyDense(w, n1, n2, scratch.m)
 	}
 	return sum / op.omega(n1, n2)
@@ -275,43 +233,20 @@ func forEachDependent(g1, g2 *graph.Graph, x, y graph.NodeID, wplus, wminus floa
 	}
 }
 
-// bestSum is Σ_{x∈s1} max_{y∈s2, eligible} lookup(x, y); an x with no
-// eligible partner contributes 0. A nil eligible admits every pair.
-func bestSum(s1, s2 []graph.NodeID, eligible func(x, y graph.NodeID) bool, lookup func(x, y graph.NodeID) float64) float64 {
+// bestSum is Σ_{x∈s1} max_{y∈s2} lookup(x, y); a label-ineligible pair
+// reads 0, so an x with no eligible partner contributes 0.
+func bestSum(s1, s2 []graph.NodeID, lookup func(x, y graph.NodeID) float64) float64 {
 	sum := 0.0
 	for _, x := range s1 {
 		best := 0.0
-		seen := false
 		for _, y := range s2 {
-			if eligible != nil && !eligible(x, y) {
-				continue
-			}
-			if s := lookup(x, y); !seen || s > best {
+			if s := lookup(x, y); s > best {
 				best = s
-				seen = true
 			}
 		}
-		if seen {
-			sum += best
-		}
+		sum += best
 	}
 	return sum
-}
-
-// pairWeight is the matching weight of one pair: the score when eligible,
-// -1 when excluded by the label constraint.
-func pairWeight(x, y graph.NodeID, eligible func(x, y graph.NodeID) bool, lookup func(x, y graph.NodeID) float64) float64 {
-	if eligible != nil && !eligible(x, y) {
-		return -1
-	}
-	return lookup(x, y)
-}
-
-func nonNeg(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return x
 }
 
 // opScratch holds the per-worker reusable buffers of neighborScore.

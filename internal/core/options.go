@@ -100,18 +100,6 @@ type Options struct {
 	// the platform int select the sparse store instead of mis-indexing.
 	DenseCapPairs int
 
-	// Float32Scores keeps the engine's score buffers as float32 instead of
-	// float64 (the Result stores the final candidate scores widened to
-	// float64, exactly): half the memory footprint and memory bandwidth per
-	// iteration, at float32 precision (scores round to ~7 significant
-	// digits; convergence tests act on the rounded values). The default
-	// float64 path is unchanged and keeps its bit-exactness contract;
-	// float32 runs are themselves deterministic across thread counts, but
-	// their scores differ from float64 runs by rounding. Batch Compute
-	// only: the query index, dynamic maintainer and snapshot codec keep
-	// float64 state and reject this option.
-	Float32Scores bool
-
 	// PinDiagonal keeps FSim(u, u) = 1 across iterations (requires
 	// g1 == g2 shape); SimRank's fixed self-similarity uses this.
 	PinDiagonal bool

@@ -12,10 +12,7 @@ type Result struct {
 	cs *CandidateSet
 	// scores holds one score per candidate pair, at its
 	// CandidateSet.Position; non-candidates resolve through StandIn.
-	// scores32 replaces it when Options.Float32Scores is set (same
-	// positions, float32 precision); exactly one of the two is non-nil.
-	scores   []float64
-	scores32 []float32
+	scores []float64
 
 	// Iterations is the number of update rounds executed.
 	Iterations int
@@ -61,28 +58,17 @@ func (r *Result) Candidates() *CandidateSet { return r.cs }
 // 0.
 func (r *Result) Score(u, v graph.NodeID) float64 {
 	if pos := r.cs.Position(u, v); pos >= 0 {
-		return r.at(pos)
+		return r.scores[pos]
 	}
-	s := r.cs.StandIn(u, v)
-	if r.scores32 != nil && r.cs.dense {
-		// The dense engine iterated with the float32-rounded stand-in.
-		s = float64(float32(s))
-	}
-	return s
+	return r.cs.StandIn(u, v)
 }
 
 // at reads the score of the candidate at position pos.
-func (r *Result) at(pos int) float64 {
-	if r.scores32 != nil {
-		return float64(r.scores32[pos])
-	}
-	return r.scores[pos]
-}
+func (r *Result) at(pos int) float64 { return r.scores[pos] }
 
 // Scores returns the candidate-aligned score vector: one score per
-// candidate pair, at its CandidateSet.Position — nil for a Float32Scores
-// result, whose scores are float32. The slice is the result's own; the
-// dynamic maintainer adopts it as its score store.
+// candidate pair, at its CandidateSet.Position. The slice is the result's
+// own; the dynamic maintainer adopts it as its score store.
 func (r *Result) Scores() []float64 { return r.scores }
 
 // Contains reports whether the pair (u, v) is maintained in the candidate

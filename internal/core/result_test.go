@@ -177,35 +177,3 @@ func TestDiagonalSelfSimilarity(t *testing.T) {
 		}
 	}
 }
-
-// TestFloat32StandIns pins what Score returns for a pruned pair under
-// Float32Scores on the dense store: the float32-rounded §3.4 stand-in the
-// engine iterated with, not the float64 bound. The Result stores only
-// candidate scores, so the rounding is applied on read.
-func TestFloat32StandIns(t *testing.T) {
-	g := dataset.RandomGraph(107, 30, 80, 3)
-	opts := DefaultOptions(exact.BJ)
-	opts.Theta = 0.5
-	opts.UpperBoundOpt = &UpperBound{Alpha: 0.3, Beta: 0.55}
-	opts.Float32Scores = true
-	res, err := Compute(g, g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.cs.dense || res.PrunedCount == 0 {
-		t.Fatalf("want a dense store with pruned pairs, got dense=%v pruned=%d", res.cs.dense, res.PrunedCount)
-	}
-	rounded := 0
-	res.cs.ForEachPruned(func(u, v graph.NodeID, standIn float64) {
-		want := float64(float32(standIn))
-		if got := res.Score(u, v); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("Score(%d,%d) = %v, want the float32-rounded stand-in %v (float64 %v)", u, v, got, want, standIn)
-		}
-		if want != standIn {
-			rounded++
-		}
-	})
-	if rounded == 0 {
-		t.Fatal("no stand-in changed under float32 rounding; the test cannot tell the two apart")
-	}
-}

@@ -138,9 +138,6 @@ func New(g *graph.Graph, opts core.Options) (*Maintainer, error) {
 	if opts.Init != nil {
 		return nil, errors.New("dynamic: custom Options.Init is not supported; initial scores must be local to the pair")
 	}
-	if opts.Float32Scores {
-		return nil, errors.New("dynamic: Options.Float32Scores is a batch-compute option; incremental maintenance keeps float64 state")
-	}
 	cs, err := core.NewCandidateSet(g, g, opts)
 	if err != nil {
 		return nil, err

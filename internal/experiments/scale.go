@@ -50,8 +50,6 @@ type scaleConfig struct {
 	// Options.Threads; it is excluded from the per-thread Seconds, which
 	// time the iteration engine only.
 	BuildSeconds float64 `json:"build_seconds"`
-	// Float32 marks the halved-precision score store (Options.Float32Scores).
-	Float32 bool `json:"float32,omitempty"`
 	// Deterministic reports whether every thread count produced the same
 	// digest — the acceptance bar for the dynamic chunk queue.
 	Deterministic bool       `json:"deterministic"`
@@ -94,9 +92,8 @@ func scaleDigest(res *core.Result) string {
 // configuration (FSim_bj, θ = 0.6, §3.4 pruning, pinned iterations) — the
 // workload that motivated breaking the 838-node NELL stand-in ceiling. Per
 // (graph, threads) cell it records wall-clock, speedup over one thread,
-// the dynamic chunk queue's load balance, and a bit-exact score digest;
-// one configuration additionally runs the float32 score store. Graphs in
-// the full sweep reach ≥10⁵ edges. Writes BENCH_scale.json (in
+// the dynamic chunk queue's load balance, and a bit-exact score digest.
+// Graphs in the full sweep reach ≥10⁵ edges. Writes BENCH_scale.json (in
 // Config.JSONDir, default the working directory).
 //
 // Honest-reporting note (same substitution as Fig 9): the artifact records
@@ -121,22 +118,17 @@ func Scale(cfg Config) error {
 	type graphCase struct {
 		name                 string
 		nodes, edges, labels int
-		float32Scores        bool
 	}
 	// Edge targets are padded ~12% above the floor the sweep claims: stub
 	// matching drops self-loops and duplicate edges, and the artifact's
 	// "edges" field records what the graph actually realized (≥10⁵ for the
 	// full sweep).
 	cases := []graphCase{
-		{"n10k-m100k", 10_000, 115_000, 1500, false},
-		{"n15k-m150k", 15_000, 168_000, 2000, false},
-		{"n15k-m150k-f32", 15_000, 168_000, 2000, true},
+		{"n10k-m100k", 10_000, 115_000, 1500},
+		{"n15k-m150k", 15_000, 168_000, 2000},
 	}
 	if cfg.Quick {
-		cases = []graphCase{
-			{"n2k-m12k", 2_000, 12_000, 400, false},
-			{"n2k-m12k-f32", 2_000, 12_000, 400, true},
-		}
+		cases = []graphCase{{"n2k-m12k", 2_000, 12_000, 400}}
 	}
 
 	threadSweep := []int{1, 2, 4}
@@ -163,7 +155,7 @@ func Scale(cfg Config) error {
 		g := spec.Generate()
 		block := scaleConfig{
 			Name: c.name, Nodes: g.NumNodes(), Edges: g.NumEdges(),
-			Labels: c.labels, Float32: c.float32Scores, Deterministic: true,
+			Labels: c.labels, Deterministic: true,
 		}
 		buildStart := time.Now()
 		if _, err := core.NewCandidateSet(g, g, base); err != nil {
@@ -174,7 +166,6 @@ func Scale(cfg Config) error {
 		for _, threads := range threadSweep {
 			opts := base
 			opts.Threads = threads
-			opts.Float32Scores = c.float32Scores
 			// Build and iterate separately: the candidate enumeration is
 			// identical at every thread count, so the timed portion
 			// (ComputeOn) is exactly the phase the sweep studies.

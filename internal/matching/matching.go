@@ -54,8 +54,8 @@ func Greedy(edges []Edge) ([]Edge, float64) {
 
 // GreedyDense computes the same greedy matching as Greedy over a dense
 // weight matrix w (n1 rows × n2 cols), considering only the entries with
-// weight > 0. Zero and negative entries (the mapping operators mark
-// label-ineligible pairs with -1) never enter the sort: a zero-weight edge
+// weight > 0. Zero and negative entries (a label-ineligible pair reads 0
+// in the mapping operators) never enter the sort: a zero-weight edge
 // sorts after every positive one, so it cannot change which positive edges
 // are picked or the order their weights are summed in, and adding +0
 // leaves the total unchanged. The total therefore equals Greedy's over the

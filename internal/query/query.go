@@ -61,12 +61,6 @@ type Index struct {
 // (label-similarity table, candidate map, §3.4 bounds) without any score
 // iteration. The same validation as core.Compute applies.
 func New(g1, g2 *graph.Graph, opts core.Options) (*Index, error) {
-	if opts.Float32Scores {
-		// The localized fixed point keeps float64 row slabs; serving
-		// float32-rounded scores here would break the Compute-identical
-		// contract the index is built on.
-		return nil, fmt.Errorf("query: Options.Float32Scores is a batch-compute option; the query index keeps float64 state")
-	}
 	cs, err := core.NewCandidateSet(g1, g2, opts)
 	if err != nil {
 		return nil, err
