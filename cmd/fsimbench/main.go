@@ -8,7 +8,7 @@
 // Experiments: table2 table5 fig4 fig5 fig6 fig7 fig8 fig9 table6 table7
 // table8 table9 delta scale. Two of them write machine-readable artifacts
 // into -jsondir: delta writes BENCH_delta.json (iteration-by-iteration
-// active-pair trajectories of worklist-driven delta convergence) and scale
+// active-pair trajectories of the exact worklist and of DeltaEps = 1e-4) and scale
 // writes BENCH_scale.json (nodes × edges × threads sweep of the dynamic
 // chunk queue on ≥10⁵-edge power-law graphs: wall-clock, speedup, load
 // balance and a cross-thread determinism digest).

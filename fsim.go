@@ -27,25 +27,27 @@
 //
 // # Convergence modes
 //
-// Compute iterates Equation 3 to its fixed point under one of two
-// strategies. The default recomputes every candidate pair each round and
-// stops when the maximum score change drops below Options.Epsilon. Setting
-// Options.DeltaMode enables worklist-driven delta convergence: pairs whose
-// score change falls to Options.DeltaEps or below are marked stable, and a
-// pair re-enters the worklist only when a pair its update actually reads —
-// a neighbor pair under the reverse candidate adjacency — changed, so
-// later rounds touch only the active frontier.
+// Compute iterates Equation 3 to its fixed point on a worklist and stops
+// when the maximum score change drops below Options.Epsilon. The first
+// round recomputes every candidate pair; afterwards a pair is recomputed
+// only when a pair its update reads — a neighbor pair under the reverse
+// candidate adjacency — changed in the previous round (or every pair, when
+// most of them changed). A skipped pair's inputs are unchanged, so its
+// score would be too: scores, per-iteration deltas and the iteration count
+// are bit-identical to recomputing every pair every round. On selective
+// candidate maps (Options.Theta, Options.UpperBoundOpt) most pairs leave
+// the worklist after a few rounds.
 //
-// With DeltaEps = 0 (the default) delta mode is exact: it skips precisely
-// the pairs whose inputs are unchanged and produces bit-identical scores
-// to the full strategy, at a modest bookkeeping cost. A small positive
-// DeltaEps (e.g. 1e-4) freezes pairs that have effectively stopped moving,
-// collapsing the frontier and cutting wall-clock time substantially at the
-// price of a bounded score perturbation (on the order of
-// DeltaEps·(w⁺+w⁻)/(1−w⁺−w⁻) for the monotonically converging variants).
-// Use delta mode for large graphs with tight epsilons, where most pairs
-// stabilize rounds before the slowest ones; Result.ActivePairs records the
-// per-iteration worklist sizes so the saving is observable.
+// Options.DeltaMode adds an approximate stability threshold: a pair whose
+// score changed by at most Options.DeltaEps does not reactivate its
+// dependents. DeltaEps = 0 (the default) keeps the run exact. A small
+// positive DeltaEps (e.g. 1e-4) freezes pairs that have effectively
+// stopped moving, collapsing the frontier at the price of a bounded score
+// perturbation (on the order of DeltaEps·(w⁺+w⁻)/(1−w⁺−w⁻) for the
+// monotonically converging variants); use it for large graphs with tight
+// epsilons, where most pairs stabilize rounds before the slowest ones.
+// Under DeltaMode, Result.ActivePairs records the per-iteration worklist
+// sizes so the saving is observable.
 //
 // # Querying
 //
@@ -66,7 +68,7 @@
 // self-similarity scores of an evolving graph incrementally: applying a
 // batch of changes (edge insertions/deletions, node insertions) patches
 // the candidate structures in place and re-converges only the update's
-// cone of influence through the delta worklist, instead of recomputing
+// cone of influence through the worklist, instead of recomputing
 // from scratch. Incremental maintenance wins exactly when the candidate
 // map is selective (Options.Theta, Options.UpperBoundOpt) so the cone
 // stays local; on a θ = 0 all-pairs universe the cone saturates and the

@@ -56,11 +56,13 @@ func determinismGraph(t *testing.T) *graph.Graph {
 }
 
 // TestParallelDeterminism is the dynamic chunk queue's core property: for
-// every variant, both stores, full and delta strategies, and a damped delta
-// run on each store (a dirty pair re-enters the worklist on its own),
-// Compute returns bit-identical scores at every thread count. The chunk
-// schedule (which worker claims which chunk, and in what order) varies
-// freely across runs; the synchronous Jacobi update makes the scores
+// every variant and both stores — by default, under exact DeltaMode, at
+// DeltaEps = 1e-4 (the approximate threshold freezes pairs, so precise
+// propagation runs) and damped (a dirty pair re-enters the worklist on its
+// own) — Compute returns bit-identical scores at every thread count, and
+// under DeltaMode the same active-pair trajectory. The chunk schedule
+// (which worker claims which chunk, and in what order) varies freely
+// across runs; the synchronous Jacobi update makes the scores
 // schedule-independent, and this test pins that contract. Run under -race
 // in CI against a fsimgen-generated graph (see determinismGraph).
 func TestParallelDeterminism(t *testing.T) {
@@ -72,6 +74,9 @@ func TestParallelDeterminism(t *testing.T) {
 		// while still crossing the serial/parallel schedule boundary.
 		threads = []int{1, 4}
 	}
+	// Pairs take more than five rounds to settle below 1e-4, so the
+	// approximate rows run longer; they stop once the worklist empties.
+	approx := func(o *Options) { o.DeltaMode = true; o.DeltaEps = 1e-4; o.MaxIters = 12 }
 	kinds := []struct {
 		name  string
 		tweak func(o *Options)
@@ -80,6 +85,8 @@ func TestParallelDeterminism(t *testing.T) {
 		{"sparse-full", func(o *Options) { o.DenseCapPairs = 1 }},
 		{"dense-delta", func(o *Options) { o.DeltaMode = true }},
 		{"sparse-delta", func(o *Options) { o.DenseCapPairs = 1; o.DeltaMode = true }},
+		{"dense-delta-1e-4", approx},
+		{"sparse-delta-1e-4", func(o *Options) { o.DenseCapPairs = 1; approx(o) }},
 		{"dense-delta-damped", func(o *Options) { o.DeltaMode = true; o.Damping = 0.5 }},
 		{"sparse-delta-damped", func(o *Options) { o.DenseCapPairs = 1; o.DeltaMode = true; o.Damping = 0.5 }},
 	}
@@ -87,6 +94,7 @@ func TestParallelDeterminism(t *testing.T) {
 		for _, kind := range kinds {
 			t.Run(fmt.Sprintf("%v/%s", variant, kind.name), func(t *testing.T) {
 				var want []float64
+				var wantActive []int
 				for _, threadCount := range threads {
 					opts := DefaultOptions(variant)
 					opts.Theta = 0.6
@@ -102,13 +110,19 @@ func TestParallelDeterminism(t *testing.T) {
 					}
 					got := scoresOf(res)
 					if want == nil {
-						want = got
+						want, wantActive = got, res.ActivePairs
 						if len(want) == 0 {
 							t.Fatal("empty candidate set: the property would be vacuous")
+						}
+						if n := len(wantActive); opts.DeltaEps > 0 && wantActive[n-1] >= res.CandidateCount {
+							t.Fatalf("the frontier never thinned: %v of %d pairs", wantActive, res.CandidateCount)
 						}
 						continue
 					}
 					requireBitIdentical(t, want, got, fmt.Sprintf("threads=%d", threadCount))
+					if !reflect.DeepEqual(wantActive, res.ActivePairs) {
+						t.Fatalf("threads=%d: active pairs %v, want %v", threadCount, res.ActivePairs, wantActive)
+					}
 				}
 			})
 		}

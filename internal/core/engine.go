@@ -13,8 +13,8 @@ import (
 
 // engine is the one fixed-point executor (Algorithm 1, Lines 3–10): it
 // iterates Equation 3 over a slot layout with two score buffers (Hc / Hp),
-// either sweeping every iterated pair each round or, with the worklist
-// strategy, only the pairs whose inputs changed. The candidate map,
+// recomputing each round only the worklist — every iterated pair in round
+// one, afterwards the pairs whose inputs changed. The candidate map,
 // label-similarity cache and §3.4 bounds come from the embedded
 // CandidateSet; the layout decides which pairs the run iterates and where
 // their scores live (see layout).
@@ -28,10 +28,12 @@ type engine struct {
 	// goroutine.
 	workers []engineWorker
 
-	// Worklist state (nil unless worklist): slots to recompute this
-	// iteration, and slots reactivated by this iteration's dirty pairs.
-	worklist           bool
-	active, nextActive pairbits.Bitset
+	// Worklist state, one bit per slot: the slots to recompute this
+	// iteration, the slots reactivated by this iteration's dirty pairs,
+	// and the dirty slots — those whose change exceeded the stability
+	// threshold. Workers claim whole active words, and a worker writes
+	// only the dirty words of the active words it claimed.
+	active, nextActive, dirty pairbits.Bitset
 }
 
 // layout is a run's slot plan: the slot count, slot → pair, pair → slot
@@ -60,21 +62,19 @@ type layout struct {
 	count int // iterated pairs
 
 	// A row-dense layout (list false) keeps pair (u, v) at slot
-	// row(u)·stride + v, with rows rows. rowOf maps a g1 node to its row
-	// (-1: no row) and rowNode inverts it; both nil mean row u is node u.
+	// row(u)·stride + v. rowOf maps a g1 node to its row (-1: no row)
+	// and rowNode inverts it; both nil mean row u is node u.
 	list    bool
-	rows    int
 	stride  int
 	rowOf   []int32
 	rowNode []graph.NodeID
 
-	// pairs lists the iterated pairs in sweep order. In a list layout slot
-	// i holds pairs[i]; index (sparse store) or cand, the rank of the
+	// pairs lists the iterated pairs of a list layout: slot i holds
+	// pairs[i]; index (sparse store) or cand, the rank of the
 	// candidate bitmap over universe slots u·stride + v (dense store),
 	// inverts it, and pruned ranks the retained-bound pairs of the dense
 	// universe (zero without retained bounds). A row-dense layout marks
-	// the iterated slots in member, and nil member means every slot, swept
-	// row by row.
+	// the iterated slots in member, and nil member means every slot.
 	pairs  []pairbits.Key
 	index  map[pairbits.Key]int32
 	cand   pairbits.Rank
@@ -90,25 +90,28 @@ func (l *layout) row(u graph.NodeID) int {
 	return int(l.rowOf[u])
 }
 
-// sweepSlot returns the slot of pairs[pos] = (u, v).
-func (l *layout) sweepSlot(pos int, u, v graph.NodeID) int {
-	if l.list {
-		return pos
-	}
-	return l.row(u)*l.stride + int(v)
-}
-
 // pair decodes a slot back into its node pair.
 func (l *layout) pair(slot int) (graph.NodeID, graph.NodeID) {
+	return l.pairFrom(slot, 0, slot, 0)
+}
+
+// pairFrom decodes slot base+off, given the row r and column c of slot
+// base in a row-dense layout (r = 0, c = base always serves). A worklist
+// word decodes its 64 slots from the word's first slot, so the division
+// runs only where the word crosses a row boundary, not once per slot.
+func (l *layout) pairFrom(base, r, c, off int) (graph.NodeID, graph.NodeID) {
 	if l.list {
-		return l.pairs[slot].Split()
+		return l.pairs[base+off].Split()
 	}
-	r := slot / l.stride
+	if c += off; c >= l.stride {
+		r += c / l.stride
+		c %= l.stride
+	}
 	u := graph.NodeID(r)
 	if l.rowNode != nil {
 		u = l.rowNode[r]
 	}
-	return u, graph.NodeID(slot % l.stride)
+	return u, graph.NodeID(c)
 }
 
 // position resolves pair (u, v) to its slot in a list layout, reporting
@@ -158,7 +161,7 @@ func (l *layout) markAll(b pairbits.Bitset) {
 // store's ranks are built here, once per run, and only read afterwards.
 func (cs *CandidateSet) layout() layout {
 	if cs.allPairs {
-		return layout{slots: cs.n1 * cs.n2, count: cs.n1 * cs.n2, rows: cs.n1, stride: cs.n2}
+		return layout{slots: cs.n1 * cs.n2, count: cs.n1 * cs.n2, stride: cs.n2}
 	}
 	l := layout{
 		slots: len(cs.candPairs), count: len(cs.candPairs),
@@ -186,37 +189,34 @@ func (cs *CandidateSet) prunedBits() pairbits.Bitset {
 	return b
 }
 
-// chunkSlots is the target number of score slots a worker claims per grab
-// from the shared chunk cursor: large enough that the atomic add amortizes
-// to nothing and a chunk's CSR rows stay cache-resident, small enough that
-// a skewed run of heavy candidate rows is split across workers instead of
-// serializing on one (the failure mode of the old round-robin striding,
-// where worker t owned every (t mod threads)-th pair forever).
-const chunkSlots = 4096
-
-// chunkWords is the delta strategy's grab size in active-bitset words
-// (64 slots per word).
-const chunkWords = chunkSlots / 64
+// chunkWords is the number of active-bitset words (64 slots each) a
+// worker claims per grab from the shared chunk cursor: 4096 slots, large
+// enough that the atomic add amortizes to nothing and a chunk's CSR rows
+// stay cache-resident, small enough that a skewed run of heavy candidate
+// rows is split across workers instead of serializing on one (the failure
+// mode of the old round-robin striding, where worker t owned every
+// (t mod threads)-th pair forever).
+const chunkWords = 64
 
 // engineWorker is one worker goroutine's reusable state: operator scratch,
-// dirty-slot accumulator and running extrema. The trailing pad keeps
+// running extrema and its count of dirty slots. The trailing pad keeps
 // adjacent workers' hot write slots (work, maxAbs, maxRel — updated every
 // pair) at least a cache line apart; the per-worker reduction slices this
 // replaces (absPer/relPer []float64, work []int64) put neighbors 8 bytes
 // apart and false-shared every line.
 type engineWorker struct {
 	updateState
-	dirty []int // slots whose change exceeded DeltaEps this iteration
+	dirty int // slots this worker marked dirty this iteration
 	_     [128]byte
 }
 
 // begin resets the per-iteration accumulators, keeping the allocated
-// scratch and dirty capacity.
+// scratch.
 func (w *engineWorker) begin() {
 	w.work = 0
 	w.maxAbs = 0
 	w.maxRel = 0
-	w.dirty = w.dirty[:0]
+	w.dirty = 0
 }
 
 // chunkSize picks the contiguous grab size for a workload of total units:
@@ -258,7 +258,7 @@ func ComputeOn(cs *CandidateSet) (*Result, error) {
 // computeOn iterates Equation 3 to its fixed point over a prebuilt
 // candidate component, on the batch layout of its store.
 func computeOn(cs *CandidateSet, start time.Time) (*Result, error) {
-	e := &engine{CandidateSet: cs, lay: cs.layout(), worklist: cs.opts.DeltaMode}
+	e := &engine{CandidateSet: cs, lay: cs.layout()}
 	e.prev = make([]float64, e.lay.slots)
 	e.cur = make([]float64, e.lay.slots)
 	e.initScores()
@@ -303,22 +303,21 @@ type RowPlan struct {
 }
 
 // ComputeRows iterates Equation 3 to its fixed point over a row plan, on
-// one worker with the worklist strategy: every member is active in round
-// one, and afterwards a pair re-enters the worklist only when a pair its
-// update reads changed by more than Options.DeltaEps — applied only under
-// DeltaMode, as Compute does. Reads of g1 nodes without a row resolve to
-// their stand-ins. On return Prev holds the final scores (the two buffers
-// may have swapped).
+// one worker and on the same worklist as Compute: every member is active
+// in round one, and afterwards a pair re-enters the worklist only when a
+// pair its update reads changed (by more than Options.DeltaEps under
+// DeltaMode). Reads of g1 nodes without a row resolve to their stand-ins.
+// On return Prev holds the final scores (the two buffers may have
+// swapped).
 func (cs *CandidateSet) ComputeRows(p *RowPlan) (iterations int, converged bool) {
 	p.Cur = slices.Grow(p.Cur[:0], len(p.Prev))[:len(p.Prev)]
 	e := &p.e
 	e.CandidateSet = cs
 	e.lay = layout{
 		slots: len(p.Prev), count: p.Member.Count(),
-		rows: len(p.Rows), stride: cs.n2, rowOf: p.RowOf, rowNode: p.Rows, member: p.Member,
+		stride: cs.n2, rowOf: p.RowOf, rowNode: p.Rows, member: p.Member,
 	}
 	e.prev, e.cur = p.Prev, p.Cur
-	e.worklist = true
 	res := &p.res
 	*res = Result{Deltas: res.Deltas[:0], ActivePairs: res.ActivePairs[:0], Work: append(res.Work[:0], 0)}
 	e.run(res)
@@ -332,41 +331,37 @@ func (cs *CandidateSet) ComputeRows(p *RowPlan) (iterations int, converged bool)
 func (e *engine) run(res *Result) {
 	opts := &e.opts
 	e.initWorkers(len(res.Work))
-	if e.worklist {
-		e.initWorklist()
-	}
+	e.initWorklist()
 	for it := 1; it <= opts.MaxIters; it++ {
-		var maxAbs, maxRel float64
-		if e.worklist {
-			if opts.DeltaMode {
-				res.ActivePairs = append(res.ActivePairs, e.active.Count())
-			}
-			maxAbs, maxRel = e.iterateDelta(res.Work)
-		} else {
-			maxAbs, maxRel = e.iterate(res.Work)
+		if opts.DeltaMode {
+			res.ActivePairs = append(res.ActivePairs, e.active.Count())
 		}
+		maxAbs, maxRel := e.iterateDelta(res.Work)
 		res.Iterations = it
 		res.Deltas = append(res.Deltas, maxAbs)
 		e.prev, e.cur = e.cur, e.prev
-		var done bool
-		if opts.RelativeEps {
-			done = maxRel < opts.Epsilon
-		} else {
-			done = maxAbs < opts.Epsilon
-		}
-		if done {
+		if e.settled(maxAbs, maxRel) {
 			res.Converged = true
 			return
 		}
-		if e.worklist {
+		if it < opts.MaxIters {
 			e.syncAndAdvance()
 		}
 	}
 }
 
-// initWorkers (re)builds n padded per-worker states. Scratch and dirty
-// capacity survive from earlier runs of the same engine; the score
-// accessor is rebuilt for the current layout.
+// settled reports whether an iteration's largest score changes meet the
+// stopping rule (Options.Epsilon, absolute or relative).
+func (e *engine) settled(maxAbs, maxRel float64) bool {
+	if e.opts.RelativeEps {
+		return maxRel < e.opts.Epsilon
+	}
+	return maxAbs < e.opts.Epsilon
+}
+
+// initWorkers (re)builds n padded per-worker states. Scratch survives from
+// earlier runs of the same engine; the score accessor is rebuilt for the
+// current layout.
 func (e *engine) initWorkers(n int) {
 	if len(e.workers) != n {
 		e.workers = make([]engineWorker, n)
@@ -391,15 +386,14 @@ func (e *engine) initScores() {
 		return
 	}
 	for pos, k := range e.candPairs {
-		u, v := k.Split()
-		e.prev[e.lay.sweepSlot(pos, u, v)] = e.InitScore(u, v)
+		e.prev[pos] = e.InitScore(k.Split())
 	}
 }
 
 // updateState is one worker's reusable per-iteration context: operator
-// scratch, score accessor and running extrema. Both iteration strategies
-// (full and delta) update pairs through updateSlot so their per-pair
-// arithmetic is identical by construction.
+// scratch, score accessor and running extrema. Every recomputation goes
+// through updateSlot, so a slot's arithmetic is the same whichever
+// iteration (or, in tests, which reference sweep) recomputes it.
 type updateState struct {
 	scratch *opScratch
 	lookup  func(x, y graph.NodeID) float64
@@ -434,67 +428,6 @@ func (e *engine) updateSlot(st *updateState, u, v graph.NodeID, i int) float64 {
 		st.maxRel = 1 // score appeared from zero: not converged
 	}
 	return d
-}
-
-// iterate runs one synchronous update of every iterated pair (Lines 4–9 of
-// Algorithm 1). Workers claim contiguous cache-blocked chunks from a shared
-// atomic cursor: consecutive slots share CSR rows and score-buffer cache
-// lines, and a worker that lands on a run of heavy candidate rows simply
-// claims fewer chunks while its peers drain the rest — work stays balanced
-// under degree skew without any static assignment. Scores are identical at
-// any thread count and chunk schedule: each slot's update reads only prev
-// and writes only its own cur entry, so the result is order-independent by
-// construction. It returns the maximum absolute and relative score changes.
-func (e *engine) iterate(work []int64) (maxAbs, maxRel float64) {
-	var cursor atomic.Int64
-	l := &e.lay
-	if !l.list && l.member == nil { // every slot (batch all-pairs): chunk contiguous rows
-		target := 1
-		if l.stride > 0 {
-			if target = chunkSlots / l.stride; target < 1 {
-				target = 1
-			}
-		}
-		rows := chunkSize(l.rows, len(e.workers), target)
-		e.runWorkers(func(w *engineWorker) {
-			for {
-				end := int(cursor.Add(int64(rows)))
-				beg := end - rows
-				if beg >= l.rows {
-					return
-				}
-				if end > l.rows {
-					end = l.rows
-				}
-				for u := beg; u < end; u++ {
-					base := u * l.stride
-					for v := 0; v < l.stride; v++ {
-						e.updateSlot(&w.updateState, graph.NodeID(u), graph.NodeID(v), base+v)
-					}
-				}
-			}
-		})
-	} else { // chunk contiguous positions of the pair list
-		total := len(l.pairs)
-		chunk := chunkSize(total, len(e.workers), chunkSlots)
-		e.runWorkers(func(w *engineWorker) {
-			for {
-				end := int(cursor.Add(int64(chunk)))
-				beg := end - chunk
-				if beg >= total {
-					return
-				}
-				if end > total {
-					end = total
-				}
-				for pos := beg; pos < end; pos++ {
-					u, v := l.pairs[pos].Split()
-					e.updateSlot(&w.updateState, u, v, l.sweepSlot(pos, u, v))
-				}
-			}
-		})
-	}
-	return e.reduce(work)
 }
 
 // runWorkers resets every worker state, fans body out over the worker
@@ -534,17 +467,17 @@ func (e *engine) reduce(work []int64) (maxAbs, maxRel float64) {
 	return maxAbs, maxRel
 }
 
-// initWorklist seeds the worklist strategy. It establishes the two
-// invariants the strategy maintains between iterations: both score buffers
-// agree at every slot (so skipped pairs keep their value through the
+// initWorklist seeds the worklist. It establishes the two invariants the
+// run maintains between iterations: both score buffers agree at every slot
+// the next iteration skips (so skipped pairs keep their value through the
 // swap), and the active set covers every pair whose Equation 3 inputs may
-// still change — which at the start is every iterated pair, exactly like
-// iteration 1 of the full strategy. Worklist capacity from an earlier run
-// is reused.
+// still change — which at the start is every iterated pair. Worklist
+// capacity from an earlier run is reused.
 func (e *engine) initWorklist() {
 	copy(e.cur, e.prev)
 	e.active = resetBits(e.active, e.lay.slots)
 	e.nextActive = resetBits(e.nextActive, e.lay.slots)
+	e.dirty = resetBits(e.dirty, e.lay.slots)
 	e.lay.markAll(e.active)
 }
 
@@ -560,20 +493,20 @@ func resetBits(b pairbits.Bitset, n int) pairbits.Bitset {
 	return b
 }
 
-// iterateDelta runs one synchronous update of the active worklist only.
-// Workers claim contiguous runs of bitset words from a shared atomic
-// cursor — the same dynamic cache-blocked handout as the full strategy, so
-// a dense cluster of active slots (the usual shape after an update touches
-// one region) is split across workers instead of landing on whichever
-// worker the round-robin stride assigned that region to. Each worker
-// records the slots whose change exceeded DeltaEps into its own dirty set;
-// syncAndAdvance merges them after the barrier. Inactive pairs are
-// untouched: their buffered scores are, by the worklist invariant, already
-// the value a recomputation would produce (bit-identical when
-// DeltaEps = 0), so both the scores and the returned extrema match the
-// full strategy.
+// iterateDelta runs one synchronous update of the active worklist
+// (Lines 4–9 of Algorithm 1). Workers claim contiguous runs of bitset
+// words from a shared atomic cursor, so a run of heavy candidate rows is
+// split across workers (see chunkWords). Each slot's update reads only
+// prev and writes only its own cur entry, so scores are identical at any
+// thread count and chunk schedule. A worker records the slots whose change
+// exceeded the stability threshold (DeltaEps under DeltaMode, else 0) in
+// the dirty words of the active words it claimed. Inactive pairs are
+// untouched: by the worklist invariant their buffered scores already are
+// what a recomputation would produce (bit for bit outside DeltaMode and at
+// DeltaEps = 0), so scores and extrema match a sweep over every pair. It
+// returns the maximum absolute and relative score changes.
 func (e *engine) iterateDelta(work []int64) (maxAbs, maxRel float64) {
-	eps := 0.0 // DeltaEps is a DeltaMode knob; worklist runs outside it are exact
+	eps := 0.0 // DeltaEps is a DeltaMode knob; runs outside it are exact
 	if e.opts.DeltaMode {
 		eps = e.opts.DeltaEps
 	}
@@ -592,12 +525,25 @@ func (e *engine) iterateDelta(work []int64) (maxAbs, maxRel float64) {
 				end = words
 			}
 			for i := beg; i < end; i++ {
-				for word := e.active[i]; word != 0; word &= word - 1 {
-					slot := i*64 + bits.TrailingZeros64(word)
-					u, v := l.pair(slot)
-					if d := e.updateSlot(&w.updateState, u, v, slot); d > eps {
-						w.dirty = append(w.dirty, slot)
+				word := e.active[i]
+				if word == 0 {
+					continue
+				}
+				base, r, c := i*64, 0, 0
+				if !l.list {
+					r, c = base/l.stride, base%l.stride
+				}
+				var dirty uint64
+				for ; word != 0; word &= word - 1 {
+					b := bits.TrailingZeros64(word)
+					u, v := l.pairFrom(base, r, c, b)
+					if d := e.updateSlot(&w.updateState, u, v, base+b); d > eps {
+						dirty |= 1 << uint(b)
 					}
+				}
+				if dirty != 0 {
+					e.dirty[i] = dirty
+					w.dirty += bits.OnesCount64(dirty)
 				}
 			}
 		}
@@ -605,48 +551,54 @@ func (e *engine) iterateDelta(work []int64) (maxAbs, maxRel float64) {
 	return e.reduce(work)
 }
 
-// syncAndAdvance runs between delta iterations, after the buffer swap. It
-// restores the buffer-agreement invariant (cur[i] = prev[i] at every slot
-// the iteration recomputed) and builds the next worklist by propagating the
-// merged per-worker dirty sets through the reverse candidate adjacency: a
-// pair re-enters the worklist only when a pair its Equation 3 value reads
-// has changed. Under damping a dirty pair also re-enters on its own — its
-// next value mixes in its own previous score, so it keeps moving even when
-// its neighbors are at rest.
+// syncAndAdvance runs between iterations, after the buffer swap. It builds
+// the next worklist by propagating the dirty set through the reverse
+// candidate adjacency: a pair re-enters the worklist only when a pair its
+// Equation 3 value reads has changed. Under damping a dirty pair also
+// re-enters on its own — its next value mixes in its own previous score,
+// so it keeps moving even when its neighbors are at rest. It then restores
+// the buffer-agreement invariant where the next iteration needs it:
+// cur[i] = prev[i] at every slot this iteration recomputed and the next
+// one skips (the slots it recomputes are overwritten anyway).
 func (e *engine) syncAndAdvance() {
-	for w, word := range e.active {
-		for ; word != 0; word &= word - 1 {
-			slot := w*64 + bits.TrailingZeros64(word)
-			e.cur[slot] = e.prev[slot]
-		}
-	}
 	dirtyTotal := 0
 	for t := range e.workers {
-		dirtyTotal += len(e.workers[t].dirty)
+		dirtyTotal += e.workers[t].dirty
 	}
 	l := &e.lay
+	next := e.nextActive
 	if 4*dirtyTotal >= l.count {
 		// Most of the map changed: enumerating reverse adjacency would
 		// cost as much as the updates it schedules, and its union is
 		// (nearly) everything anyway. Reactivating all iterated pairs is
 		// a superset of the precise frontier, so exactness is unaffected;
 		// precise propagation resumes once the dirty set thins out.
-		l.markAll(e.nextActive)
+		l.markAll(next)
+		e.dirty.ClearAll()
 	} else {
-		next := e.nextActive
 		mark := func(u, v graph.NodeID) { l.mark(next, u, v) }
 		damping := e.opts.Damping
-		for t := range e.workers {
-			for _, slot := range e.workers[t].dirty {
-				x, y := l.pair(slot)
+		for i, word := range e.dirty {
+			if word == 0 {
+				continue
+			}
+			e.dirty[i] = 0
+			if damping > 0 {
+				next[i] |= word
+			}
+			for ; word != 0; word &= word - 1 {
+				x, y := l.pair(i*64 + bits.TrailingZeros64(word))
 				forEachDependent(e.g1, e.g2, x, y, e.opts.WPlus, e.opts.WMinus, mark)
-				if damping > 0 {
-					next.Set(slot)
-				}
 			}
 		}
 	}
-	e.active, e.nextActive = e.nextActive, e.active
+	for i, word := range e.active {
+		for word &^= next[i]; word != 0; word &= word - 1 {
+			slot := i*64 + bits.TrailingZeros64(word)
+			e.cur[slot] = e.prev[slot]
+		}
+	}
+	e.active, e.nextActive = next, e.active
 	e.nextActive.ClearAll()
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -333,12 +334,13 @@ func TestStoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestDeltaEquivalenceProperty is the delta-mode correctness property over
-// ~50 seeded random graph pairs: for every variant, worklist-driven delta
-// convergence must reproduce the full-iteration scores — bit-identically at
-// DeltaEps = 0 (skipped pairs are exactly those whose inputs are unchanged)
-// and within 1e-9 at a small positive DeltaEps — and the dense and sparse
-// stores must agree with each other under delta mode.
+// TestDeltaEquivalenceProperty is the worklist's correctness property over
+// ~50 seeded random graph pairs: for every variant, Compute must reproduce
+// the reference sweep of every pair (referenceSweep) — bit-identically by
+// default and under DeltaMode at DeltaEps = 0 (skipped pairs are exactly
+// those whose inputs are unchanged), and within 1e-9 at a small positive
+// DeltaEps — and the dense and sparse stores must agree with each other
+// under delta mode.
 func TestDeltaEquivalenceProperty(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		n1 := 10 + int(seed%7)
@@ -358,10 +360,12 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 		if seed%5 == 2 {
 			full.UpperBoundOpt = &UpperBound{Alpha: 0.3, Beta: 0.6}
 		}
-		rf, err := Compute(g1, g2, full)
+		rf := sweepOf(t, g1, g2, full)
+		rc, err := Compute(g1, g2, full)
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireSweepEquivalent(t, rf, rc, fmt.Sprintf("seed %d variant %v: default", seed, variant))
 
 		exactDelta := full
 		exactDelta.DeltaMode = true
@@ -369,10 +373,7 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rd.Iterations != rf.Iterations || rd.Converged != rf.Converged {
-			t.Fatalf("seed %d variant %v: delta mode changed convergence: %d/%v vs %d/%v",
-				seed, variant, rd.Iterations, rd.Converged, rf.Iterations, rf.Converged)
-		}
+		requireSweepEquivalent(t, rf, rd, fmt.Sprintf("seed %d variant %v: exact delta", seed, variant))
 		if len(rd.ActivePairs) == 0 || rd.ActivePairs[0] != rd.CandidateCount {
 			t.Fatalf("seed %d variant %v: first round must be full: active %v, candidates %d",
 				seed, variant, rd.ActivePairs, rd.CandidateCount)
@@ -394,10 +395,6 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 		}
 
 		rf.ForEach(func(u, v graph.NodeID, s float64) {
-			if s2 := rd.Score(u, v); s2 != s {
-				t.Fatalf("seed %d variant %v: exact delta mode diverged at (%d,%d): %v vs %v",
-					seed, variant, u, v, s2, s)
-			}
 			if s2 := ra.Score(u, v); math.Abs(s2-s) > 1e-9 {
 				t.Fatalf("seed %d variant %v: DeltaEps=1e-10 drifted at (%d,%d): %v vs %v",
 					seed, variant, u, v, s2, s)
@@ -446,8 +443,9 @@ func TestDeltaFrontierShrinks(t *testing.T) {
 
 // TestDeltaDampingEquivalence covers the self-reactivation rule: with
 // damping a dirty pair depends on its own previous score, so it must stay
-// on the worklist until it stops moving. On the random graphs nearly every
-// pair stays dirty and the worklist reactivates everything; the sink star
+// on the worklist until it stops moving, and the damped run must match the
+// reference sweep of every pair. On the random graphs nearly every pair
+// stays dirty and the worklist reactivates everything; the sink star
 // reaches precise propagation, where only self-reactivation keeps its
 // damped pairs moving.
 func TestDeltaDampingEquivalence(t *testing.T) {
@@ -470,21 +468,14 @@ func TestDeltaDampingEquivalence(t *testing.T) {
 	star, opts := dampedSinkStar(10)
 	runs = append(runs, run{"sink star", star, star, opts, true})
 	for _, r := range runs {
-		rf, err := Compute(r.g1, r.g2, r.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rf := sweepOf(t, r.g1, r.g2, r.opts)
 		delta := r.opts
 		delta.DeltaMode = true
 		rd, err := Compute(r.g1, r.g2, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rf.ForEach(func(u, v graph.NodeID, s float64) {
-			if s2 := rd.Score(u, v); s2 != s {
-				t.Fatalf("%s damping: delta diverged at (%d,%d): %v vs %v", r.name, u, v, s2, s)
-			}
-		})
+		requireSweepEquivalent(t, rf, rd, r.name+" damping")
 		if last := rd.ActivePairs[len(rd.ActivePairs)-1]; r.precise && last*4 >= rd.CandidateCount {
 			t.Fatalf("%s: worklist never went precise: %v of %d pairs", r.name, rd.ActivePairs, rd.CandidateCount)
 		}

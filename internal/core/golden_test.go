@@ -134,9 +134,9 @@ func TestGoldenPresets(t *testing.T) {
 	}
 }
 
-// TestGoldenDeltaMode recomputes every golden variant under the delta
-// worklist strategy and requires the pinned matrices to match, tying the
-// regression corpus to both execution strategies.
+// TestGoldenDeltaMode recomputes every golden variant under exact
+// DeltaMode (DeltaEps = 0, which only records the worklist's trajectory)
+// and requires the pinned matrices to match.
 func TestGoldenDeltaMode(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden files are written by TestGoldenVariants")

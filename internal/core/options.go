@@ -104,16 +104,16 @@ type Options struct {
 	// g1 == g2 shape); SimRank's fixed self-similarity uses this.
 	PinDiagonal bool
 
-	// DeltaMode enables worklist-driven delta convergence: after the first
-	// full round, a pair is recomputed only while it is on the active
-	// worklist. A pair whose score changed by more than DeltaEps is dirty,
-	// and dirtiness propagates through the reverse candidate adjacency — a
-	// pair (u, v) re-enters the worklist only when some pair (x, y) with
-	// x ∈ N(u), y ∈ N(v) changed — so later iterations touch only the
-	// active frontier instead of the full candidate map. With DeltaEps = 0
-	// (the default) the mode is exact: skipped pairs are precisely those
-	// whose Equation 3 inputs are unchanged, so every iteration produces
-	// bit-identical scores to the full recomputation. Off by default.
+	// DeltaMode enables the approximate stability threshold DeltaEps and
+	// records Result.ActivePairs. Every run iterates a worklist: after the
+	// first round, which recomputes every pair, a pair is recomputed only
+	// when some pair (x, y) with x ∈ N(u), y ∈ N(v) that its update reads
+	// changed — dirtiness propagates through the reverse candidate
+	// adjacency. Outside DeltaMode, and under it with DeltaEps = 0 (the
+	// default), a pair counts as changed when its score moved at all, so
+	// skipped pairs are precisely those whose Equation 3 inputs are
+	// unchanged and every iteration is bit-identical to recomputing every
+	// pair. Off by default.
 	DeltaMode bool
 
 	// DeltaEps is the stability threshold of DeltaMode: a recomputed pair

@@ -25,10 +25,10 @@ type Result struct {
 	Deltas []float64
 	// CandidateCount is |Hc|, the number of maintained node pairs.
 	CandidateCount int
-	// ActivePairs records, per iteration, how many pairs the delta
-	// worklist recomputed (DeltaMode only; nil otherwise). The first entry
-	// equals CandidateCount — the first round is always full — and the
-	// trajectory shrinking toward zero is the strategy's saved work,
+	// ActivePairs records, per iteration, how many pairs the worklist
+	// recomputed (DeltaMode only; nil otherwise). The first entry equals
+	// CandidateCount — the first round recomputes every pair — and the
+	// trajectory shrinking toward zero is the worklist's saved work,
 	// reported alongside PrunedCount's one-off candidate reduction.
 	ActivePairs []int
 	// PrunedCount is the number of label-eligible pairs removed by

@@ -5,7 +5,7 @@
 // A Maintainer owns an evolving graph (graph.Mutable) and the converged
 // self-similarity scores of its current snapshot. Applying a batch of
 // changes patches the shared candidate component in place
-// (core.CandidateSet.Patch), seeds the delta worklist with exactly the
+// (core.CandidateSet.Patch), seeds the worklist with exactly the
 // pairs whose Equation 3 update rule reads a changed edge — plus the
 // dependents of every pair whose candidacy or §3.4 stand-in shifted —
 // expands the seeds to their cone of influence through the reverse

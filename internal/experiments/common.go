@@ -68,7 +68,7 @@ func Registry() []struct {
 		{"table7", "top-5 similar venues for WWW", Table7},
 		{"table8", "nDCG of node similarity algorithms", Table8},
 		{"table9", "graph alignment F1", Table9},
-		{"delta", "worklist delta convergence vs full recomputation", Delta},
+		{"delta", "exact worklist vs the DeltaEps = 1e-4 threshold", Delta},
 		{"scale", "nodes × edges × threads sweep: dynamic chunk queue speedup and determinism", Scale},
 	}
 }

@@ -20,8 +20,8 @@
 //	table9  graph-alignment F1                 (§5.4, Table 9)
 //
 // Beyond the paper, two engine experiments write machine-readable
-// BENCH_*.json artifacts: delta (worklist convergence against full
-// recomputation) and scale (the engine's thread and size sweep). The
+// BENCH_*.json artifacts: delta (the exact worklist against the
+// approximate DeltaEps threshold) and scale (the engine's thread and size sweep). The
 // serving layers above the engine are measured by the bench module's
 // fsimperf, not here.
 package experiments

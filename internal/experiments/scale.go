@@ -11,25 +11,30 @@ import (
 	"fsim/internal/dataset"
 	"fsim/internal/exact"
 	"fsim/internal/graph"
+	"fsim/internal/stats"
 )
 
-// scaleRun is one (graph, thread count) measurement of the scale sweep.
+// scaleRun is one (graph, thread count) cell of the scale sweep.
 type scaleRun struct {
-	Threads int     `json:"threads"`
-	Seconds float64 `json:"seconds"`
-	// Speedup is the Threads=1 wall-clock over this run's wall-clock. On a
-	// host with fewer physical cores than Threads the goroutines time-slice
-	// one core and the ratio hovers near (or below) 1 — the report records
+	Threads int `json:"threads"`
+	// Seconds is the median wall-clock of the cell's Repeats runs, with
+	// its quartiles.
+	Seconds   float64 `json:"seconds"`
+	SecondsQ1 float64 `json:"seconds_q1"`
+	SecondsQ3 float64 `json:"seconds_q3"`
+	// Speedup is the Threads=1 median over this cell's median. On a host
+	// with fewer physical cores than Threads the goroutines time-slice one
+	// core and the ratio hovers near (or below) 1 — the report records
 	// NumCPU so that reading is unambiguous.
 	Speedup float64 `json:"speedup"`
-	// LoadBalance is max/mean work over participating workers — the dynamic
-	// chunk queue's evenness, the property wall-clock speedup rests on once
-	// real cores are available.
+	// LoadBalance is max/mean work over participating workers (median
+	// run) — the dynamic chunk queue's evenness, the property wall-clock
+	// speedup rests on once real cores are available.
 	LoadBalance float64 `json:"load_balance"`
 	WorkUnits   int64   `json:"work_units"`
 	// Digest is an FNV-1a hash over the raw score bits in deterministic
-	// pair order; equal digests across thread counts prove bit-identical
-	// results under the dynamic schedule.
+	// pair order; equal digests across thread counts and repeats prove
+	// bit-identical results under the dynamic schedule.
 	Digest string `json:"digest"`
 	// MaxDiffVsT1 is the maximum absolute score deviation from the
 	// Threads=1 run (0 when Digest matches, kept as an independent check).
@@ -50,8 +55,9 @@ type scaleConfig struct {
 	// Options.Threads; it is excluded from the per-thread Seconds, which
 	// time the iteration engine only.
 	BuildSeconds float64 `json:"build_seconds"`
-	// Deterministic reports whether every thread count produced the same
-	// digest — the acceptance bar for the dynamic chunk queue.
+	// Deterministic reports whether every run of every thread count
+	// produced the same digest — the acceptance bar for the dynamic chunk
+	// queue.
 	Deterministic bool       `json:"deterministic"`
 	Runs          []scaleRun `json:"runs"`
 }
@@ -63,6 +69,9 @@ type scaleReport struct {
 	Variant   string  `json:"variant"`
 	Theta     float64 `json:"theta"`
 	MaxIters  int     `json:"max_iters"`
+	// Repeats is how many times each cell was timed, a graph's cells
+	// alternating in ascending and descending thread order.
+	Repeats int `json:"repeats"`
 	// NumCPU/GOMAXPROCS pin down what the speedup column can possibly show:
 	// with one physical core the threads time-slice and speedup ≈ 1, and the
 	// load-balance + determinism columns carry the claim instead.
@@ -70,6 +79,10 @@ type scaleReport struct {
 	GOMAXPROCS int           `json:"gomaxprocs"`
 	Configs    []scaleConfig `json:"configs"`
 }
+
+// scaleRepeats is how many times the full sweep times each cell: single
+// runs of one n10k cell spread over 15–26 s on a 2-CPU host.
+const scaleRepeats = 5
 
 // scaleDigest hashes the result's scores in deterministic pair order. The
 // raw bit patterns are hashed (not formatted values), so any cross-thread
@@ -91,10 +104,12 @@ func scaleDigest(res *core.Result) string {
 // sweep (1, 2, 4, … up to at least 4 and on to GOMAXPROCS) on the serving
 // configuration (FSim_bj, θ = 0.6, §3.4 pruning, pinned iterations) — the
 // workload that motivated breaking the 838-node NELL stand-in ceiling. Per
-// (graph, threads) cell it records wall-clock, speedup over one thread,
-// the dynamic chunk queue's load balance, and a bit-exact score digest.
-// Graphs in the full sweep reach ≥10⁵ edges. Writes BENCH_scale.json (in
-// Config.JSONDir, default the working directory).
+// (graph, threads) cell it records the median wall-clock of scaleRepeats
+// runs with its quartiles (one run under Config.Quick), speedup over one
+// thread, the dynamic chunk queue's load balance, the work units and a
+// bit-exact score digest. Graphs in the full sweep reach ≥10⁵ edges.
+// Writes BENCH_scale.json (in Config.JSONDir, default the working
+// directory).
 //
 // Honest-reporting note (same substitution as Fig 9): the artifact records
 // NumCPU and GOMAXPROCS, and thread counts beyond them time-slice the
@@ -139,16 +154,22 @@ func Scale(cfg Config) error {
 		threadSweep = []int{1, 2}
 	}
 
+	repeats := scaleRepeats
+	if cfg.Quick {
+		repeats = 1
+	}
+
 	report := scaleReport{
 		Generator:  "dataset.PowerLaw (seeded synthetic, alpha=1.1)",
 		Variant:    variant.String(),
 		Theta:      base.Theta,
 		MaxIters:   base.MaxIters,
+		Repeats:    repeats,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	fmt.Fprintf(cfg.out(), "host: %d CPU(s), GOMAXPROCS=%d\n", report.NumCPU, report.GOMAXPROCS)
-	tab := &table{headers: []string{"graph", "threads", "time", "speedup", "balance", "digest", "max diff vs t=1"}}
+	tab := &table{headers: []string{"graph", "threads", "time", "q1–q3", "speedup", "balance", "digest", "max diff vs t=1"}}
 
 	for _, c := range cases {
 		spec := dataset.PowerLaw(c.nodes, c.edges, c.labels, 1.1, 42+cfg.Seed)
@@ -162,37 +183,54 @@ func Scale(cfg Config) error {
 			return err
 		}
 		block.BuildSeconds = time.Since(buildStart).Seconds()
-		var first *core.Result
-		for _, threads := range threadSweep {
+		// Build and iterate separately: the candidate enumeration is
+		// identical at every thread count, so the timed portion
+		// (ComputeOn) is exactly the phase the sweep studies.
+		sets := make([]*core.CandidateSet, len(threadSweep))
+		for k, threads := range threadSweep {
 			opts := base
 			opts.Threads = threads
-			// Build and iterate separately: the candidate enumeration is
-			// identical at every thread count, so the timed portion
-			// (ComputeOn) is exactly the phase the sweep studies.
-			cs, err := core.NewCandidateSet(g, g, opts)
-			if err != nil {
+			var err error
+			if sets[k], err = core.NewCandidateSet(g, g, opts); err != nil {
 				return err
 			}
-			res, err := core.ComputeOn(cs)
-			if err != nil {
-				return err
+		}
+		results := make([]*core.Result, len(threadSweep)) // each cell's first run
+		digests := make([]string, len(threadSweep))
+		seconds := make([][]float64, len(threadSweep))
+		balance := make([][]float64, len(threadSweep))
+		for rep := 0; rep < repeats; rep++ {
+			for j := range threadSweep {
+				k := j
+				if rep%2 == 1 {
+					k = len(threadSweep) - 1 - j
+				}
+				res, err := core.ComputeOn(sets[k])
+				if err != nil {
+					return err
+				}
+				seconds[k] = append(seconds[k], res.Duration.Seconds())
+				balance[k] = append(balance[k], res.LoadBalance())
+				if d := scaleDigest(res); results[k] == nil {
+					results[k], digests[k] = res, d
+				} else if d != digests[k] {
+					block.Deterministic = false
+				}
 			}
-			run := scaleRun{
-				Threads:     threads,
-				Seconds:     res.Duration.Seconds(),
-				LoadBalance: res.LoadBalance(),
-				Digest:      scaleDigest(res),
-			}
+		}
+		first := results[0]
+		block.Candidates = first.CandidateCount
+		block.Pruned = first.PrunedCount
+		block.Iterations = first.Iterations
+		for k, res := range results {
+			run := scaleRun{Threads: threadSweep[k], Digest: digests[k]}
+			run.SecondsQ1, run.Seconds, run.SecondsQ3 = stats.Quartiles(seconds[k])
+			_, run.LoadBalance, _ = stats.Quartiles(balance[k])
 			for _, w := range res.Work {
 				run.WorkUnits += w
 			}
-			if first == nil {
-				first = res
-				block.Candidates = res.CandidateCount
-				block.Pruned = res.PrunedCount
-				block.Iterations = res.Iterations
-				run.Speedup = 1
-			} else {
+			run.Speedup = 1
+			if k > 0 {
 				run.Speedup = block.Runs[0].Seconds / run.Seconds
 				first.ForEach(func(u, v graph.NodeID, s float64) {
 					if d := math.Abs(res.Score(u, v) - s); d > run.MaxDiffVsT1 {
@@ -204,8 +242,8 @@ func Scale(cfg Config) error {
 				}
 			}
 			block.Runs = append(block.Runs, run)
-			tab.add(c.name, fmt.Sprint(threads), dur(res.Duration), f2(run.Speedup),
-				f3(run.LoadBalance), run.Digest, fmt.Sprintf("%.2e", run.MaxDiffVsT1))
+			tab.add(c.name, fmt.Sprint(run.Threads), f3(run.Seconds)+"s", f3(run.SecondsQ1)+"–"+f3(run.SecondsQ3)+"s",
+				f2(run.Speedup), f3(run.LoadBalance), run.Digest, fmt.Sprintf("%.2e", run.MaxDiffVsT1))
 		}
 		if !block.Deterministic {
 			return fmt.Errorf("scale: %s: score digests diverge across thread counts", c.name)

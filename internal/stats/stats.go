@@ -1,7 +1,8 @@
 // Package stats provides the evaluation statistics used throughout the
 // paper's §5: Pearson's correlation coefficient (sensitivity analysis),
 // nDCG (node-similarity ranking quality), F1 (pattern matching and graph
-// alignment), and top-k selection helpers.
+// alignment), top-k selection helpers, and the quartiles that summarize
+// repeated timings.
 package stats
 
 import (
@@ -144,4 +145,15 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+// Quartiles returns the lower quartile, median and upper quartile of xs:
+// the sorted values at ranks ⌊n/4⌋, ⌊n/2⌋ and ⌊3n/4⌋ (zeros for no values).
+func Quartiles(xs []float64) (q1, median, q3 float64) {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	if n := len(s); n > 0 {
+		return s[n/4], s[n/2], s[3*n/4]
+	}
+	return 0, 0, 0
 }

@@ -121,3 +121,20 @@ func TestMean(t *testing.T) {
 		t.Fatalf("Mean(nil) = %v", got)
 	}
 }
+
+func TestQuartiles(t *testing.T) {
+	for _, c := range []struct {
+		xs        []float64
+		q1, m, q3 float64
+	}{
+		{nil, 0, 0, 0},
+		{[]float64{7}, 7, 7, 7},
+		{[]float64{5, 1, 3, 2, 4}, 2, 3, 4},
+		{[]float64{4, 1, 3, 2}, 2, 3, 4},
+	} {
+		q1, m, q3 := Quartiles(c.xs)
+		if q1 != c.q1 || m != c.m || q3 != c.q3 {
+			t.Fatalf("Quartiles(%v) = %v, %v, %v; want %v, %v, %v", c.xs, q1, m, q3, c.q1, c.m, c.q3)
+		}
+	}
+}
