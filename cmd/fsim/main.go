@@ -7,7 +7,6 @@
 //	fsim watch [flags] <graph> <updates>
 //	fsim snapshot [flags] <graph> <out.fsnap>
 //	fsim snapshot -info <file.fsnap>
-//	fsim quotient <graph1> [<graph2>]
 //
 // With one graph argument, scores are computed from the graph to itself.
 // By default the top scoring pairs are printed; use -u to list the best
@@ -27,10 +26,6 @@
 // scores, version — as a crash-safe binary snapshot that fsimserve
 // -snapshot warm starts from without recomputing; -info prints the
 // contents of an existing snapshot instead.
-//
-// The quotient subcommand prints structural-twin diagnostics: the twin
-// partition of each graph (blocks, k-bisimulation classes, quotient-graph
-// size).
 package main
 
 import (
@@ -54,10 +49,6 @@ func main() {
 	}
 	if len(os.Args) > 1 && os.Args[1] == "snapshot" {
 		snapshotCmd(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "quotient" {
-		quotientCmd(os.Args[2:])
 		return
 	}
 	eng := cliflags.Register(flag.CommandLine, cliflags.Defaults{UBBeta: -1})
@@ -179,8 +170,8 @@ func watch(args []string) {
 	// Aggregate maintenance counters for -stats, accumulated through the
 	// serving layer's counter types (internal/stats).
 	var (
-		batches, applied, replays, fulls, rebuilds, iters stats.Counter
-		applyLatency                                      stats.Latency
+		batches, applied, replays, fulls, iters stats.Counter
+		applyLatency                            stats.Latency
 	)
 
 	report := func(pending []fsim.Change) {
@@ -192,8 +183,6 @@ func watch(args []string) {
 		applyLatency.Observe(st.Duration)
 		switch {
 		case st.Applied == 0: // no-op batch: nothing was replayed
-		case st.Rebuilt:
-			rebuilds.Inc()
 		case st.Full:
 			fulls.Inc()
 		default:
@@ -202,9 +191,6 @@ func watch(args []string) {
 		mode := fmt.Sprintf("cone=%d closure=%d iters=%d", st.Cone, st.LocalPairs, st.Iterations)
 		if st.Full {
 			mode = "full recompute"
-			if st.Rebuilt {
-				mode = "store rebuild"
-			}
 		}
 		fmt.Printf("applied %d/%d change(s) in %s (%s)\n", st.Applied, len(pending), st.Duration, mode)
 		if *node >= 0 && *node < mt.Graph().NumNodes() {
@@ -242,42 +228,9 @@ func watch(args []string) {
 	fmt.Fprintf(os.Stderr, "final: %s\n", mt.Graph().Stats())
 	if *printStats {
 		fmt.Fprintf(os.Stderr,
-			"stats: version=%d batches=%d applied=%d localized=%d full=%d rebuilds=%d iterations=%d mean-apply=%s max-apply=%s\n",
-			mt.Version(), batches.Value(), applied.Value(), replays.Value(), fulls.Value(),
-			rebuilds.Value(), iters.Value(),
+			"stats: version=%d batches=%d applied=%d localized=%d full=%d iterations=%d mean-apply=%s max-apply=%s\n",
+			mt.Version(), batches.Value(), applied.Value(), replays.Value(), fulls.Value(), iters.Value(),
 			applyLatency.Mean().Round(time.Microsecond), applyLatency.Max().Round(time.Microsecond))
-	}
-}
-
-// quotientCmd implements the "fsim quotient" subcommand: structural-twin
-// diagnostics for one or two graphs.
-func quotientCmd(args []string) {
-	fs := flag.NewFlagSet("fsim quotient", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: fsim quotient <graph1> [<graph2>]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	if fs.NArg() < 1 || fs.NArg() > 2 {
-		fs.Usage()
-		os.Exit(2)
-	}
-
-	describe := func(name string, g *fsim.Graph) {
-		n := g.NumNodes()
-		p := fsim.QuotientRefine(g, 2)
-		q := p.Summarize(g)
-		fmt.Printf("%s: %s\n", name, g.Stats())
-		fmt.Printf("  twin blocks: %d (%.2fx node compression, k-bisim classes: %d)\n",
-			p.NumBlocks(), float64(n)/float64(p.NumBlocks()), p.KBisimClasses)
-		fmt.Printf("  quotient graph: %s\n", q.Stats())
-	}
-	for i, name := range []string{"G1", "G2"}[:fs.NArg()] {
-		g, err := fsim.ReadGraphFile(fs.Arg(i))
-		fatal(err)
-		describe(name, g)
 	}
 }
 

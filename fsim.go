@@ -106,7 +106,6 @@ import (
 	"fsim/internal/exact"
 	"fsim/internal/graph"
 	"fsim/internal/query"
-	"fsim/internal/quotient"
 	"fsim/internal/server"
 	"fsim/internal/snapshot"
 	"fsim/internal/stats"
@@ -172,17 +171,6 @@ func OperatorsFor(v Variant) Operators { return core.OperatorsFor(v) }
 // Compute runs the FSimχ framework over (g1, g2) and returns the
 // fractional χ-simulation scores of all maintained node pairs.
 func Compute(g1, g2 *Graph, opts Options) (*Result, error) { return core.Compute(g1, g2, opts) }
-
-// QuotientPartition groups a graph's nodes into structural-twin blocks —
-// equal labels, identical literal out- and in-neighbor sets — with one
-// representative and a member list per block. It backs the twin
-// diagnostics of `fsim quotient`; no score computation uses it.
-type QuotientPartition = quotient.Partition
-
-// QuotientRefine computes the structural-twin partition of g. k bounds the
-// k-bisimulation hash prefilter depth (the partition itself is independent
-// of k); Partition.Summarize collapses g into its quotient graph.
-func QuotientRefine(g *Graph, k int) *QuotientPartition { return quotient.Refine(g, k) }
 
 // Ranked is one (node, score) entry of a top-k ranking, in descending
 // score order with ties broken by ascending node id.

@@ -98,24 +98,6 @@ func TestExactMatchingAllocationFree(t *testing.T) {
 	}
 }
 
-// TestKBisimulationBothRefines verifies the two-sided signature extension
-// used by the alignment baselines: it refines at least as much as the
-// out-only signatures.
-func TestKBisimulationBothRefines(t *testing.T) {
-	g := dataset.RandomGraph(115, 25, 60, 2)
-	for k := 1; k <= 3; k++ {
-		out := exact.KBisimulation(g, k)
-		both := exact.KBisimulationBoth(g, k)
-		for u := 0; u < g.NumNodes(); u++ {
-			for v := 0; v < g.NumNodes(); v++ {
-				if both[u] == both[v] && out[u] != out[v] {
-					t.Fatalf("k=%d: two-sided signatures merged blocks the out-only ones separate", k)
-				}
-			}
-		}
-	}
-}
-
 // TestDampingPreservesFixpoints verifies the damping knob's contract:
 // score-1 pairs (exact simulations) remain exactly 1 under damping.
 func TestDampingPreservesFixpoints(t *testing.T) {

@@ -14,13 +14,14 @@ import (
 	"fsim/internal/strsim"
 )
 
-// CandidateSet is the immutable candidate component shared by the batch
-// engine (Compute) and the single-source query subsystem (internal/query):
-// the candidate map Hc of Algorithm 1's Initializing step, the cached
+// CandidateSet is the candidate component shared by the batch engine
+// (Compute) and the single-source query subsystem (internal/query): the
+// candidate map Hc of Algorithm 1's Initializing step, the cached
 // label-similarity table, and the §3.4 upper bounds of pruned pairs.
 //
 // Candidates are enumerated row-major, ascending v within each row
-// (candPairs/rowOff). Two stores implement membership tests on top:
+// (candPairs/rowOff). Two stores implement membership tests on top,
+// chosen by storeShape from the pair universe alone:
 //
 //   - dense: a candidate bitmap over the full |V1|×|V2| pair universe (or
 //     nothing at all when θ = 0 and pruning is off — every pair is a
@@ -31,8 +32,10 @@ import (
 // Both stores keep the retained §3.4 bounds the same way, as a second CSR
 // beside the candidate rows.
 //
-// A CandidateSet is read-only after construction and therefore safe to
-// share between any number of concurrent readers.
+// A CandidateSet changes only through Patch, which its owner runs under a
+// write lock that excludes every reader (query.Index.Apply); between
+// patches it is read-only and safe to share between any number of
+// concurrent readers.
 type CandidateSet struct {
 	g1, g2 *graph.Graph
 	opts   Options // normalized
@@ -69,47 +72,73 @@ type CandidateSet struct {
 // enumerates the candidate map. g1 and g2 may be the same graph
 // (self-similarity, as in the paper's single-graph experiments).
 func NewCandidateSet(g1, g2 *graph.Graph, opts Options) (*CandidateSet, error) {
-	if g1 == nil || g2 == nil {
-		return nil, errors.New("core: nil graph")
-	}
-	if err := opts.normalize(); err != nil {
+	cs, err := newCandidateBase(g1, g2, opts)
+	if err != nil {
 		return nil, err
 	}
-	if opts.PinDiagonal && g1.NumNodes() != g2.NumNodes() {
-		return nil, fmt.Errorf("core: PinDiagonal needs equally sized graphs, got |V1|=%d |V2|=%d",
-			g1.NumNodes(), g2.NumNodes())
-	}
-	cs := &CandidateSet{
-		g1: g1, g2: g2,
-		opts: opts,
-		ops:  opts.Operators,
-		n1:   g1.NumNodes(), n2: g2.NumNodes(),
-	}
-	cs.table = strsim.NewTable(opts.Label, g1.LabelNames(), g2.LabelNames(), opts.Threads)
-	cs.labels1 = make([]graph.Label, cs.n1)
-	for u := 0; u < cs.n1; u++ {
-		cs.labels1[u] = g1.Label(graph.NodeID(u))
-	}
-	cs.labels2 = make([]graph.Label, cs.n2)
-	for v := 0; v < cs.n2; v++ {
-		cs.labels2[v] = g2.Label(graph.NodeID(v))
-	}
-	cs.dense = densePairs(cs.n1, cs.n2, opts.DenseCapPairs)
 	if err := cs.build(); err != nil {
 		return nil, err
 	}
 	return cs, nil
 }
 
-// densePairs decides the dense store: the pair universe must fit the cap
-// AND the platform int, both checked in 64-bit arithmetic. On 32-bit
-// builds n1·n2 computed in int silently wraps for graphs beyond ~46k×46k
-// nodes — a wrapped (possibly negative) product would pass the cap check
-// and every u·n2+v slot index after it would mis-address the buffers, so
-// the product is never formed in int unless this predicate holds.
-func densePairs(n1, n2, capPairs int) bool {
+// newCandidateBase validates (g1, g2, opts), normalizes the options and
+// derives everything a CandidateSet holds except its enumeration: the
+// label caches, the label-similarity table and the store shape.
+func newCandidateBase(g1, g2 *graph.Graph, opts Options) (*CandidateSet, error) {
+	if g1 == nil || g2 == nil {
+		return nil, errors.New("core: nil graph")
+	}
+	if err := opts.normalize(); err != nil {
+		return nil, err
+	}
+	n1, n2 := g1.NumNodes(), g2.NumNodes()
+	if err := checkPinDiagonal(&opts, n1, n2); err != nil {
+		return nil, err
+	}
+	cs := &CandidateSet{
+		g1: g1, g2: g2,
+		opts:    opts,
+		ops:     opts.Operators,
+		n1:      n1,
+		n2:      n2,
+		table:   strsim.NewTable(opts.Label, g1.LabelNames(), g2.LabelNames(), opts.Threads),
+		labels1: nodeLabels(make([]graph.Label, 0, n1), g1, 0),
+		labels2: nodeLabels(make([]graph.Label, 0, n2), g2, 0),
+	}
+	cs.dense, cs.allPairs = storeShape(n1, n2, &cs.opts)
+	return cs, nil
+}
+
+// checkPinDiagonal rejects PinDiagonal on graphs of different sizes.
+func checkPinDiagonal(opts *Options, n1, n2 int) error {
+	if opts.PinDiagonal && n1 != n2 {
+		return fmt.Errorf("core: PinDiagonal needs equally sized graphs, got |V1|=%d |V2|=%d", n1, n2)
+	}
+	return nil
+}
+
+// nodeLabels appends the labels of g's nodes from id `from` on to dst.
+func nodeLabels(dst []graph.Label, g *graph.Graph, from int) []graph.Label {
+	for u := from; u < g.NumNodes(); u++ {
+		dst = append(dst, g.Label(graph.NodeID(u)))
+	}
+	return dst
+}
+
+// storeShape decides how the candidate map of an n1×n2 pair universe is
+// stored. dense selects the bitmap store: the pair universe must fit
+// Options.DenseCapPairs AND the platform int, both checked in 64-bit
+// arithmetic. On 32-bit builds n1·n2 computed in int silently wraps for
+// graphs beyond ~46k×46k nodes — a wrapped (possibly negative) product
+// would pass the cap check and every u·n2+v slot index after it would
+// mis-address the buffers, so the product is never formed in int unless
+// dense holds. allPairs marks a dense universe in which every pair is a
+// candidate (θ = 0, no pruning), so nothing is enumerated.
+func storeShape(n1, n2 int, opts *Options) (dense, allPairs bool) {
 	pairs := int64(n1) * int64(n2)
-	return pairs <= int64(capPairs) && pairs <= int64(maxInt)
+	dense = pairs <= int64(opts.DenseCapPairs) && pairs <= int64(maxInt)
+	return dense, dense && opts.Theta == 0 && opts.UpperBoundOpt == nil
 }
 
 // maxInt is the platform's largest int (untyped, usable in int64 compares).
@@ -136,10 +165,10 @@ const maxCandidates = math.MaxInt32
 // from a shared cursor, each appending the chunk's candidates and retained
 // bounds to its own buffers and recording the chunk's extent there. The
 // chunks are then concatenated in row order into exactly sized arrays, and
-// the bitmap or index is filled from the result on the calling goroutine:
-// the set is the same at any thread count and chunk schedule.
+// indexCandidates derives the row offsets and the bitmap or index from the
+// result on the calling goroutine: the set is the same at any thread count
+// and chunk schedule.
 func (cs *CandidateSet) build() error {
-	cs.allPairs = cs.dense && cs.opts.Theta == 0 && cs.opts.UpperBoundOpt == nil
 	if cs.allPairs {
 		return nil // every pair is a candidate
 	}
@@ -149,14 +178,13 @@ func (cs *CandidateSet) build() error {
 	if cs.opts.Theta > 0 {
 		eligLabels, byLabel2 = cs.labelBlocks()
 	}
-	// Each row stores its own size at rowOff[u+1] (and prunedOff[u+1]);
+	// Each row stores the size of its retained-bound row at prunedOff[u+1];
 	// rows are disjoint, so the workers never share an entry.
-	cs.rowOff = make([]int32, cs.n1+1)
 	if keepBounds {
 		cs.prunedOff = make([]int32, cs.n1+1)
 	}
 	decideRow := func(w *rowWorker, u graph.NodeID) {
-		cand, kept := len(w.cand), len(w.prunedCol)
+		kept := len(w.prunedCol)
 		if eligLabels != nil {
 			w.row = w.row[:0]
 			for _, l2 := range eligLabels[cs.labels1[u]] {
@@ -174,7 +202,6 @@ func (cs *CandidateSet) build() error {
 				w.decide(cs, u, graph.NodeID(v), keepBounds)
 			}
 		}
-		cs.rowOff[u+1] = int32(len(w.cand) - cand)
 		if keepBounds {
 			cs.prunedOff[u+1] = int32(len(w.prunedCol) - kept)
 		}
@@ -209,28 +236,22 @@ func (cs *CandidateSet) build() error {
 	claim(&workers[0]) // the calling goroutine is worker 0
 	wg.Wait()
 
-	candOver := rowOffsets(cs.rowOff, maxCandidates)
-	keptOver := -1
 	if keepBounds {
-		keptOver = rowOffsets(cs.prunedOff, maxCandidates)
-	}
-	if candOver >= 0 && (keptOver < 0 || candOver <= keptOver) {
-		return fmt.Errorf("core: candidate map exceeds %d pairs at row %d of %d (|V1|·|V2|=%d·%d); raise Theta or enable upper-bound pruning",
-			maxCandidates, candOver, cs.n1, cs.n1, cs.n2)
-	}
-	if keptOver >= 0 {
-		return fmt.Errorf("core: retained §3.4 bounds exceed %d pairs at row %d of %d (|V1|·|V2|=%d·%d); raise Theta or set Alpha to 0",
-			maxCandidates, keptOver, cs.n1, cs.n1, cs.n2)
-	}
-
-	if n := cs.rowOff[cs.n1]; n > 0 {
-		cs.candPairs = make([]pairbits.Key, 0, n)
-	}
-	if keepBounds {
+		if row := rowOffsets(cs.prunedOff, maxCandidates); row >= 0 {
+			return fmt.Errorf("core: retained §3.4 bounds exceed %d pairs at row %d of %d (|V1|·|V2|=%d·%d); raise Theta or set Alpha to 0",
+				maxCandidates, row, cs.n1, cs.n1, cs.n2)
+		}
 		if n := cs.prunedOff[cs.n1]; n > 0 {
 			cs.prunedCol = make([]graph.NodeID, 0, n)
 			cs.prunedBound = make([]float64, 0, n)
 		}
+	}
+	nCand := 0
+	for _, seg := range segs {
+		nCand += seg.candEnd - seg.cand
+	}
+	if nCand > 0 {
+		cs.candPairs = make([]pairbits.Key, 0, nCand)
 	}
 	for _, seg := range segs {
 		w := seg.w
@@ -241,6 +262,26 @@ func (cs *CandidateSet) build() error {
 	for i := range workers {
 		cs.prunedCount += workers[i].pruned
 	}
+	return cs.indexCandidates()
+}
+
+// indexCandidates derives the positional structures of the row-major
+// candidate enumeration candPairs under the set's store shape: the row
+// offsets, and the candidate bitmap (dense) or the hash map from pair to
+// position (sparse). It is the one place either store is filled — build,
+// Patch and NewCandidateSetFromData all end in it — and it refuses a map
+// whose positions would overflow the int32 offsets.
+func (cs *CandidateSet) indexCandidates() error {
+	cs.rowOff = make([]int32, cs.n1+1)
+	for _, k := range cs.candPairs {
+		u, _ := k.Split()
+		cs.rowOff[u+1]++
+	}
+	if row := rowOffsets(cs.rowOff, maxCandidates); row >= 0 {
+		return fmt.Errorf("core: candidate map exceeds %d pairs at row %d of %d (|V1|·|V2|=%d·%d); raise Theta or enable upper-bound pruning",
+			maxCandidates, row, cs.n1, cs.n1, cs.n2)
+	}
+	cs.candBits, cs.index = nil, nil
 	if cs.dense {
 		cs.candBits = pairbits.NewBitset(cs.n1 * cs.n2)
 		for _, k := range cs.candPairs {

@@ -27,8 +27,8 @@ func TestDensePairsOverflow(t *testing.T) {
 		{1000, 1001, 1_000_000, false}, // one row past the cap
 	}
 	for _, c := range capCases {
-		if got := densePairs(c.n1, c.n2, c.cap); got != c.want {
-			t.Errorf("densePairs(%d, %d, cap=%d) = %v, want %v", c.n1, c.n2, c.cap, got, c.want)
+		if got, _ := storeShape(c.n1, c.n2, &Options{DenseCapPairs: c.cap}); got != c.want {
+			t.Errorf("storeShape(%d, %d, cap=%d) dense = %v, want %v", c.n1, c.n2, c.cap, got, c.want)
 		}
 	}
 
@@ -38,8 +38,8 @@ func TestDensePairsOverflow(t *testing.T) {
 	// (true on 64-bit builds, false on 32-bit) — never via wraparound.
 	big := 46_341
 	want := int64(big)*int64(big) <= int64(maxInt)
-	if got := densePairs(big, big, maxInt); got != want {
-		t.Errorf("densePairs(%d, %d, cap=maxInt) = %v, want %v", big, big, got, want)
+	if got, _ := storeShape(big, big, &Options{DenseCapPairs: maxInt}); got != want {
+		t.Errorf("storeShape(%d, %d, cap=maxInt) dense = %v, want %v", big, big, got, want)
 	}
 }
 
@@ -121,10 +121,10 @@ func TestCandidateDataRejects(t *testing.T) {
 	}
 }
 
-// TestRowOffsets pins the row arithmetic of build's concatenation: per-row
-// sizes become row starts in place, and an overflow names the first row at
-// which the running total passes the limit — the row the candidate-map and
-// retained-bound errors report.
+// TestRowOffsets pins the row arithmetic of the candidate index and the
+// retained-bound CSR: per-row sizes become row starts in place, and an
+// overflow names the first row at which the running total passes the
+// limit — the row the candidate-map and retained-bound errors report.
 func TestRowOffsets(t *testing.T) {
 	cases := []struct {
 		name  string

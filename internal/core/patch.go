@@ -10,12 +10,6 @@ import (
 	"fsim/internal/strsim"
 )
 
-// ErrStoreShape is returned by Patch when the mutated pair universe crosses
-// Options.DenseCapPairs, which would flip the candidate store between its
-// dense and sparse representations. Patching across that boundary is not
-// supported; rebuild the component with NewCandidateSet instead.
-var ErrStoreShape = errors.New("core: patch would flip the candidate store shape; rebuild with NewCandidateSet")
-
 // StandInChange records one §3.4 stand-in constant that changed during a
 // Patch: the pair's new stand-in score (α·FSim̄ under the updated bound), or
 // 0 when the pair no longer holds one (un-pruned, or promoted to a
@@ -62,6 +56,12 @@ func (d *PatchDelta) Empty() bool {
 // decisions plus O(|Hc|) structural splicing, versus O(|V1|·|V2|)
 // decisions for a rebuild.
 //
+// Node growth can carry the pair universe past Options.DenseCapPairs.
+// Patch then re-derives the store shape of the grown universe and
+// re-indexes the same row-major enumeration under it: the patched set
+// equals a fresh NewCandidateSet on (g1, g2), store shape included, so a
+// maintained graph never needs rebuilding.
+//
 // Patching invalidates Results previously computed on this set: their
 // scores sit at candidate positions (Position), which a patch shifts.
 // Consumers that keep a candidate-aligned score vector across patches (the
@@ -76,11 +76,8 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 		return nil, fmt.Errorf("core: patch graphs must extend the originals: |V1| %d->%d, |V2| %d->%d",
 			cs.n1, n1, cs.n2, n2)
 	}
-	if cs.opts.PinDiagonal && n1 != n2 {
-		return nil, fmt.Errorf("core: PinDiagonal needs equally sized graphs, got |V1|=%d |V2|=%d", n1, n2)
-	}
-	if densePairs(n1, n2, cs.opts.DenseCapPairs) != cs.dense {
-		return nil, ErrStoreShape
+	if err := checkPinDiagonal(&cs.opts, n1, n2); err != nil {
+		return nil, err
 	}
 	if err := checkExtends(cs.g1, g1); err != nil {
 		return nil, err
@@ -91,12 +88,12 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 
 	delta := &PatchDelta{OldN1: cs.n1, OldN2: cs.n2, N1: n1, N2: n2}
 	oldN1, oldN2 := cs.n1, cs.n2
-	oldBits, oldIndex := cs.candBits, cs.index
+	oldAll, oldDense, oldBits, oldIndex := cs.allPairs, cs.dense, cs.candBits, cs.index
 	oldContains := func(u, v graph.NodeID) bool {
-		if cs.allPairs {
+		switch {
+		case oldAll:
 			return true
-		}
-		if cs.dense {
+		case oldDense:
 			return oldBits.Get(int(u)*oldN2 + int(v))
 		}
 		_, ok := oldIndex[pairbits.MakeKey(u, v)]
@@ -109,20 +106,29 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 	relabeled := g1.NumLabels() != cs.g1.NumLabels() || g2.NumLabels() != cs.g2.NumLabels()
 	cs.g1, cs.g2 = g1, g2
 	cs.n1, cs.n2 = n1, n2
-	for u := oldN1; u < n1; u++ {
-		cs.labels1 = append(cs.labels1, g1.Label(graph.NodeID(u)))
-	}
-	for v := oldN2; v < n2; v++ {
-		cs.labels2 = append(cs.labels2, g2.Label(graph.NodeID(v)))
-	}
+	cs.labels1 = nodeLabels(cs.labels1, g1, oldN1)
+	cs.labels2 = nodeLabels(cs.labels2, g2, oldN2)
 	if relabeled {
 		cs.table = strsim.NewTable(cs.opts.Label, g1.LabelNames(), g2.LabelNames(), cs.opts.Threads)
 	}
 
+	cs.dense, cs.allPairs = storeShape(n1, n2, &cs.opts)
 	if cs.allPairs {
 		// θ = 0 without pruning: every pair, including the new rows and
 		// columns, is a candidate by construction — nothing to splice.
 		return delta, nil
+	}
+	if oldAll {
+		// The grown all-pairs universe left the dense cap. Enumerate the
+		// old universe row-major: its positions are the all-pairs slots
+		// u·|V2|+v, so RemapScores carries scores over unchanged, and the
+		// new rows and columns enter below as Added pairs.
+		cs.candPairs = make([]pairbits.Key, 0, oldN1*oldN2)
+		for u := 0; u < oldN1; u++ {
+			for v := 0; v < oldN2; v++ {
+				cs.candPairs = append(cs.candPairs, pairbits.MakeKey(graph.NodeID(u), graph.NodeID(v)))
+			}
+		}
 	}
 
 	// Re-decide membership for every pair with a touched row or column.
@@ -224,9 +230,11 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 	sort.Slice(delta.StandIns, func(i, j int) bool { return delta.StandIns[i].Key < delta.StandIns[j].Key })
 	cs.prunedCount += prunedDelta
 
-	// Splice the sorted candidate list and rebuild the positional
-	// structures (row offsets plus the bitmap or hash index) in one linear
-	// pass. Layout work is O(|Hc|); no candidate decision is repeated.
+	// Splice the sorted candidate list and re-derive the positional
+	// structures (row offsets plus the bitmap or hash index, under the
+	// grown universe's store shape) in one linear pass. Layout work is
+	// O(|Hc|); no candidate decision is repeated. An index error (the map
+	// outgrew maxCandidates) leaves the set unusable.
 	if len(delta.Added) > 0 || len(delta.Removed) > 0 || n1 != oldN1 || n2 != oldN2 {
 		merged := make([]pairbits.Key, 0, len(cs.candPairs)+len(delta.Added)-len(delta.Removed))
 		ai, ri := 0, 0
@@ -243,26 +251,8 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 		}
 		merged = append(merged, delta.Added[ai:]...)
 		cs.candPairs = merged
-
-		cs.rowOff = make([]int32, n1+1)
-		for _, k := range merged {
-			u, _ := k.Split()
-			cs.rowOff[int(u)+1]++
-		}
-		for u := 0; u < n1; u++ {
-			cs.rowOff[u+1] += cs.rowOff[u]
-		}
-		if cs.dense {
-			cs.candBits = pairbits.NewBitset(n1 * n2)
-			for _, k := range merged {
-				u, v := k.Split()
-				cs.candBits.Set(int(u)*n2 + int(v))
-			}
-		} else {
-			cs.index = make(map[pairbits.Key]int32, len(merged))
-			for pos, k := range merged {
-				cs.index[k] = int32(pos)
-			}
+		if err := cs.indexCandidates(); err != nil {
+			return nil, err
 		}
 	}
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -69,44 +68,85 @@ func randomMutation(rng *rand.Rand, m *graph.Mutable) []graph.NodeID {
 // TestPatchEquivalenceProperty drives random update streams over a mutable
 // graph and asserts after every batch that the patched CandidateSet is
 // indistinguishable from one rebuilt from scratch on the snapshot:
-// identical membership, enumeration order, stand-ins and counters.
+// identical membership, enumeration order, stand-ins, counters and store
+// shape.
 func TestPatchEquivalenceProperty(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 10 + int(seed%6)
-		m := graph.MutableOf(dataset.RandomGraph(seed*37+1, n, 3*n, 3))
-		opts := patchOptions(seed)
+		checkPatchStream(t, seed, 10+int(seed%6), patchOptions(seed), false)
+	}
 
-		g := m.Snapshot()
-		cs, err := NewCandidateSet(g, g, opts)
+	// Growth across DenseCapPairs: the universe stays within the cap for
+	// two added nodes and leaves it with the third, so each stream patches
+	// the dense (or all-pairs) store, crosses to the sparse one, and then
+	// patches that. θ = 0.8 lies above the 0.7 Jaro–Winkler similarity of
+	// two distinct RandomGraph labels, so those streams hold ineligible
+	// pairs.
+	crossing := []struct {
+		name  string
+		theta float64
+		ub    *UpperBound
+	}{
+		{"θ>0 α=0", 0.8, &UpperBound{Alpha: 0, Beta: 0.4}},
+		{"θ>0 α>0", 0.8, &UpperBound{Alpha: 0.3, Beta: 0.4}},
+		{"θ=0 all pairs", 0, nil},
+	}
+	for _, c := range crossing {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := int64(100); seed < 108; seed++ {
+				n := 10 + int(seed%3)
+				opts := DefaultOptions(exact.Variants[seed%4])
+				opts.Threads = 1
+				opts.Theta = c.theta
+				opts.UpperBoundOpt = c.ub
+				opts.DenseCapPairs = (n + 2) * (n + 2)
+				checkPatchStream(t, seed, n, opts, true)
+			}
+		})
+	}
+}
+
+// checkPatchStream patches a candidate set through six random update
+// batches on an n-node random graph, one more node each batch when grow
+// is set, and compares it with a fresh build after every batch.
+func checkPatchStream(t *testing.T, seed int64, n int, opts Options, grow bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	m := graph.MutableOf(dataset.RandomGraph(seed*37+1, n, 3*n, 3))
+	g := m.Snapshot()
+	cs, err := NewCandidateSet(g, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 6; step++ {
+		if grow {
+			m.AddNode("a")
+		}
+		touched := map[graph.NodeID]bool{}
+		for i, k := 0, 1+rng.Intn(3); i < k; i++ {
+			for _, u := range randomMutation(rng, m) {
+				touched[u] = true
+			}
+		}
+		var touchedList []graph.NodeID
+		for u := range touched {
+			touchedList = append(touchedList, u)
+		}
+		g = m.Snapshot()
+		delta, err := cs.Patch(g, g, touchedList, touchedList)
+		if err != nil {
+			t.Fatalf("seed %d step %d: Patch: %v", seed, step, err)
+		}
+		fresh, err := NewCandidateSet(g, g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for step := 0; step < 6; step++ {
-			touched := map[graph.NodeID]bool{}
-			for i, k := 0, 1+rng.Intn(3); i < k; i++ {
-				for _, u := range randomMutation(rng, m) {
-					touched[u] = true
-				}
-			}
-			var touchedList []graph.NodeID
-			for u := range touched {
-				touchedList = append(touchedList, u)
-			}
-			g = m.Snapshot()
-			delta, err := cs.Patch(g, g, touchedList, touchedList)
-			if err != nil {
-				t.Fatalf("seed %d step %d: Patch: %v", seed, step, err)
-			}
-			fresh, err := NewCandidateSet(g, g, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameCandidates(t, seed, step, cs, fresh)
-			if delta.N1 != g.NumNodes() || delta.N2 != g.NumNodes() {
-				t.Fatalf("seed %d step %d: delta sizes %d×%d, graph %d", seed, step, delta.N1, delta.N2, g.NumNodes())
-			}
+		assertSameCandidates(t, seed, step, cs, fresh)
+		if delta.N1 != g.NumNodes() || delta.N2 != g.NumNodes() {
+			t.Fatalf("seed %d step %d: delta sizes %d×%d, graph %d", seed, step, delta.N1, delta.N2, g.NumNodes())
 		}
+	}
+	if grow && cs.Data().Dense {
+		t.Fatalf("seed %d: the grown stream never left the dense store", seed)
 	}
 }
 
@@ -170,6 +210,14 @@ func assertSameCandidates(t *testing.T, seed int64, step int, got, want *Candida
 		}
 	}
 	gd, wd := got.Data(), want.Data()
+	if gd.Dense != wd.Dense || gd.AllPairs != wd.AllPairs {
+		t.Fatalf("seed %d step %d: Data() store shape dense=%v allPairs=%v, fresh build dense=%v allPairs=%v",
+			seed, step, gd.Dense, gd.AllPairs, wd.Dense, wd.AllPairs)
+	}
+	if !slices.Equal(gd.CandPairs, wd.CandPairs) || !slices.Equal(gd.RowOff, wd.RowOff) || gd.PrunedCount != wd.PrunedCount {
+		t.Fatalf("seed %d step %d: Data() enumerates %d candidates in %d row offsets (pruned %d), fresh build %d in %d (pruned %d)",
+			seed, step, len(gd.CandPairs), len(gd.RowOff), gd.PrunedCount, len(wd.CandPairs), len(wd.RowOff), wd.PrunedCount)
+	}
 	if !slices.Equal(gd.PrunedKeys, wd.PrunedKeys) || !slices.Equal(gd.PrunedBounds, wd.PrunedBounds) {
 		t.Fatalf("seed %d step %d: Data() retains %d bounds, fresh build %d (keys or bounds differ)",
 			seed, step, len(gd.PrunedKeys), len(wd.PrunedKeys))
@@ -242,19 +290,5 @@ func TestPatchErrors(t *testing.T) {
 	}
 	if _, err := cs.Patch(nil, nil, nil, nil); err == nil {
 		t.Fatal("Patch accepted nil graphs")
-	}
-
-	// Crossing the dense cap must be refused with the sentinel.
-	capped := opts
-	capped.DenseCapPairs = g.NumNodes()*g.NumNodes() + 5
-	cs2, err := NewCandidateSet(g, g, capped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := graph.MutableOf(g)
-	m.AddNode("x")
-	grown := m.Snapshot()
-	if _, err := cs2.Patch(grown, grown, nil, nil); !errors.Is(err, ErrStoreShape) {
-		t.Fatalf("expected ErrStoreShape, got %v", err)
 	}
 }

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"fsim/internal/graph"
 	"fsim/internal/pairbits"
-	"fsim/internal/strsim"
 )
 
 // CandidateData is the raw serializable form of a CandidateSet: the
@@ -64,48 +64,26 @@ func (cs *CandidateSet) Data() CandidateData {
 // NewCandidateSetFromData reconstructs a CandidateSet from a previously
 // exported enumeration, skipping the O(|V1|·|V2|) candidate decisions of
 // NewCandidateSet: the label caches and similarity table are rebuilt from
-// the graphs, the membership index (dense bitmap or sparse hash map) is
-// re-derived from the pair list, and the retained bounds are filed into
-// their row CSR. The data's structural invariants are validated — row
-// offsets, key ordering, id ranges, store-shape agreement with the
-// options, and that a retained bound belongs to a label-eligible
-// non-candidate — so corrupted input yields a descriptive error, never a
-// set whose lookups silently disagree with its enumeration.
+// the graphs, the row offsets and membership index (dense bitmap or
+// sparse hash map) are re-derived from the pair list, and the retained
+// bounds are filed into their row CSR. The data's structural invariants
+// are validated — key ordering, id ranges, row offsets that agree with the
+// pair list, store-shape agreement with the options, and that a retained
+// bound belongs to a label-eligible non-candidate — so corrupted input
+// yields a descriptive error, never a set whose lookups silently disagree
+// with its enumeration.
 func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData) (*CandidateSet, error) {
-	if g1 == nil || g2 == nil {
-		return nil, fmt.Errorf("core: nil graph")
-	}
-	if err := opts.normalize(); err != nil {
+	cs, err := newCandidateBase(g1, g2, opts)
+	if err != nil {
 		return nil, err
 	}
-	if opts.PinDiagonal && g1.NumNodes() != g2.NumNodes() {
-		return nil, fmt.Errorf("core: PinDiagonal needs equally sized graphs, got |V1|=%d |V2|=%d",
-			g1.NumNodes(), g2.NumNodes())
-	}
-	cs := &CandidateSet{
-		g1: g1, g2: g2,
-		opts: opts,
-		ops:  opts.Operators,
-		n1:   g1.NumNodes(), n2: g2.NumNodes(),
-	}
-	cs.table = strsim.NewTable(opts.Label, g1.LabelNames(), g2.LabelNames(), opts.Threads)
-	cs.labels1 = make([]graph.Label, cs.n1)
-	for u := 0; u < cs.n1; u++ {
-		cs.labels1[u] = g1.Label(graph.NodeID(u))
-	}
-	cs.labels2 = make([]graph.Label, cs.n2)
-	for v := 0; v < cs.n2; v++ {
-		cs.labels2[v] = g2.Label(graph.NodeID(v))
-	}
 
-	// The shape flags are functions of (graphs, options); recompute and
-	// compare instead of trusting the data.
-	cs.dense = densePairs(cs.n1, cs.n2, opts.DenseCapPairs)
+	// The shape flags are functions of (graphs, options); compare the
+	// recomputed ones instead of trusting the data.
 	if cs.dense != d.Dense {
 		return nil, fmt.Errorf("core: candidate data store shape (dense=%v) disagrees with |V1|·|V2|=%d·%d vs DenseCapPairs=%d",
-			d.Dense, cs.n1, cs.n2, opts.DenseCapPairs)
+			d.Dense, cs.n1, cs.n2, cs.opts.DenseCapPairs)
 	}
-	cs.allPairs = cs.dense && opts.Theta == 0 && opts.UpperBoundOpt == nil
 	if cs.allPairs != d.AllPairs {
 		return nil, fmt.Errorf("core: candidate data all-pairs flag %v disagrees with options", d.AllPairs)
 	}
@@ -117,44 +95,22 @@ func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData)
 		return cs, nil
 	}
 
-	if len(d.RowOff) != cs.n1+1 {
-		return nil, fmt.Errorf("core: candidate row offsets want length %d, got %d", cs.n1+1, len(d.RowOff))
-	}
-	if d.RowOff[0] != 0 || int(d.RowOff[cs.n1]) != len(d.CandPairs) {
-		return nil, fmt.Errorf("core: candidate row offsets span [%d,%d], want [0,%d]",
-			d.RowOff[0], d.RowOff[cs.n1], len(d.CandPairs))
+	for pos, k := range d.CandPairs {
+		u, v := k.Split()
+		if int(u) < 0 || int(u) >= cs.n1 || int(v) < 0 || int(v) >= cs.n2 {
+			return nil, fmt.Errorf("core: candidate pair (%d,%d) at position %d outside the %d×%d universe", u, v, pos, cs.n1, cs.n2)
+		}
+		// Key order is row-major order with ascending v within a row.
+		if pos > 0 && d.CandPairs[pos-1] >= k {
+			return nil, fmt.Errorf("core: candidate pairs not strictly ascending at position %d", pos)
+		}
 	}
 	cs.candPairs = d.CandPairs
-	cs.rowOff = d.RowOff
-	if cs.dense {
-		cs.candBits = pairbits.NewBitset(cs.n1 * cs.n2)
-	} else {
-		cs.index = make(map[pairbits.Key]int32, len(d.CandPairs))
+	if err := cs.indexCandidates(); err != nil {
+		return nil, err
 	}
-	for u := 0; u < cs.n1; u++ {
-		lo, hi := d.RowOff[u], d.RowOff[u+1]
-		if lo > hi {
-			return nil, fmt.Errorf("core: candidate row offsets decrease at row %d", u)
-		}
-		for pos := lo; pos < hi; pos++ {
-			ku, v := d.CandPairs[pos].Split()
-			if int(ku) != u {
-				return nil, fmt.Errorf("core: candidate pair at position %d belongs to row %d, filed under row %d", pos, ku, u)
-			}
-			if int(v) < 0 || int(v) >= cs.n2 {
-				return nil, fmt.Errorf("core: candidate column %d of row %d outside [0,%d)", v, u, cs.n2)
-			}
-			if pos > lo {
-				if _, pv := d.CandPairs[pos-1].Split(); pv >= v {
-					return nil, fmt.Errorf("core: candidate columns of row %d not strictly ascending at position %d", u, pos-lo)
-				}
-			}
-			if cs.dense {
-				cs.candBits.Set(u*cs.n2 + int(v))
-			} else {
-				cs.index[d.CandPairs[pos]] = int32(pos)
-			}
-		}
+	if !slices.Equal(cs.rowOff, d.RowOff) {
+		return nil, fmt.Errorf("core: candidate row offsets (%d entries) disagree with the %d-row pair list", len(d.RowOff), cs.n1)
 	}
 
 	if len(d.PrunedKeys) != len(d.PrunedBounds) {
@@ -189,7 +145,7 @@ func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData)
 		}
 		if !cs.eligible(u, v) {
 			return nil, fmt.Errorf("core: pruned pair (%d,%d) fails the label constraint (L=%v < θ=%v), so it cannot hold a bound",
-				u, v, cs.LabelSim(u, v), opts.Theta)
+				u, v, cs.LabelSim(u, v), cs.opts.Theta)
 		}
 		cs.prunedCol[i] = v
 		cs.prunedOff[u+1]++

@@ -81,13 +81,9 @@ type Stats struct {
 	// round count; Converged its ε-criterion outcome.
 	Iterations int
 	Converged  bool
-	// Full marks a fall back to a full recomputation (cone of influence
-	// exceeded the locality threshold, or the candidate store changed
-	// shape and was rebuilt).
+	// Full marks a fall back to a full recomputation: the cone of
+	// influence exceeded the locality threshold.
 	Full bool
-	// Rebuilt marks the rare store-shape rebuild (pair universe crossed
-	// Options.DenseCapPairs).
-	Rebuilt bool
 	// Duration is the wall-clock time of the whole Apply.
 	Duration time.Duration
 }
@@ -112,8 +108,8 @@ type Maintainer struct {
 	// exclusively for the whole re-convergence — up to a full recompute.
 	snap atomic.Pointer[graph.Graph]
 	// version is the graph version: 0 at construction (or the snapshot's
-	// version on a warm start), +1 each time Apply patches or rebuilds the
-	// candidate component. It changes only under mu's write lock, so a read
+	// version on a warm start), +1 each time Apply patches the candidate
+	// component. It changes only under mu's write lock, so a read
 	// under mu pairs it with the state it stamps; Version reads it
 	// lock-free, so liveness probes and cache keys never wait on an Apply.
 	version atomic.Uint64
@@ -334,17 +330,6 @@ func (mt *Maintainer) applyLocked(changes []graph.Change) (Stats, error) {
 	}
 
 	delta, err := mt.ix.Apply(g, g, touchedList, touchedList)
-	if errors.Is(err, core.ErrStoreShape) {
-		if err := mt.rebuild(g); err != nil {
-			return st, err
-		}
-		mt.g = g
-		mt.snap.Store(g)
-		mt.retainLocked(applied)
-		st.Full, st.Rebuilt = true, true
-		st.Duration = time.Since(start)
-		return st, nil
-	}
 	if err != nil {
 		return st, err
 	}
@@ -378,26 +363,6 @@ func (mt *Maintainer) applyLocked(changes []graph.Change) (Stats, error) {
 	st.LocalPairs, st.Iterations, st.Converged = rst.LocalPairs, rst.Iterations, rst.Converged
 	st.Duration = time.Since(start)
 	return st, nil
-}
-
-// rebuild replaces the candidate component and score store from scratch —
-// the escape hatch for patches the in-place structures cannot absorb
-// (store-shape flips). The live Index object survives the swap, so
-// references handed out by Index stay valid.
-func (mt *Maintainer) rebuild(g *graph.Graph) error {
-	cs, err := core.NewCandidateSet(g, g, mt.opts)
-	if err != nil {
-		return err
-	}
-	res, err := core.ComputeOn(cs)
-	if err != nil {
-		return err
-	}
-	mt.cs = cs
-	mt.ix.ResetCandidates(cs)
-	mt.version.Add(1)
-	mt.store.scores = res.Scores()
-	return nil
 }
 
 // seedPairs collects the pairs whose Equation 3 trajectory an update

@@ -3,6 +3,7 @@ package dynamic
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fsim/internal/core"
@@ -327,55 +328,78 @@ func TestMaintainerErrors(t *testing.T) {
 	}
 }
 
-// TestMaintainerStoreShapeRebuild grows the pair universe across
-// DenseCapPairs and checks the maintainer survives via the rebuild path.
-func TestMaintainerStoreShapeRebuild(t *testing.T) {
-	g := dataset.RandomGraph(9, 9, 24, 2)
-	opts := core.DefaultOptions(exact.BJ)
-	opts.Threads = 1
-	opts.Epsilon = 1e-300
-	opts.RelativeEps = false
-	opts.MaxIters = 8
-	opts.DenseCapPairs = 100 // 9×9 = 81 dense; 11×11 = 121 flips sparse
+// TestMaintainerCrossesDenseCap grows the pair universe across
+// DenseCapPairs, from the dense store (θ > 0 with pruning) and from the
+// all-pairs store (θ = 0, no pruning), and checks that the patched
+// maintainer answers exactly like a fresh Compute on the grown graph.
+func TestMaintainerCrossesDenseCap(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		theta float64
+		ub    *core.UpperBound
+	}{
+		{"dense", 0.8, &core.UpperBound{Alpha: 0.3, Beta: 0.4}},
+		{"all pairs", 0, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := dataset.RandomGraph(9, 9, 24, 2)
+			opts := core.DefaultOptions(exact.BJ)
+			opts.Threads = 1
+			opts.Epsilon = 1e-300
+			opts.RelativeEps = false
+			opts.MaxIters = 8
+			opts.Theta = c.theta
+			opts.UpperBoundOpt = c.ub
+			opts.DenseCapPairs = 100 // 9×9 = 81 dense; 11×11 = 121 sparse
 
-	mt, err := New(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveIx := mt.Index()
-	st, err := mt.Apply([]graph.Change{
-		{Op: graph.OpAddNode, Label: "x"},
-		{Op: graph.OpAddNode, Label: "y"},
-		{Op: graph.OpAddEdge, U: 0, V: 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Rebuilt || !st.Full {
-		t.Fatalf("expected a store-shape rebuild, got %+v", st)
-	}
-	if st.Version != 1 || mt.Version() != 1 {
-		t.Fatalf("rebuild left Stats.Version=%d Version()=%d, want 1/1", st.Version, mt.Version())
-	}
-	cur := mt.Graph()
-	fresh, err := core.Compute(cur, cur, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < cur.NumNodes(); u++ {
-		for v := 0; v < cur.NumNodes(); v++ {
-			got, err := mt.Score(graph.NodeID(u), graph.NodeID(v))
+			mt, err := New(g, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := fresh.Score(graph.NodeID(u), graph.NodeID(v)); got != want {
-				t.Fatalf("post-rebuild Score(%d,%d) = %v, fresh %v", u, v, got, want)
+			liveIx := mt.Index()
+			st, err := mt.Apply([]graph.Change{
+				{Op: graph.OpAddNode, Label: "x"},
+				{Op: graph.OpAddNode, Label: "y"},
+				{Op: graph.OpAddEdge, U: 0, V: 10},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// The Index handed out before the rebuild must still answer on the
-	// new graph.
-	if _, err := liveIx.Query(0, 10); err != nil {
-		t.Fatalf("pre-rebuild Index reference went stale: %v", err)
+			if st.Version != 1 || mt.Version() != 1 {
+				t.Fatalf("Stats.Version=%d Version()=%d, want 1/1", st.Version, mt.Version())
+			}
+			if d := mt.Index().Candidates().Data(); d.Dense || d.AllPairs {
+				t.Fatalf("the grown universe kept dense=%v allPairs=%v past the cap", d.Dense, d.AllPairs)
+			}
+			cur := mt.Graph()
+			fresh, err := core.Compute(cur, cur, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := 0; u < cur.NumNodes(); u++ {
+				un := graph.NodeID(u)
+				for v := 0; v < cur.NumNodes(); v++ {
+					got, err := mt.Score(un, graph.NodeID(v))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := fresh.Score(un, graph.NodeID(v)); got != want {
+						t.Fatalf("Score(%d,%d) = %v, fresh %v", u, v, got, want)
+					}
+				}
+				top, err := mt.TopK(un, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := fresh.TopK(un, 5); !slices.Equal(top, want) {
+					t.Fatalf("TopK(%d) = %v, fresh %v", u, top, want)
+				}
+			}
+			// The Index handed out before the Apply must still answer on
+			// the grown graph.
+			if _, err := liveIx.Query(0, 10); err != nil {
+				t.Fatalf("pre-Apply Index reference went stale: %v", err)
+			}
+		})
 	}
 }

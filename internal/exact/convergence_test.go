@@ -26,8 +26,8 @@ func chainGraph(n int) *graph.Graph {
 // signatureStable reports whether one more set-semantics refinement round
 // (the rule RefineSignatures implements) would split the partition. It is
 // an independent re-derivation: same-color nodes must agree on their
-// (color, out-color-set, in-color-set) signature.
-func signatureStable(g *graph.Graph, colors []Color, both bool) bool {
+// (color, out-color-set) signature.
+func signatureStable(g *graph.Graph, colors []Color) bool {
 	key := func(u graph.NodeID) string {
 		set := func(ids []graph.NodeID) []int32 {
 			cs := make([]int32, 0, len(ids))
@@ -43,11 +43,7 @@ func signatureStable(g *graph.Graph, colors []Color, both bool) bool {
 			}
 			return out
 		}
-		k := fmt.Sprint(colors[u], set(g.Out(u)))
-		if both {
-			k += fmt.Sprint("|", set(g.In(u)))
-		}
-		return k
+		return fmt.Sprint(colors[u], set(g.Out(u)))
 	}
 	seen := make(map[Color]string)
 	for u := 0; u < g.NumNodes(); u++ {
@@ -65,26 +61,24 @@ func signatureStable(g *graph.Graph, colors []Color, both bool) bool {
 }
 
 func TestRefineSignaturesConvergedIsStable(t *testing.T) {
-	for _, both := range []bool{false, true} {
-		for seed := int64(0); seed < 8; seed++ {
-			g := randomGraph(100+seed, 18, 40, 2)
-			res := RefineSignatures(g, g.NumNodes()+1, both)
-			if !res.Converged {
-				t.Fatalf("seed %d both=%v: generous budget did not converge", seed, both)
-			}
-			if res.Rounds > g.NumNodes() {
-				t.Fatalf("seed %d both=%v: %d rounds exceeds the classical bound", seed, both, res.Rounds)
-			}
-			if !signatureStable(g, res.Colors, both) {
-				t.Fatalf("seed %d both=%v: Converged=true but one more round would split", seed, both)
-			}
-			// Early stop must be output-identical: a larger budget changes
-			// nothing once the fixpoint is confirmed.
-			again := RefineSignatures(g, 10*g.NumNodes(), both)
-			for u, c := range res.Colors {
-				if again.Colors[u] != c {
-					t.Fatalf("seed %d both=%v: early-stopped colors diverge at node %d", seed, both, u)
-				}
+	for seed := int64(0); seed < 8; seed++ {
+		g := randomGraph(100+seed, 18, 40, 2)
+		res := RefineSignatures(g, g.NumNodes()+1)
+		if !res.Converged {
+			t.Fatalf("seed %d: generous budget did not converge", seed)
+		}
+		if res.Rounds > g.NumNodes() {
+			t.Fatalf("seed %d: %d rounds exceeds the classical bound", seed, res.Rounds)
+		}
+		if !signatureStable(g, res.Colors) {
+			t.Fatalf("seed %d: Converged=true but one more round would split", seed)
+		}
+		// Early stop must be output-identical: a larger budget changes
+		// nothing once the fixpoint is confirmed.
+		again := RefineSignatures(g, 10*g.NumNodes())
+		for u, c := range res.Colors {
+			if again.Colors[u] != c {
+				t.Fatalf("seed %d: early-stopped colors diverge at node %d", seed, u)
 			}
 		}
 	}
@@ -93,7 +87,7 @@ func TestRefineSignaturesConvergedIsStable(t *testing.T) {
 func TestRefineSignaturesNonPositiveBudget(t *testing.T) {
 	g := randomGraph(31, 12, 30, 2) // repeated labels: label partition is not stable
 	for _, k := range []int{0, -3} {
-		res := RefineSignatures(g, k, true)
+		res := RefineSignatures(g, k)
 		if res.Rounds != 0 {
 			t.Fatalf("k=%d ran %d rounds", k, res.Rounds)
 		}
@@ -118,7 +112,7 @@ func TestRefineSignaturesNonPositiveBudget(t *testing.T) {
 	}
 	b.MustAddEdge(0, 1)
 	b.MustAddEdge(1, 2)
-	discrete := RefineSignatures(b.Build(), 0, true)
+	discrete := RefineSignatures(b.Build(), 0)
 	if !discrete.Converged || discrete.Rounds != 0 {
 		t.Fatalf("discrete label partition: Converged=%v Rounds=%d", discrete.Converged, discrete.Rounds)
 	}
@@ -126,14 +120,14 @@ func TestRefineSignaturesNonPositiveBudget(t *testing.T) {
 
 func TestRefineSignaturesBudgetEndsOnDiscreteRound(t *testing.T) {
 	g := chainGraph(6)
-	full := RefineSignatures(g, g.NumNodes()+1, true)
+	full := RefineSignatures(g, g.NumNodes()+1)
 	if !full.Converged {
 		t.Fatal("chain did not converge under a generous budget")
 	}
 	// Re-run with the budget exhausted exactly at the stopping round: the
 	// flag must still be true (the old accounting required one extra
 	// confirming round when the final round went discrete).
-	exact := RefineSignatures(g, full.Rounds, true)
+	exact := RefineSignatures(g, full.Rounds)
 	if !exact.Converged {
 		t.Fatalf("budget=%d (the converging round) reported Converged=false", full.Rounds)
 	}

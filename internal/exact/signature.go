@@ -18,20 +18,13 @@ type Color int32
 // Theorem 4. The returned colors canonicalize signatures: u and v are
 // k-bisimilar iff colors[u] == colors[v].
 func KBisimulation(g *graph.Graph, k int) []Color {
-	return RefineSignatures(g, k, false).Colors
+	return RefineSignatures(g, k).Colors
 }
 
 // KBisimilar reports whether u and v are k-bisimilar.
 func KBisimilar(g *graph.Graph, k int, u, v graph.NodeID) bool {
 	c := KBisimulation(g, k)
 	return c[u] == c[v]
-}
-
-// KBisimulationBoth is the two-sided extension using both N+ and N−; it is
-// the signature analogue of the paper's in+out data model and is used by
-// the alignment baselines and the structural-twin partition.
-func KBisimulationBoth(g *graph.Graph, k int) []Color {
-	return RefineSignatures(g, k, true).Colors
 }
 
 // RefineResult carries the outcome of one bounded signature refinement.
@@ -51,9 +44,8 @@ type RefineResult struct {
 	// the partition became discrete (every node its own block — nothing
 	// left to split). When false, colors describe exactly k rounds of
 	// refinement but the k+1-round partition could still be finer; callers
-	// that need a stable partition (Theorem 5 equivalence checks, the
-	// twin diagnostics of fsim quotient) must consult this flag rather than
-	// assume a generous k sufficed.
+	// that need a stable partition (Theorem 5 equivalence checks) must
+	// consult this flag rather than assume a generous k sufficed.
 	Converged bool
 }
 
@@ -61,7 +53,7 @@ type RefineResult struct {
 // canonical ids and reports whether the partition reached its fixpoint.
 // k ≤ 0 performs no rounds and returns the label partition (the defined
 // sig₀), with Converged set only in the trivially stable discrete case.
-func RefineSignatures(g *graph.Graph, k int, both bool) RefineResult {
+func RefineSignatures(g *graph.Graph, k int) RefineResult {
 	n := g.NumNodes()
 	colors := make([]Color, n)
 	for u := 0; u < n; u++ {
@@ -85,14 +77,7 @@ func RefineSignatures(g *graph.Graph, k int, both bool) RefineResult {
 			for _, v := range g.Out(graph.NodeID(u)) {
 				neigh = append(neigh, int32(colors[v]))
 			}
-			if both {
-				// Separator distinguishes out-multiset from in-multiset.
-				neigh = append(neigh, -1)
-				for _, v := range g.In(graph.NodeID(u)) {
-					neigh = append(neigh, int32(colors[v]))
-				}
-			}
-			neigh = canonicalize(neigh, both)
+			neigh = sortedSet(neigh)
 			buf = buf[:0]
 			buf = binary.AppendVarint(buf, int64(colors[u]))
 			for _, c := range neigh {
@@ -121,28 +106,10 @@ func RefineSignatures(g *graph.Graph, k int, both bool) RefineResult {
 	return res
 }
 
-// canonicalize sorts and deduplicates the neighbor colors. Deduplication
+// sortedSet sorts and deduplicates the neighbor colors. Deduplication
 // matters: the k-bisimulation conditions are existential ("there exists a
 // [k-1]-bisimilar neighbor"), so the signature is the SET of neighbor
-// signatures, not the multiset. In two-sided mode the out part (before the
-// -1 separator) and the in part are canonicalized independently.
-func canonicalize(neigh []int32, both bool) []int32 {
-	if !both {
-		return sortedSet(neigh)
-	}
-	sep := 0
-	for i, c := range neigh {
-		if c == -1 {
-			sep = i
-			break
-		}
-	}
-	out := sortedSet(neigh[:sep])
-	in := sortedSet(neigh[sep+1:])
-	out = append(out, -1)
-	return append(out, in...)
-}
-
+// signatures, not the multiset.
 func sortedSet(xs []int32) []int32 {
 	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 	dedup := xs[:0]

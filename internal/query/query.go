@@ -73,41 +73,23 @@ func New(g1, g2 *graph.Graph, opts core.Options) (*Index, error) {
 // uses this to run batch computation, queries and in-place patches against
 // one component.
 func NewFromCandidates(cs *core.CandidateSet) *Index {
-	ix := &Index{}
-	ix.resetLocked(cs)
+	g1, g2 := cs.Graphs()
+	ix := &Index{cs: cs, n1: g1.NumNodes(), n2: g2.NumNodes()}
+	ix.pool = &sync.Pool{New: func() any { return newState(ix) }}
 	return ix
 }
 
-// ResetCandidates swaps the index onto a different candidate component,
-// rebuilding all derived state. It is the escape hatch for mutations Apply
-// cannot absorb in place (core.ErrStoreShape): the index object — and any
-// references callers hold to it — stays live across the rebuild.
-func (ix *Index) ResetCandidates(cs *core.CandidateSet) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.resetLocked(cs)
-}
-
-// resetLocked (re)derives every index structure from cs; callers hold the
-// write lock (or exclusive ownership during construction).
-func (ix *Index) resetLocked(cs *core.CandidateSet) {
-	ix.cs = cs
-	g1, g2 := cs.Graphs()
-	ix.n1, ix.n2 = g1.NumNodes(), g2.NumNodes()
-	ix.pool = &sync.Pool{New: func() any { return newState(ix) }}
-}
-
 // Apply patches the index in place for a mutated graph pair, so a live
-// index stays valid across updates without a rebuild: the shared candidate
-// component is patched (core.CandidateSet.Patch — membership and §3.4
-// bounds re-decided only for touched rows and columns). The index derives
-// nothing else from the component — query states read candidate rows and
-// stand-ins from it directly — so there is nothing further to refresh.
-// Queries block for the duration of the patch and see either the old or
-// the new graph, never a mix. The PatchDelta is returned for callers that
-// maintain further derived state (the dynamic maintainer's score store).
-//
-// On core.ErrStoreShape the index is unchanged; rebuild with New instead.
+// index stays valid across every update: the shared candidate component
+// is patched (core.CandidateSet.Patch — membership and §3.4 bounds
+// re-decided only for touched rows and columns, and the store re-indexed
+// when the grown pair universe crosses Options.DenseCapPairs). The index
+// derives nothing else from the component — query states read candidate
+// rows and stand-ins from it directly — so beyond dropping pooled states
+// sized to the old node counts there is nothing to refresh. Queries block
+// for the duration of the patch and see either the old or the new graph,
+// never a mix. The PatchDelta is returned for callers that maintain
+// further derived state (the dynamic maintainer's score store).
 func (ix *Index) Apply(g1, g2 *graph.Graph, touched1, touched2 []graph.NodeID) (*core.PatchDelta, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()

@@ -105,8 +105,12 @@ type cacheEntry struct {
 	body    []byte
 }
 
+// cacheShards is the number of independently locked shards a server's
+// result cache is spread over.
+const cacheShards = 16
+
 // newResultCache builds a cache of exactly `capacity` entries spread over
-// `shards` shards (both already validated/defaulted by the caller): every
+// `shards` shards (capacity already validated/defaulted by the caller): every
 // shard gets capacity/shards entries and the first capacity%shards shards
 // one more, so the configured budget is honored for non-divisible
 // combinations instead of silently losing the remainder.

@@ -42,7 +42,7 @@ func TestCacheCapacityExact(t *testing.T) {
 // that many distinct entries.
 func TestCacheCapacityThroughServer(t *testing.T) {
 	g := dataset.RandomGraph(11, 12, 30, 2)
-	srv := newTestServer(t, g, Options{CacheEntries: 50, CacheShards: 16})
+	srv := newTestServer(t, g, Options{CacheEntries: 50})
 	var sr StatsResponse
 	do(t, srv, http.MethodGet, "/stats", "", &sr)
 	if sr.CacheCapacity != 50 {

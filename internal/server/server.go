@@ -112,13 +112,6 @@ type Options struct {
 	// CacheEntries bounds the result cache. 0 uses the default (4096);
 	// negative disables caching entirely (every request computes).
 	CacheEntries int
-	// CacheShards spreads the cache over independently locked shards.
-	// 0 uses the default (16).
-	CacheShards int
-	// DisableCoalescing turns off singleflight request coalescing, so
-	// concurrent identical misses compute independently. The apps
-	// benchmark uses it as the naive baseline.
-	DisableCoalescing bool
 	// MaxInFlight bounds concurrently running score computations (cache
 	// misses); excess requests receive 429. 0 uses twice GOMAXPROCS;
 	// negative means unlimited.
@@ -159,9 +152,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.CacheEntries == 0 {
 		o.CacheEntries = 4096
-	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
 	}
 	if o.MaxInFlight == 0 {
 		o.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
@@ -254,7 +244,7 @@ func NewFromMaintainer(mt *dynamic.Maintainer, sopts Options) *Server {
 		mt.RetainChanges(retain, 0)
 	}
 	if sopts.CacheEntries > 0 {
-		s.cache = newResultCache(sopts.CacheEntries, sopts.CacheShards)
+		s.cache = newResultCache(sopts.CacheEntries, cacheShards)
 		for _, sw := range s.workloads {
 			s.cache.registerEndpoint(sw.spec.Name)
 		}
@@ -382,7 +372,6 @@ type UpdateResponse struct {
 	Submitted    int     `json:"submitted"`
 	Applied      int     `json:"applied"`
 	Full         bool    `json:"full"`
-	Rebuilt      bool    `json:"rebuilt"`
 	Seeds        int     `json:"seeds"`
 	Cone         int     `json:"cone"`
 	LocalPairs   int     `json:"localPairs"`
@@ -618,17 +607,9 @@ func (s *Server) serveComputed(w http.ResponseWriter, baseKey string, admission 
 		return body, version, nil
 	}
 
-	var body []byte
-	var version uint64
-	var err error
-	if s.opts.DisableCoalescing {
-		body, version, err = run()
-	} else {
-		var shared bool
-		body, version, err, shared = s.flights.do(key, run)
-		if shared {
-			s.metrics.coalesced.Inc()
-		}
+	body, version, err, shared := s.flights.do(key, run)
+	if shared {
+		s.metrics.coalesced.Inc()
 	}
 	switch {
 	case errors.Is(err, errOverloaded):
@@ -709,7 +690,6 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		Submitted:    len(changes),
 		Applied:      st.Applied,
 		Full:         st.Full,
-		Rebuilt:      st.Rebuilt,
 		Seeds:        st.Seeds,
 		Cone:         st.Cone,
 		LocalPairs:   st.LocalPairs,
