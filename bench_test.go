@@ -11,6 +11,7 @@ package fsim
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
@@ -18,6 +19,7 @@ import (
 	"fsim/internal/dataset"
 	"fsim/internal/exact"
 	"fsim/internal/experiments"
+	"fsim/internal/strsim"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -220,6 +222,22 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(buf.Len()), "snapshot-bytes")
+}
+
+// BenchmarkLabelTable times the label layer alone: the Jaro–Winkler
+// table over benchGraph's vocabulary against itself, as every candidate
+// set of a self-similarity run builds it (NewCandidateSet, a snapshot
+// load, a Patch that grows the vocabulary).
+func BenchmarkLabelTable(b *testing.B) {
+	names := benchGraph().LabelNames()
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				strsim.NewTable(strsim.JaroWinkler, names, names, threads)
+			}
+		})
+	}
 }
 
 // BenchmarkTopK measures one TopK(u, 10) query against a prebuilt shared

@@ -19,6 +19,12 @@ import (
 // candidate map Hc of Algorithm 1's Initializing step, the cached
 // label-similarity table, and the §3.4 upper bounds of pruned pairs.
 //
+// The label constraint L ≥ θ (Remark 2) is derived once from the table as
+// a |Σ1|×|Σ2| bit matrix, and every θ test reads a bit: eligible,
+// candidate's gate, the build's per-label column lists and the sparse
+// store's resolver. The table itself is read only where a value is needed
+// (LabelSim, Bound, InitScore).
+//
 // Candidates are enumerated row-major, ascending v within each row
 // (candPairs/rowOff). Two stores implement membership tests on top,
 // chosen by storeShape from the pair universe alone:
@@ -42,6 +48,11 @@ type CandidateSet struct {
 	ops    *Operators
 	table  *strsim.Table
 	n1, n2 int
+
+	// elig is the label constraint as a bit matrix: bit l1·eligRow+l2 is
+	// set iff L(l1, l2) ≥ θ, with eligRow = |Σ2|.
+	elig    pairbits.Bitset
+	eligRow int
 
 	labels1, labels2 []graph.Label
 
@@ -84,7 +95,8 @@ func NewCandidateSet(g1, g2 *graph.Graph, opts Options) (*CandidateSet, error) {
 
 // newCandidateBase validates (g1, g2, opts), normalizes the options and
 // derives everything a CandidateSet holds except its enumeration: the
-// label caches, the label-similarity table and the store shape.
+// label caches, the label-similarity table, the eligibility bit matrix and
+// the store shape.
 func newCandidateBase(g1, g2 *graph.Graph, opts Options) (*CandidateSet, error) {
 	if g1 == nil || g2 == nil {
 		return nil, errors.New("core: nil graph")
@@ -102,12 +114,28 @@ func newCandidateBase(g1, g2 *graph.Graph, opts Options) (*CandidateSet, error) 
 		ops:     opts.Operators,
 		n1:      n1,
 		n2:      n2,
-		table:   strsim.NewTable(opts.Label, g1.LabelNames(), g2.LabelNames(), opts.Threads),
 		labels1: nodeLabels(make([]graph.Label, 0, n1), g1, 0),
 		labels2: nodeLabels(make([]graph.Label, 0, n2), g2, 0),
 	}
+	cs.deriveLabelLayer()
 	cs.dense, cs.allPairs = storeShape(n1, n2, &cs.opts)
 	return cs, nil
+}
+
+// deriveLabelLayer fills the label-similarity table of the current
+// vocabularies and derives the eligibility bit matrix from it.
+func (cs *CandidateSet) deriveLabelLayer() {
+	names1, names2 := cs.g1.LabelNames(), cs.g2.LabelNames()
+	cs.table = strsim.NewTable(cs.opts.Label, names1, names2, cs.opts.Threads)
+	nl1, nl2 := len(names1), len(names2)
+	cs.elig, cs.eligRow = pairbits.NewBitset(nl1*nl2), nl2
+	for l1 := 0; l1 < nl1; l1++ {
+		for l2 := 0; l2 < nl2; l2++ {
+			if cs.table.Sim(l1, l2) >= cs.opts.Theta {
+				cs.elig.Set(l1*nl2 + l2)
+			}
+		}
+	}
 }
 
 // checkPinDiagonal rejects PinDiagonal on graphs of different sizes.
@@ -153,9 +181,9 @@ const maxCandidates = math.MaxInt32
 // label constraint (L ≥ θ) and, when upper-bound updating is on, pairs
 // whose Eq. 6 bound exceeds β.
 //
-// With θ > 0 the enumeration is label-blocked: only pairs whose label pair
-// passes the constraint are probed, via per-label node lists and the
-// |Σ1|×|Σ2| similarity table, making construction O(|Σ1|·|Σ2| + eligible
+// With θ > 0 the enumeration is label-blocked: row u probes only the g2
+// nodes whose label may pair with u's, from one ascending column list per
+// g1 label (eligibleColumns), making construction O(|Σ1|·|Σ2| + eligible
 // pairs) instead of O(|V1|·|V2|) — the difference between seconds and
 // hours on the 10^5–10^6-edge graphs cmd/fsimgen generates. Both paths
 // funnel every probed pair through the candidate test, so the candidate
@@ -173,10 +201,9 @@ func (cs *CandidateSet) build() error {
 		return nil // every pair is a candidate
 	}
 	keepBounds := cs.keepsBounds()
-	var eligLabels [][]int32      // per g1 label, the g2 labels with L ≥ θ
-	var byLabel2 [][]graph.NodeID // per g2 label, its nodes ascending
+	var cols [][]graph.NodeID // per g1 label, its eligible g2 nodes ascending
 	if cs.opts.Theta > 0 {
-		eligLabels, byLabel2 = cs.labelBlocks()
+		cols = cs.eligibleColumns()
 	}
 	// Each row stores the size of its retained-bound row at prunedOff[u+1];
 	// rows are disjoint, so the workers never share an entry.
@@ -185,16 +212,8 @@ func (cs *CandidateSet) build() error {
 	}
 	decideRow := func(w *rowWorker, u graph.NodeID) {
 		kept := len(w.prunedCol)
-		if eligLabels != nil {
-			w.row = w.row[:0]
-			for _, l2 := range eligLabels[cs.labels1[u]] {
-				w.row = append(w.row, byLabel2[l2]...)
-			}
-			// Enumeration order must be v-ascending within the row (the
-			// rowOff contract for both candidate and pruned rows); the
-			// label blocks arrive out of order.
-			slices.Sort(w.row)
-			for _, v := range w.row {
+		if cols != nil {
+			for _, v := range cols[cs.labels1[u]] {
 				w.decide(cs, u, v, keepBounds)
 			}
 		} else {
@@ -309,15 +328,14 @@ func (cs *CandidateSet) keepsBounds() bool {
 const buildChunkRows = 64
 
 // rowWorker is one build worker's output buffers, appended to across all
-// the chunks of rows it claims, plus its row scratch. The trailing pad
-// keeps adjacent workers' slice headers, written on every append, off each
-// other's cache lines (as engineWorker does).
+// the chunks of rows it claims. The trailing pad keeps adjacent workers'
+// slice headers, written on every append, off each other's cache lines (as
+// engineWorker does).
 type rowWorker struct {
 	cand        []pairbits.Key
 	prunedCol   []graph.NodeID
 	prunedBound []float64
-	pruned      int            // pruned pairs decided, retained or not
-	row         []graph.NodeID // label-eligible columns of the current row
+	pruned      int // pruned pairs decided, retained or not
 	_           [128]byte
 }
 
@@ -363,37 +381,59 @@ func rowOffsets(off []int32, limit int) int {
 	return -1
 }
 
-// labelBlocks precomputes the label-constraint structure of the θ > 0
-// enumeration: for every g1 label the g2 labels it may pair with, and for
-// every g2 label its nodes in ascending id order.
-func (cs *CandidateSet) labelBlocks() (eligLabels [][]int32, byLabel2 [][]graph.NodeID) {
-	nl1 := len(cs.g1.LabelNames())
-	nl2 := len(cs.g2.LabelNames())
-	byLabel2 = make([][]graph.NodeID, nl2)
-	for v := 0; v < cs.n2; v++ {
-		l := cs.labels2[v]
-		byLabel2[l] = append(byLabel2[l], graph.NodeID(v))
+// eligibleColumns lists, for every g1 label that labels a node, the g2
+// nodes whose label it may pair with (L ≥ θ) in ascending id order — the
+// rowOff contract's order for both candidate and pruned rows — so each row
+// reads its label's list as is. The lists share one exactly sized array,
+// filled by one ascending pass over the g2 nodes.
+func (cs *CandidateSet) eligibleColumns() [][]graph.NodeID {
+	nl1, nl2 := cs.g1.NumLabels(), cs.g2.NumLabels()
+	used := make([]bool, nl1)
+	for _, l := range cs.labels1 {
+		used[l] = true
 	}
-	eligLabels = make([][]int32, nl1)
+	count2 := make([]int, nl2) // nodes per g2 label
+	for _, l := range cs.labels2 {
+		count2[l]++
+	}
+	partners := make([][]graph.Label, nl2) // per g2 label, the used g1 labels it pairs with
+	size := make([]int, nl1)
+	total := 0
 	for l1 := 0; l1 < nl1; l1++ {
+		if !used[l1] {
+			continue
+		}
 		for l2 := 0; l2 < nl2; l2++ {
-			if cs.table.Sim(l1, l2) >= cs.opts.Theta {
-				eligLabels[l1] = append(eligLabels[l1], int32(l2))
+			if cs.labelsEligible(graph.Label(l1), graph.Label(l2)) {
+				partners[l2] = append(partners[l2], graph.Label(l1))
+				size[l1] += count2[l2]
 			}
 		}
+		total += size[l1]
 	}
-	return eligLabels, byLabel2
+	flat := make([]graph.NodeID, total)
+	cols := make([][]graph.NodeID, nl1)
+	at := 0
+	for l1, n := range size {
+		cols[l1] = flat[at : at : at+n]
+		at += n
+	}
+	for v, l2 := range cs.labels2 {
+		for _, l1 := range partners[l2] {
+			cols[l1] = append(cols[l1], graph.NodeID(v))
+		}
+	}
+	return cols
 }
 
 // candidate decides membership in Hc and (with ub on) returns the Eq. 6
 // bound of rejected-but-eligible pairs.
 func (cs *CandidateSet) candidate(u, v graph.NodeID) (ok bool, bound float64, pruned bool) {
-	ls := cs.table.Sim(int(cs.labels1[u]), int(cs.labels2[v]))
-	if ls < cs.opts.Theta {
+	if !cs.eligible(u, v) {
 		return false, 0, false
 	}
 	if ub := cs.opts.UpperBoundOpt; ub != nil {
-		b := cs.upperBound(u, v, ls)
+		b := cs.Bound(u, v)
 		if b <= ub.Beta {
 			return false, b, true
 		}
@@ -406,9 +446,15 @@ func (cs *CandidateSet) LabelSim(u, v graph.NodeID) float64 {
 	return cs.table.Sim(int(cs.labels1[u]), int(cs.labels2[v]))
 }
 
-// eligible implements the label constraint of Remark 2.
+// eligible implements the label constraint of Remark 2 for a node pair:
+// one read of the eligibility bit matrix.
 func (cs *CandidateSet) eligible(x, y graph.NodeID) bool {
-	return cs.table.Sim(int(cs.labels1[x]), int(cs.labels2[y])) >= cs.opts.Theta
+	return cs.labelsEligible(cs.labels1[x], cs.labels2[y])
+}
+
+// labelsEligible reports L(l1, l2) ≥ θ from the bit matrix.
+func (cs *CandidateSet) labelsEligible(l1, l2 graph.Label) bool {
+	return cs.elig.Get(int(l1)*cs.eligRow + int(l2))
 }
 
 // Graphs returns the two input graphs.

@@ -7,7 +7,6 @@ import (
 
 	"fsim/internal/graph"
 	"fsim/internal/pairbits"
-	"fsim/internal/strsim"
 )
 
 // StandInChange records one §3.4 stand-in constant that changed during a
@@ -101,15 +100,15 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 	}
 
 	// Swap in the mutated graphs and extend the label caches; the
-	// similarity table is quadratic in labels only, so it is rebuilt
-	// whenever the vocabulary grew.
+	// similarity table and the eligibility bits are quadratic in labels
+	// only, so they are derived again whenever the vocabulary grew.
 	relabeled := g1.NumLabels() != cs.g1.NumLabels() || g2.NumLabels() != cs.g2.NumLabels()
 	cs.g1, cs.g2 = g1, g2
 	cs.n1, cs.n2 = n1, n2
 	cs.labels1 = nodeLabels(cs.labels1, g1, oldN1)
 	cs.labels2 = nodeLabels(cs.labels2, g2, oldN2)
 	if relabeled {
-		cs.table = strsim.NewTable(cs.opts.Label, g1.LabelNames(), g2.LabelNames(), cs.opts.Threads)
+		cs.deriveLabelLayer()
 	}
 
 	cs.dense, cs.allPairs = storeShape(n1, n2, &cs.opts)

@@ -63,15 +63,15 @@ func (cs *CandidateSet) Data() CandidateData {
 
 // NewCandidateSetFromData reconstructs a CandidateSet from a previously
 // exported enumeration, skipping the O(|V1|·|V2|) candidate decisions of
-// NewCandidateSet: the label caches and similarity table are rebuilt from
-// the graphs, the row offsets and membership index (dense bitmap or
-// sparse hash map) are re-derived from the pair list, and the retained
-// bounds are filed into their row CSR. The data's structural invariants
-// are validated — key ordering, id ranges, row offsets that agree with the
-// pair list, store-shape agreement with the options, and that a retained
-// bound belongs to a label-eligible non-candidate — so corrupted input
-// yields a descriptive error, never a set whose lookups silently disagree
-// with its enumeration.
+// NewCandidateSet: the label caches, similarity table and eligibility bits
+// are rebuilt from the graphs, the row offsets and membership index (dense
+// bitmap or sparse hash map) are re-derived from the pair list, and the
+// retained bounds are filed into their row CSR. The data's structural
+// invariants are validated — key ordering, id ranges, row offsets that
+// agree with the pair list, store-shape agreement with the options, and
+// that a retained bound belongs to a label-eligible non-candidate — so
+// corrupted input yields a descriptive error, never a set whose lookups
+// silently disagree with its enumeration.
 func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData) (*CandidateSet, error) {
 	cs, err := newCandidateBase(g1, g2, opts)
 	if err != nil {

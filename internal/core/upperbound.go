@@ -41,8 +41,8 @@ func (e *CandidateSet) directionBound(s1, s2 []graph.NodeID) float64 {
 }
 
 // eligibleCounts returns how many nodes of s1 (resp. s2) have at least one
-// label-eligible partner on the other side. With θ = 0 everything is
-// eligible, so the scan is skipped.
+// label-eligible partner on the other side, from the eligibility bit
+// matrix. With θ = 0 everything is eligible, so the scan is skipped.
 func (e *CandidateSet) eligibleCounts(s1, s2 []graph.NodeID) (int, int) {
 	if e.opts.Theta == 0 {
 		return len(s1), len(s2)

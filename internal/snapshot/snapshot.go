@@ -58,7 +58,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 
 	"fsim/internal/core"
 	"fsim/internal/dynamic"
@@ -225,7 +224,9 @@ func writeState(st dynamic.SnapshotState, w io.Writer) error {
 // validating the format version, every section checksum and every
 // structural invariant along the way.
 func Read(r io.Reader) (*dynamic.Maintainer, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	// readSection reads each payload into an exactly sized buffer, so the
+	// reader only batches the section headers and checksums.
+	br := bufio.NewReader(r)
 	var hdr [12]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: reading header: %v", ErrCorrupt, err)
@@ -292,37 +293,6 @@ func Read(r io.Reader) (*dynamic.Maintainer, error) {
 	return mt, nil
 }
 
-// labelFuncIDs maps the three named label similarity functions to stable
-// wire ids. Function values cannot be compared directly; the registry
-// compares code pointers, which identifies top-level functions reliably.
-var labelFuncIDs = []struct {
-	id uint8
-	fn strsim.Func
-}{
-	{1, strsim.JaroWinkler},
-	{2, strsim.Indicator},
-	{3, strsim.NormalizedEditDistance},
-}
-
-func labelFuncID(fn strsim.Func) (uint8, error) {
-	p := reflect.ValueOf(fn).Pointer()
-	for _, e := range labelFuncIDs {
-		if reflect.ValueOf(e.fn).Pointer() == p {
-			return e.id, nil
-		}
-	}
-	return 0, errors.New("snapshot: custom Options.Label functions cannot be persisted; use JaroWinkler, Indicator or NormalizedEditDistance")
-}
-
-func labelFuncByID(id uint8) (strsim.Func, error) {
-	for _, e := range labelFuncIDs {
-		if e.id == id {
-			return e.fn, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: unknown label function id %d", ErrCorrupt, id)
-}
-
 // encodeOptions persists the normalized options. Threads is deliberately
 // omitted: it is a property of the loading host (results are identical at
 // any thread count), so normalize re-derives it from GOMAXPROCS on load.
@@ -330,9 +300,9 @@ func encodeOptions(e *enc, o core.Options) error {
 	if o.Init != nil {
 		return errors.New("snapshot: custom Options.Init cannot be persisted")
 	}
-	labelID, err := labelFuncID(o.Label)
-	if err != nil {
-		return err
+	labelID, ok := strsim.WireID(o.Label)
+	if !ok {
+		return errors.New("snapshot: custom Options.Label functions cannot be persisted; use JaroWinkler, Indicator or NormalizedEditDistance")
 	}
 	e.u8(uint8(o.Variant))
 	e.f64(o.WPlus)
@@ -397,11 +367,9 @@ func decodeOptions(payload []byte) (core.Options, error) {
 	if int(o.Variant) < 0 || int(o.Variant) >= len(exact.Variants) {
 		return core.Options{}, fmt.Errorf("%w: unknown variant id %d", ErrCorrupt, o.Variant)
 	}
-	label, err := labelFuncByID(labelID)
-	if err != nil {
-		return core.Options{}, err
+	if o.Label = strsim.ByWireID(labelID); o.Label == nil {
+		return core.Options{}, fmt.Errorf("%w: unknown label function id %d", ErrCorrupt, labelID)
 	}
-	o.Label = label
 	if ops.Mapping < core.MapBest || ops.Mapping > core.MapProduct {
 		return core.Options{}, fmt.Errorf("%w: unknown mapping operator %d", ErrCorrupt, ops.Mapping)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"testing/quick"
 	"unicode/utf8"
 )
 
@@ -171,20 +172,9 @@ func requireReference(t *testing.T, a, b string) {
 // mixes one- and multi-byte runes, so both the byte and the rune paths and
 // every mix of the two are exercised.
 func TestLabelFuncsMatchReference(t *testing.T) {
-	alphabet := []string{"a", "b", "é", "世"}
-	words := []string{""}
-	for n, level := 0, []string{""}; n < 3; n++ {
-		var next []string
-		for _, w := range level {
-			for _, c := range alphabet {
-				next = append(next, w+c)
-			}
-		}
-		words = append(words, next...)
-		level = next
-	}
-	for _, a := range words {
-		for _, b := range words {
+	all := words([]string{"a", "b", "é", "世"}, 3)
+	for _, a := range all {
+		for _, b := range all {
 			requireReference(t, a, b)
 		}
 	}
@@ -215,5 +205,68 @@ func FuzzLabelFuncs(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, a, b string) {
 		requireReference(t, a, b)
+		requireSymmetric(t, a, b)
 	})
+}
+
+// requireSymmetric fails unless every built-in scores (a, b) and (b, a)
+// with the same bits, which is what lets NewTable store a self table as a
+// triangle.
+func requireSymmetric(t *testing.T, a, b string) {
+	t.Helper()
+	for _, tc := range allFuncs {
+		if ab, ba := tc.fn(a, b), tc.fn(b, a); math.Float64bits(ab) != math.Float64bits(ba) {
+			t.Fatalf("%s(%q, %q) = %v but %s(%q, %q) = %v", tc.name, a, b, ab, tc.name, b, a, ba)
+		}
+	}
+}
+
+// words returns every string of up to n symbols from alphabet.
+func words(alphabet []string, n int) []string {
+	out := []string{""}
+	for k, level := 0, []string{""}; k < n; k++ {
+		var next []string
+		for _, w := range level {
+			for _, c := range alphabet {
+				next = append(next, w+c)
+			}
+		}
+		out = append(out, next...)
+		level = next
+	}
+	return out
+}
+
+// TestLabelFuncsSymmetric checks f(a, b) and f(b, a) bit for bit for the
+// three built-ins: exhaustively over every string of up to 6 bytes on
+// {a, b, c} (the byte paths), over strings of up to 3 runes mixing one-
+// and multi-byte runes (the rune paths), on both sides of the 64-byte
+// limit of the byte paths, and on random strings.
+func TestLabelFuncsSymmetric(t *testing.T) {
+	check := func(a, b string) bool {
+		requireSymmetric(t, a, b)
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	short := words([]string{"a", "b", "c"}, 6)
+	for i, a := range short {
+		for _, b := range short[:i] {
+			requireSymmetric(t, a, b)
+		}
+	}
+	runes := words([]string{"a", "é", "世"}, 3)
+	for _, a := range runes {
+		for _, b := range runes {
+			requireSymmetric(t, a, b)
+		}
+	}
+	long := strings.Repeat("abcabcab", 8) // 64 bytes
+	edges := []string{long, long[1:], long + "c", long[:32] + "é" + long[32:60], "abc", "cab", ""}
+	for _, a := range edges {
+		for _, b := range edges {
+			requireSymmetric(t, a, b)
+		}
+	}
 }

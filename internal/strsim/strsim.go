@@ -134,7 +134,9 @@ func Jaro(a, b string) float64 {
 		return 1
 	}
 	if shortASCII(a) && shortASCII(b) {
-		return jaroShort(a, b)
+		var pb bytePositions
+		pb.set(b)
+		return jaroShort(a, b, &pb)
 	}
 	return jaroRunes([]rune(a), []rune(b))
 }
@@ -196,29 +198,53 @@ func jaroRunes(ra, rb []rune) float64 {
 	return jaroScore(matches, transpositions, la, lb)
 }
 
-// jaroShort is jaroRunes over the bytes of two shortASCII strings, with the
-// matched flags held as bits of one uint64 per side.
-func jaroShort(a, b string) float64 {
+// bytePositions is a shortASCII string prepared for the byte-path Jaro
+// matcher: entry c holds one bit per position at which byte c occurs. The
+// label table prepares each row's label once and scores the whole row
+// against it.
+type bytePositions [utf8.RuneSelf]uint64
+
+// set prepares s, which must be shortASCII, on an all-zero p.
+func (p *bytePositions) set(s string) {
+	for j := 0; j < len(s); j++ {
+		p[s[j]&(utf8.RuneSelf-1)] |= 1 << (j & 63)
+	}
+}
+
+// clear returns p, prepared for s, to all zeros.
+func (p *bytePositions) clear(s string) {
+	for j := 0; j < len(s); j++ {
+		p[s[j]&(utf8.RuneSelf-1)] = 0
+	}
+}
+
+// jaroShort is jaroRunes over the bytes of two shortASCII strings, with b
+// prepared in pb and the matched flags held as bits of one uint64 per
+// side. It is the one byte-path matcher: Jaro, JaroWinkler and the label
+// table's fill all reach it.
+//
+// For a[i], jaroRunes takes the lowest unmatched j in the window
+// [i−window, i+window] with b[j] == a[i]; that is the lowest set bit of
+// pb[a[i]] outside bMatched, below (the positions under the window) and
+// above it. Both window edges move up one position per i.
+func jaroShort(a, b string, pb *bytePositions) float64 {
 	la, lb := len(a), len(b)
 	if la == 0 || lb == 0 {
 		return 0
 	}
 	window := jaroWindow(la, lb)
-	var aMatched, bMatched uint64
+	var aMatched, bMatched, below uint64
+	upTo := uint64(1)<<((window+1)&63) - 1 // positions ≤ i+window; window < 32
 	matches := 0
 	for i := 0; i < la; i++ {
-		c := a[i]
-		hi := min(i+window+1, lb)
-		for j := max(i-window, 0); j < hi; j++ {
-			// j&63 == j (lb ≤ 64); the mask spares the shift its
-			// out-of-range check.
-			if b[j] != c || bMatched&(1<<(j&63)) != 0 {
-				continue
-			}
+		if free := pb[a[i]&(utf8.RuneSelf-1)] & upTo &^ (bMatched | below); free != 0 {
 			aMatched |= 1 << (i & 63)
-			bMatched |= 1 << (j & 63)
+			bMatched |= free & -free
 			matches++
-			break
+		}
+		upTo = upTo<<1 | 1
+		if i >= window {
+			below = below<<1 | 1
 		}
 	}
 	if matches == 0 {
@@ -239,15 +265,26 @@ func jaroShort(a, b string) float64 {
 // JaroWinkler is L_J: Jaro similarity boosted by common-prefix length
 // (up to 4 runes) with the standard scaling factor p = 0.1.
 func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
+	return winkler(Jaro(a, b), a, b)
+}
+
+// winkler boosts j, the Jaro similarity of a and b, by their common
+// prefix.
+func winkler(j float64, a, b string) float64 {
 	if j == 1 {
 		return 1
 	}
 	prefix := 0
-	for prefix < 4 {
-		ca, sizeA := utf8.DecodeRuneInString(a)
-		cb, sizeB := utf8.DecodeRuneInString(b)
-		if sizeA == 0 || sizeB == 0 || ca != cb {
+	for prefix < 4 && a != "" && b != "" {
+		ca, sizeA := rune(a[0]), 1
+		if ca >= utf8.RuneSelf {
+			ca, sizeA = utf8.DecodeRuneInString(a)
+		}
+		cb, sizeB := rune(b[0]), 1
+		if cb >= utf8.RuneSelf {
+			cb, sizeB = utf8.DecodeRuneInString(b)
+		}
+		if ca != cb {
 			break
 		}
 		a, b = a[sizeA:], b[sizeB:]
@@ -259,6 +296,69 @@ func JaroWinkler(a, b string) float64 {
 		return 1 - 1e-12
 	}
 	return s
+}
+
+// builtins registers the package's three label functions under the wire
+// ids that snapshots persist (they never change). Each is symmetric:
+// f(a, b) and f(b, a) have the same bits, so NewTable stores a self table
+// of a built-in as a triangle.
+//
+// Why each is exactly symmetric:
+//   - Indicator compares a == b.
+//   - NormalizedEditDistance divides the integer lev(a, b) = lev(b, a) by
+//     max(|a|, |b|); both paths (bytes or runes) are chosen by a symmetric
+//     test.
+//   - JaroWinkler: the path test, the window max(la, lb)/2 − 1 and the
+//     prefix boost are symmetric, so it comes down to the matching. Only
+//     equal characters match, so take one character c, at positions
+//     p1 < p2 < … of a and q1 < q2 < … of b. Scanning a, the greedy match
+//     gives each p the lowest unmatched q with |p − q| ≤ w. As p grows,
+//     p − w grows, so a q skipped for lying below p − w never matches
+//     later, and matched q's are taken in ascending order: the scan is a
+//     two-pointer merge that skips q if q < p − w, skips p if p < q − w,
+//     and matches (p, q) otherwise. The two skip conditions exclude each
+//     other, so scanning b gives the same merge with the roles swapped,
+//     and the same matched pairs. Hence the matched position sets of a
+//     and b, `matches`, and the transpositions (the k-th matched position
+//     of a against the k-th of b, compared for inequality) are the same
+//     both ways, and jaroScore's m/la + m/lb is a commutative IEEE sum.
+var builtins = []struct {
+	id uint8
+	fn Func
+}{
+	{1, JaroWinkler},
+	{2, Indicator},
+	{3, NormalizedEditDistance},
+}
+
+// builtinIndex returns fn's position in builtins, or -1 for any other
+// function.
+func builtinIndex(fn Func) int {
+	for i, b := range builtins {
+		if sameFunc(fn, b.fn) {
+			return i
+		}
+	}
+	return -1
+}
+
+// WireID returns the stable id under which snapshots persist fn, and false
+// when fn is not one of JaroWinkler, Indicator or NormalizedEditDistance.
+func WireID(fn Func) (uint8, bool) {
+	if i := builtinIndex(fn); i >= 0 {
+		return builtins[i].id, true
+	}
+	return 0, false
+}
+
+// ByWireID returns the built-in label function persisted as id, or nil.
+func ByWireID(id uint8) Func {
+	for _, b := range builtins {
+		if b.id == id {
+			return b.fn
+		}
+	}
+	return nil
 }
 
 // ByName returns the named similarity function: "indicator", "edit", or
