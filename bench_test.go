@@ -240,6 +240,23 @@ func BenchmarkLabelTable(b *testing.B) {
 	}
 }
 
+// BenchmarkCandidateSetServing times candidate construction alone on the
+// serving workload's graph (the NELL stand-in at 1/90 scale) and options
+// (bj, θ = 0.6, §3.4 pruning with α = 0.3 and β = 0.5), one thread: the
+// label layer, then one candidate decision per label-eligible pair, most
+// of them through the Eq. 6 bound.
+func BenchmarkCandidateSetServing(b *testing.B) {
+	g := dataset.MustPaperSpec("NELL", 90).Generate()
+	opts := servingOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewCandidateSet(g, g, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTopK measures one TopK(u, 10) query against a prebuilt shared
 // Index at the serving configuration — the per-query cost a serving system
 // pays after amortizing NewIndex. Compare ns/op with BenchmarkComputeFull

@@ -86,9 +86,10 @@ func TestExactMatchingAllocationFree(t *testing.T) {
 	scratch := newOpScratch()
 	for _, dims := range [][2]int{{3, 3}, {4, 2}} {
 		s1, s2 := ids(dims[0]), ids(dims[1])
-		want := ops.neighborScore(s1, s2, lookup, scratch) // warm up
+		labels2, m := make([]graph.Label, dims[1]), fullMask(dims[0])
+		want := ops.neighborScore(s1, s2, labels2, m, lookup, scratch) // warm up
 		allocs := testing.AllocsPerRun(100, func() {
-			if got := ops.neighborScore(s1, s2, lookup, scratch); got != want {
+			if got := ops.neighborScore(s1, s2, labels2, m, lookup, scratch); got != want {
 				t.Fatalf("%dx%d: score changed across calls: %v then %v", dims[0], dims[1], want, got)
 			}
 		})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -20,10 +21,12 @@ import (
 // label-similarity table, and the §3.4 upper bounds of pruned pairs.
 //
 // The label constraint L ≥ θ (Remark 2) is derived once from the table as
-// a |Σ1|×|Σ2| bit matrix, and every θ test reads a bit: eligible,
-// candidate's gate, the build's per-label column lists and the sparse
-// store's resolver. The table itself is read only where a value is needed
-// (LabelSim, Bound, InitScore).
+// a |Σ1|×|Σ2| bit matrix, and every θ test reads it: eligible, candidate's
+// gate and the sparse store's resolver read one bit, the build's column
+// lists walk a label's row of words, and the §3.4 bound and the mapping
+// operators read the row eligibility masks built from it (labelMask). The
+// table itself is read only where a value is needed (LabelSim, RowBounds,
+// InitScore).
 //
 // Candidates are enumerated row-major, ascending v within each row
 // (candPairs/rowOff). Two stores implement membership tests on top,
@@ -50,9 +53,16 @@ type CandidateSet struct {
 	n1, n2 int
 
 	// elig is the label constraint as a bit matrix: bit l1·eligRow+l2 is
-	// set iff L(l1, l2) ≥ θ, with eligRow = |Σ2|.
+	// set iff L(l1, l2) ≥ θ, with eligRow = |Σ2| rounded up to a multiple
+	// of 64, so the eligible labels of l1 are the set bits of its own
+	// eligRow/64 words.
 	elig    pairbits.Bitset
 	eligRow int
+	// lazyFills is how many labels an engine row's eligibility mask fills
+	// one at a time before it walks its neighbours' matrix rows instead:
+	// the words per label row plus the mean eligible labels per g1 label,
+	// the walk's cost per neighbour (see labelMask).
+	lazyFills int
 
 	labels1, labels2 []graph.Label
 
@@ -128,14 +138,16 @@ func (cs *CandidateSet) deriveLabelLayer() {
 	names1, names2 := cs.g1.LabelNames(), cs.g2.LabelNames()
 	cs.table = strsim.NewTable(cs.opts.Label, names1, names2, cs.opts.Threads)
 	nl1, nl2 := len(names1), len(names2)
-	cs.elig, cs.eligRow = pairbits.NewBitset(nl1*nl2), nl2
+	cs.eligRow = (nl2 + 63) / 64 * 64
+	cs.elig = pairbits.NewBitset(nl1 * cs.eligRow)
 	for l1 := 0; l1 < nl1; l1++ {
 		for l2 := 0; l2 < nl2; l2++ {
 			if cs.table.Sim(l1, l2) >= cs.opts.Theta {
-				cs.elig.Set(l1*nl2 + l2)
+				cs.elig.Set(l1*cs.eligRow + l2)
 			}
 		}
 	}
+	cs.lazyFills = cs.eligRow/64 + cs.elig.Count()/max(nl1, 1)
 }
 
 // checkPinDiagonal rejects PinDiagonal on graphs of different sizes.
@@ -187,7 +199,8 @@ const maxCandidates = math.MaxInt32
 // pairs) instead of O(|V1|·|V2|) — the difference between seconds and
 // hours on the 10^5–10^6-edge graphs cmd/fsimgen generates. Both paths
 // funnel every probed pair through the candidate test, so the candidate
-// decisions are identical by construction.
+// decisions are identical by construction. Each worker builds the row
+// eligibility masks of a row once, for the Eq. 6 bounds of all its pairs.
 //
 // Rows are independent, so Options.Threads workers claim chunks of rows
 // from a shared cursor, each appending the chunk's candidates and retained
@@ -336,6 +349,7 @@ type rowWorker struct {
 	prunedCol   []graph.NodeID
 	prunedBound []float64
 	pruned      int // pruned pairs decided, retained or not
+	masks       rowMasks
 	_           [128]byte
 }
 
@@ -351,7 +365,7 @@ type rowSegment struct {
 // worker's candidates, or to its pruned columns when §3.4 rejected it.
 // Pairs of a row must arrive in ascending v order.
 func (w *rowWorker) decide(cs *CandidateSet, u, v graph.NodeID, keepBounds bool) {
-	ok, bound, pruned := cs.candidate(u, v)
+	ok, bound, pruned := cs.candidate(&w.masks, u, v)
 	switch {
 	case ok:
 		w.cand = append(w.cand, pairbits.MakeKey(u, v))
@@ -384,10 +398,12 @@ func rowOffsets(off []int32, limit int) int {
 // eligibleColumns lists, for every g1 label that labels a node, the g2
 // nodes whose label it may pair with (L ≥ θ) in ascending id order — the
 // rowOff contract's order for both candidate and pruned rows — so each row
-// reads its label's list as is. The lists share one exactly sized array,
-// filled by one ascending pass over the g2 nodes.
+// reads its label's list as is. A label's eligible g2 labels are the set
+// bits of its words of the eligibility matrix. The lists share one exactly
+// sized array, filled by one ascending pass over the g2 nodes.
 func (cs *CandidateSet) eligibleColumns() [][]graph.NodeID {
 	nl1, nl2 := cs.g1.NumLabels(), cs.g2.NumLabels()
+	rowWords := cs.eligRow / 64
 	used := make([]bool, nl1)
 	for _, l := range cs.labels1 {
 		used[l] = true
@@ -403,8 +419,9 @@ func (cs *CandidateSet) eligibleColumns() [][]graph.NodeID {
 		if !used[l1] {
 			continue
 		}
-		for l2 := 0; l2 < nl2; l2++ {
-			if cs.labelsEligible(graph.Label(l1), graph.Label(l2)) {
+		for w, word := range cs.elig[l1*rowWords : (l1+1)*rowWords] {
+			for ; word != 0; word &= word - 1 {
+				l2 := w*64 + bits.TrailingZeros64(word)
 				partners[l2] = append(partners[l2], graph.Label(l1))
 				size[l1] += count2[l2]
 			}
@@ -427,13 +444,14 @@ func (cs *CandidateSet) eligibleColumns() [][]graph.NodeID {
 }
 
 // candidate decides membership in Hc and (with ub on) returns the Eq. 6
-// bound of rejected-but-eligible pairs.
-func (cs *CandidateSet) candidate(u, v graph.NodeID) (ok bool, bound float64, pruned bool) {
+// bound of rejected-but-eligible pairs, reading the bound's counts from
+// row u's masks m.
+func (cs *CandidateSet) candidate(m *rowMasks, u, v graph.NodeID) (ok bool, bound float64, pruned bool) {
 	if !cs.eligible(u, v) {
 		return false, 0, false
 	}
 	if ub := cs.opts.UpperBoundOpt; ub != nil {
-		b := cs.Bound(u, v)
+		b := cs.upperBound(m, u, v, cs.LabelSim(u, v))
 		if b <= ub.Beta {
 			return false, b, true
 		}
@@ -521,10 +539,17 @@ func (cs *CandidateSet) InitScore(u, v graph.NodeID) float64 {
 	return ls
 }
 
-// Bound evaluates the Eq. 6 upper bound FSim̄(u, v) ≥ FSimχ(u, v). It is
-// valid for every pair, candidate or not.
-func (cs *CandidateSet) Bound(u, v graph.NodeID) float64 {
-	return cs.upperBound(u, v, cs.LabelSim(u, v))
+// RowBounds evaluates the Eq. 6 upper bound FSim̄(u, v) ≥ FSimχ(u, v) of
+// (u, v) for every v of vs, in vs's order, building row u's eligibility
+// masks once for all of them. It is valid for every pair, candidate or
+// not.
+func (cs *CandidateSet) RowBounds(u graph.NodeID, vs []graph.NodeID) []float64 {
+	var m rowMasks
+	out := make([]float64, len(vs))
+	for i, v := range vs {
+		out[i] = cs.upperBound(&m, u, v, cs.LabelSim(u, v))
+	}
+	return out
 }
 
 // Position returns where candidate pair (u, v) sits in the candidate
@@ -638,18 +663,22 @@ func (cs *CandidateSet) ForEachDependent(x, y graph.NodeID, fn func(u, v graph.N
 	forEachDependent(cs.g1, cs.g2, x, y, cs.opts.WPlus, cs.opts.WMinus, fn)
 }
 
-// updatePair evaluates Equation 3 for one pair.
-func (cs *CandidateSet) updatePair(u, v graph.NodeID, lookup func(x, y graph.NodeID) float64, scratch *opScratch) float64 {
+// updatePair evaluates Equation 3 for one pair, visiting the eligible
+// neighbour pairs through row u's masks m, which it rebuilds when m
+// describes another row. Workers recompute pairs row by row, so a row's
+// masks serve all its pairs.
+func (cs *CandidateSet) updatePair(m *rowMasks, u, v graph.NodeID, lookup func(x, y graph.NodeID) float64, scratch *opScratch) float64 {
 	if cs.opts.PinDiagonal && u == v {
 		return 1
 	}
 	o := &cs.opts
+	cs.maskRow(m, u, cs.lazyFills)
 	s := (1 - o.WPlus - o.WMinus) * cs.LabelSim(u, v)
 	if o.WPlus > 0 {
-		s += o.WPlus * cs.ops.neighborScore(cs.g1.Out(u), cs.g2.Out(v), lookup, scratch)
+		s += o.WPlus * cs.ops.neighborScore(cs.g1.Out(u), cs.g2.Out(v), cs.labels2, &m.out, lookup, scratch)
 	}
 	if o.WMinus > 0 {
-		s += o.WMinus * cs.ops.neighborScore(cs.g1.In(u), cs.g2.In(v), lookup, scratch)
+		s += o.WMinus * cs.ops.neighborScore(cs.g1.In(u), cs.g2.In(v), cs.labels2, &m.in, lookup, scratch)
 	}
 	return s
 }

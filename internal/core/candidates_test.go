@@ -94,6 +94,12 @@ func TestCandidateDataRejects(t *testing.T) {
 		}{
 			{"candidate with a retained bound", withBound(valid.CandPairs[0]), "both a candidate"},
 			{"label-ineligible pair with a retained bound", withBound(ineligible), "label constraint"},
+			{"label-ineligible candidate", func() CandidateData {
+				d := valid
+				i, _ := slices.BinarySearch(valid.CandPairs, ineligible)
+				d.CandPairs = slices.Insert(slices.Clone(valid.CandPairs), i, ineligible)
+				return d
+			}(), "label constraint"},
 			{"keys out of order", func() CandidateData {
 				d := valid
 				d.PrunedKeys = slices.Clone(valid.PrunedKeys)

@@ -39,18 +39,20 @@ type engine struct {
 // layout is a run's slot plan: the slot count, slot → pair, pair → slot
 // for worklist marks, and how a previous-score read resolves (lookupFunc).
 // Every plan reads a non-candidate pair as its §3.4 stand-in and a
-// label-ineligible pair as 0, so the mapping operators need no label
-// check of their own. Two plans exist:
+// label-ineligible pair as 0; the mapping operators read only the
+// label-eligible pairs (through the row eligibility masks) except
+// MapProduct, which reads every pair and relies on that 0. Two plans
+// exist:
 //
 //   - list (batch, any store with a candidate map): one slot per
 //     candidate, aligned to the row-major candidate list (the literal Hc
 //     of Algorithm 1), so the buffers are the result's scores as they
 //     stand. A pair resolves to its slot by the rank of its bit in the
 //     candidate bitmap (dense store) or through the index map (sparse
-//     store, pair universe beyond Options.DenseCapPairs, which checks the
-//     label constraint first). A non-candidate pair reads α·FSim̄ for a
-//     retained bound — found by the rank of the pruned-pair bitmap, or by
-//     StandIn's row search on the sparse store — and 0 otherwise.
+//     store, pair universe beyond Options.DenseCapPairs). A non-candidate
+//     pair reads α·FSim̄ for a retained bound — found by the rank of the
+//     pruned-pair bitmap, or by StandIn's row search on the sparse store —
+//     and 0 otherwise.
 //   - row-dense: pair (u, v) at slot row(u)·stride + v. Batch all-pairs
 //     runs (θ = 0, pruning off) cover every g1 node, every slot a
 //     candidate; RowPlan (the query subsystem's dependency closures)
@@ -361,7 +363,8 @@ func (e *engine) settled(maxAbs, maxRel float64) bool {
 
 // initWorkers (re)builds n padded per-worker states. Scratch survives from
 // earlier runs of the same engine; the score accessor is rebuilt for the
-// current layout.
+// current layout, and the row masks are reset, since the candidate set may
+// have been patched since the last run.
 func (e *engine) initWorkers(n int) {
 	if len(e.workers) != n {
 		e.workers = make([]engineWorker, n)
@@ -372,6 +375,7 @@ func (e *engine) initWorkers(n int) {
 			w.scratch = newOpScratch()
 		}
 		w.lookup = e.lookupFunc()
+		w.masks.reset()
 	}
 }
 
@@ -391,11 +395,13 @@ func (e *engine) initScores() {
 }
 
 // updateState is one worker's reusable per-iteration context: operator
-// scratch, score accessor and running extrema. Every recomputation goes
-// through updateSlot, so a slot's arithmetic is the same whichever
-// iteration (or, in tests, which reference sweep) recomputes it.
+// scratch, the row eligibility masks of the row it last recomputed, score
+// accessor and running extrema. Every recomputation goes through
+// updateSlot, so a slot's arithmetic is the same whichever iteration (or,
+// in tests, which reference sweep) recomputes it.
 type updateState struct {
 	scratch *opScratch
+	masks   rowMasks
 	lookup  func(x, y graph.NodeID) float64
 	work    int64
 	maxAbs  float64
@@ -405,7 +411,7 @@ type updateState struct {
 // updateSlot recomputes pair (u, v) into cur[i] (Lines 5–8 of Algorithm 1)
 // and returns the absolute score change.
 func (e *engine) updateSlot(st *updateState, u, v graph.NodeID, i int) float64 {
-	s := e.updatePair(u, v, st.lookup, st.scratch)
+	s := e.updatePair(&st.masks, u, v, st.lookup, st.scratch)
 	st.work += int64(e.g1.OutDegree(u))*int64(e.g2.OutDegree(v)) +
 		int64(e.g1.InDegree(u))*int64(e.g2.InDegree(v)) + 1
 	p := e.prev[i]
@@ -610,8 +616,9 @@ func (e *engine) syncAndAdvance() {
 // contribute (see neighborScore). All pairs is a single array load; a row
 // plan adds one row-map load and resolves rows it never materialized to
 // their stand-ins. The list layout resolves a pair to its slot (position).
-// On the sparse store under θ > 0 the label check runs before the index
-// probe: it costs less than the map miss it saves.
+// The operators do not read label-ineligible pairs (MapProduct aside), so
+// no resolver checks the label constraint: a pair that fails it is
+// neither a candidate nor pruned, and resolves to 0.
 func (e *engine) lookupFunc() func(x, y graph.NodeID) float64 {
 	l := &e.lay
 	if !l.list {
@@ -627,11 +634,7 @@ func (e *engine) lookupFunc() func(x, y graph.NodeID) float64 {
 		return func(x, y graph.NodeID) float64 { return e.prev[int(x)*n2+int(y)] }
 	}
 	if l.index != nil {
-		constrained := e.opts.Theta > 0
 		return func(x, y graph.NodeID) float64 {
-			if constrained && !e.eligible(x, y) {
-				return 0
-			}
 			if i, ok := l.index[pairbits.MakeKey(x, y)]; ok {
 				return e.prev[i]
 			}

@@ -38,6 +38,24 @@ func growLabels(rng *rand.Rand, m *graph.Mutable, names []string) []graph.NodeID
 	return touched
 }
 
+// wireRandom adds k edges from every node of m with id from on to random
+// nodes and returns the pre-existing nodes it touched.
+func wireRandom(rng *rand.Rand, m *graph.Mutable, from, k int) []graph.NodeID {
+	var touched []graph.NodeID
+	for u := from; u < m.NumNodes(); u++ {
+		for i := 0; i < k; i++ {
+			v := graph.NodeID(rng.Intn(m.NumNodes()))
+			if _, err := m.AddEdge(graph.NodeID(u), v); err != nil {
+				panic(err)
+			}
+			if int(v) < from {
+				touched = append(touched, v)
+			}
+		}
+	}
+	return touched
+}
+
 // requireLabelLayer fails unless every label pair of cs reads exactly
 // fn's bits from the table and the eligibility bit L ≥ θ.
 func requireLabelLayer(t *testing.T, cs *CandidateSet, fn strsim.Func) {
@@ -117,10 +135,12 @@ func TestPatchGrowsLabelTable(t *testing.T) {
 }
 
 // FuzzLabelTable decodes bytes into one or two label vocabularies, builds
-// a candidate set over graphs with one node per label under a built-in or
-// an asymmetric custom label function, then grows the vocabularies through
-// Patch, and checks after both that every table cell has the bits of
-// L(names1[i], names2[j]) and every eligibility bit reads L ≥ θ. Self
+// a candidate set over random graphs with one node per label under a
+// built-in or an asymmetric custom label function, then grows the
+// vocabularies through Patch, and checks after both that every table cell
+// has the bits of L(names1[i], names2[j]), every eligibility bit reads
+// L ≥ θ, and, for every node pair and direction, the Eq. 6 counts read
+// from the row eligibility masks equal referenceEligibleCounts. Self
 // vocabularies exercise the triangle, cross ones and the custom function
 // the square.
 func FuzzLabelTable(f *testing.F) {
@@ -155,10 +175,12 @@ func FuzzLabelTable(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(split)))
 		m1 := graph.NewMutable()
 		growLabels(rng, m1, names[:k1])
+		wireRandom(rng, m1, 0, 2)
 		m2 := m1
 		if cross {
 			m2 = graph.NewMutable()
 			growLabels(rng, m2, names2[:k2])
+			wireRandom(rng, m2, 0, 2)
 		}
 		snap := func() (*graph.Graph, *graph.Graph) {
 			g1 := m1.Snapshot()
@@ -173,16 +195,19 @@ func FuzzLabelTable(f *testing.F) {
 			t.Fatal(err)
 		}
 		requireLabelLayer(t, cs, fn)
+		requireMaskedCounts(t, cs, "build")
 
-		touched1 := growLabels(rng, m1, names[k1:])
+		n1, n2 := m1.NumNodes(), m2.NumNodes()
+		touched1 := append(growLabels(rng, m1, names[k1:]), wireRandom(rng, m1, n1, 2)...)
 		touched2 := touched1
 		if cross {
-			touched2 = growLabels(rng, m2, names2[k2:])
+			touched2 = append(growLabels(rng, m2, names2[k2:]), wireRandom(rng, m2, n2, 2)...)
 		}
 		g1, g2 = snap()
 		if _, err := cs.Patch(g1, g2, touched1, touched2); err != nil {
 			t.Fatal(err)
 		}
 		requireLabelLayer(t, cs, fn)
+		requireMaskedCounts(t, cs, "patched")
 	})
 }

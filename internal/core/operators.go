@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"fsim/internal/exact"
 	"fsim/internal/graph"
@@ -127,15 +128,25 @@ func (op *Operators) mapBound(n1, n2, e1, e2 int) float64 {
 // neighborScore computes FSimχ(S1, S2) of Equation 2 for one direction:
 // the mapping operator's maximum score mass divided by Ωχ, with the
 // empty-set conventions applied. lookup returns the previous-iteration
-// score of a cross pair, and 0 for a label-ineligible one (Remark 2).
-// Scores are never negative, so a pair read as 0 adds nothing to a
-// maximum, a sum or a matching: every operator gives exactly what it
-// would with the pair excluded, and none checks θ itself.
+// score of a cross pair; m is the row eligibility mask of s1 and labels2
+// the g2 node labels. Every operator but MapProduct visits only the
+// label-eligible pairs: for each y ∈ s2, the positions of s1 in
+// P[ℓ2(y)]. A label-ineligible pair would read 0 (Remark 2), and scores
+// are never negative, so skipping it leaves a maximum unchanged and
+// leaves its entry of a zero-initialised weight matrix at 0 — every
+// operator gives exactly what reading every pair would. MapProduct sums
+// every pair in x-major order, the order its sums have always had.
 //
-// n1 × n2 weight problems for MapInjective reuse the caller's scratch to
-// stay allocation-free in the hot loop.
+// MapBest and MapBidirectional keep a running maximum per x in scratch
+// and sum them in x order once every y is visited, as an x-major loop
+// would; the per-y maxima of MapBidirectional are summed in y order on
+// the way.
+// MapInjective fills an n1 × n2 weight matrix from the caller's scratch,
+// so greedy and Hungarian matching stay allocation-free in the hot loop.
 func (op *Operators) neighborScore(
 	s1, s2 []graph.NodeID,
+	labels2 []graph.Label,
+	m *labelMask,
 	lookup func(x, y graph.NodeID) float64,
 	scratch *opScratch,
 ) float64 {
@@ -150,59 +161,71 @@ func (op *Operators) neighborScore(
 	}
 	var sum float64
 	switch op.Mapping {
-	case MapBest:
-		sum = bestSum(s1, s2, lookup)
-	case MapBidirectional:
-		sum = bestSum(s1, s2, lookup) +
-			bestSum(s2, s1, func(y, x graph.NodeID) float64 { return lookup(x, y) })
 	case MapProduct:
 		for _, x := range s1 {
 			for _, y := range s2 {
 				sum += lookup(x, y)
 			}
 		}
-	case MapInjective:
-		if n1 == 1 || n2 == 1 {
-			// An injective matching with a single-element side is just the
-			// best pair; skip the weight matrix entirely.
-			for _, x := range s1 {
-				for _, y := range s2 {
-					if s := lookup(x, y); s > sum {
-						sum = s
+	case MapBest, MapBidirectional:
+		best := scratch.zeroed(n1)
+		sumY := 0.0
+		for _, y := range s2 {
+			bestY := 0.0
+			for w, word := range m.of(labels2[y]) {
+				for ; word != 0; word &= word - 1 {
+					i := w*64 + bits.TrailingZeros64(word)
+					s := lookup(s1[i], y)
+					if s > best[i] {
+						best[i] = s
+					}
+					if s > bestY {
+						bestY = s
 					}
 				}
 			}
-			break
+			sumY += bestY
 		}
-		if n1 == 2 && n2 == 2 {
+		for _, b := range best {
+			sum += b
+		}
+		if op.Mapping == MapBidirectional {
+			sum += sumY
+		}
+	case MapInjective:
+		w := scratch.zeroed(n1 * n2)
+		for j, y := range s2 {
+			for k, word := range m.of(labels2[y]) {
+				for ; word != 0; word &= word - 1 {
+					i := k*64 + bits.TrailingZeros64(word)
+					w[i*n2+j] = lookup(s1[i], y)
+				}
+			}
+		}
+		switch {
+		case n1 == 1 || n2 == 1:
+			// An injective matching with a single-element side is just the
+			// best pair.
+			for _, s := range w {
+				if s > sum {
+					sum = s
+				}
+			}
+		case n1 == 2 && n2 == 2:
 			// 2×2 matching in closed form: the better of the two diagonals
 			// (which is also exact, not just greedy).
-			d1 := lookup(s1[0], s2[0]) + lookup(s1[1], s2[1])
-			d2 := lookup(s1[0], s2[1]) + lookup(s1[1], s2[0])
+			d1 := w[0] + w[3]
+			d2 := w[1] + w[2]
 			if d2 > d1 {
 				d1 = d2
 			}
 			sum = d1
-			break
-		}
-		w := scratch.weights
-		if cap(w) < n1*n2 {
-			w = make([]float64, n1*n2)
-		}
-		w = w[:n1*n2]
-		scratch.weights = w
-		for i, x := range s1 {
-			row := w[i*n2 : (i+1)*n2]
-			for j, y := range s2 {
-				row[j] = lookup(x, y)
-			}
-		}
-		if op.ExactMatching {
+		case op.ExactMatching:
 			_, sum = matching.Hungarian(w, n1, n2, scratch.m)
-			break
+		default:
+			scratch.m.Grow(n1, n2)
+			sum, _ = matching.GreedyDense(w, n1, n2, scratch.m)
 		}
-		scratch.m.Grow(n1, n2)
-		sum, _ = matching.GreedyDense(w, n1, n2, scratch.m)
 	}
 	return sum / op.omega(n1, n2)
 }
@@ -233,26 +256,20 @@ func forEachDependent(g1, g2 *graph.Graph, x, y graph.NodeID, wplus, wminus floa
 	}
 }
 
-// bestSum is Σ_{x∈s1} max_{y∈s2} lookup(x, y); a label-ineligible pair
-// reads 0, so an x with no eligible partner contributes 0.
-func bestSum(s1, s2 []graph.NodeID, lookup func(x, y graph.NodeID) float64) float64 {
-	sum := 0.0
-	for _, x := range s1 {
-		best := 0.0
-		for _, y := range s2 {
-			if s := lookup(x, y); s > best {
-				best = s
-			}
-		}
-		sum += best
-	}
-	return sum
-}
-
 // opScratch holds the per-worker reusable buffers of neighborScore.
 type opScratch struct {
-	weights []float64
+	weights []float64 // MapInjective's weight matrix, or the per-x maxima
 	m       *matching.Scratch
+}
+
+// zeroed returns n zeroed floats from the scratch weights.
+func (s *opScratch) zeroed(n int) []float64 {
+	if cap(s.weights) < n {
+		s.weights = make([]float64, n)
+	}
+	w := s.weights[:n]
+	clear(w)
+	return w
 }
 
 func newOpScratch() *opScratch {

@@ -168,12 +168,13 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 	keepBounds := alpha > 0
 	var prunedChanges []prunedChange
 	prunedDelta := 0
+	var masks rowMasks // of the row being re-decided, built after the swap
 
 	eval := func(u, v graph.NodeID) {
 		k := pairbits.MakeKey(u, v)
 		exists := int(u) < oldN1 && int(v) < oldN2
 		wasCand := exists && oldContains(u, v)
-		ok, bound, pruned := cs.candidate(u, v)
+		ok, bound, pruned := cs.candidate(&masks, u, v)
 		if ok != wasCand {
 			if ok {
 				delta.Added = append(delta.Added, k)
@@ -209,6 +210,8 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 		}
 	}
 
+	// Pairs are re-decided row by row, so each row's eligibility masks are
+	// built at most once; every list eval appends to is sorted below.
 	sort.Ints(rows)
 	sort.Ints(cols)
 	for _, u := range rows {
@@ -216,11 +219,12 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 			eval(graph.NodeID(u), graph.NodeID(v))
 		}
 	}
-	for _, v := range cols {
-		for u := 0; u < n1; u++ {
-			if !inRow[u] {
-				eval(graph.NodeID(u), graph.NodeID(v))
-			}
+	for u := 0; u < n1 && len(cols) > 0; u++ {
+		if inRow[u] {
+			continue
+		}
+		for _, v := range cols {
+			eval(graph.NodeID(u), graph.NodeID(v))
 		}
 	}
 

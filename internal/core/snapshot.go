@@ -68,8 +68,9 @@ func (cs *CandidateSet) Data() CandidateData {
 // bitmap or sparse hash map) are re-derived from the pair list, and the
 // retained bounds are filed into their row CSR. The data's structural
 // invariants are validated — key ordering, id ranges, row offsets that
-// agree with the pair list, store-shape agreement with the options, and
-// that a retained bound belongs to a label-eligible non-candidate — so
+// agree with the pair list, store-shape agreement with the options, that
+// every candidate is label-eligible, and that a retained bound belongs to
+// a label-eligible non-candidate — so
 // corrupted input yields a descriptive error, never a set whose lookups
 // silently disagree with its enumeration.
 func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData) (*CandidateSet, error) {
@@ -103,6 +104,12 @@ func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData)
 		// Key order is row-major order with ascending v within a row.
 		if pos > 0 && d.CandPairs[pos-1] >= k {
 			return nil, fmt.Errorf("core: candidate pairs not strictly ascending at position %d", pos)
+		}
+		// The operators read only label-eligible pairs, so an ineligible
+		// candidate's score would never be read.
+		if !cs.eligible(u, v) {
+			return nil, fmt.Errorf("core: candidate pair (%d,%d) fails the label constraint (L=%v < θ=%v)",
+				u, v, cs.LabelSim(u, v), cs.opts.Theta)
 		}
 	}
 	cs.candPairs = d.CandPairs

@@ -292,13 +292,10 @@ func (ix *Index) seedRow(u graph.NodeID, k int) []graph.NodeID {
 	}
 	sort.Float64s(lbs)
 	kth := lbs[len(lbs)-k]
+	bounds := ix.cs.RowBounds(u, cands)
 	seeds := cands[:0]
-	for _, v := range cands {
-		if opts.PinDiagonal && u == v {
-			seeds = append(seeds, v)
-			continue
-		}
-		if ix.cs.Bound(u, v) >= kth {
+	for i, v := range cands {
+		if (opts.PinDiagonal && u == v) || bounds[i] >= kth {
 			seeds = append(seeds, v)
 		}
 	}
