@@ -58,11 +58,17 @@ type CandidateSet struct {
 	// eligRow/64 words.
 	elig    pairbits.Bitset
 	eligRow int
-	// lazyFills is how many labels an engine row's eligibility mask fills
-	// one at a time before it walks its neighbours' matrix rows instead:
-	// the words per label row plus the mean eligible labels per g1 label,
-	// the walk's cost per neighbour (see labelMask).
-	lazyFills int
+	// allEligible marks a matrix that holds every label pair (θ = 0 with
+	// a label function that is never NaN): every neighbour pair is
+	// eligible, so the Eq. 6 counts are the list sizes, the operators read
+	// every pair, and no row builds eligibility masks.
+	allEligible bool
+	// walkCost is what building a row's eligibility masks costs per
+	// neighbour, in matrix reads: the words of a label's row plus the mean
+	// eligible labels per g1 label (see engineMasked).
+	walkCost int
+	// boundMasks pools the row masks of RowBounds calls.
+	boundMasks sync.Pool
 
 	labels1, labels2 []graph.Label
 
@@ -147,7 +153,8 @@ func (cs *CandidateSet) deriveLabelLayer() {
 			}
 		}
 	}
-	cs.lazyFills = cs.eligRow/64 + cs.elig.Count()/max(nl1, 1)
+	cs.allEligible = cs.elig.Count() == nl1*nl2
+	cs.walkCost = cs.eligRow/64 + cs.elig.Count()/max(nl1, 1)
 }
 
 // checkPinDiagonal rejects PinDiagonal on graphs of different sizes.
@@ -540,16 +547,21 @@ func (cs *CandidateSet) InitScore(u, v graph.NodeID) float64 {
 }
 
 // RowBounds evaluates the Eq. 6 upper bound FSim̄(u, v) ≥ FSimχ(u, v) of
-// (u, v) for every v of vs, in vs's order, building row u's eligibility
-// masks once for all of them. It is valid for every pair, candidate or
-// not.
-func (cs *CandidateSet) RowBounds(u graph.NodeID, vs []graph.NodeID) []float64 {
-	var m rowMasks
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		out[i] = cs.upperBound(&m, u, v, cs.LabelSim(u, v))
+// (u, v) for every v of vs, in vs's order, into dst (grown if it is too
+// short), building row u's eligibility masks once for all of them. It is
+// valid for every pair, candidate or not.
+func (cs *CandidateSet) RowBounds(u graph.NodeID, vs []graph.NodeID, dst []float64) []float64 {
+	m, _ := cs.boundMasks.Get().(*rowMasks)
+	if m == nil {
+		m = new(rowMasks)
 	}
-	return out
+	m.reset() // the set may have been patched since m was pooled
+	dst = slices.Grow(dst[:0], len(vs))
+	for _, v := range vs {
+		dst = append(dst, cs.upperBound(m, u, v, cs.LabelSim(u, v)))
+	}
+	cs.boundMasks.Put(m)
+	return dst
 }
 
 // Position returns where candidate pair (u, v) sits in the candidate
@@ -664,21 +676,24 @@ func (cs *CandidateSet) ForEachDependent(x, y graph.NodeID, fn func(u, v graph.N
 }
 
 // updatePair evaluates Equation 3 for one pair, visiting the eligible
-// neighbour pairs through row u's masks m, which it rebuilds when m
-// describes another row. Workers recompute pairs row by row, so a row's
-// masks serve all its pairs.
+// neighbour pairs through row u's masks m once the row has built them
+// (engineMasked), and every neighbour pair before. Workers recompute
+// pairs row by row, so a row's masks serve all its later pairs.
 func (cs *CandidateSet) updatePair(m *rowMasks, u, v graph.NodeID, lookup func(x, y graph.NodeID) float64, scratch *opScratch) float64 {
 	if cs.opts.PinDiagonal && u == v {
 		return 1
 	}
 	o := &cs.opts
-	cs.maskRow(m, u, cs.lazyFills)
+	out, in := &m.out, &m.in
+	if !cs.engineMasked(m, u, v) {
+		out, in = nil, nil
+	}
 	s := (1 - o.WPlus - o.WMinus) * cs.LabelSim(u, v)
 	if o.WPlus > 0 {
-		s += o.WPlus * cs.ops.neighborScore(cs.g1.Out(u), cs.g2.Out(v), cs.labels2, &m.out, lookup, scratch)
+		s += o.WPlus * cs.ops.neighborScore(cs.g1.Out(u), cs.g2.Out(v), cs.labels2, out, lookup, scratch)
 	}
 	if o.WMinus > 0 {
-		s += o.WMinus * cs.ops.neighborScore(cs.g1.In(u), cs.g2.In(v), cs.labels2, &m.in, lookup, scratch)
+		s += o.WMinus * cs.ops.neighborScore(cs.g1.In(u), cs.g2.In(v), cs.labels2, in, lookup, scratch)
 	}
 	return s
 }

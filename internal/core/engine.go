@@ -40,9 +40,9 @@ type engine struct {
 // for worklist marks, and how a previous-score read resolves (lookupFunc).
 // Every plan reads a non-candidate pair as its §3.4 stand-in and a
 // label-ineligible pair as 0; the mapping operators read only the
-// label-eligible pairs (through the row eligibility masks) except
-// MapProduct, which reads every pair and relies on that 0. Two plans
-// exist:
+// label-eligible pairs once a row has built its eligibility masks, and
+// every pair before (and always under MapProduct), relying on that 0. Two
+// plans exist:
 //
 //   - list (batch, any store with a candidate map): one slot per
 //     candidate, aligned to the row-major candidate list (the literal Hc
@@ -616,9 +616,10 @@ func (e *engine) syncAndAdvance() {
 // contribute (see neighborScore). All pairs is a single array load; a row
 // plan adds one row-map load and resolves rows it never materialized to
 // their stand-ins. The list layout resolves a pair to its slot (position).
-// The operators do not read label-ineligible pairs (MapProduct aside), so
-// no resolver checks the label constraint: a pair that fails it is
-// neither a candidate nor pruned, and resolves to 0.
+// No resolver checks the label constraint: a pair that fails it is
+// neither a candidate nor pruned, and resolves to 0. The operators read
+// such pairs only under MapProduct and in rows that have not built their
+// masks.
 func (e *engine) lookupFunc() func(x, y graph.NodeID) float64 {
 	l := &e.lay
 	if !l.list {

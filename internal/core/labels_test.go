@@ -195,7 +195,8 @@ func FuzzLabelTable(f *testing.F) {
 			t.Fatal(err)
 		}
 		requireLabelLayer(t, cs, fn)
-		requireMaskedCounts(t, cs, "build")
+		var m rowMasks // kept across the Patch, as pooled masks are
+		requireMaskedCounts(t, cs, &m, "build")
 
 		n1, n2 := m1.NumNodes(), m2.NumNodes()
 		touched1 := append(growLabels(rng, m1, names[k1:]), wireRandom(rng, m1, n1, 2)...)
@@ -208,6 +209,6 @@ func FuzzLabelTable(f *testing.F) {
 			t.Fatal(err)
 		}
 		requireLabelLayer(t, cs, fn)
-		requireMaskedCounts(t, cs, "patched")
+		requireMaskedCounts(t, cs, &m, "patched")
 	})
 }

@@ -128,19 +128,19 @@ func (op *Operators) mapBound(n1, n2, e1, e2 int) float64 {
 // neighborScore computes FSimχ(S1, S2) of Equation 2 for one direction:
 // the mapping operator's maximum score mass divided by Ωχ, with the
 // empty-set conventions applied. lookup returns the previous-iteration
-// score of a cross pair; m is the row eligibility mask of s1 and labels2
-// the g2 node labels. Every operator but MapProduct visits only the
-// label-eligible pairs: for each y ∈ s2, the positions of s1 in
-// P[ℓ2(y)]. A label-ineligible pair would read 0 (Remark 2), and scores
-// are never negative, so skipping it leaves a maximum unchanged and
-// leaves its entry of a zero-initialised weight matrix at 0 — every
-// operator gives exactly what reading every pair would. MapProduct sums
-// every pair in x-major order, the order its sums have always had.
+// score of a cross pair; m is the row eligibility mask of s1, nil when
+// every pair is to be read (MapProduct, or every label pair eligible),
+// and labels2 the g2 node labels.
 //
-// MapBest and MapBidirectional keep a running maximum per x in scratch
-// and sum them in x order once every y is visited, as an x-major loop
-// would; the per-y maxima of MapBidirectional are summed in y order on
-// the way.
+// With a mask the operators visit only the label-eligible pairs: for each
+// y ∈ s2, the positions of s1 in P[ℓ2(y)]. A label-ineligible pair would
+// read 0 (Remark 2), and scores are never negative, so skipping it leaves
+// a maximum unchanged and leaves its entry of a zero-initialised weight
+// matrix at 0 — every operator gives exactly what reading every pair
+// would. MapBest and MapBidirectional then keep a running maximum per x
+// in scratch and sum them in x order once every y is visited, as the
+// x-major loops without a mask do; the per-y maxima of MapBidirectional
+// are summed in y order on the way, as its y-major loop does.
 // MapInjective fills an n1 × n2 weight matrix from the caller's scratch,
 // so greedy and Hungarian matching stay allocation-free in the hot loop.
 func (op *Operators) neighborScore(
@@ -168,7 +168,12 @@ func (op *Operators) neighborScore(
 			}
 		}
 	case MapBest, MapBidirectional:
-		best := scratch.zeroed(n1)
+		if m == nil {
+			sum = bestSums(op.Mapping, s1, s2, lookup)
+			break
+		}
+		best := scratch.floats(n1)
+		clear(best)
 		sumY := 0.0
 		for _, y := range s2 {
 			bestY := 0.0
@@ -193,12 +198,21 @@ func (op *Operators) neighborScore(
 			sum += sumY
 		}
 	case MapInjective:
-		w := scratch.zeroed(n1 * n2)
-		for j, y := range s2 {
-			for k, word := range m.of(labels2[y]) {
-				for ; word != 0; word &= word - 1 {
-					i := k*64 + bits.TrailingZeros64(word)
-					w[i*n2+j] = lookup(s1[i], y)
+		w := scratch.floats(n1 * n2)
+		if m == nil {
+			for i, x := range s1 {
+				for j, y := range s2 {
+					w[i*n2+j] = lookup(x, y)
+				}
+			}
+		} else {
+			clear(w)
+			for j, y := range s2 {
+				for k, word := range m.of(labels2[y]) {
+					for ; word != 0; word &= word - 1 {
+						i := k*64 + bits.TrailingZeros64(word)
+						w[i*n2+j] = lookup(s1[i], y)
+					}
 				}
 			}
 		}
@@ -228,6 +242,37 @@ func (op *Operators) neighborScore(
 		}
 	}
 	return sum / op.omega(n1, n2)
+}
+
+// bestSums is MapBest's or MapBidirectional's score mass over every pair
+// of s1 × s2: Σ_{x∈s1} max_{y∈s2} lookup(x, y), x-major, plus for
+// MapBidirectional Σ_{y∈s2} max_{x∈s1} lookup(x, y), summed apart and
+// added last.
+func bestSums(mapping MappingKind, s1, s2 []graph.NodeID, lookup func(x, y graph.NodeID) float64) float64 {
+	sum := 0.0
+	for _, x := range s1 {
+		best := 0.0
+		for _, y := range s2 {
+			if s := lookup(x, y); s > best {
+				best = s
+			}
+		}
+		sum += best
+	}
+	if mapping != MapBidirectional {
+		return sum
+	}
+	sumY := 0.0
+	for _, y := range s2 {
+		best := 0.0
+		for _, x := range s1 {
+			if s := lookup(x, y); s > best {
+				best = s
+			}
+		}
+		sumY += best
+	}
+	return sum + sumY
 }
 
 // forEachDependent enumerates the pairs whose Equation 3 value reads
@@ -262,14 +307,13 @@ type opScratch struct {
 	m       *matching.Scratch
 }
 
-// zeroed returns n zeroed floats from the scratch weights.
-func (s *opScratch) zeroed(n int) []float64 {
+// floats returns n floats of the scratch weights, holding whatever the
+// last use left.
+func (s *opScratch) floats(n int) []float64 {
 	if cap(s.weights) < n {
 		s.weights = make([]float64, n)
 	}
-	w := s.weights[:n]
-	clear(w)
-	return w
+	return s.weights[:n]
 }
 
 func newOpScratch() *opScratch {

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"fsim/internal/graph"
-	"fsim/internal/pairbits"
 )
 
 // labelMask is the row eligibility mask of one neighbour list s1 of a g1
@@ -15,48 +14,22 @@ import (
 // the mapping operators cost O(|N(v)|) mask reads plus one read per
 // eligible pair, instead of |N(u)|·|N(v)| bit-matrix reads.
 //
-// A row fills its masks in one of two ways, chosen by how many labels it
-// meets:
-//
-//   - lazily: P[b] on first use, by |s1| reads of column b of the
-//     eligibility bit matrix. A row then pays |s1| reads per distinct
-//     label among the N(v) it is paired with — little for a row of few
-//     pairs, such as a serving row recomputed by the engine.
-//   - by a walk: each neighbour's row of matrix words, setting its bit in
-//     P[b] for every eligible b, about |s1|·(|Σ2|/64 + eligible labels
-//     per label) in all. A row that meets more labels than that per
-//     neighbour (a build row probing its eligible columns, a hub) costs
-//     less this way.
-//
-// A row paired with all its eligible columns (the build, Patch and
-// RowBounds, which decide or bound every such pair) walks at once. The
-// engine pairs a row only with its candidates on the worklist, so its
-// rows start lazily and walk once they have filled CandidateSet.lazyFills
-// labels. At θ = 0 the matrix holds every label pair, so every P[b] is
-// full.
+// build walks each neighbour's row of matrix words once, setting its bit
+// in P[b] for every eligible b: about |s1|·(|Σ2|/64 + eligible labels per
+// label) in all.
 //
 // Between rows the masks are kept all zero except the labels in set,
-// which the next build clears, so neither a build nor a walk touches
-// labels the row never sets.
+// which the next build clears, so a build touches no label the row never
+// set.
 type labelMask struct {
-	elig     pairbits.Bitset // the set's eligibility bit matrix
-	rowWords int             // words per label row of elig
-	base     []uint          // per position i of s1, the first bit of its label's row of elig
-	words    int             // ⌈|s1|/64⌉
-	bits     []uint64        // P[b] at bits[b·words : (b+1)·words]
-	set      []graph.Label   // the labels whose P[b] may be non-zero
-	// stamp holds, per g2 label, the build generation in which P[b] was
-	// filled; P[b] is final when stamp[b] ≥ live, where live is the
-	// current generation while filling lazily and 0 after a walk.
-	stamp     []uint32
-	gen, live uint32
-	lazyLeft  int      // lazy fills left before the walk
-	acc       []uint64 // eligibleCounts' union of the masks read
+	words int           // ⌈|s1|/64⌉
+	bits  []uint64      // P[b] at bits[b·words : (b+1)·words]
+	set   []graph.Label // the labels whose P[b] may be non-zero
+	acc   []uint64      // eligibleCounts' union of the masks read
 }
 
-// build makes m the mask of neighbour list s1 of a g1 row of cs, to walk
-// after lazyFills labels filled one at a time (at once for 0).
-func (m *labelMask) build(cs *CandidateSet, s1 []graph.NodeID, lazyFills int) {
+// build makes m the mask of neighbour list s1 of a g1 row of cs.
+func (m *labelMask) build(cs *CandidateSet, s1 []graph.NodeID) {
 	for _, b := range m.set {
 		for w, at := 0, int(b)*m.words; w < m.words; w++ {
 			m.bits[at+w] = 0 // a word or two: cheaper inline than a memclr call
@@ -67,79 +40,30 @@ func (m *labelMask) build(cs *CandidateSet, s1 []graph.NodeID, lazyFills int) {
 	if len(m.acc) < m.words {
 		m.acc = make([]uint64, m.words)
 	}
-	m.elig, m.rowWords, m.base = cs.elig, cs.eligRow/64, m.base[:0]
-	for _, x := range s1 {
-		m.base = append(m.base, uint(cs.labels1[x])*uint(cs.eligRow))
-	}
 	if n := cs.eligRow * m.words; len(m.bits) < n {
 		m.bits = make([]uint64, n) // only the labels in set were not zero
 	}
-	if len(m.stamp) != cs.eligRow {
-		m.stamp, m.gen = make([]uint32, cs.eligRow), 0
-	}
-	if m.gen++; m.gen == 0 { // wrapped: no stamp may look current
-		clear(m.stamp)
-		m.gen = 1
-	}
-	m.live, m.lazyLeft = m.gen, lazyFills
-	if lazyFills == 0 {
-		m.walk()
+	rowWords := cs.eligRow / 64
+	for i, x := range s1 {
+		at, bit := i/64, uint64(1)<<uint(i%64)
+		row := int(cs.labels1[x]) * rowWords
+		for w, word := range cs.elig[row : row+rowWords] {
+			for ; word != 0; word &= word - 1 {
+				b := w*64 + bits.TrailingZeros64(word)
+				p := &m.bits[b*m.words+at]
+				if *p == 0 { // a label is recorded once per word it sets
+					m.set = append(m.set, graph.Label(b))
+				}
+				*p |= bit
+			}
+		}
 	}
 }
 
 // of returns P[b], the positions of the row's neighbours that may pair
-// with a node of g2 label b (all zero when none may). It is small enough
-// to inline into the operators' loops; fill does the rest.
+// with a node of g2 label b (all zero when none may).
 func (m *labelMask) of(b graph.Label) []uint64 {
-	if m.stamp[b] < m.live {
-		m.fill(b)
-	}
 	return m.bits[int(b)*m.words:][:m.words]
-}
-
-// fill computes P[b] by |s1| reads of column b of the eligibility matrix,
-// or, once lazyFills labels have been filled that way, walks.
-func (m *labelMask) fill(b graph.Label) {
-	if m.lazyLeft == 0 {
-		m.walk()
-		return
-	}
-	m.lazyLeft--
-	m.stamp[b] = m.gen
-	p := m.bits[int(b)*m.words:][:m.words]
-	var nz uint64
-	for w := range p {
-		var word uint64
-		for i, row := range m.base[w*64 : min((w+1)*64, len(m.base))] {
-			j := row + uint(b)
-			word |= (m.elig[j/64] >> (j % 64) & 1) << uint(i)
-		}
-		p[w] = word
-		nz |= word
-	}
-	if nz != 0 {
-		m.set = append(m.set, b)
-	}
-}
-
-// walk fills every P[b] from the neighbours' rows of the eligibility
-// matrix and makes them all final. A label filled lazily before gets
-// exactly the bits it has again.
-func (m *labelMask) walk() {
-	m.live = 0
-	for i, row := range m.base {
-		at, bit := i/64, uint64(1)<<uint(i%64)
-		for w, word := range m.elig[row/64 : row/64+uint(m.rowWords)] {
-			for ; word != 0; word &= word - 1 {
-				b := w*64 + bits.TrailingZeros64(word)
-				if m.stamp[b] != m.gen {
-					m.stamp[b] = m.gen
-					m.set = append(m.set, graph.Label(b))
-				}
-				m.bits[b*m.words+at] |= bit
-			}
-		}
-	}
 }
 
 // eligibleCounts returns how many nodes of the mask's list s1 (e1) and of
@@ -178,28 +102,64 @@ func (m *labelMask) eligibleCounts(labels2 []graph.Label, s2 []graph.NodeID) (e1
 // rowMasks holds the masks of one g1 row u, one per weighted direction
 // (out: N⁺(u), in: N⁻(u)). The zero value describes no row. A rowMasks
 // must not outlive the candidate set state it was built on: engine runs
-// reset theirs at the start, and Patch and the build use their own.
+// and RowBounds reset theirs before use, and Patch and the build use their
+// own.
 type rowMasks struct {
 	row     int // u+1 of the row described; 0 for none
 	out, in labelMask
+	// An engine row not yet described: u+1, and the neighbours of v over
+	// the pairs it read unmasked (see engineMasked).
+	rentRow, rent int
 }
 
 // reset forgets the described row, so the next use rebuilds.
-func (m *rowMasks) reset() { m.row = 0 }
+func (m *rowMasks) reset() { m.row, m.rentRow = 0, 0 }
 
 // maskRow readies m for row u of cs, rebuilding the masks of the weighted
-// directions, to walk after lazyFills lazy fills, when m describes another
-// row. MapProduct reads every pair and bounds by |S1|·|S2|, so it needs no
-// mask.
-func (cs *CandidateSet) maskRow(m *rowMasks, u graph.NodeID, lazyFills int) {
-	if m.row == int(u)+1 || cs.ops.Mapping == MapProduct {
-		return
+// directions when m describes another row, and reports whether row u
+// reads masks at all. It does not when every pair is read anyway:
+// MapProduct reads every pair and bounds by |S1|·|S2|, and when every
+// label pair is eligible the Eq. 6 counts are the list sizes and every
+// operator reads every pair.
+func (cs *CandidateSet) maskRow(m *rowMasks, u graph.NodeID) bool {
+	if cs.ops.Mapping == MapProduct || cs.allEligible {
+		return false
 	}
-	m.row = int(u) + 1
-	if cs.opts.WPlus > 0 {
-		m.out.build(cs, cs.g1.Out(u), lazyFills)
+	if m.row != int(u)+1 {
+		m.row = int(u) + 1
+		if cs.opts.WPlus > 0 {
+			m.out.build(cs, cs.g1.Out(u))
+		}
+		if cs.opts.WMinus > 0 {
+			m.in.build(cs, cs.g1.In(u))
+		}
 	}
-	if cs.opts.WMinus > 0 {
-		m.in.build(cs, cs.g1.In(u), lazyFills)
+	return true
+}
+
+// engineMasked reports whether the engine's update of pair (u, v) reads
+// row u's masks, building them when the row has earned them. A direction
+// read unmasked costs |N(u)| lookups per neighbour of v, and building the
+// row's masks |N(u)|·walkCost matrix reads, so a row reads its pairs
+// unmasked until the neighbours of v over them exceed walkCost, and then
+// builds. Like renting until the rent reaches the price, a row never pays
+// more than about twice the cheaper of the two: a hub row, or a row of
+// many pairs, builds early; a serving row of a few pairs of small degree
+// (and a dependency-closure row, usually one pair per iteration) never
+// builds. Both ways read the same scores, since every store reads a
+// label-ineligible pair as 0.
+func (cs *CandidateSet) engineMasked(m *rowMasks, u, v graph.NodeID) bool {
+	if m.row == int(u)+1 {
+		return true
 	}
+	if cs.ops.Mapping == MapProduct || cs.allEligible {
+		return false // no row builds masks (see maskRow)
+	}
+	if m.rentRow != int(u)+1 {
+		m.rentRow, m.rent = int(u)+1, 0
+	}
+	if m.rent += len(cs.g2.Out(v)) + len(cs.g2.In(v)); m.rent <= cs.walkCost {
+		return false
+	}
+	return cs.maskRow(m, u)
 }

@@ -119,7 +119,7 @@ func referenceNeighborScore(op *Operators, s1, s2 []graph.NodeID, lookup func(x,
 func fullMask(n int) *labelMask {
 	cs := &CandidateSet{elig: pairbits.Bitset{1}, eligRow: 64, labels1: make([]graph.Label, n)}
 	m := &labelMask{}
-	m.build(cs, make([]graph.NodeID, n), 0)
+	m.build(cs, make([]graph.NodeID, n))
 	return m
 }
 
@@ -136,27 +136,25 @@ func directions(cs *CandidateSet, m *rowMasks, u, v graph.NodeID) []maskedDirect
 }
 
 // requireMaskedCounts checks, for every pair of cs and both directions
-// with two non-empty neighbour lists, that the masked Eq. 6 counts equal
-// referenceEligibleCounts, and that the Eq. 6 bound of a pair is the same
-// bits whether its row's masks are built for it alone or shared by the
-// row.
-func requireMaskedCounts(t *testing.T, cs *CandidateSet, label string) {
+// with two non-empty neighbour lists, that the masked Eq. 6 counts of
+// row masks m, rebuilt for each row, equal referenceEligibleCounts, and
+// that the Eq. 6 bound of a pair is the same bits whether its row's masks
+// are built for it alone or shared by the row. m may come from another
+// candidate set, as masks pooled across a Patch do.
+func requireMaskedCounts(t *testing.T, cs *CandidateSet, m *rowMasks, label string) {
 	t.Helper()
 	vs := make([]graph.NodeID, cs.n2)
 	for v := range vs {
 		vs[v] = graph.NodeID(v)
 	}
-	var m rowMasks
 	for u := 0; u < cs.n1; u++ {
 		un := graph.NodeID(u)
-		row := cs.RowBounds(un, vs)
+		row := cs.RowBounds(un, vs, nil)
+		// Built directly, as maskRow builds only what the operators read.
+		m.out.build(cs, cs.g1.Out(un))
+		m.in.build(cs, cs.g1.In(un))
 		for _, v := range vs {
-			// Built directly, as maskRow builds only what the operators
-			// read: walked at once, walked after two lazy fills, and lazy.
-			lazy := []int{0, 2, 1 << 30}[v%3]
-			m.out.build(cs, cs.g1.Out(un), lazy)
-			m.in.build(cs, cs.g1.In(un), lazy)
-			for _, d := range directions(cs, &m, un, v) {
+			for _, d := range directions(cs, m, un, v) {
 				if len(d.s1) == 0 || len(d.s2) == 0 {
 					continue // the empty-set conventions decide; no count is read
 				}
@@ -167,15 +165,17 @@ func requireMaskedCounts(t *testing.T, cs *CandidateSet, label string) {
 						label, u, v, len(d.s1), len(d.s2), e1, e2, r1, r2)
 				}
 			}
-			if b := cs.RowBounds(un, vs[v:v+1])[0]; math.Float64bits(b) != math.Float64bits(row[v]) {
+			if b := cs.RowBounds(un, vs[v:v+1], nil)[0]; math.Float64bits(b) != math.Float64bits(row[v]) {
 				t.Fatalf("%s: bound of (%d,%d) = %v alone, %v with its row", label, u, v, b, row[v])
 			}
 		}
 	}
 }
 
-// requireMaskedScores checks that the masked neighborScore of every pair
-// and weighted direction of cs equals referenceNeighborScore bit for bit,
+// requireMaskedScores checks that neighborScore, with the row masks that
+// maskRow readies (none when every pair is read) and with none, of every
+// pair and weighted direction of cs equals referenceNeighborScore bit for
+// bit,
 // under a lookup that reads pseudo-random positive scores for eligible
 // pairs and 0 for ineligible ones, as every store does. Ties are frequent
 // (scores come from eight levels), so greedy tie-breaking is exercised.
@@ -195,15 +195,23 @@ func requireMaskedScores(t *testing.T, cs *CandidateSet, label string) {
 		un := graph.NodeID(u)
 		for v := 0; v < cs.n2; v++ {
 			vn := graph.NodeID(v)
-			cs.maskRow(&m, un, 2) // two lazy fills, then a walk
+			masked := cs.maskRow(&m, un)
 			for k, d := range directions(cs, &m, un, vn) {
 				if weights[k] == 0 {
 					continue // maskRow builds only the weighted directions
+				}
+				if !masked {
+					d.mask = nil // every pair is read
 				}
 				got := cs.ops.neighborScore(d.s1, d.s2, cs.labels2, d.mask, lookup, scratch)
 				want := referenceNeighborScore(cs.ops, d.s1, d.s2, lookup, ref)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s: (%d,%d) |S1|=%d |S2|=%d: masked %v, reference %v",
+						label, u, v, len(d.s1), len(d.s2), got, want)
+				}
+				// An engine row reads its first pairs unmasked.
+				if got := cs.ops.neighborScore(d.s1, d.s2, cs.labels2, nil, lookup, scratch); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: (%d,%d) |S1|=%d |S2|=%d: unmasked %v, reference %v",
 						label, u, v, len(d.s1), len(d.s2), got, want)
 				}
 			}
@@ -260,6 +268,10 @@ func TestRowMaskEquivalence(t *testing.T) {
 		{"rolesim", RoleSimOptions(0.1)},
 		{"simrank", SimRankOptions(0.8)},
 	}
+	// One set of masks serves every set in turn: it goes from full masks
+	// (θ = 0) to filtering ones and through each Patch's vocabulary growth
+	// with the labels it last set still to clear.
+	var shared rowMasks
 	for _, theta := range []float64{0, 0.4, 0.6, 0.8} {
 		for _, mp := range mappings {
 			t.Run(fmt.Sprintf("theta=%v/%s", theta, mp.name), func(t *testing.T) {
@@ -275,7 +287,7 @@ func TestRowMaskEquivalence(t *testing.T) {
 				if theta > 0 && cs.elig.Count() == g.NumLabels()*g.NumLabels() {
 					t.Fatal("every label pair is eligible: the masks would filter nothing")
 				}
-				requireMaskedCounts(t, cs, "build")
+				requireMaskedCounts(t, cs, &shared, "build")
 				requireMaskedScores(t, cs, "build")
 
 				// Grow the vocabulary by two labels (one near, one far
@@ -300,7 +312,7 @@ func TestRowMaskEquivalence(t *testing.T) {
 				if _, err := cs.Patch(g2, g2, touched, touched); err != nil {
 					t.Fatal(err)
 				}
-				requireMaskedCounts(t, cs, "patched")
+				requireMaskedCounts(t, cs, &shared, "patched")
 				requireMaskedScores(t, cs, "patched")
 			})
 		}
@@ -330,7 +342,9 @@ func rowPlanOf(cs *CandidateSet, u graph.NodeID) *RowPlan {
 // workers' row masks, for a run before and a run after a Patch that adds
 // out-edges to its only row. The second run starts on the row the first
 // ended on, so it must rebuild the row's masks rather than read the
-// pre-patch ones: its scores must equal a fresh plan's bit for bit.
+// pre-patch ones: its scores must equal a fresh plan's bit for bit. The
+// row's RowBounds, whose masks are pooled, must likewise equal a fresh
+// set's after the Patch.
 func TestRowPlanAcrossPatch(t *testing.T) {
 	g := hubGraph(7, 170)
 	opts := DefaultOptions(exact.BJ)
@@ -346,6 +360,11 @@ func TestRowPlanAcrossPatch(t *testing.T) {
 	const u = 0 // a hub: two words of mask
 	reused := rowPlanOf(cs, u)
 	cs.ComputeRows(reused)
+	vs := make([]graph.NodeID, g.NumNodes())
+	for v := range vs {
+		vs[v] = graph.NodeID(v)
+	}
+	cs.RowBounds(u, vs, nil) // pools masks of row u
 
 	m := graph.MutableOf(g)
 	touched := []graph.NodeID{u}
@@ -368,6 +387,16 @@ func TestRowPlanAcrossPatch(t *testing.T) {
 	for v := range fresh.Prev {
 		if math.Float64bits(reused.Prev[v]) != math.Float64bits(fresh.Prev[v]) {
 			t.Fatalf("(%d,%d): reused plan %v, fresh plan %v", u, v, reused.Prev[v], fresh.Prev[v])
+		}
+	}
+	rebuilt, err := NewCandidateSet(g2, g2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := cs.RowBounds(u, vs, nil), rebuilt.RowBounds(u, vs, nil)
+	for v := range want {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("(%d,%d): bound %v after Patch, %v on a fresh set", u, v, got[v], want[v])
 		}
 	}
 }

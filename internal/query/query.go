@@ -292,7 +292,7 @@ func (ix *Index) seedRow(u graph.NodeID, k int) []graph.NodeID {
 	}
 	sort.Float64s(lbs)
 	kth := lbs[len(lbs)-k]
-	bounds := ix.cs.RowBounds(u, cands)
+	bounds := ix.cs.RowBounds(u, cands, lbs) // lbs is read; reuse it
 	seeds := cands[:0]
 	for i, v := range cands {
 		if (opts.PinDiagonal && u == v) || bounds[i] >= kth {

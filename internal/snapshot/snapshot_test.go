@@ -117,7 +117,7 @@ func assertEqualState(t *testing.T, seed int64, want, got *dynamic.Maintainer) {
 		vs[v] = graph.NodeID(v)
 	}
 	for u := 0; u < n; u++ {
-		bw, bg := cw.RowBounds(graph.NodeID(u), vs), cg.RowBounds(graph.NodeID(u), vs)
+		bw, bg := cw.RowBounds(graph.NodeID(u), vs, nil), cg.RowBounds(graph.NodeID(u), vs, nil)
 		for v := 0; v < n; v++ {
 			uu, vv := graph.NodeID(u), graph.NodeID(v)
 			if cw.Contains(uu, vv) != cg.Contains(uu, vv) {
