@@ -227,16 +227,23 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 // BenchmarkLabelTable times the label layer alone: the Jaro–Winkler
 // table over benchGraph's vocabulary against itself, as every candidate
 // set of a self-similarity run builds it (NewCandidateSet, a snapshot
-// load, a Patch that grows the vocabulary).
+// load, a Patch that grows the vocabulary), at the serving θ = 0.6 and at
+// θ = 0, where every cell is eligible. Beside the fill time it reports the
+// layer's resident size: B/op (the transient fill buffers included) and
+// cells, the values it keeps.
 func BenchmarkLabelTable(b *testing.B) {
 	names := benchGraph().LabelNames()
-	for _, threads := range []int{1, 2} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				strsim.NewTable(strsim.JaroWinkler, names, names, threads)
-			}
-		})
+	for _, theta := range []float64{0.6, 0} {
+		for _, threads := range []int{1, 2} {
+			b.Run(fmt.Sprintf("theta=%v/threads=%d", theta, threads), func(b *testing.B) {
+				b.ReportAllocs()
+				var tab *strsim.Table
+				for i := 0; i < b.N; i++ {
+					tab = strsim.NewTable(strsim.JaroWinkler, names, names, theta, threads)
+				}
+				b.ReportMetric(float64(tab.Stored()), "cells")
+			})
+		}
 	}
 }
 

@@ -17,16 +17,17 @@ import (
 
 // CandidateSet is the candidate component shared by the batch engine
 // (Compute) and the single-source query subsystem (internal/query): the
-// candidate map Hc of Algorithm 1's Initializing step, the cached
-// label-similarity table, and the §3.4 upper bounds of pruned pairs.
+// candidate map Hc of Algorithm 1's Initializing step, the label layer,
+// and the §3.4 upper bounds of pruned pairs.
 //
-// The label constraint L ≥ θ (Remark 2) is derived once from the table as
-// a |Σ1|×|Σ2| bit matrix, and every θ test reads it: eligible, candidate's
+// The label layer is one strsim.Table: the label constraint L ≥ θ
+// (Remark 2) as a |Σ1|×|Σ2| bit matrix, and L only for the label pairs
+// that pass it. Every θ test reads the bit matrix: Eligible, candidate's
 // gate and the sparse store's resolver read one bit, the build's column
 // lists walk a label's row of words, and the §3.4 bound and the mapping
-// operators read the row eligibility masks built from it (labelMask). The
-// table itself is read only where a value is needed (LabelSim, RowBounds,
-// InitScore).
+// operators read the row eligibility masks built from it (labelMask). L
+// is read only where a value is needed, always for an eligible pair
+// (LabelSim, RowBounds, InitScore).
 //
 // Candidates are enumerated row-major, ascending v within each row
 // (candPairs/rowOff). Two stores implement membership tests on top,
@@ -52,16 +53,10 @@ type CandidateSet struct {
 	table  *strsim.Table
 	n1, n2 int
 
-	// elig is the label constraint as a bit matrix: bit l1·eligRow+l2 is
-	// set iff L(l1, l2) ≥ θ, with eligRow = |Σ2| rounded up to a multiple
-	// of 64, so the eligible labels of l1 are the set bits of its own
-	// eligRow/64 words.
-	elig    pairbits.Bitset
-	eligRow int
-	// allEligible marks a matrix that holds every label pair (θ = 0 with
-	// a label function that is never NaN): every neighbour pair is
-	// eligible, so the Eq. 6 counts are the list sizes, the operators read
-	// every pair, and no row builds eligibility masks.
+	// allEligible marks a table in which every label pair is eligible
+	// (θ = 0 with a label function that is never NaN or negative): every
+	// neighbour pair is eligible, so the Eq. 6 counts are the list sizes,
+	// the operators read every pair, and no row builds eligibility masks.
 	allEligible bool
 	// walkCost is what building a row's eligibility masks costs per
 	// neighbour, in matrix reads: the words of a label's row plus the mean
@@ -111,8 +106,7 @@ func NewCandidateSet(g1, g2 *graph.Graph, opts Options) (*CandidateSet, error) {
 
 // newCandidateBase validates (g1, g2, opts), normalizes the options and
 // derives everything a CandidateSet holds except its enumeration: the
-// label caches, the label-similarity table, the eligibility bit matrix and
-// the store shape.
+// label caches, the label table and the store shape.
 func newCandidateBase(g1, g2 *graph.Graph, opts Options) (*CandidateSet, error) {
 	if g1 == nil || g2 == nil {
 		return nil, errors.New("core: nil graph")
@@ -138,23 +132,14 @@ func newCandidateBase(g1, g2 *graph.Graph, opts Options) (*CandidateSet, error) 
 	return cs, nil
 }
 
-// deriveLabelLayer fills the label-similarity table of the current
-// vocabularies and derives the eligibility bit matrix from it.
+// deriveLabelLayer fills the label table of the current vocabularies at
+// θ and derives the layer's summary counts from its bit count.
 func (cs *CandidateSet) deriveLabelLayer() {
 	names1, names2 := cs.g1.LabelNames(), cs.g2.LabelNames()
-	cs.table = strsim.NewTable(cs.opts.Label, names1, names2, cs.opts.Threads)
-	nl1, nl2 := len(names1), len(names2)
-	cs.eligRow = (nl2 + 63) / 64 * 64
-	cs.elig = pairbits.NewBitset(nl1 * cs.eligRow)
-	for l1 := 0; l1 < nl1; l1++ {
-		for l2 := 0; l2 < nl2; l2++ {
-			if cs.table.Sim(l1, l2) >= cs.opts.Theta {
-				cs.elig.Set(l1*cs.eligRow + l2)
-			}
-		}
-	}
-	cs.allEligible = cs.elig.Count() == nl1*nl2
-	cs.walkCost = cs.eligRow/64 + cs.elig.Count()/max(nl1, 1)
+	cs.table = strsim.NewTable(cs.opts.Label, names1, names2, cs.opts.Theta, cs.opts.Threads)
+	pairs := cs.table.EligiblePairs()
+	cs.allEligible = pairs == len(names1)*len(names2)
+	cs.walkCost = cs.table.RowWords() + pairs/max(len(names1), 1)
 }
 
 // checkPinDiagonal rejects PinDiagonal on graphs of different sizes.
@@ -406,11 +391,10 @@ func rowOffsets(off []int32, limit int) int {
 // nodes whose label it may pair with (L ≥ θ) in ascending id order — the
 // rowOff contract's order for both candidate and pruned rows — so each row
 // reads its label's list as is. A label's eligible g2 labels are the set
-// bits of its words of the eligibility matrix. The lists share one exactly
-// sized array, filled by one ascending pass over the g2 nodes.
+// bits of its row of the label table's bit matrix. The lists share one
+// exactly sized array, filled by one ascending pass over the g2 nodes.
 func (cs *CandidateSet) eligibleColumns() [][]graph.NodeID {
 	nl1, nl2 := cs.g1.NumLabels(), cs.g2.NumLabels()
-	rowWords := cs.eligRow / 64
 	used := make([]bool, nl1)
 	for _, l := range cs.labels1 {
 		used[l] = true
@@ -426,7 +410,7 @@ func (cs *CandidateSet) eligibleColumns() [][]graph.NodeID {
 		if !used[l1] {
 			continue
 		}
-		for w, word := range cs.elig[l1*rowWords : (l1+1)*rowWords] {
+		for w, word := range cs.table.Row(l1) {
 			for ; word != 0; word &= word - 1 {
 				l2 := w*64 + bits.TrailingZeros64(word)
 				partners[l2] = append(partners[l2], graph.Label(l1))
@@ -454,7 +438,7 @@ func (cs *CandidateSet) eligibleColumns() [][]graph.NodeID {
 // bound of rejected-but-eligible pairs, reading the bound's counts from
 // row u's masks m.
 func (cs *CandidateSet) candidate(m *rowMasks, u, v graph.NodeID) (ok bool, bound float64, pruned bool) {
-	if !cs.eligible(u, v) {
+	if !cs.Eligible(u, v) {
 		return false, 0, false
 	}
 	if ub := cs.opts.UpperBoundOpt; ub != nil {
@@ -466,20 +450,16 @@ func (cs *CandidateSet) candidate(m *rowMasks, u, v graph.NodeID) (ok bool, boun
 	return true, 0, false
 }
 
-// LabelSim returns the cached L(ℓ1(u), ℓ2(v)).
+// LabelSim returns the cached L(ℓ1(u), ℓ2(v)) of a label-eligible pair,
+// and 0 for any other: the label table keeps no value below θ.
 func (cs *CandidateSet) LabelSim(u, v graph.NodeID) float64 {
 	return cs.table.Sim(int(cs.labels1[u]), int(cs.labels2[v]))
 }
 
-// eligible implements the label constraint of Remark 2 for a node pair:
-// one read of the eligibility bit matrix.
-func (cs *CandidateSet) eligible(x, y graph.NodeID) bool {
-	return cs.labelsEligible(cs.labels1[x], cs.labels2[y])
-}
-
-// labelsEligible reports L(l1, l2) ≥ θ from the bit matrix.
-func (cs *CandidateSet) labelsEligible(l1, l2 graph.Label) bool {
-	return cs.elig.Get(int(l1)*cs.eligRow + int(l2))
+// Eligible implements the label constraint of Remark 2 for a node pair,
+// L(ℓ1(x), ℓ2(y)) ≥ θ: one read of the label table's bit matrix.
+func (cs *CandidateSet) Eligible(x, y graph.NodeID) bool {
+	return cs.table.Eligible(int(cs.labels1[x]), int(cs.labels2[y]))
 }
 
 // Graphs returns the two input graphs.

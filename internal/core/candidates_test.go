@@ -67,7 +67,7 @@ func TestCandidateDataRejects(t *testing.T) {
 		found := false
 		for u := 0; u < g.NumNodes() && !found; u++ {
 			for v := 0; v < g.NumNodes(); v++ {
-				if cs.LabelSim(graph.NodeID(u), graph.NodeID(v)) < opts.Theta {
+				if !cs.Eligible(graph.NodeID(u), graph.NodeID(v)) {
 					ineligible, found = pairbits.MakeKey(graph.NodeID(u), graph.NodeID(v)), true
 					break
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -56,22 +57,65 @@ func wireRandom(rng *rand.Rand, m *graph.Mutable, from, k int) []graph.NodeID {
 	return touched
 }
 
-// requireLabelLayer fails unless every label pair of cs reads exactly
-// fn's bits from the table and the eligibility bit L ≥ θ.
+// requireLabelLayer fails unless cs's label table is fn's at θ over the
+// current vocabularies: every eligibility bit, in Eligible and in the row
+// words, reads L ≥ θ; every eligible cell reads exactly fn's bits and every
+// other 0; and the table stores one value per eligible cell of its layout
+// — the triangle l1 ≥ l2 for a self table (one vocabulary under a
+// built-in), the square otherwise. Each value is addressed through its
+// word's prefix count, so a vocabulary wider than 64 labels checks the
+// addressing across word edges.
 func requireLabelLayer(t *testing.T, cs *CandidateSet, fn strsim.Func) {
 	t.Helper()
 	names1, names2 := cs.g1.LabelNames(), cs.g2.LabelNames()
+	_, builtin := strsim.WireID(fn)
+	triangle := builtin && len(names1) > 0 && len(names1) == len(names2) && &names1[0] == &names2[0]
+	theta := cs.opts.Theta
+	pairs, stored := 0, 0
 	for l1, a := range names1 {
+		row := cs.table.Row(l1)
 		for l2, b := range names2 {
-			want := fn(a, b)
-			if got := cs.table.Sim(l1, l2); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("label table (%q, %q) = %v, L = %v", a, b, got, want)
+			l := fn(a, b)
+			elig := l >= theta
+			if got := cs.table.Eligible(l1, l2); got != elig {
+				t.Fatalf("eligibility (%q, %q) = %v with L = %v at θ = %v", a, b, got, l, theta)
 			}
-			if got := cs.labelsEligible(graph.Label(l1), graph.Label(l2)); got != (want >= cs.opts.Theta) {
-				t.Fatalf("eligibility (%q, %q) = %v with L = %v at θ = %v", a, b, got, want, cs.opts.Theta)
+			if got := row[l2/64]&(1<<(l2%64)) != 0; got != elig {
+				t.Fatalf("row word bit (%q, %q) = %v with L = %v at θ = %v", a, b, got, l, theta)
+			}
+			want := 0.0
+			if elig {
+				want = l
+				pairs++
+				if !triangle || l2 <= l1 {
+					stored++
+				}
+			}
+			if got := cs.table.Sim(l1, l2); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("label table (%q, %q) = %v, want %v (L = %v, θ = %v)", a, b, got, want, l, theta)
 			}
 		}
 	}
+	if got := cs.table.EligiblePairs(); got != pairs {
+		t.Fatalf("table counts %d eligible label pairs, want %d", got, pairs)
+	}
+	if got := cs.table.Stored(); got != stored {
+		t.Fatalf("table stores %d values, want the %d eligible cells of its layout (triangle %v)", got, stored, triangle)
+	}
+	if all := pairs == len(names1)*len(names2); cs.allEligible != all {
+		t.Fatalf("allEligible = %v with %d of %d×%d label pairs eligible", cs.allEligible, pairs, len(names1), len(names2))
+	}
+}
+
+// wideLabels returns n labels built from labelVocabulary, so a table over
+// them mixes eligible and ineligible pairs at θ = 0.6 across more than one
+// 64-label word per row.
+func wideLabels(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%s-%d", labelVocabulary[i%len(labelVocabulary)], i)
+	}
+	return out
 }
 
 // asymmetricLabel is a custom label function with f(a, b) ≠ f(b, a), so
@@ -85,9 +129,10 @@ func asymmetricLabel(a, b string) float64 {
 
 // TestPatchGrowsLabelTable adds labels through Patch, under an asymmetric
 // custom label function (a square table) and the built-in Jaro–Winkler (a
-// self table, stored as a triangle). After every step the patched set must
-// equal a fresh build in Data(), LabelSim and eligibility, and every label
-// pair must read the function's bits and L ≥ θ.
+// self table, stored as a triangle), until the vocabulary spans two 64-bit
+// words per row. After every step the patched set must equal a fresh build
+// in Data(), LabelSim and eligibility, and its label table must be the
+// function's at θ (requireLabelLayer).
 func TestPatchGrowsLabelTable(t *testing.T) {
 	for _, threads := range []int{1, 3} {
 		for _, fn := range []strsim.Func{asymmetricLabel, strsim.JaroWinkler} {
@@ -105,7 +150,7 @@ func TestPatchGrowsLabelTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, step := range [][]string{labelVocabulary[6:9], {"person", "city"}, labelVocabulary[9:]} {
+			for _, step := range [][]string{labelVocabulary[6:9], {"person", "city"}, labelVocabulary[9:], wideLabels(60)} {
 				oldL := g.NumLabels()
 				touched := growLabels(rng, m, step)
 				g = m.Snapshot()
@@ -123,8 +168,8 @@ func TestPatchGrowsLabelTable(t *testing.T) {
 						if got, want := cs.LabelSim(un, vn), fresh.LabelSim(un, vn); math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("LabelSim(%d,%d) = %v, fresh build %v", u, v, got, want)
 						}
-						if cs.eligible(un, vn) != fresh.eligible(un, vn) {
-							t.Fatalf("eligible(%d,%d) = %v, fresh build %v", u, v, cs.eligible(un, vn), fresh.eligible(un, vn))
+						if cs.Eligible(un, vn) != fresh.Eligible(un, vn) {
+							t.Fatalf("Eligible(%d,%d) = %v, fresh build %v", u, v, cs.Eligible(un, vn), fresh.Eligible(un, vn))
 						}
 					}
 				}
@@ -134,15 +179,26 @@ func TestPatchGrowsLabelTable(t *testing.T) {
 	}
 }
 
+// nanLabel is a custom label function that is NaN on pairs of distinct
+// labels of equal length and Jaro–Winkler elsewhere, so its tables keep
+// the square and hold cells that are ineligible at every θ.
+func nanLabel(a, b string) float64 {
+	if a != b && len(a) == len(b) {
+		return math.NaN()
+	}
+	return strsim.JaroWinkler(a, b)
+}
+
 // FuzzLabelTable decodes bytes into one or two label vocabularies, builds
 // a candidate set over random graphs with one node per label under a
-// built-in or an asymmetric custom label function, then grows the
-// vocabularies through Patch, and checks after both that every table cell
-// has the bits of L(names1[i], names2[j]), every eligibility bit reads
-// L ≥ θ, and, for every node pair and direction, the Eq. 6 counts read
-// from the row eligibility masks equal referenceEligibleCounts. Self
-// vocabularies exercise the triangle, cross ones and the custom function
-// the square.
+// built-in, an asymmetric custom label function or (mode ≥ 128) the
+// NaN-valued nanLabel, then grows the vocabularies through Patch, and
+// checks after both that the label table is the function's at θ
+// (requireLabelLayer) and, for every node pair and direction, the Eq. 6
+// counts read from the row eligibility masks equal
+// referenceEligibleCounts. Self vocabularies under a built-in exercise the
+// triangle, the others the square; vocabularies of up to 96 labels cross
+// the 64-label word edge of the matrix rows.
 func FuzzLabelTable(f *testing.F) {
 	f.Add("person\x00persona\x00city\x00county\x00été\x00世界", false, uint8(150), uint8(0), uint8(3))
 	f.Add("a\x00b\x00ab\x00ba\x00abc", true, uint8(128), uint8(1), uint8(2))
@@ -152,12 +208,15 @@ func FuzzLabelTable(f *testing.F) {
 		var names []string
 		seen := map[string]bool{}
 		for _, name := range strings.Split(vocab, "\x00") {
-			if !seen[name] && len(names) < 48 {
+			if !seen[name] && len(names) < 96 {
 				seen[name] = true
 				names = append(names, name)
 			}
 		}
 		fn := []strsim.Func{strsim.JaroWinkler, strsim.Indicator, strsim.NormalizedEditDistance, asymmetricLabel}[mode%4]
+		if mode >= 128 {
+			fn = nanLabel
+		}
 		opts := DefaultOptions(exact.S)
 		opts.Threads = 1 + int(mode/4)%3
 		opts.Theta = float64(theta) / 255

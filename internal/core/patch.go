@@ -184,7 +184,7 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 		}
 		// A pre-existing non-candidate that passes the (unchanged) label
 		// constraint can only have been removed by §3.4 pruning.
-		wasPruned := exists && !wasCand && ub != nil && cs.eligible(u, v)
+		wasPruned := exists && !wasCand && ub != nil && cs.Eligible(u, v)
 		if pruned && !wasPruned {
 			prunedDelta++
 		} else if !pruned && wasPruned {

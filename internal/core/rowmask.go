@@ -40,14 +40,12 @@ func (m *labelMask) build(cs *CandidateSet, s1 []graph.NodeID) {
 	if len(m.acc) < m.words {
 		m.acc = make([]uint64, m.words)
 	}
-	if n := cs.eligRow * m.words; len(m.bits) < n {
+	if n := cs.table.RowWords() * 64 * m.words; len(m.bits) < n {
 		m.bits = make([]uint64, n) // only the labels in set were not zero
 	}
-	rowWords := cs.eligRow / 64
 	for i, x := range s1 {
 		at, bit := i/64, uint64(1)<<uint(i%64)
-		row := int(cs.labels1[x]) * rowWords
-		for w, word := range cs.elig[row : row+rowWords] {
+		for w, word := range cs.table.Row(int(cs.labels1[x])) {
 			for ; word != 0; word &= word - 1 {
 				b := w*64 + bits.TrailingZeros64(word)
 				p := &m.bits[b*m.words+at]

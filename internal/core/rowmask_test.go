@@ -15,17 +15,13 @@ import (
 
 // referenceEligibleCounts is the pairwise form of the Eq. 6 counts: how
 // many nodes of s1 (resp. s2) have at least one label-eligible partner on
-// the other side, from |s1|·|s2| reads of the eligibility bit matrix (none
-// at θ = 0, where every pair is eligible). The row eligibility masks must
-// reproduce it.
+// the other side, from |s1|·|s2| reads of the eligibility bit matrix. The
+// row eligibility masks must reproduce it.
 func referenceEligibleCounts(cs *CandidateSet, s1, s2 []graph.NodeID) (int, int) {
-	if cs.opts.Theta == 0 {
-		return len(s1), len(s2)
-	}
 	e1 := 0
 	for _, x := range s1 {
 		for _, y := range s2 {
-			if cs.eligible(x, y) {
+			if cs.Eligible(x, y) {
 				e1++
 				break
 			}
@@ -34,7 +30,7 @@ func referenceEligibleCounts(cs *CandidateSet, s1, s2 []graph.NodeID) (int, int)
 	e2 := 0
 	for _, y := range s2 {
 		for _, x := range s1 {
-			if cs.eligible(x, y) {
+			if cs.Eligible(x, y) {
 				e2++
 				break
 			}
@@ -117,7 +113,8 @@ func referenceNeighborScore(op *Operators, s1, s2 []graph.NodeID, lookup func(x,
 // fullMask is the mask of an n-node list of label 0 against g2 label 0,
 // the one label pair, which is eligible: every position.
 func fullMask(n int) *labelMask {
-	cs := &CandidateSet{elig: pairbits.Bitset{1}, eligRow: 64, labels1: make([]graph.Label, n)}
+	label := []string{"a"}
+	cs := &CandidateSet{table: strsim.NewTable(strsim.Indicator, label, label, 1, 1), labels1: make([]graph.Label, n)}
 	m := &labelMask{}
 	m.build(cs, make([]graph.NodeID, n))
 	return m
@@ -182,7 +179,7 @@ func requireMaskedCounts(t *testing.T, cs *CandidateSet, m *rowMasks, label stri
 func requireMaskedScores(t *testing.T, cs *CandidateSet, label string) {
 	t.Helper()
 	lookup := func(x, y graph.NodeID) float64 {
-		if cs.opts.Theta > 0 && !cs.eligible(x, y) {
+		if cs.opts.Theta > 0 && !cs.Eligible(x, y) {
 			return 0
 		}
 		return float64(1+(int(x)*7919+int(y)*104729)%8) / 8
@@ -284,7 +281,7 @@ func TestRowMaskEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if theta > 0 && cs.elig.Count() == g.NumLabels()*g.NumLabels() {
+				if theta > 0 && cs.allEligible {
 					t.Fatal("every label pair is eligible: the masks would filter nothing")
 				}
 				requireMaskedCounts(t, cs, &shared, "build")

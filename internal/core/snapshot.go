@@ -61,18 +61,24 @@ func (cs *CandidateSet) Data() CandidateData {
 	return d
 }
 
+// labelFunc evaluates Options.Label on the labels of (u, v). The label
+// table keeps no value of an ineligible pair, so an error that reports one
+// computes it.
+func (cs *CandidateSet) labelFunc(u, v graph.NodeID) float64 {
+	return cs.opts.Label(cs.g1.LabelName(cs.labels1[u]), cs.g2.LabelName(cs.labels2[v]))
+}
+
 // NewCandidateSetFromData reconstructs a CandidateSet from a previously
 // exported enumeration, skipping the O(|V1|·|V2|) candidate decisions of
-// NewCandidateSet: the label caches, similarity table and eligibility bits
-// are rebuilt from the graphs, the row offsets and membership index (dense
-// bitmap or sparse hash map) are re-derived from the pair list, and the
-// retained bounds are filed into their row CSR. The data's structural
-// invariants are validated — key ordering, id ranges, row offsets that
-// agree with the pair list, store-shape agreement with the options, that
-// every candidate is label-eligible, and that a retained bound belongs to
-// a label-eligible non-candidate — so
-// corrupted input yields a descriptive error, never a set whose lookups
-// silently disagree with its enumeration.
+// NewCandidateSet: the label caches and the label table are rebuilt from
+// the graphs, the row offsets and membership index (dense bitmap or sparse
+// hash map) are re-derived from the pair list, and the retained bounds are
+// filed into their row CSR. The data's structural invariants are
+// validated — key ordering, id ranges, row offsets that agree with the
+// pair list, store-shape agreement with the options, that every candidate
+// is label-eligible, and that a retained bound belongs to a label-eligible
+// non-candidate — so corrupted input yields a descriptive error, never a
+// set whose lookups silently disagree with its enumeration.
 func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData) (*CandidateSet, error) {
 	cs, err := newCandidateBase(g1, g2, opts)
 	if err != nil {
@@ -107,9 +113,9 @@ func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData)
 		}
 		// The operators read only label-eligible pairs, so an ineligible
 		// candidate's score would never be read.
-		if !cs.eligible(u, v) {
+		if !cs.Eligible(u, v) {
 			return nil, fmt.Errorf("core: candidate pair (%d,%d) fails the label constraint (L=%v < θ=%v)",
-				u, v, cs.LabelSim(u, v), cs.opts.Theta)
+				u, v, cs.labelFunc(u, v), cs.opts.Theta)
 		}
 	}
 	cs.candPairs = d.CandPairs
@@ -150,9 +156,9 @@ func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData)
 		if cs.Contains(u, v) {
 			return nil, fmt.Errorf("core: pair (%d,%d) is both a candidate and a pruned pair with a retained bound", u, v)
 		}
-		if !cs.eligible(u, v) {
+		if !cs.Eligible(u, v) {
 			return nil, fmt.Errorf("core: pruned pair (%d,%d) fails the label constraint (L=%v < θ=%v), so it cannot hold a bound",
-				u, v, cs.LabelSim(u, v), cs.opts.Theta)
+				u, v, cs.labelFunc(u, v), cs.opts.Theta)
 		}
 		cs.prunedCol[i] = v
 		cs.prunedOff[u+1]++

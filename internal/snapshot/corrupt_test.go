@@ -193,7 +193,7 @@ func TestCorruptCandidateData(t *testing.T) {
 		var ineligible []pairbits.Key
 		for u := 0; u < g.NumNodes(); u++ {
 			for v := 0; v < g.NumNodes(); v++ {
-				if cs.LabelSim(graph.NodeID(u), graph.NodeID(v)) < opts.Theta {
+				if !cs.Eligible(graph.NodeID(u), graph.NodeID(v)) {
 					ineligible = append(ineligible, pairbits.MakeKey(graph.NodeID(u), graph.NodeID(v)))
 				}
 			}

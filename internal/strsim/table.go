@@ -1,46 +1,80 @@
 package strsim
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"reflect"
 	"sync"
 	"sync/atomic"
 )
 
-// Table caches L(·) over the cross product of two interned label vocabularies
-// so the iterative framework pays one load per lookup instead of a
-// string-similarity computation per node pair per iteration.
+// Table is the label layer of the framework over two interned label
+// vocabularies: the label constraint L ≥ θ (Remark 2) of every label pair,
+// and L itself for the pairs that pass it. The iterative framework reads
+// L only for label-eligible pairs, so the table keeps nothing else: one
+// load and a popcount per lookup instead of a string-similarity
+// computation per node pair per iteration.
+//
+// It holds three arrays:
+//
+//   - the |Σ1|×|Σ2| eligibility bit matrix, each row padded to whole
+//     64-bit words;
+//   - the values of the eligible cells, row-major;
+//   - one int32 per matrix word, the number of values stored before that
+//     word's first cell, so a cell's value sits at its word's prefix plus
+//     the popcount of the eligible cells below it in the word.
 //
 // A self table — both vocabularies the same slice, scored by a built-in
 // (each is symmetric) — evaluates and stores each unordered label pair
-// once: the triangle i ≥ j, row i starting at cell i(i+1)/2, n(n+1)/2
-// cells in all.
-// Every other table (two vocabularies, or a custom Func, which may be
-// asymmetric) is the square |Σ1|×|Σ2|, row-major. The table is quadratic
-// in labels, not nodes: the paper's datasets have at most a few hundred
-// labels per graph, while ACMCit's 72K labels would need a ~21 GB self
-// table.
+// once: its values are the eligible cells of the triangle i ≥ j, the
+// prefix counts only columns ≤ row, and the bits of (j, i) are mirrored
+// from (i, j) so every row of the matrix is complete. Every other table
+// (two vocabularies, or a custom Func, which may be asymmetric) evaluates
+// and stores the square. The fill is quadratic in labels, not nodes; what
+// stays resident is |Σ1|·⌈|Σ2|/64⌉·12 bytes of matrix and prefix plus 8
+// bytes per stored eligible pair. ACMCit's 72K labels would take ~0.95 GB
+// of matrix and prefix at any θ, plus 8 B per eligible pair of the
+// triangle (the ~21 GB the whole triangle took at θ = 0), while the fill
+// still evaluates all 2.6 G pairs of the triangle.
 type Table struct {
-	sims []float64
-	n2   int
-	sym  bool // triangle layout; |Σ1| == |Σ2|
+	bits     []uint64  // row i at bits[i·rowWords : (i+1)·rowWords]
+	pre      []int32   // per word of bits: values stored before it
+	vals     []float64 // the eligible cells' values, row-major
+	rowWords int
+	count    int  // set bits of the matrix, mirrored ones included
+	sym      bool // triangle layout; |Σ1| == |Σ2|
 }
 
-// tableChunkCells is about the number of table cells a worker claims per
-// grab (whole rows, at least one); a table of one chunk is filled on the
-// calling goroutine alone.
+// tableChunkCells is about the number of table cells a worker evaluates
+// per grab (whole rows, at least one); a table of one chunk is filled on
+// the calling goroutine alone.
 const tableChunkCells = 2048
+
+// tableSegment is where one chunk's values sit in the buffer of the worker
+// that evaluated it.
+type tableSegment struct {
+	worker, lo, hi int
+}
 
 // NewTable evaluates fn over names1 × names2 eagerly, on up to threads
 // goroutines (fn must be safe for concurrent use; this package's functions
-// are). Chunks are cut by cells, not rows, so the rows of a triangle,
-// which grow with i, are spread evenly over the workers.
-func NewTable(fn Func, names1, names2 []string, threads int) *Table {
+// are), and keeps the cells with L ≥ θ (a NaN cell is never kept). Chunks
+// are cut by cells, not rows, so the rows of a triangle, which grow with
+// i, are spread evenly over the workers. A worker sets bits only in its
+// own rows' words and appends its chunks' values to its own buffer; the
+// chunks are then concatenated in row order, so the table is the same at
+// any thread count. It panics when more than math.MaxInt32 cells are
+// eligible (16 GiB of values), which the int32 prefix cannot address.
+func NewTable(fn Func, names1, names2 []string, theta float64, threads int) *Table {
 	n1, n2 := len(names1), len(names2)
-	t := &Table{n2: n2, sym: symmetricSelf(fn, names1, names2)}
-	if t.sym {
-		t.sims = make([]float64, n1*(n1+1)/2)
-	} else {
-		t.sims = make([]float64, n1*n2)
+	t := &Table{rowWords: (n2 + 63) / 64, sym: symmetricSelf(fn, names1, names2)}
+	t.bits = make([]uint64, n1*t.rowWords)
+	width := func(i int) int { // the cells row i evaluates
+		if t.sym {
+			return i + 1
+		}
+		return n2
 	}
 	var chunks []int // chunk c is rows [chunks[c], chunks[c+1]), ~tableChunkCells cells
 	cells := 0
@@ -48,7 +82,7 @@ func NewTable(fn Func, names1, names2 []string, threads int) *Table {
 		if cells == 0 {
 			chunks = append(chunks, i)
 		}
-		if cells += len(t.row(i)); cells >= tableChunkCells {
+		if cells += width(i); cells >= tableChunkCells {
 			cells = 0
 		}
 	}
@@ -62,63 +96,94 @@ func NewTable(fn Func, names1, names2 []string, threads int) *Table {
 			short2[j] = shortASCII(b)
 		}
 	}
+	segs := make([]tableSegment, len(chunks)-1)
+	workers := max(min(threads, len(segs)), 1)
+	bufs := make([][]float64, workers)
 	var cursor atomic.Int64
-	claim := func() {
+	claim := func(w int) {
+		buf := bufs[w]
 		var pos bytePositions // the current row's label, when prepared
 		for {
 			c := int(cursor.Add(1)) - 1
-			if c >= len(chunks)-1 {
-				return
+			if c >= len(segs) {
+				break
 			}
+			lo := len(buf)
 			for i := chunks[c]; i < chunks[c+1]; i++ {
-				row, a := t.row(i), names1[i]
-				if !jw {
-					for j := range row {
-						row[j] = fn(a, names2[j])
-					}
-					continue
-				}
+				row, a := t.bits[i*t.rowWords:(i+1)*t.rowWords], names1[i]
 				// JaroWinkler is symmetric, so the cell is scored as
 				// JaroWinkler(names2[j], a) with a prepared once.
-				prepared := shortASCII(a)
+				prepared := jw && shortASCII(a)
 				if prepared {
 					pos.set(a)
 				}
-				for j := range row {
-					b := names2[j]
-					if prepared && short2[j] && a != b {
-						row[j] = winkler(jaroShort(b, a, &pos), b, a)
-					} else {
-						row[j] = JaroWinkler(a, b)
+				for j, wd := 0, width(i); j < wd; j++ {
+					var l float64
+					switch b := names2[j]; {
+					case !jw:
+						l = fn(a, b)
+					case prepared && short2[j] && a != b:
+						l = winkler(jaroShort(b, a, &pos), b, a)
+					default:
+						l = JaroWinkler(a, b)
+					}
+					if l >= theta {
+						row[j/64] |= 1 << (uint(j) % 64)
+						buf = append(buf, l)
 					}
 				}
 				if prepared {
 					pos.clear(a)
 				}
 			}
+			segs[c] = tableSegment{worker: w, lo: lo, hi: len(buf)}
 		}
+		bufs[w] = buf
 	}
-	workers := min(threads, len(chunks)-1)
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			claim()
-		}()
+			claim(w)
+		}(w)
 	}
-	claim() // the calling goroutine is worker 0
+	claim(0) // the calling goroutine is worker 0
 	wg.Wait()
-	return t
-}
 
-// row returns the cells of row i: columns [0, i] of a triangle, all of a
-// square.
-func (t *Table) row(i int) []float64 {
-	if t.sym {
-		return t.sims[i*(i+1)/2 : (i+1)*(i+2)/2]
+	stored := 0
+	for _, s := range segs {
+		stored += s.hi - s.lo
 	}
-	return t.sims[i*t.n2 : (i+1)*t.n2]
+	if stored > math.MaxInt32 {
+		panic(fmt.Sprintf("strsim: %d eligible label pairs exceed the table's int32 addressing; raise θ", stored))
+	}
+	t.vals = make([]float64, 0, stored)
+	for _, s := range segs {
+		t.vals = append(t.vals, bufs[s.worker][s.lo:s.hi]...)
+	}
+	// Until the mirror below, the matrix holds exactly the stored cells, so
+	// a plain running count is the prefix.
+	t.pre = make([]int32, len(t.bits))
+	n := int32(0)
+	for k, word := range t.bits {
+		t.pre[k] = n
+		n += int32(bits.OnesCount64(word))
+	}
+	if t.sym {
+		for i := 0; i < n1; i++ {
+			for w, word := range t.bits[i*t.rowWords : i*t.rowWords+i/64+1] {
+				for ; word != 0; word &= word - 1 {
+					j := w*64 + bits.TrailingZeros64(word)
+					t.bits[j*t.rowWords+i/64] |= 1 << (uint(i) % 64)
+				}
+			}
+		}
+	}
+	for _, word := range t.bits {
+		t.count += bits.OnesCount64(word)
+	}
+	return t
 }
 
 // symmetricSelf reports whether the table of fn over names1 × names2 may
@@ -137,14 +202,39 @@ func sameFunc(f, g Func) bool {
 	return f != nil && g != nil && reflect.ValueOf(f).Pointer() == reflect.ValueOf(g).Pointer()
 }
 
-// Sim returns the cached similarity of label i (from vocabulary 1) and
-// label j (from vocabulary 2).
+// Sim returns the similarity of label i (from vocabulary 1) and label j
+// (from vocabulary 2) when the pair is eligible, and 0 when it is not:
+// the table keeps no value below θ.
 func (t *Table) Sim(i, j int) float64 {
-	if t.sym {
-		if j > i {
-			i, j = j, i
-		}
-		return t.sims[i*(i+1)/2+j]
+	if t.sym && j > i {
+		i, j = j, i
 	}
-	return t.sims[i*t.n2+j]
+	at := i*t.rowWords + j/64
+	word, bit := t.bits[at], uint64(1)<<(uint(j)%64)
+	if word&bit == 0 {
+		return 0
+	}
+	return t.vals[int(t.pre[at])+bits.OnesCount64(word&(bit-1))]
 }
+
+// Eligible reports L(i, j) ≥ θ.
+func (t *Table) Eligible(i, j int) bool {
+	return t.bits[i*t.rowWords+j/64]&(1<<(uint(j)%64)) != 0
+}
+
+// Row returns the eligibility words of label i of vocabulary 1: bit j%64
+// of word j/64 is set iff (i, j) is eligible.
+func (t *Table) Row(i int) []uint64 {
+	return t.bits[i*t.rowWords : (i+1)*t.rowWords]
+}
+
+// RowWords is the number of words of every Row, ⌈|Σ2|/64⌉.
+func (t *Table) RowWords() int { return t.rowWords }
+
+// EligiblePairs is the number of eligible (i, j) label pairs, both orders
+// of a self table's pairs counted.
+func (t *Table) EligiblePairs() int { return t.count }
+
+// Stored is the number of values the table keeps: the eligible pairs, of
+// the triangle i ≥ j only in a self table.
+func (t *Table) Stored() int { return len(t.vals) }

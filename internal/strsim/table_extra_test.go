@@ -21,25 +21,62 @@ func tableVocabularies() (names1, names2 []string) {
 	return names1, names2
 }
 
-// requireTable fails unless every cell of tab has exactly the bits of
-// fn(names1[i], names2[j]).
-func requireTable(t *testing.T, tab *Table, fn Func, names1, names2 []string) {
+// requireTable fails unless tab is fn's label layer at θ over names1 ×
+// names2: every eligibility bit reads L ≥ θ, in Eligible and in Row; every
+// eligible cell reads exactly the bits of fn(names1[i], names2[j]) and
+// every other cell 0; and the table keeps one value per eligible cell of
+// its layout, the triangle i ≥ j when sym.
+func requireTable(t *testing.T, tab *Table, fn Func, theta float64, names1, names2 []string, sym bool) {
 	t.Helper()
+	if tab.sym != sym {
+		t.Fatalf("table sym = %v, want %v", tab.sym, sym)
+	}
+	pairs, stored := 0, 0
 	for i, a := range names1 {
+		row := tab.Row(i)
+		if len(row) != tab.RowWords() || len(row) != (len(names2)+63)/64 {
+			t.Fatalf("row %d has %d words (RowWords %d) for %d labels", i, len(row), tab.RowWords(), len(names2))
+		}
 		for j, b := range names2 {
-			if got, want := tab.Sim(i, j), fn(a, b); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("table[%d][%d] = %v, fn(%q, %q) = %v", i, j, got, a, b, want)
+			l := fn(a, b)
+			elig := l >= theta
+			if got := tab.Eligible(i, j); got != elig {
+				t.Fatalf("Eligible(%d, %d) = %v with L(%q, %q) = %v at θ = %v", i, j, got, a, b, l, theta)
+			}
+			if got := row[j/64]&(1<<(j%64)) != 0; got != elig {
+				t.Fatalf("Row(%d) bit %d = %v with L = %v at θ = %v", i, j, got, l, theta)
+			}
+			want := 0.0
+			if elig {
+				want = l
+				pairs++
+				if !sym || j <= i {
+					stored++
+				}
+			}
+			if got := tab.Sim(i, j); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Sim(%d, %d) = %v, want %v (L(%q, %q) = %v, θ = %v)", i, j, got, want, a, b, l, theta)
+			}
+		}
+		for j := len(names2); j < len(row)*64; j++ {
+			if row[j/64]&(1<<(j%64)) != 0 {
+				t.Fatalf("Row(%d) sets padding bit %d", i, j)
 			}
 		}
 	}
+	if tab.EligiblePairs() != pairs || tab.Stored() != stored {
+		t.Fatalf("table counts %d eligible pairs and stores %d values, want %d and %d", tab.EligiblePairs(), tab.Stored(), pairs, stored)
+	}
 }
 
-// TestTableMatchesFunction property-checks the cache: every table entry
-// has the bits of a direct function evaluation, whether the table is
-// filled on one goroutine or fanned out over several. A self vocabulary
-// (the same slice on both sides) under a built-in is stored as a triangle;
-// two vocabularies, or a custom function — here an asymmetric one — keep
-// the square.
+// TestTableMatchesFunction property-checks the label layer at several θ:
+// every eligibility bit reads L ≥ θ and every eligible cell has the bits
+// of a direct function evaluation, whether the table is filled on one
+// goroutine or fanned out over several. The vocabularies span two 64-bit
+// words per row, so the prefix counts cross a word edge. A self
+// vocabulary (the same slice on both sides) under a built-in is stored as
+// a triangle; two vocabularies, or a custom function — here an asymmetric
+// one, and one that is NaN on some pairs — keep the square.
 func TestTableMatchesFunction(t *testing.T) {
 	names1, names2 := tableVocabularies()
 	asymmetric := func(a, b string) float64 {
@@ -48,25 +85,21 @@ func TestTableMatchesFunction(t *testing.T) {
 		}
 		return float64(len(a)) / float64(len(a)+2*len(b)+1)
 	}
+	nan := func(a, b string) float64 {
+		if len(a) == len(b) && a != b {
+			return math.NaN()
+		}
+		return JaroWinkler(a, b)
+	}
 	for _, threads := range []int{1, 2, 8} {
-		for _, tc := range allFuncs {
-			self := NewTable(tc.fn, names1, names1, threads)
-			if n := len(names1); !self.sym || len(self.sims) != n*(n+1)/2 {
-				t.Fatalf("%s: self table sym=%v with %d cells, want a triangle of %d", tc.name, self.sym, len(self.sims), n*(n+1)/2)
+		for _, theta := range []float64{0, 0.6, 0.9} {
+			for _, tc := range allFuncs {
+				requireTable(t, NewTable(tc.fn, names1, names1, theta, threads), tc.fn, theta, names1, names1, true)
+				requireTable(t, NewTable(tc.fn, names1, names2, theta, threads), tc.fn, theta, names1, names2, false)
 			}
-			requireTable(t, self, tc.fn, names1, names1)
-
-			cross := NewTable(tc.fn, names1, names2, threads)
-			if cross.sym || len(cross.sims) != len(names1)*len(names2) {
-				t.Fatalf("%s: cross table sym=%v with %d cells", tc.name, cross.sym, len(cross.sims))
-			}
-			requireTable(t, cross, tc.fn, names1, names2)
+			requireTable(t, NewTable(asymmetric, names1, names1, theta, threads), asymmetric, theta, names1, names1, false)
+			requireTable(t, NewTable(nan, names1, names2, theta, threads), nan, theta, names1, names2, false)
 		}
-		custom := NewTable(asymmetric, names1, names1, threads)
-		if custom.sym || len(custom.sims) != len(names1)*len(names1) {
-			t.Fatalf("custom self table sym=%v with %d cells, want the square", custom.sym, len(custom.sims))
-		}
-		requireTable(t, custom, asymmetric, names1, names1)
 	}
 }
 
