@@ -239,7 +239,10 @@ func BenchmarkLabelTable(b *testing.B) {
 				b.ReportAllocs()
 				var tab *strsim.Table
 				for i := 0; i < b.N; i++ {
-					tab = strsim.NewTable(strsim.JaroWinkler, names, names, theta, threads)
+					var err error
+					if tab, err = strsim.NewTable(strsim.JaroWinkler, names, names, theta, threads); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.ReportMetric(float64(tab.Stored()), "cells")
 			})

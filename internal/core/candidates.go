@@ -127,19 +127,27 @@ func newCandidateBase(g1, g2 *graph.Graph, opts Options) (*CandidateSet, error) 
 		labels1: nodeLabels(make([]graph.Label, 0, n1), g1, 0),
 		labels2: nodeLabels(make([]graph.Label, 0, n2), g2, 0),
 	}
-	cs.deriveLabelLayer()
+	if err := cs.deriveLabelLayer(g1, g2); err != nil {
+		return nil, err
+	}
 	cs.dense, cs.allPairs = storeShape(n1, n2, &cs.opts)
 	return cs, nil
 }
 
-// deriveLabelLayer fills the label table of the current vocabularies at
-// θ and derives the layer's summary counts from its bit count.
-func (cs *CandidateSet) deriveLabelLayer() {
-	names1, names2 := cs.g1.LabelNames(), cs.g2.LabelNames()
-	cs.table = strsim.NewTable(cs.opts.Label, names1, names2, cs.opts.Theta, cs.opts.Threads)
-	pairs := cs.table.EligiblePairs()
+// deriveLabelLayer fills the label table of the vocabularies of g1 and g2
+// at θ and derives the layer's summary counts from its bit count. It
+// leaves cs unchanged when the fill fails.
+func (cs *CandidateSet) deriveLabelLayer(g1, g2 *graph.Graph) error {
+	names1, names2 := g1.LabelNames(), g2.LabelNames()
+	table, err := strsim.NewTable(cs.opts.Label, names1, names2, cs.opts.Theta, cs.opts.Threads)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	pairs := table.EligiblePairs()
+	cs.table = table
 	cs.allEligible = pairs == len(names1)*len(names2)
-	cs.walkCost = cs.table.RowWords() + pairs/max(len(names1), 1)
+	cs.walkCost = table.RowWords() + pairs/max(len(names1), 1)
+	return nil
 }
 
 // checkPinDiagonal rejects PinDiagonal on graphs of different sizes.

@@ -129,51 +129,66 @@ func asymmetricLabel(a, b string) float64 {
 
 // TestPatchGrowsLabelTable adds labels through Patch, under an asymmetric
 // custom label function (a square table) and the built-in Jaro–Winkler (a
-// self table, stored as a triangle), until the vocabulary spans two 64-bit
+// self table, stored as a triangle, or a cross one whose g1 vocabulary
+// stays fixed while g2's grows), until the vocabulary spans two 64-bit
 // words per row. After every step the patched set must equal a fresh build
 // in Data(), LabelSim and eligibility, and its label table must be the
 // function's at θ (requireLabelLayer).
 func TestPatchGrowsLabelTable(t *testing.T) {
 	for _, threads := range []int{1, 3} {
-		for _, fn := range []strsim.Func{asymmetricLabel, strsim.JaroWinkler} {
-			rng := rand.New(rand.NewSource(int64(threads)))
-			opts := DefaultOptions(exact.BJ)
-			opts.Threads = threads
-			opts.Theta = 0.6
-			opts.UpperBoundOpt = &UpperBound{Alpha: 0.3, Beta: 0.5}
-			opts.Label = fn
+		for _, cross := range []bool{false, true} {
+			for _, fn := range []strsim.Func{asymmetricLabel, strsim.JaroWinkler} {
+				rng := rand.New(rand.NewSource(int64(threads)))
+				opts := DefaultOptions(exact.BJ)
+				opts.Threads = threads
+				opts.Theta = 0.6
+				opts.UpperBoundOpt = &UpperBound{Alpha: 0.3, Beta: 0.5}
+				opts.Label = fn
 
-			m := graph.NewMutable()
-			growLabels(rng, m, labelVocabulary[:6])
-			g := m.Snapshot()
-			cs, err := NewCandidateSet(g, g, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, step := range [][]string{labelVocabulary[6:9], {"person", "city"}, labelVocabulary[9:], wideLabels(60)} {
-				oldL := g.NumLabels()
-				touched := growLabels(rng, m, step)
-				g = m.Snapshot()
-				if _, err := cs.Patch(g, g, touched, touched); err != nil {
-					t.Fatal(err)
+				m := graph.NewMutable()
+				growLabels(rng, m, labelVocabulary[:6])
+				g2 := m.Snapshot()
+				g1 := g2
+				if cross {
+					m1 := graph.NewMutable()
+					growLabels(rng, m1, labelVocabulary[3:12])
+					g1 = m1.Snapshot()
 				}
-				fresh, err := NewCandidateSet(g, g, opts)
+				cs, err := NewCandidateSet(g1, g2, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSameCandidates(t, int64(threads), oldL, cs, fresh)
-				for u := 0; u < g.NumNodes(); u++ {
-					for v := 0; v < g.NumNodes(); v++ {
-						un, vn := graph.NodeID(u), graph.NodeID(v)
-						if got, want := cs.LabelSim(un, vn), fresh.LabelSim(un, vn); math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("LabelSim(%d,%d) = %v, fresh build %v", u, v, got, want)
-						}
-						if cs.Eligible(un, vn) != fresh.Eligible(un, vn) {
-							t.Fatalf("Eligible(%d,%d) = %v, fresh build %v", u, v, cs.Eligible(un, vn), fresh.Eligible(un, vn))
+				for _, step := range [][]string{labelVocabulary[6:9], {"person", "city"}, labelVocabulary[9:], wideLabels(60)} {
+					oldL := g2.NumLabels()
+					touched := growLabels(rng, m, step)
+					g2 = m.Snapshot()
+					touched1 := touched
+					if cross {
+						touched1 = nil
+					} else {
+						g1 = g2
+					}
+					if _, err := cs.Patch(g1, g2, touched1, touched); err != nil {
+						t.Fatal(err)
+					}
+					fresh, err := NewCandidateSet(g1, g2, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameCandidates(t, int64(threads), oldL, cs, fresh)
+					for u := 0; u < g1.NumNodes(); u++ {
+						for v := 0; v < g2.NumNodes(); v++ {
+							un, vn := graph.NodeID(u), graph.NodeID(v)
+							if got, want := cs.LabelSim(un, vn), fresh.LabelSim(un, vn); math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("cross=%v: LabelSim(%d,%d) = %v, fresh build %v", cross, u, v, got, want)
+							}
+							if cs.Eligible(un, vn) != fresh.Eligible(un, vn) {
+								t.Fatalf("cross=%v: Eligible(%d,%d) = %v, fresh build %v", cross, u, v, cs.Eligible(un, vn), fresh.Eligible(un, vn))
+							}
 						}
 					}
+					requireLabelLayer(t, cs, fn)
 				}
-				requireLabelLayer(t, cs, fn)
 			}
 		}
 	}

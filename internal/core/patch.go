@@ -99,17 +99,18 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 		return ok
 	}
 
-	// Swap in the mutated graphs and extend the label caches; the
-	// similarity table and the eligibility bits are quadratic in labels
-	// only, so they are derived again whenever the vocabulary grew.
-	relabeled := g1.NumLabels() != cs.g1.NumLabels() || g2.NumLabels() != cs.g2.NumLabels()
+	// The label table is quadratic in labels only, so it is derived again
+	// whenever the vocabulary grew, before anything else changes. Then
+	// swap in the mutated graphs and extend the label caches.
+	if g1.NumLabels() != cs.g1.NumLabels() || g2.NumLabels() != cs.g2.NumLabels() {
+		if err := cs.deriveLabelLayer(g1, g2); err != nil {
+			return nil, err
+		}
+	}
 	cs.g1, cs.g2 = g1, g2
 	cs.n1, cs.n2 = n1, n2
 	cs.labels1 = nodeLabels(cs.labels1, g1, oldN1)
 	cs.labels2 = nodeLabels(cs.labels2, g2, oldN2)
-	if relabeled {
-		cs.deriveLabelLayer()
-	}
 
 	cs.dense, cs.allPairs = storeShape(n1, n2, &cs.opts)
 	if cs.allPairs {

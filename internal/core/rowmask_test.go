@@ -114,7 +114,11 @@ func referenceNeighborScore(op *Operators, s1, s2 []graph.NodeID, lookup func(x,
 // the one label pair, which is eligible: every position.
 func fullMask(n int) *labelMask {
 	label := []string{"a"}
-	cs := &CandidateSet{table: strsim.NewTable(strsim.Indicator, label, label, 1, 1), labels1: make([]graph.Label, n)}
+	table, err := strsim.NewTable(strsim.Indicator, label, label, 1, 1)
+	if err != nil {
+		panic(err)
+	}
+	cs := &CandidateSet{table: table, labels1: make([]graph.Label, n)}
 	m := &labelMask{}
 	m.build(cs, make([]graph.NodeID, n))
 	return m

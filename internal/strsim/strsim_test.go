@@ -104,11 +104,11 @@ func TestByName(t *testing.T) {
 func TestTable(t *testing.T) {
 	n1 := []string{"a", "b"}
 	n2 := []string{"a", "c", "b"}
-	tab := NewTable(Indicator, n1, n2, 0, 1)
+	tab := mustTable(t, Indicator, n1, n2, 0, 1)
 	if tab.Sim(0, 0) != 1 || tab.Sim(0, 1) != 0 || tab.Sim(1, 2) != 1 || !tab.Eligible(0, 1) {
 		t.Fatal("table lookup wrong")
 	}
-	tab = NewTable(Indicator, n1, n2, 0.5, 1)
+	tab = mustTable(t, Indicator, n1, n2, 0.5, 1)
 	if tab.Sim(0, 0) != 1 || tab.Sim(0, 1) != 0 || tab.Eligible(0, 1) || tab.Stored() != 2 {
 		t.Fatal("table at θ = 0.5 wrong")
 	}

@@ -12,8 +12,8 @@ import (
 // Table is the label layer of the framework over two interned label
 // vocabularies: the label constraint L ≥ θ (Remark 2) of every label pair,
 // and L itself for the pairs that pass it. The iterative framework reads
-// L only for label-eligible pairs, so the table keeps nothing else: one
-// load and a popcount per lookup instead of a string-similarity
+// L only for label-eligible pairs, so the table keeps nothing else: three
+// loads and a popcount per lookup instead of a string-similarity
 // computation per node pair per iteration.
 //
 // It holds three arrays:
@@ -33,10 +33,11 @@ import (
 // (two vocabularies, or a custom Func, which may be asymmetric) evaluates
 // and stores the square. The fill is quadratic in labels, not nodes; what
 // stays resident is |Σ1|·⌈|Σ2|/64⌉·12 bytes of matrix and prefix plus 8
-// bytes per stored eligible pair. ACMCit's 72K labels would take ~0.95 GB
-// of matrix and prefix at any θ, plus 8 B per eligible pair of the
-// triangle (the ~21 GB the whole triangle took at θ = 0), while the fill
-// still evaluates all 2.6 G pairs of the triangle.
+// bytes per stored value. ACMCit's 72K labels would keep ~0.97 GB of
+// matrix and prefix at any θ plus 8 B per eligible pair of the triangle,
+// while the fill still evaluates all 2.6 G pairs of the triangle; at
+// θ = 0, where every pair is eligible, that is more values than the int32
+// prefix addresses, and NewTable fails.
 type Table struct {
 	bits     []uint64  // row i at bits[i·rowWords : (i+1)·rowWords]
 	pre      []int32   // per word of bits: values stored before it
@@ -64,9 +65,9 @@ type tableSegment struct {
 // i, are spread evenly over the workers. A worker sets bits only in its
 // own rows' words and appends its chunks' values to its own buffer; the
 // chunks are then concatenated in row order, so the table is the same at
-// any thread count. It panics when more than math.MaxInt32 cells are
+// any thread count. It fails when more than math.MaxInt32 cells are
 // eligible (16 GiB of values), which the int32 prefix cannot address.
-func NewTable(fn Func, names1, names2 []string, theta float64, threads int) *Table {
+func NewTable(fn Func, names1, names2 []string, theta float64, threads int) (*Table, error) {
 	n1, n2 := len(names1), len(names2)
 	t := &Table{rowWords: (n2 + 63) / 64, sym: symmetricSelf(fn, names1, names2)}
 	t.bits = make([]uint64, n1*t.rowWords)
@@ -156,7 +157,7 @@ func NewTable(fn Func, names1, names2 []string, theta float64, threads int) *Tab
 		stored += s.hi - s.lo
 	}
 	if stored > math.MaxInt32 {
-		panic(fmt.Sprintf("strsim: %d eligible label pairs exceed the table's int32 addressing; raise θ", stored))
+		return nil, fmt.Errorf("strsim: %d eligible label pairs exceed the %d values a label table addresses; raise θ", stored, math.MaxInt32)
 	}
 	t.vals = make([]float64, 0, stored)
 	for _, s := range segs {
@@ -183,7 +184,7 @@ func NewTable(fn Func, names1, names2 []string, theta float64, threads int) *Tab
 	for _, word := range t.bits {
 		t.count += bits.OnesCount64(word)
 	}
-	return t
+	return t, nil
 }
 
 // symmetricSelf reports whether the table of fn over names1 × names2 may

@@ -21,6 +21,16 @@ func tableVocabularies() (names1, names2 []string) {
 	return names1, names2
 }
 
+// mustTable is NewTable for tables that must fit.
+func mustTable(t *testing.T, fn Func, names1, names2 []string, theta float64, threads int) *Table {
+	t.Helper()
+	tab, err := NewTable(fn, names1, names2, theta, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
 // requireTable fails unless tab is fn's label layer at θ over names1 ×
 // names2: every eligibility bit reads L ≥ θ, in Eligible and in Row; every
 // eligible cell reads exactly the bits of fn(names1[i], names2[j]) and
@@ -94,11 +104,11 @@ func TestTableMatchesFunction(t *testing.T) {
 	for _, threads := range []int{1, 2, 8} {
 		for _, theta := range []float64{0, 0.6, 0.9} {
 			for _, tc := range allFuncs {
-				requireTable(t, NewTable(tc.fn, names1, names1, theta, threads), tc.fn, theta, names1, names1, true)
-				requireTable(t, NewTable(tc.fn, names1, names2, theta, threads), tc.fn, theta, names1, names2, false)
+				requireTable(t, mustTable(t, tc.fn, names1, names1, theta, threads), tc.fn, theta, names1, names1, true)
+				requireTable(t, mustTable(t, tc.fn, names1, names2, theta, threads), tc.fn, theta, names1, names2, false)
 			}
-			requireTable(t, NewTable(asymmetric, names1, names1, theta, threads), asymmetric, theta, names1, names1, false)
-			requireTable(t, NewTable(nan, names1, names2, theta, threads), nan, theta, names1, names2, false)
+			requireTable(t, mustTable(t, asymmetric, names1, names1, theta, threads), asymmetric, theta, names1, names1, false)
+			requireTable(t, mustTable(t, nan, names1, names2, theta, threads), nan, theta, names1, names2, false)
 		}
 	}
 }
