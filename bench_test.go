@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"fsim/internal/core"
@@ -176,7 +177,8 @@ func BenchmarkDeltaConvergence(b *testing.B) {
 }
 
 // servingOptions is the query-serving configuration shared by
-// BenchmarkComputeFull and BenchmarkTopK: the Remark 2 label constraint
+// BenchmarkComputeFull and the localized-run benchmarks: the Remark 2
+// label constraint
 // plus §3.4 upper-bound pruning thin the candidate map, which is where
 // localized queries pay off; at θ = 0 a query's closure spans most of
 // the candidate map and the speedup disappears.
@@ -250,13 +252,16 @@ func BenchmarkLabelTable(b *testing.B) {
 	}
 }
 
+// servingGraph is the serving workload's graph, the NELL stand-in at 1/90
+// scale.
+func servingGraph() *Graph { return dataset.MustPaperSpec("NELL", 90).Generate() }
+
 // BenchmarkCandidateSetServing times candidate construction alone on the
-// serving workload's graph (the NELL stand-in at 1/90 scale) and options
-// (bj, θ = 0.6, §3.4 pruning with α = 0.3 and β = 0.5), one thread: the
-// label layer, then one candidate decision per label-eligible pair, most
-// of them through the Eq. 6 bound.
+// serving workload's graph and options (bj, θ = 0.6, §3.4 pruning with
+// α = 0.3 and β = 0.5), one thread: the label layer, then one candidate
+// decision per label-eligible pair, most of them through the Eq. 6 bound.
 func BenchmarkCandidateSetServing(b *testing.B) {
-	g := dataset.MustPaperSpec("NELL", 90).Generate()
+	g := servingGraph()
 	opts := servingOptions()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -268,12 +273,12 @@ func BenchmarkCandidateSetServing(b *testing.B) {
 }
 
 // BenchmarkTopK measures one TopK(u, 10) query against a prebuilt shared
-// Index at the serving configuration — the per-query cost a serving system
-// pays after amortizing NewIndex. Compare ns/op with BenchmarkComputeFull
-// for the query-vs-batch speedup.
+// Index on the serving graph and configuration, with the served pinned
+// budget of 12 iterations — the per-query cost of a localized fixed point
+// after amortizing NewIndex.
 func BenchmarkTopK(b *testing.B) {
-	g := benchGraph()
-	ix, err := NewIndex(g, g, servingOptions())
+	g := servingGraph()
+	ix, err := NewIndex(g, g, servingOptions().WithPinnedIterations(12))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -282,6 +287,32 @@ func BenchmarkTopK(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		u := NodeID((i * 97) % g.NumNodes())
 		if _, err := ix.TopK(u, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServingApply measures one single-edge Maintainer.Apply on the
+// serving graph and configuration, with the served pinned budget of 12
+// iterations: the candidate Patch, then a localized fixed point over the
+// update's cone of influence. Operations alternate between adding an edge
+// the graph lacks and removing it again, so every Apply changes the graph
+// and the graph returns to its start every second one.
+func BenchmarkServingApply(b *testing.B) {
+	g := servingGraph()
+	mt, err := NewMaintainer(g, servingOptions().WithPinnedIterations(12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, v := NodeID(0), NodeID(1)
+	for slices.Contains(g.Out(u), v) {
+		v++
+	}
+	ops := [2]ChangeOp{OpAddEdge, OpRemoveEdge}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mt.Apply([]Change{{Op: ops[i%2], U: u, V: v}}); err != nil {
 			b.Fatal(err)
 		}
 	}

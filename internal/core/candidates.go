@@ -27,15 +27,15 @@ import (
 // lists walk a label's row of words, and the §3.4 bound and the mapping
 // operators read the row eligibility masks built from it (labelMask). L
 // is read only where a value is needed, always for an eligible pair
-// (LabelSim, RowBounds, InitScore).
+// (LabelSim, RowBounds, initScore).
 //
 // Candidates are enumerated row-major, ascending v within each row
 // (candPairs/rowOff). Two stores implement membership tests on top,
-// chosen by storeShape from the pair universe alone:
+// chosen by storeShape from the pair universe and the label table:
 //
 //   - dense: a candidate bitmap over the full |V1|×|V2| pair universe (or
-//     nothing at all when θ = 0 and pruning is off — every pair is a
-//     candidate).
+//     nothing at all when θ = 0, every label pair is eligible and pruning
+//     is off — every pair is a candidate).
 //   - sparse: a hash map keyed by pair (the literal Hc of Algorithm 1),
 //     used when the pair universe exceeds Options.DenseCapPairs.
 //
@@ -68,8 +68,9 @@ type CandidateSet struct {
 	labels1, labels2 []graph.Label
 
 	dense bool
-	// allPairs marks the fully-dense case (θ = 0, no pruning): every pair
-	// is a candidate and the loops iterate rows directly.
+	// allPairs marks the fully-dense case (θ = 0 with every label pair
+	// eligible, no pruning): every pair is a candidate and the loops
+	// iterate rows directly.
 	allPairs bool
 	// Candidate enumeration (both stores; candPairs/rowOff are nil in the
 	// allPairs case).
@@ -130,7 +131,7 @@ func newCandidateBase(g1, g2 *graph.Graph, opts Options) (*CandidateSet, error) 
 	if err := cs.deriveLabelLayer(g1, g2); err != nil {
 		return nil, err
 	}
-	cs.dense, cs.allPairs = storeShape(n1, n2, &cs.opts)
+	cs.dense, cs.allPairs = storeShape(n1, n2, &cs.opts, cs.allEligible)
 	return cs, nil
 }
 
@@ -174,11 +175,13 @@ func nodeLabels(dst []graph.Label, g *graph.Graph, from int) []graph.Label {
 // would pass the cap check and every u·n2+v slot index after it would
 // mis-address the buffers, so the product is never formed in int unless
 // dense holds. allPairs marks a dense universe in which every pair is a
-// candidate (θ = 0, no pruning), so nothing is enumerated.
-func storeShape(n1, n2 int, opts *Options) (dense, allPairs bool) {
+// candidate, so nothing is enumerated: θ = 0, every label pair eligible
+// (allEligible; a custom Options.Label may be NaN or negative, failing
+// L ≥ 0) and no pruning.
+func storeShape(n1, n2 int, opts *Options, allEligible bool) (dense, allPairs bool) {
 	pairs := int64(n1) * int64(n2)
 	dense = pairs <= int64(opts.DenseCapPairs) && pairs <= int64(maxInt)
-	return dense, dense && opts.Theta == 0 && opts.UpperBoundOpt == nil
+	return dense, dense && opts.Theta == 0 && allEligible && opts.UpperBoundOpt == nil
 }
 
 // maxInt is the platform's largest int (untyped, usable in int64 compares).
@@ -193,11 +196,12 @@ const maxCandidates = math.MaxInt32
 // label constraint (L ≥ θ) and, when upper-bound updating is on, pairs
 // whose Eq. 6 bound exceeds β.
 //
-// With θ > 0 the enumeration is label-blocked: row u probes only the g2
-// nodes whose label may pair with u's, from one ascending column list per
-// g1 label (eligibleColumns), making construction O(|Σ1|·|Σ2| + eligible
-// pairs) instead of O(|V1|·|V2|) — the difference between seconds and
-// hours on the 10^5–10^6-edge graphs cmd/fsimgen generates. Both paths
+// Unless every label pair is eligible, the enumeration is label-blocked:
+// row u probes only the g2 nodes whose label may pair with u's, from one
+// ascending column list per g1 label (eligibleColumns), making
+// construction O(|Σ1|·|Σ2| + eligible pairs) instead of O(|V1|·|V2|) —
+// the difference between seconds and hours on the 10^5–10^6-edge graphs
+// cmd/fsimgen generates. Both paths
 // funnel every probed pair through the candidate test, so the candidate
 // decisions are identical by construction. Each worker builds the row
 // eligibility masks of a row once, for the Eq. 6 bounds of all its pairs.
@@ -215,7 +219,7 @@ func (cs *CandidateSet) build() error {
 	}
 	keepBounds := cs.keepsBounds()
 	var cols [][]graph.NodeID // per g1 label, its eligible g2 nodes ascending
-	if cs.opts.Theta > 0 {
+	if !cs.allEligible {
 		cols = cs.eligibleColumns()
 	}
 	// Each row stores the size of its retained-bound row at prunedOff[u+1];
@@ -521,9 +525,9 @@ func (cs *CandidateSet) prunedPos(u, v graph.NodeID) (int, bool) {
 	return int(lo) + i, ok
 }
 
-// InitScore returns FSim⁰(u, v) for a candidate pair: Options.Init when
+// initScore returns FSim⁰(u, v) for a candidate pair: Options.Init when
 // set, else the label similarity, with the PinDiagonal override applied.
-func (cs *CandidateSet) InitScore(u, v graph.NodeID) float64 {
+func (cs *CandidateSet) initScore(u, v graph.NodeID) float64 {
 	if cs.opts.PinDiagonal && u == v {
 		return 1
 	}
@@ -615,31 +619,11 @@ func (cs *CandidateSet) ForEachCandidate(u graph.NodeID, fn func(v graph.NodeID)
 	}
 }
 
-// ForEachStandIn calls fn for every pruned pair of row u that retained a
-// §3.4 stand-in (α > 0), in ascending v order, with its stand-in α·FSim̄.
-func (cs *CandidateSet) ForEachStandIn(u graph.NodeID, fn func(v graph.NodeID, standIn float64)) {
-	if cs.prunedOff == nil {
-		return
-	}
-	alpha := cs.opts.UpperBoundOpt.Alpha
-	for i := cs.prunedOff[u]; i < cs.prunedOff[u+1]; i++ {
-		fn(cs.prunedCol[i], alpha*cs.prunedBound[i])
-	}
-}
-
-// ForEachPruned calls fn for every pruned pair that retained a §3.4
-// stand-in (α > 0), in row-major order: ascending u, then ascending v.
-func (cs *CandidateSet) ForEachPruned(fn func(u, v graph.NodeID, standIn float64)) {
-	for u := 0; u < cs.n1; u++ {
-		cs.ForEachStandIn(graph.NodeID(u), func(v graph.NodeID, s float64) { fn(graph.NodeID(u), v, s) })
-	}
-}
-
-// ForEachRead enumerates the pairs whose previous-iteration scores the
+// forEachRead enumerates the pairs whose previous-iteration scores the
 // Equation 3 update of (u, v) reads: the out-neighbor cross product under
 // w⁺ and the in-neighbor cross product under w⁻ (the forward direction of
 // the dependency adjacency; ForEachDependent is its reverse).
-func (cs *CandidateSet) ForEachRead(u, v graph.NodeID, fn func(x, y graph.NodeID)) {
+func (cs *CandidateSet) forEachRead(u, v graph.NodeID, fn func(x, y graph.NodeID)) {
 	if cs.opts.WPlus > 0 {
 		for _, x := range cs.g1.Out(u) {
 			for _, y := range cs.g2.Out(v) {

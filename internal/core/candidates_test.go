@@ -27,7 +27,7 @@ func TestDensePairsOverflow(t *testing.T) {
 		{1000, 1001, 1_000_000, false}, // one row past the cap
 	}
 	for _, c := range capCases {
-		if got, _ := storeShape(c.n1, c.n2, &Options{DenseCapPairs: c.cap}); got != c.want {
+		if got, _ := storeShape(c.n1, c.n2, &Options{DenseCapPairs: c.cap}, true); got != c.want {
 			t.Errorf("storeShape(%d, %d, cap=%d) dense = %v, want %v", c.n1, c.n2, c.cap, got, c.want)
 		}
 	}
@@ -38,7 +38,7 @@ func TestDensePairsOverflow(t *testing.T) {
 	// (true on 64-bit builds, false on 32-bit) — never via wraparound.
 	big := 46_341
 	want := int64(big)*int64(big) <= int64(maxInt)
-	if got, _ := storeShape(big, big, &Options{DenseCapPairs: maxInt}); got != want {
+	if got, _ := storeShape(big, big, &Options{DenseCapPairs: maxInt}, true); got != want {
 		t.Errorf("storeShape(%d, %d, cap=maxInt) dense = %v, want %v", big, big, got, want)
 	}
 }

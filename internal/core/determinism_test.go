@@ -202,7 +202,9 @@ func checkCandidateDeterminism(t *testing.T, g *graph.Graph, sparse bool, theta,
 	}
 	standIns := func(cs *CandidateSet) []float64 {
 		var out []float64
-		cs.ForEachPruned(func(u, v graph.NodeID, s float64) { out = append(out, float64(u), float64(v), s) })
+		for u := 0; u < cs.n1; u++ {
+			forEachStandIn(cs, graph.NodeID(u), func(v graph.NodeID, s float64) { out = append(out, float64(u), float64(v), s) })
+		}
 		return out
 	}
 	ref := build(1)

@@ -36,60 +36,42 @@ type engine struct {
 	active, nextActive, dirty pairbits.Bitset
 }
 
-// layout is a run's slot plan: the slot count, slot → pair, pair → slot
-// for worklist marks, and how a previous-score read resolves (lookupFunc).
-// Every plan reads a non-candidate pair as its §3.4 stand-in and a
-// label-ineligible pair as 0; the mapping operators read only the
-// label-eligible pairs once a row has built its eligibility masks, and
-// every pair before (and always under MapProduct), relying on that 0. Two
-// plans exist:
+// layout is a run's slot plan: pair → slot for worklist marks, slot →
+// pair, and the ranks a previous-score read resolves through
+// (lookupFunc). Every run, batch or localized, keeps one slot per
+// candidate at its CandidateSet.Position: the row-major candidate list
+// (the literal Hc of Algorithm 1), or u·|V2|+v when every pair is a
+// candidate. The buffers of a batch run are therefore the result's scores
+// as they stand. A localized run (Closure) iterates only the slots its
+// member bitset marks; the closure property means no member reads another
+// candidate, so the other slots are never read.
 //
-//   - list (batch, any store with a candidate map): one slot per
-//     candidate, aligned to the row-major candidate list (the literal Hc
-//     of Algorithm 1), so the buffers are the result's scores as they
-//     stand. A pair resolves to its slot by the rank of its bit in the
-//     candidate bitmap (dense store) or through the index map (sparse
-//     store, pair universe beyond Options.DenseCapPairs). A non-candidate
-//     pair reads α·FSim̄ for a retained bound — found by the rank of the
-//     pruned-pair bitmap, or by StandIn's row search on the sparse store —
-//     and 0 otherwise.
-//   - row-dense: pair (u, v) at slot row(u)·stride + v. Batch all-pairs
-//     runs (θ = 0, pruning off) cover every g1 node, every slot a
-//     candidate; RowPlan (the query subsystem's dependency closures)
-//     covers only the g1 nodes a closure touches, with its non-candidate
-//     slots holding their constant stand-ins and reads of other rows
-//     resolving to theirs.
+// A candidate resolves to its slot by the rank of its bit in the
+// candidate bitmap (dense store) or through the index map (sparse store,
+// pair universe beyond Options.DenseCapPairs). A non-candidate pair reads
+// α·FSim̄ for a retained bound — found by the rank of the pruned-pair
+// bitmap, or by StandIn's row search on the sparse store — and 0
+// otherwise, which makes a label-ineligible pair read 0; the mapping
+// operators read only the label-eligible pairs once a row has built its
+// eligibility masks, and every pair before (and always under MapProduct),
+// relying on that 0.
 type layout struct {
 	slots int // score-buffer length and worklist bitset span
 	count int // iterated pairs
 
-	// A row-dense layout (list false) keeps pair (u, v) at slot
-	// row(u)·stride + v. rowOf maps a g1 node to its row (-1: no row)
-	// and rowNode inverts it; both nil mean row u is node u.
-	list    bool
-	stride  int
-	rowOf   []int32
-	rowNode []graph.NodeID
-
-	// pairs lists the iterated pairs of a list layout: slot i holds
-	// pairs[i]; index (sparse store) or cand, the rank of the
-	// candidate bitmap over universe slots u·stride + v (dense store),
-	// inverts it, and pruned ranks the retained-bound pairs of the dense
-	// universe (zero without retained bounds). A row-dense layout marks
-	// the iterated slots in member, and nil member means every slot.
+	// all marks the all-pairs store: pair (u, v) at slot u·stride + v.
+	// Otherwise slot i holds pairs[i], and index (sparse store) or cand,
+	// the rank of the candidate bitmap over universe slots u·stride + v
+	// (dense store), inverts it; pruned ranks the retained-bound pairs of
+	// the dense universe (zero without retained bounds). member marks the
+	// iterated slots, nil meaning every slot.
+	all    bool
+	stride int
 	pairs  []pairbits.Key
 	index  map[pairbits.Key]int32
 	cand   pairbits.Rank
 	pruned pairbits.Rank
 	member pairbits.Bitset
-}
-
-// row returns the buffer row of g1 node u in a row-dense layout.
-func (l *layout) row(u graph.NodeID) int {
-	if l.rowOf == nil {
-		return int(u)
-	}
-	return int(l.rowOf[u])
 }
 
 // pair decodes a slot back into its node pair.
@@ -98,28 +80,27 @@ func (l *layout) pair(slot int) (graph.NodeID, graph.NodeID) {
 }
 
 // pairFrom decodes slot base+off, given the row r and column c of slot
-// base in a row-dense layout (r = 0, c = base always serves). A worklist
+// base in the all-pairs store (r = 0, c = base always serves). A worklist
 // word decodes its 64 slots from the word's first slot, so the division
 // runs only where the word crosses a row boundary, not once per slot.
 func (l *layout) pairFrom(base, r, c, off int) (graph.NodeID, graph.NodeID) {
-	if l.list {
+	if !l.all {
 		return l.pairs[base+off].Split()
 	}
 	if c += off; c >= l.stride {
 		r += c / l.stride
 		c %= l.stride
 	}
-	u := graph.NodeID(r)
-	if l.rowNode != nil {
-		u = l.rowNode[r]
-	}
-	return u, graph.NodeID(c)
+	return graph.NodeID(r), graph.NodeID(c)
 }
 
-// position resolves pair (u, v) to its slot in a list layout, reporting
-// whether the pair is a candidate.
+// position resolves pair (u, v) to its slot, reporting whether the pair
+// is a candidate.
 func (l *layout) position(u, v graph.NodeID) (int, bool) {
-	if l.index != nil {
+	switch {
+	case l.all:
+		return int(u)*l.stride + int(v), true
+	case l.index != nil:
 		i, ok := l.index[pairbits.MakeKey(u, v)]
 		return int(i), ok
 	}
@@ -130,17 +111,7 @@ func (l *layout) position(u, v graph.NodeID) (int, bool) {
 // non-iterated pairs (ineligible, pruned, outside a closure) hold
 // constants and are never recomputed.
 func (l *layout) mark(b pairbits.Bitset, u, v graph.NodeID) {
-	if l.list {
-		if pos, ok := l.position(u, v); ok {
-			b.Set(pos)
-		}
-		return
-	}
-	r := l.row(u)
-	if r < 0 {
-		return
-	}
-	if i := r*l.stride + int(v); l.member == nil || l.member.Get(i) {
+	if i, ok := l.position(u, v); ok && (l.member == nil || l.member.Get(i)) {
 		b.Set(i)
 	}
 }
@@ -159,30 +130,40 @@ func (l *layout) markAll(b pairbits.Bitset) {
 	}
 }
 
-// layout returns the batch slot plan of the set's score store. The dense
-// store's ranks are built here, once per run, and only read afterwards.
-func (cs *CandidateSet) layout() layout {
-	if cs.allPairs {
-		return layout{slots: cs.n1 * cs.n2, count: cs.n1 * cs.n2, stride: cs.n2}
-	}
+// ranks holds the dense store's rank structures. They are rebuilt at the
+// start of every run, since a Patch may have moved them; a Closure keeps
+// one so its runs reuse the capacity.
+type ranks struct {
+	cand, pruned pairbits.Rank
+	prunedBits   pairbits.Bitset
+}
+
+// layout returns the slot plan of the set's score store, iterating every
+// candidate, with the dense store's ranks rebuilt into r.
+func (cs *CandidateSet) layout(r *ranks) layout {
+	n := cs.NumCandidates()
 	l := layout{
-		slots: len(cs.candPairs), count: len(cs.candPairs),
-		list: true, stride: cs.n2, pairs: cs.candPairs, index: cs.index,
+		slots: n, count: n, all: cs.allPairs,
+		stride: cs.n2, pairs: cs.candPairs, index: cs.index,
 	}
-	if cs.dense {
-		l.cand = pairbits.NewRank(cs.candBits)
+	if cs.dense && !cs.allPairs {
+		r.cand.Reset(cs.candBits)
+		l.cand = r.cand
 		if cs.prunedOff != nil {
-			l.pruned = pairbits.NewRank(cs.prunedBits())
+			r.prunedBits = cs.fillPrunedBits(r.prunedBits)
+			r.pruned.Reset(r.prunedBits)
+			l.pruned = r.pruned
 		}
 	}
 	return l
 }
 
-// prunedBits marks the retained-bound pairs of the dense store's pair
-// universe (slot u·|V2|+v). The CSR lists them row-major, v-ascending, so
-// a marked slot's rank is its position in prunedCol/prunedBound.
-func (cs *CandidateSet) prunedBits() pairbits.Bitset {
-	b := pairbits.NewBitset(cs.n1 * cs.n2)
+// fillPrunedBits marks, in b's capacity, the retained-bound pairs of the
+// dense store's pair universe (slot u·|V2|+v). The CSR lists them
+// row-major, v-ascending, so a marked slot's rank is its position in
+// prunedCol/prunedBound.
+func (cs *CandidateSet) fillPrunedBits(b pairbits.Bitset) pairbits.Bitset {
+	b = resetBits(b, cs.n1*cs.n2)
 	for u := 0; u < cs.n1; u++ {
 		for _, v := range cs.prunedCol[cs.prunedOff[u]:cs.prunedOff[u+1]] {
 			b.Set(u*cs.n2 + int(v))
@@ -258,9 +239,9 @@ func ComputeOn(cs *CandidateSet) (*Result, error) {
 }
 
 // computeOn iterates Equation 3 to its fixed point over a prebuilt
-// candidate component, on the batch layout of its store.
+// candidate component, on every candidate.
 func computeOn(cs *CandidateSet, start time.Time) (*Result, error) {
-	e := &engine{CandidateSet: cs, lay: cs.layout()}
+	e := &engine{CandidateSet: cs, lay: cs.layout(new(ranks))}
 	e.prev = make([]float64, e.lay.slots)
 	e.cur = make([]float64, e.lay.slots)
 	e.initScores()
@@ -271,61 +252,84 @@ func computeOn(cs *CandidateSet, start time.Time) (*Result, error) {
 		Work:           make([]int64, cs.opts.Threads),
 	}
 	e.run(res)
-	// prev holds the latest completed iteration after the final swap; both
-	// batch layouts are candidate-aligned, so it is the result as it stands.
+	// prev holds the latest completed iteration after the final swap, at
+	// candidate positions: it is the result as it stands.
 	res.scores = e.prev
 	res.Duration = time.Since(start)
 	return res, nil
 }
 
-// RowPlan is the slot plan of a localized fixed point — the query
-// subsystem's dependency closures: row-dense score buffers of stride |V2|
-// over only the g1 nodes a closure touches. The caller fills the exported
-// fields; the plan keeps the executor's worker state, worklists and
-// trajectory between runs, so one plan per goroutine runs repeated queries
-// without reallocating them. A plan is not safe for concurrent use.
-type RowPlan struct {
-	// Rows maps a buffer row to its g1 node; RowOf (length |V1|) inverts
-	// it, with -1 for g1 nodes that have no row.
-	Rows  []graph.NodeID
-	RowOf []int32
-	// Member marks the closure's pairs (slot row·|V2| + v), the slots the
-	// run iterates. The closure must contain every candidate pair a
-	// member's Equation 3 update reads, so that the localized trajectory
-	// equals Compute's.
-	Member pairbits.Bitset
-	// Prev holds the seeded scores, len(Rows)·|V2| of them: FSim⁰ at
-	// member slots, and at every other slot of a row its constant §3.4
-	// stand-in (0 without one). Cur is the second buffer; ComputeRows sizes
-	// and overwrites it.
-	Prev, Cur []float64
-
-	e   engine
-	res Result
+// Closure is a localized fixed point, the query subsystem's dependency
+// closures: the candidate pairs that some seed pairs' Equation 3 updates
+// read, transitively, iterated on the batch slot layout with a member
+// bitset marking them. Pairs outside the closure can never influence a
+// member, so the members' trajectory is the batch engine's. A Closure
+// keeps its buffers, worklists, worker state and dense-store ranks
+// between runs, so one Closure per goroutine runs repeated queries
+// without reallocating them, across Patches too. It is not safe for
+// concurrent use.
+type Closure struct {
+	e      engine
+	res    Result
+	ranks  ranks
+	member pairbits.Bitset
+	queue  []int // member slots in discovery order
 }
 
-// ComputeRows iterates Equation 3 to its fixed point over a row plan, on
-// one worker and on the same worklist as Compute: every member is active
-// in round one, and afterwards a pair re-enters the worklist only when a
-// pair its update reads changed (by more than Options.DeltaEps under
-// DeltaMode). Reads of g1 nodes without a row resolve to their stand-ins.
-// On return Prev holds the final scores (the two buffers may have
-// swapped).
-func (cs *CandidateSet) ComputeRows(p *RowPlan) (iterations int, converged bool) {
-	p.Cur = slices.Grow(p.Cur[:0], len(p.Prev))[:len(p.Prev)]
-	e := &p.e
+// RunClosure collects the dependency closure of the seeds that are
+// candidate pairs (the others are ignored) into c and iterates it to its
+// fixed point, on one worker and on the same worklist as Compute: every
+// member is active in round one, and afterwards a pair re-enters the
+// worklist only when a pair its update reads changed (by more than
+// Options.DeltaEps under DeltaMode). Members start from FSim⁰. A closure
+// with no member is not run.
+func (cs *CandidateSet) RunClosure(c *Closure, seeds []pairbits.Key) (iterations int, converged bool) {
+	e := &c.e
 	e.CandidateSet = cs
-	e.lay = layout{
-		slots: len(p.Prev), count: p.Member.Count(),
-		stride: cs.n2, rowOf: p.RowOf, rowNode: p.Rows, member: p.Member,
+	e.lay = cs.layout(&c.ranks)
+	l := &e.lay
+	c.member = resetBits(c.member, l.slots)
+	l.member = c.member
+	c.queue = c.queue[:0]
+	admit := func(u, v graph.NodeID) {
+		if i, ok := l.position(u, v); ok && !c.member.Get(i) {
+			c.member.Set(i)
+			c.queue = append(c.queue, i)
+		}
 	}
-	e.prev, e.cur = p.Prev, p.Cur
-	res := &p.res
+	for _, k := range seeds {
+		admit(k.Split())
+	}
+	for head := 0; head < len(c.queue); head++ {
+		u, v := l.pair(c.queue[head])
+		cs.forEachRead(u, v, admit)
+	}
+	if len(c.queue) == 0 {
+		return 0, false
+	}
+	l.count = len(c.queue)
+	e.prev = slices.Grow(e.prev[:0], l.slots)[:l.slots]
+	e.cur = slices.Grow(e.cur[:0], l.slots)[:l.slots]
+	for _, i := range c.queue {
+		e.prev[i] = cs.initScore(l.pair(i))
+	}
+	res := &c.res
 	*res = Result{Deltas: res.Deltas[:0], ActivePairs: res.ActivePairs[:0], Work: append(res.Work[:0], 0)}
 	e.run(res)
-	p.Prev, p.Cur = e.prev, e.cur
 	return res.Iterations, res.Converged
 }
+
+// Len is the number of pairs the last run iterated.
+func (c *Closure) Len() int { return len(c.queue) }
+
+// Pair returns the i-th pair of the last run's closure, 0 ≤ i < Len, in
+// discovery order: the seeds that are candidates come first, in seed
+// order and each once.
+func (c *Closure) Pair(i int) (graph.NodeID, graph.NodeID) { return c.e.lay.pair(c.queue[i]) }
+
+// Score returns the final score of the i-th pair of the last run's
+// closure.
+func (c *Closure) Score(i int) float64 { return c.e.prev[c.queue[i]] }
 
 // run iterates to the fixed point over the engine's layout, recording the
 // trajectory in res; len(res.Work) is the worker count. prev holds the
@@ -379,18 +383,10 @@ func (e *engine) initWorkers(n int) {
 	}
 }
 
-// initScores fills prev with FSim⁰ for every batch candidate pair.
+// initScores fills prev with FSim⁰ for every candidate pair.
 func (e *engine) initScores() {
-	if e.allPairs { // dense, all pairs
-		for u := 0; u < e.n1; u++ {
-			for v := 0; v < e.n2; v++ {
-				e.prev[u*e.n2+v] = e.InitScore(graph.NodeID(u), graph.NodeID(v))
-			}
-		}
-		return
-	}
-	for pos, k := range e.candPairs {
-		e.prev[pos] = e.InitScore(k.Split())
+	for i := range e.prev {
+		e.prev[i] = e.initScore(e.lay.pair(i))
 	}
 }
 
@@ -536,7 +532,7 @@ func (e *engine) iterateDelta(work []int64) (maxAbs, maxRel float64) {
 					continue
 				}
 				base, r, c := i*64, 0, 0
-				if !l.list {
+				if l.all {
 					r, c = base/l.stride, base%l.stride
 				}
 				var dirty uint64
@@ -613,28 +609,18 @@ func (e *engine) syncAndAdvance() {
 // accessor alone decides what a non-candidate contributes: its §3.4
 // stand-in, α·FSim̄ for a retained bound, and 0 otherwise, which for a
 // label-ineligible pair is what excluding it from the mapping would
-// contribute (see neighborScore). All pairs is a single array load; a row
-// plan adds one row-map load and resolves rows it never materialized to
-// their stand-ins. The list layout resolves a pair to its slot (position).
-// No resolver checks the label constraint: a pair that fails it is
-// neither a candidate nor pruned, and resolves to 0. The operators read
-// such pairs only under MapProduct and in rows that have not built their
-// masks.
+// contribute (see neighborScore). All pairs is a single array load; the
+// other stores resolve a pair to its slot (position). No resolver checks
+// the label constraint: a pair that fails it is neither a candidate nor
+// pruned, and resolves to 0. The operators read such pairs only under
+// MapProduct and in rows that have not built their masks.
 func (e *engine) lookupFunc() func(x, y graph.NodeID) float64 {
 	l := &e.lay
-	if !l.list {
+	switch {
+	case l.all:
 		n2 := l.stride
-		if rowOf := l.rowOf; rowOf != nil {
-			return func(x, y graph.NodeID) float64 {
-				if r := rowOf[x]; r >= 0 {
-					return e.prev[int(r)*n2+int(y)]
-				}
-				return e.StandIn(x, y)
-			}
-		}
 		return func(x, y graph.NodeID) float64 { return e.prev[int(x)*n2+int(y)] }
-	}
-	if l.index != nil {
+	case l.index != nil:
 		return func(x, y graph.NodeID) float64 {
 			if i, ok := l.index[pairbits.MakeKey(x, y)]; ok {
 				return e.prev[i]

@@ -308,7 +308,7 @@ func TestStoreEquivalence(t *testing.T) {
 			t.Fatalf("variant %v: pruned counts %d (bitmap) and %d (hash), want equal and > 0",
 				variant, rp.PrunedCount, rph.PrunedCount)
 		}
-		e := &engine{CandidateSet: rp.cs, lay: rp.cs.layout(), prev: rp.scores}
+		e := &engine{CandidateSet: rp.cs, lay: rp.cs.layout(new(ranks)), prev: rp.scores}
 		lookup := e.lookupFunc()
 		standIns := 0
 		for u := 0; u < g1.NumNodes(); u++ {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"fsim/internal/dataset"
 	"fsim/internal/exact"
 	"fsim/internal/graph"
 	"fsim/internal/strsim"
@@ -202,6 +203,125 @@ func nanLabel(a, b string) float64 {
 		return math.NaN()
 	}
 	return strsim.JaroWinkler(a, b)
+}
+
+// negativeLabel is nanLabel with −0.5 in place of NaN: a custom label
+// function outside [0, 1], which fails L ≥ 0.
+func negativeLabel(a, b string) float64 {
+	if a != b && len(a) == len(b) {
+		return -0.5
+	}
+	return strsim.JaroWinkler(a, b)
+}
+
+// TestThetaZeroIneligibleStores runs θ = 0 under custom label functions
+// that are NaN or negative on the pairs of distinct RandomGraph labels,
+// so those label pairs fail L ≥ θ and only the pairs of equal labels are
+// candidates. The dense store must enumerate the same candidates as the
+// hash-map store and give every pair the same score bit for bit, rather
+// than iterate every pair as the all-pairs store does.
+func TestThetaZeroIneligibleStores(t *testing.T) {
+	g := dataset.RandomGraph(3, 30, 90, 6)
+	for _, fn := range []strsim.Func{nanLabel, negativeLabel} {
+		opts := DefaultOptions(exact.BJ).WithPinnedIterations(6)
+		opts.Threads = 1
+		opts.Label = fn
+		dense, err := Compute(g, g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.DenseCapPairs = 1
+		sparse, err := Compute(g, g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dense.CandidateCount != sparse.CandidateCount || dense.cs.allPairs {
+			t.Fatalf("%d candidates (all pairs %v) in the dense store, %d in the sparse one",
+				dense.CandidateCount, dense.cs.allPairs, sparse.CandidateCount)
+		}
+		for u := 0; u < g.NumNodes(); u++ {
+			for v := 0; v < g.NumNodes(); v++ {
+				un, vn := graph.NodeID(u), graph.NodeID(v)
+				if d, s := dense.Score(un, vn), sparse.Score(un, vn); math.Float64bits(d) != math.Float64bits(s) {
+					t.Fatalf("(%d,%d): dense %v, sparse %v", u, v, d, s)
+				}
+			}
+		}
+	}
+}
+
+// TestPatchLeavesAllPairsOnIneligibleLabel grows, at θ = 0, a vocabulary
+// on which nanLabel and negativeLabel are in [0, 1] everywhere (labels of
+// distinct lengths) by a label of an existing label's length, whose pair
+// with it fails L ≥ 0. The all-pairs store must give way to an
+// enumeration equal to a fresh build's; the old scores must carry over
+// through RemapScores, and a ComputeOn on the patched set must equal a
+// fresh Compute bit for bit.
+func TestPatchLeavesAllPairsOnIneligibleLabel(t *testing.T) {
+	for _, fn := range []strsim.Func{nanLabel, negativeLabel} {
+		opts := DefaultOptions(exact.BJ).WithPinnedIterations(6)
+		opts.Threads = 1
+		opts.Label = fn
+		rng := rand.New(rand.NewSource(5))
+		m := graph.NewMutable()
+		growLabels(rng, m, []string{"a", "bb", "ccc", "dddd", "a", "bb", "ccc"})
+		wireRandom(rng, m, 0, 2)
+		g := m.Snapshot()
+		cs, err := NewCandidateSet(g, g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cs.allPairs {
+			t.Fatal("the starting vocabulary must be all eligible")
+		}
+		old, err := ComputeOn(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.NumNodes()
+		before := matrixOf(old, n, n) // a Patch invalidates old
+
+		touched := growLabels(rng, m, []string{"ee", "ccc"})
+		touched = append(touched, wireRandom(rng, m, n, 2)...)
+		g2 := m.Snapshot()
+		d, err := cs.Patch(g2, g2, touched, touched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewCandidateSet(g2, g2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameCandidates(t, 0, 1, cs, fresh)
+		if cs.allPairs {
+			t.Fatal("an ineligible label pair must end the all-pairs store")
+		}
+		remapped := cs.RemapScores(old.scores, d)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				un, vn := graph.NodeID(u), graph.NodeID(v)
+				if got, want := remapped[cs.Position(un, vn)], before.Scores[u*n+v]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("(%d,%d): remapped score %v, before the patch %v", u, v, got, want)
+				}
+			}
+		}
+		got, err := ComputeOn(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Compute(g2, g2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < g2.NumNodes(); u++ {
+			for v := 0; v < g2.NumNodes(); v++ {
+				un, vn := graph.NodeID(u), graph.NodeID(v)
+				if a, b := got.Score(un, vn), want.Score(un, vn); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("(%d,%d): patched %v, fresh %v", u, v, a, b)
+				}
+			}
+		}
+	}
 }
 
 // FuzzLabelTable decodes bytes into one or two label vocabularies, builds

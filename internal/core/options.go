@@ -62,6 +62,8 @@ type Options struct {
 	// well-definiteness it must return 1 iff its arguments are equal.
 	// Construction fills the label-pair table from Threads goroutines, so
 	// Label must be safe for concurrent use; the three built-ins are pure.
+	// A label pair on which it returns NaN or a value below Theta fails
+	// the label constraint (Remark 2), at Theta = 0 too.
 	Label strsim.Func
 
 	// Theta is θ of the label-constrained mapping (Remark 2): node pairs

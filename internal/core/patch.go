@@ -112,15 +112,18 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 	cs.labels1 = nodeLabels(cs.labels1, g1, oldN1)
 	cs.labels2 = nodeLabels(cs.labels2, g2, oldN2)
 
-	cs.dense, cs.allPairs = storeShape(n1, n2, &cs.opts)
+	cs.dense, cs.allPairs = storeShape(n1, n2, &cs.opts, cs.allEligible)
 	if cs.allPairs {
 		// θ = 0 without pruning: every pair, including the new rows and
 		// columns, is a candidate by construction — nothing to splice.
 		return delta, nil
 	}
 	if oldAll {
-		// The grown all-pairs universe left the dense cap. Enumerate the
-		// old universe row-major: its positions are the all-pairs slots
+		// The all-pairs store left: the grown universe left the dense cap,
+		// or the grown vocabulary added an ineligible label pair (a custom
+		// Options.Label that is NaN or negative there). Enumerate the old
+		// universe row-major — its label pairs are unchanged, so every
+		// pair of it is still a candidate — at the all-pairs slots
 		// u·|V2|+v, so RemapScores carries scores over unchanged, and the
 		// new rows and columns enter below as Added pairs.
 		cs.candPairs = make([]pairbits.Key, 0, oldN1*oldN2)
@@ -239,7 +242,7 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 	// grown universe's store shape) in one linear pass. Layout work is
 	// O(|Hc|); no candidate decision is repeated. An index error (the map
 	// outgrew maxCandidates) leaves the set unusable.
-	if len(delta.Added) > 0 || len(delta.Removed) > 0 || n1 != oldN1 || n2 != oldN2 {
+	if oldAll || len(delta.Added) > 0 || len(delta.Removed) > 0 || n1 != oldN1 || n2 != oldN2 {
 		merged := make([]pairbits.Key, 0, len(cs.candPairs)+len(delta.Added)-len(delta.Removed))
 		ai, ri := 0, 0
 		for _, k := range cs.candPairs {

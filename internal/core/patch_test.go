@@ -150,6 +150,19 @@ func checkPatchStream(t *testing.T, seed int64, n int, opts Options, grow bool) 
 	}
 }
 
+// forEachStandIn calls fn for every pruned pair of row u of cs that
+// retained a §3.4 stand-in (α > 0), in ascending v order, with its
+// stand-in α·FSim̄.
+func forEachStandIn(cs *CandidateSet, u graph.NodeID, fn func(v graph.NodeID, standIn float64)) {
+	if cs.prunedOff == nil {
+		return
+	}
+	alpha := cs.opts.UpperBoundOpt.Alpha
+	for i := cs.prunedOff[u]; i < cs.prunedOff[u+1]; i++ {
+		fn(cs.prunedCol[i], alpha*cs.prunedBound[i])
+	}
+}
+
 // assertSameCandidates compares every observable of two candidate
 // components over the full pair universe.
 func assertSameCandidates(t *testing.T, seed int64, step int, got, want *CandidateSet) {
@@ -196,8 +209,8 @@ func assertSameCandidates(t *testing.T, seed int64, step int, got, want *Candida
 			s float64
 		}
 		var gotSI, wantSI []standIn
-		got.ForEachStandIn(un, func(v graph.NodeID, s float64) { gotSI = append(gotSI, standIn{v, s}) })
-		want.ForEachStandIn(un, func(v graph.NodeID, s float64) { wantSI = append(wantSI, standIn{v, s}) })
+		forEachStandIn(got, un, func(v graph.NodeID, s float64) { gotSI = append(gotSI, standIn{v, s}) })
+		forEachStandIn(want, un, func(v graph.NodeID, s float64) { wantSI = append(wantSI, standIn{v, s}) })
 		if len(gotSI) != len(wantSI) {
 			t.Fatalf("seed %d step %d: row %d has %d stand-ins, fresh build %d",
 				seed, step, u, len(gotSI), len(wantSI))

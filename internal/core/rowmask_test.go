@@ -9,7 +9,6 @@ import (
 	"fsim/internal/exact"
 	"fsim/internal/graph"
 	"fsim/internal/matching"
-	"fsim/internal/pairbits"
 	"fsim/internal/strsim"
 )
 
@@ -316,88 +315,6 @@ func TestRowMaskEquivalence(t *testing.T) {
 				requireMaskedCounts(t, cs, &shared, "patched")
 				requireMaskedScores(t, cs, "patched")
 			})
-		}
-	}
-}
-
-// rowPlanOf is a RowPlan over the single g1 row u of cs: its candidates
-// iterate from FSim⁰, its other slots hold their stand-ins, and reads of
-// other rows resolve to theirs.
-func rowPlanOf(cs *CandidateSet, u graph.NodeID) *RowPlan {
-	p := &RowPlan{Rows: []graph.NodeID{u}, RowOf: make([]int32, cs.n1)}
-	for i := range p.RowOf {
-		p.RowOf[i] = -1
-	}
-	p.RowOf[u] = 0
-	p.Member = pairbits.NewBitset(cs.n2)
-	p.Prev = make([]float64, cs.n2)
-	cs.ForEachCandidate(u, func(v graph.NodeID) {
-		p.Member.Set(int(v))
-		p.Prev[v] = cs.InitScore(u, v)
-	})
-	cs.ForEachStandIn(u, func(v graph.NodeID, standIn float64) { p.Prev[v] = standIn })
-	return p
-}
-
-// TestRowPlanAcrossPatch reuses one RowPlan, whose engine keeps its
-// workers' row masks, for a run before and a run after a Patch that adds
-// out-edges to its only row. The second run starts on the row the first
-// ended on, so it must rebuild the row's masks rather than read the
-// pre-patch ones: its scores must equal a fresh plan's bit for bit. The
-// row's RowBounds, whose masks are pooled, must likewise equal a fresh
-// set's after the Patch.
-func TestRowPlanAcrossPatch(t *testing.T) {
-	g := hubGraph(7, 170)
-	opts := DefaultOptions(exact.BJ)
-	opts.Theta = 0.6
-	opts.UpperBoundOpt = &UpperBound{Alpha: 0.3, Beta: 0.5}
-	opts.Epsilon = 1e-300 // pin the iteration count
-	opts.RelativeEps = false
-	opts.MaxIters = 4
-	cs, err := NewCandidateSet(g, g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const u = 0 // a hub: two words of mask
-	reused := rowPlanOf(cs, u)
-	cs.ComputeRows(reused)
-	vs := make([]graph.NodeID, g.NumNodes())
-	for v := range vs {
-		vs[v] = graph.NodeID(v)
-	}
-	cs.RowBounds(u, vs, nil) // pools masks of row u
-
-	m := graph.MutableOf(g)
-	touched := []graph.NodeID{u}
-	for v := 3; v < g.NumNodes(); v += 2 {
-		if added, err := m.AddEdge(u, graph.NodeID(v)); err != nil {
-			t.Fatal(err)
-		} else if added {
-			touched = append(touched, graph.NodeID(v))
-		}
-	}
-	g2 := m.Snapshot()
-	if _, err := cs.Patch(g2, g2, touched, touched); err != nil {
-		t.Fatal(err)
-	}
-	seeded := rowPlanOf(cs, u)
-	reused.Member, reused.Prev = seeded.Member, seeded.Prev
-	cs.ComputeRows(reused)
-	fresh := rowPlanOf(cs, u)
-	cs.ComputeRows(fresh)
-	for v := range fresh.Prev {
-		if math.Float64bits(reused.Prev[v]) != math.Float64bits(fresh.Prev[v]) {
-			t.Fatalf("(%d,%d): reused plan %v, fresh plan %v", u, v, reused.Prev[v], fresh.Prev[v])
-		}
-	}
-	rebuilt, err := NewCandidateSet(g2, g2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := cs.RowBounds(u, vs, nil), rebuilt.RowBounds(u, vs, nil)
-	for v := range want {
-		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-			t.Fatalf("(%d,%d): bound %v after Patch, %v on a fresh set", u, v, got[v], want[v])
 		}
 	}
 }

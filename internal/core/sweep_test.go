@@ -16,7 +16,7 @@ import (
 // DeltaEps = 0) the engine must reproduce its scores, Deltas, Iterations
 // and Converged bit for bit while doing at most its work.
 func referenceSweep(cs *CandidateSet) *Result {
-	e := &engine{CandidateSet: cs, lay: cs.layout()}
+	e := &engine{CandidateSet: cs, lay: cs.layout(new(ranks))}
 	e.prev = make([]float64, e.lay.slots)
 	e.cur = make([]float64, e.lay.slots)
 	e.initScores()

@@ -61,13 +61,22 @@ type Rank struct {
 // NewRank builds the per-word prefix counts of b, which may mark at most
 // math.MaxInt32 slots.
 func NewRank(b Bitset) Rank {
-	pre := make([]int32, len(b))
+	var r Rank
+	r.Reset(b)
+	return r
+}
+
+// Reset rebuilds r over b, reusing the capacity of r's prefix counts.
+func (r *Rank) Reset(b Bitset) {
+	if cap(r.pre) < len(b) {
+		r.pre = make([]int32, len(b))
+	}
+	r.bits, r.pre = b, r.pre[:len(b)]
 	n := int32(0)
 	for i, w := range b {
-		pre[i] = n
+		r.pre[i] = n
 		n += int32(bits.OnesCount64(w))
 	}
-	return Rank{bits: b, pre: pre}
 }
 
 // Index returns the number of marked slots below slot i — slot i's index

@@ -54,3 +54,25 @@ func TestRank(t *testing.T) {
 		}
 	}
 }
+
+// TestRankReset rebuilds one Rank over bitsets of growing and shrinking
+// length: each Reset must answer exactly like a NewRank of the same
+// bitset, whatever prefix counts the earlier one left in its capacity.
+func TestRankReset(t *testing.T) {
+	var r Rank
+	for step, n := range []int{130, 700, 64, 300} {
+		b := NewBitset(n)
+		for i := step; i < n; i += 3 + step {
+			b.Set(i)
+		}
+		r.Reset(b)
+		want := NewRank(b)
+		for i := 0; i < n; i++ {
+			gi, gm := r.Index(i)
+			wi, wm := want.Index(i)
+			if gi != wi || gm != wm {
+				t.Fatalf("step %d: Index(%d) = (%d, %v) after Reset, NewRank (%d, %v)", step, i, gi, gm, wi, wm)
+			}
+		}
+	}
+}

@@ -10,8 +10,9 @@
 // query runs a query-localized fixed point: starting from the query
 // frontier it collects the dependency closure — the pairs whose scores the
 // frontier's Equation 3 updates read, transitively — and iterates only
-// those pairs on the batch engine's executor (core.ComputeRows), with a
-// worklist that skips pairs whose inputs stopped changing. Pairs outside
+// those pairs on the batch engine's executor and slot layout
+// (core.CandidateSet.RunClosure), with a worklist that skips pairs whose
+// inputs stopped changing. Pairs outside
 // the closure can never influence the frontier at any iteration, so the
 // localized trajectory is identical to the batch engine's, and the
 // returned scores agree with Compute up to the two strategies' stopping
@@ -54,7 +55,7 @@ type Index struct {
 	mu     sync.RWMutex
 	cs     *core.CandidateSet
 	n1, n2 int
-	pool   *sync.Pool // *state
+	pool   sync.Pool // *state
 }
 
 // New builds a query index over (g1, g2): the shared candidate component
@@ -75,7 +76,7 @@ func New(g1, g2 *graph.Graph, opts core.Options) (*Index, error) {
 func NewFromCandidates(cs *core.CandidateSet) *Index {
 	g1, g2 := cs.Graphs()
 	ix := &Index{cs: cs, n1: g1.NumNodes(), n2: g2.NumNodes()}
-	ix.pool = &sync.Pool{New: func() any { return newState(ix) }}
+	ix.pool.New = func() any { return new(state) }
 	return ix
 }
 
@@ -84,9 +85,9 @@ func NewFromCandidates(cs *core.CandidateSet) *Index {
 // is patched (core.CandidateSet.Patch — membership and §3.4 bounds
 // re-decided only for touched rows and columns, and the store re-indexed
 // when the grown pair universe crosses Options.DenseCapPairs). The index
-// derives nothing else from the component — query states read candidate
-// rows and stand-ins from it directly — so beyond dropping pooled states
-// sized to the old node counts there is nothing to refresh. Queries block
+// derives nothing else from the component — a query's closure lays itself
+// out over the component at the start of every run — so beyond the node
+// counts there is nothing to refresh. Queries block
 // for the duration of the patch and see either the old or the new graph,
 // never a mix. The PatchDelta is returned for callers that maintain
 // further derived state (the dynamic maintainer's score store).
@@ -97,13 +98,7 @@ func (ix *Index) Apply(g1, g2 *graph.Graph, touched1, touched2 []graph.NodeID) (
 	if err != nil {
 		return nil, err
 	}
-	grown := delta.N1 != delta.OldN1 || delta.N2 != delta.OldN2
-	if grown {
-		// Pooled states size their row maps and slabs to the old node
-		// counts; drop them rather than resize piecemeal.
-		ix.n1, ix.n2 = delta.N1, delta.N2
-		ix.pool = &sync.Pool{New: func() any { return newState(ix) }}
-	}
+	ix.n1, ix.n2 = delta.N1, delta.N2
 	return delta, nil
 }
 
@@ -119,22 +114,15 @@ func (ix *Index) Replay(seeds []pairbits.Key, fn func(u, v graph.NodeID, score f
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	s := ix.pool.Get().(*state)
-	defer ix.release(s)
-	for _, k := range seeds {
-		u, v := k.Split()
-		if ix.cs.Contains(u, v) {
-			s.addPair(u, v)
-		}
-	}
-	if len(s.pairs) == 0 {
+	defer ix.pool.Put(s)
+	st := s.run(ix.cs, seeds)
+	c := &s.closure
+	if c.Len() == 0 {
 		return Stats{}, nil
 	}
-	s.closure()
-	st := s.run()
-	st.Seeds = len(seeds)
-	for _, k := range s.pairs {
-		u, v := k.Split()
-		fn(u, v, s.score(u, v))
+	for i := 0; i < c.Len(); i++ {
+		u, v := c.Pair(i)
+		fn(u, v, c.Score(i))
 	}
 	return st, nil
 }
@@ -184,17 +172,18 @@ func (ix *Index) topKLocked(u graph.NodeID, k int) ([]stats.Ranked, Stats, error
 		return nil, Stats{}, nil
 	}
 	s := ix.pool.Get().(*state)
-	defer ix.release(s)
+	defer ix.pool.Put(s)
+	s.seeds = s.seeds[:0]
 	for _, v := range seeds {
-		s.addPair(u, v)
+		s.seeds = append(s.seeds, pairbits.MakeKey(u, v))
 	}
-	s.closure()
-	st := s.run()
-	st.Seeds = len(seeds)
+	st := s.run(ix.cs, s.seeds)
 
+	// The seeds are distinct candidates, so they are the closure's first
+	// pairs, in order.
 	top := make([]stats.Ranked, len(seeds))
 	for i, v := range seeds {
-		top[i] = stats.Ranked{Index: int(v), Score: s.score(u, v)}
+		top[i] = stats.Ranked{Index: int(v), Score: s.closure.Score(i)}
 	}
 	sort.Slice(top, func(a, b int) bool {
 		if top[a].Score != top[b].Score {
@@ -231,12 +220,10 @@ func (ix *Index) queryLocked(u, v graph.NodeID) (float64, Stats, error) {
 		return ix.cs.StandIn(u, v), Stats{}, nil
 	}
 	s := ix.pool.Get().(*state)
-	defer ix.release(s)
-	s.addPair(u, v)
-	s.closure()
-	st := s.run()
-	st.Seeds = 1
-	return s.score(u, v), st, nil
+	defer ix.pool.Put(s)
+	s.seeds = append(s.seeds[:0], pairbits.MakeKey(u, v))
+	st := s.run(ix.cs, s.seeds)
+	return s.closure.Score(0), st, nil
 }
 
 // CheckTopK validates a top-k read of node u over a graph of n nodes. It
@@ -300,10 +287,4 @@ func (ix *Index) seedRow(u graph.NodeID, k int) []graph.NodeID {
 		}
 	}
 	return seeds
-}
-
-// release resets a query state and returns it to the pool.
-func (ix *Index) release(s *state) {
-	s.reset()
-	ix.pool.Put(s)
 }

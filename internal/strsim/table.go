@@ -58,6 +58,39 @@ type tableSegment struct {
 	worker, lo, hi int
 }
 
+// tablePage is the number of values in one page of a worker's value
+// buffer.
+const tablePage = 256
+
+// valuePages is a worker's value buffer: fixed pages, appended to and
+// never moved, so a fill copies each value once, into the table, however
+// many cells the worker keeps. A buffer grown by doubling would allocate
+// about twice its final size on the way, and at θ = 0 it keeps every
+// cell.
+type valuePages struct {
+	pages [][]float64
+	n     int
+}
+
+func (b *valuePages) add(l float64) {
+	if b.n%tablePage == 0 {
+		b.pages = append(b.pages, make([]float64, tablePage))
+	}
+	b.pages[b.n/tablePage][b.n%tablePage] = l
+	b.n++
+}
+
+// appendTo appends values [lo, hi) to dst.
+func (b *valuePages) appendTo(dst []float64, lo, hi int) []float64 {
+	for lo < hi {
+		page, off := b.pages[lo/tablePage], lo%tablePage
+		k := min(hi-lo, tablePage-off)
+		dst = append(dst, page[off:off+k]...)
+		lo += k
+	}
+	return dst
+}
+
 // NewTable evaluates fn over names1 × names2 eagerly, on up to threads
 // goroutines (fn must be safe for concurrent use; this package's functions
 // are), and keeps the cells with L ≥ θ (a NaN cell is never kept). Chunks
@@ -99,17 +132,17 @@ func NewTable(fn Func, names1, names2 []string, theta float64, threads int) (*Ta
 	}
 	segs := make([]tableSegment, len(chunks)-1)
 	workers := max(min(threads, len(segs)), 1)
-	bufs := make([][]float64, workers)
+	bufs := make([]valuePages, workers)
 	var cursor atomic.Int64
 	claim := func(w int) {
-		buf := bufs[w]
+		var buf valuePages    // local, so workers share no cache line while filling
 		var pos bytePositions // the current row's label, when prepared
 		for {
 			c := int(cursor.Add(1)) - 1
 			if c >= len(segs) {
 				break
 			}
-			lo := len(buf)
+			lo := buf.n
 			for i := chunks[c]; i < chunks[c+1]; i++ {
 				row, a := t.bits[i*t.rowWords:(i+1)*t.rowWords], names1[i]
 				// JaroWinkler is symmetric, so the cell is scored as
@@ -130,14 +163,14 @@ func NewTable(fn Func, names1, names2 []string, theta float64, threads int) (*Ta
 					}
 					if l >= theta {
 						row[j/64] |= 1 << (uint(j) % 64)
-						buf = append(buf, l)
+						buf.add(l)
 					}
 				}
 				if prepared {
 					pos.clear(a)
 				}
 			}
-			segs[c] = tableSegment{worker: w, lo: lo, hi: len(buf)}
+			segs[c] = tableSegment{worker: w, lo: lo, hi: buf.n}
 		}
 		bufs[w] = buf
 	}
@@ -161,7 +194,7 @@ func NewTable(fn Func, names1, names2 []string, theta float64, threads int) (*Ta
 	}
 	t.vals = make([]float64, 0, stored)
 	for _, s := range segs {
-		t.vals = append(t.vals, bufs[s.worker][s.lo:s.hi]...)
+		t.vals = bufs[s.worker].appendTo(t.vals, s.lo, s.hi)
 	}
 	// Until the mirror below, the matrix holds exactly the stored cells, so
 	// a plain running count is the prefix.
