@@ -39,8 +39,12 @@ import (
 //   - sparse: a hash map keyed by pair (the literal Hc of Algorithm 1),
 //     used when the pair universe exceeds Options.DenseCapPairs.
 //
-// Both stores keep the retained §3.4 bounds the same way, as a second CSR
-// beside the candidate rows.
+// Both stores keep the §3.4 bounds the same way, as a second CSR beside
+// the candidate rows, and only for the pruned pairs that some candidate's
+// Equation 3 update reads (forEachRead): the engine reads no other
+// stand-in. StandIn evaluates the bound of any other pruned pair when it
+// is asked for; the bound depends only on the graphs and labels, so both
+// ways give the same bits.
 //
 // A CandidateSet changes only through Patch, which its owner runs under a
 // write lock that excludes every reader (query.Index.Apply); between
@@ -79,11 +83,12 @@ type CandidateSet struct {
 	rowOff    []int32
 	index     map[pairbits.Key]int32 // sparse only
 
-	// Eq. 6 bounds of pruned pairs, retained only when α > 0 (all three
-	// nil otherwise), under the rowOff contract: row u's pruned columns
-	// are prunedCol[prunedOff[u]:prunedOff[u+1]], ascending, with their
-	// bounds at the same positions of prunedBound. The stand-in of such a
-	// pair is α·bound.
+	// Eq. 6 bounds of the pruned pairs some candidate reads, retained
+	// only when α > 0 (all three nil otherwise), under the rowOff
+	// contract: row u's retained columns are
+	// prunedCol[prunedOff[u]:prunedOff[u+1]], ascending, with their bounds
+	// at the same positions of prunedBound. The stand-in of such a pair is
+	// α·bound.
 	prunedOff   []int32
 	prunedCol   []graph.NodeID
 	prunedBound []float64
@@ -207,12 +212,13 @@ const maxCandidates = math.MaxInt32
 // eligibility masks of a row once, for the Eq. 6 bounds of all its pairs.
 //
 // Rows are independent, so Options.Threads workers claim chunks of rows
-// from a shared cursor, each appending the chunk's candidates and retained
-// bounds to its own buffers and recording the chunk's extent there. The
-// chunks are then concatenated in row order into exactly sized arrays, and
-// indexCandidates derives the row offsets and the bitmap or index from the
-// result on the calling goroutine: the set is the same at any thread count
-// and chunk schedule.
+// from a shared cursor, each appending the chunk's candidates and the
+// bounds of its pruned pairs to its own buffers and recording the chunk's
+// extent there. The chunks are then concatenated in row order into exactly
+// sized arrays, indexCandidates derives the row offsets and the bitmap or
+// index from the result, and retainRead keeps the bounds that candidates
+// read, all on the calling goroutine: the set is the same at any thread
+// count and chunk schedule.
 func (cs *CandidateSet) build() error {
 	if cs.allPairs {
 		return nil // every pair is a candidate
@@ -298,7 +304,73 @@ func (cs *CandidateSet) build() error {
 	for i := range workers {
 		cs.prunedCount += workers[i].pruned
 	}
-	return cs.indexCandidates()
+	if err := cs.indexCandidates(); err != nil {
+		return err
+	}
+	if keepBounds {
+		return cs.retainRead()
+	}
+	return nil
+}
+
+// retainRead compacts the bound CSR to the pairs that some candidate's
+// Equation 3 update reads. One pass over every candidate's reads (the
+// neighbour products of forEachRead) marks the entries it hits, each found
+// by a binary search of its row, as StandIn finds them on either store;
+// the marked entries are then copied into exactly sized arrays. Under
+// α > 0 every label-eligible non-candidate is pruned, so a read of one
+// that has no entry means the CSR lacks a bound the engine needs:
+// retainRead refuses it.
+func (cs *CandidateSet) retainRead() error {
+	hit := pairbits.NewBitset(len(cs.prunedCol))
+	for _, k := range cs.candPairs {
+		u, v := k.Split()
+		if cs.opts.WPlus > 0 {
+			if err := cs.markReads(hit, cs.g1.Out(u), cs.g2.Out(v)); err != nil {
+				return err
+			}
+		}
+		if cs.opts.WMinus > 0 {
+			if err := cs.markReads(hit, cs.g1.In(u), cs.g2.In(v)); err != nil {
+				return err
+			}
+		}
+	}
+	n := hit.Count()
+	col := make([]graph.NodeID, 0, n)
+	bound := make([]float64, 0, n)
+	for u := 0; u < cs.n1; u++ {
+		lo, hi := cs.prunedOff[u], cs.prunedOff[u+1]
+		cs.prunedOff[u] = int32(len(col))
+		for i := lo; i < hi; i++ {
+			if hit.Get(int(i)) {
+				col = append(col, cs.prunedCol[i])
+				bound = append(bound, cs.prunedBound[i])
+			}
+		}
+	}
+	cs.prunedOff[cs.n1] = int32(n)
+	cs.prunedCol, cs.prunedBound = col, bound
+	return nil
+}
+
+// markReads marks in hit the CSR entries of the label-eligible
+// non-candidates of xs × ys, and refuses one that has none.
+func (cs *CandidateSet) markReads(hit pairbits.Bitset, xs, ys []graph.NodeID) error {
+	for _, x := range xs {
+		lo, hi := cs.prunedOff[x], cs.prunedOff[x+1]
+		for _, y := range ys {
+			if !cs.Eligible(x, y) || cs.Contains(x, y) {
+				continue // most reads: no entry to look for
+			}
+			i, ok := slices.BinarySearch(cs.prunedCol[lo:hi], y)
+			if !ok {
+				return fmt.Errorf("core: pruned pair (%d,%d), which a candidate reads, has no retained §3.4 bound", x, y)
+			}
+			hit.Set(int(lo) + i)
+		}
+	}
+	return nil
 }
 
 // indexCandidates derives the positional structures of the row-major
@@ -308,14 +380,8 @@ func (cs *CandidateSet) build() error {
 // Patch and NewCandidateSetFromData all end in it — and it refuses a map
 // whose positions would overflow the int32 offsets.
 func (cs *CandidateSet) indexCandidates() error {
-	cs.rowOff = make([]int32, cs.n1+1)
-	for _, k := range cs.candPairs {
-		u, _ := k.Split()
-		cs.rowOff[u+1]++
-	}
-	if row := rowOffsets(cs.rowOff, maxCandidates); row >= 0 {
-		return fmt.Errorf("core: candidate map exceeds %d pairs at row %d of %d (|V1|·|V2|=%d·%d); raise Theta or enable upper-bound pruning",
-			maxCandidates, row, cs.n1, cs.n1, cs.n2)
+	if err := cs.deriveRowOff(); err != nil {
+		return err
 	}
 	cs.candBits, cs.index = nil, nil
 	if cs.dense {
@@ -329,6 +395,21 @@ func (cs *CandidateSet) indexCandidates() error {
 		for pos, k := range cs.candPairs {
 			cs.index[k] = int32(pos)
 		}
+	}
+	return nil
+}
+
+// deriveRowOff derives the row offsets of the candidate enumeration into
+// a fresh array, refusing a map whose positions would overflow them.
+func (cs *CandidateSet) deriveRowOff() error {
+	cs.rowOff = make([]int32, cs.n1+1)
+	for _, k := range cs.candPairs {
+		u, _ := k.Split()
+		cs.rowOff[u+1]++
+	}
+	if row := rowOffsets(cs.rowOff, maxCandidates); row >= 0 {
+		return fmt.Errorf("core: candidate map exceeds %d pairs at row %d of %d (|V1|·|V2|=%d·%d); raise Theta or enable upper-bound pruning",
+			maxCandidates, row, cs.n1, cs.n1, cs.n2)
 	}
 	return nil
 }
@@ -505,9 +586,25 @@ func (cs *CandidateSet) Contains(u, v graph.NodeID) bool {
 }
 
 // StandIn returns the constant score a non-candidate pair contributes to
-// Equation 3 (§3.4): α·FSim̄ when upper-bound pruning retained the bound, 0
-// otherwise. Candidate pairs have no stand-in; callers must check Contains.
+// Equation 3 (§3.4): α·FSim̄ for a label-eligible non-candidate under
+// α > 0 — every such pair is pruned — and 0 for any other pair, candidates
+// included. The bound is the retained one when some candidate reads the
+// pair, and is evaluated on the spot (as RowBounds does) otherwise.
 func (cs *CandidateSet) StandIn(u, v graph.NodeID) float64 {
+	if !cs.keepsBounds() || !cs.Eligible(u, v) || cs.Contains(u, v) {
+		return 0
+	}
+	if i, ok := cs.prunedPos(u, v); ok {
+		return cs.opts.UpperBoundOpt.Alpha * cs.prunedBound[i]
+	}
+	return cs.opts.UpperBoundOpt.Alpha * cs.RowBounds(u, []graph.NodeID{v}, nil)[0]
+}
+
+// readStandIn returns the stand-in of a non-candidate pair that some
+// candidate reads: α·FSim̄ for a retained bound, 0 otherwise. Every pruned
+// pair a candidate reads has a retained bound, so a read pair without one
+// is label-ineligible.
+func (cs *CandidateSet) readStandIn(u, v graph.NodeID) float64 {
 	if i, ok := cs.prunedPos(u, v); ok {
 		return cs.opts.UpperBoundOpt.Alpha * cs.prunedBound[i]
 	}
@@ -638,6 +735,14 @@ func (cs *CandidateSet) forEachRead(u, v graph.NodeID, fn func(x, y graph.NodeID
 			}
 		}
 	}
+}
+
+// isRead reports whether some candidate's Equation 3 update reads (x, y):
+// whether a pair ForEachDependent enumerates for it is a candidate.
+func (cs *CandidateSet) isRead(x, y graph.NodeID) bool {
+	read := false
+	cs.ForEachDependent(x, y, func(u, v graph.NodeID) { read = read || cs.Contains(u, v) })
+	return read
 }
 
 // ForEachDependent enumerates the pairs whose Equation 3 update reads

@@ -50,11 +50,11 @@ type engine struct {
 // candidate bitmap (dense store) or through the index map (sparse store,
 // pair universe beyond Options.DenseCapPairs). A non-candidate pair reads
 // α·FSim̄ for a retained bound — found by the rank of the pruned-pair
-// bitmap, or by StandIn's row search on the sparse store — and 0
-// otherwise, which makes a label-ineligible pair read 0; the mapping
-// operators read only the label-eligible pairs once a row has built its
-// eligibility masks, and every pair before (and always under MapProduct),
-// relying on that 0.
+// bitmap, or by readStandIn's row search on the sparse store; every pruned
+// pair a candidate reads has one — and 0 otherwise, which makes a
+// label-ineligible pair read 0; the mapping operators read only the
+// label-eligible pairs once a row has built its eligibility masks, and
+// every pair before (and always under MapProduct), relying on that 0.
 type layout struct {
 	slots int // score-buffer length and worklist bitset span
 	count int // iterated pairs
@@ -625,7 +625,7 @@ func (e *engine) lookupFunc() func(x, y graph.NodeID) float64 {
 			if i, ok := l.index[pairbits.MakeKey(x, y)]; ok {
 				return e.prev[i]
 			}
-			return e.StandIn(x, y)
+			return e.readStandIn(x, y)
 		}
 	}
 	n2, cand := l.stride, l.cand

@@ -252,7 +252,9 @@ func TestThreadDeterminism(t *testing.T) {
 // and the sparse hash map (forced via DenseCapPairs = 1) — produce
 // bit-identical scores. A second pair of runs prunes with α > 0, so that
 // non-candidate reads resolve to retained §3.4 stand-ins: the dense
-// store's pruned-bitmap rank must read exactly the hash map's StandIn.
+// store's pruned-bitmap rank must read exactly what the hash map's
+// resolver reads at every pair, and StandIn at every pair a candidate
+// reads (the engine reads no other).
 func TestStoreEquivalence(t *testing.T) {
 	g1 := dataset.RandomGraph(31, 30, 90, 3)
 	g2 := dataset.RandomGraph(32, 35, 100, 3)
@@ -310,6 +312,8 @@ func TestStoreEquivalence(t *testing.T) {
 		}
 		e := &engine{CandidateSet: rp.cs, lay: rp.cs.layout(new(ranks)), prev: rp.scores}
 		lookup := e.lookupFunc()
+		eh := &engine{CandidateSet: rph.cs, lay: rph.cs.layout(new(ranks)), prev: rph.scores}
+		lookupHash := eh.lookupFunc()
 		standIns := 0
 		for u := 0; u < g1.NumNodes(); u++ {
 			for v := 0; v < g2.NumNodes(); v++ {
@@ -317,13 +321,20 @@ func TestStoreEquivalence(t *testing.T) {
 				if s, s2 := rp.Score(un, vn), rph.Score(un, vn); s != s2 {
 					t.Fatalf("variant %v: α > 0 hash/bitmap mismatch at (%d,%d): %v vs %v", variant, u, v, s, s2)
 				}
+				got := lookup(un, vn)
+				if want := lookupHash(un, vn); got != want {
+					t.Fatalf("variant %v: dense read of (%d,%d) = %v, hash-map read %v", variant, u, v, got, want)
+				}
+				if !rph.cs.isRead(un, vn) {
+					continue
+				}
 				want := rph.cs.StandIn(un, vn)
 				if rp.Contains(un, vn) {
 					want = rp.Score(un, vn)
 				} else if want > 0 {
 					standIns++
 				}
-				if got := lookup(un, vn); got != want {
+				if got != want {
 					t.Fatalf("variant %v: dense read of (%d,%d) = %v, want %v", variant, u, v, got, want)
 				}
 			}

@@ -11,8 +11,7 @@ import (
 
 // StandInChange records one §3.4 stand-in constant that changed during a
 // Patch: the pair's new stand-in score (α·FSim̄ under the updated bound), or
-// 0 when the pair no longer holds one (un-pruned, or promoted to a
-// candidate).
+// 0 when the pair no longer holds one (promoted to a candidate).
 type StandInChange struct {
 	Key     pairbits.Key
 	StandIn float64
@@ -27,9 +26,12 @@ type PatchDelta struct {
 	N1, N2       int
 	// Added and Removed are the pairs that entered/left the candidate map.
 	Added, Removed []pairbits.Key
-	// StandIns lists the pruned pairs whose constant §3.4 stand-in changed
-	// (only populated when UpperBoundOpt.Alpha > 0 — otherwise no stand-ins
-	// are retained at all).
+	// StandIns lists the pairs whose constant §3.4 stand-in changed and
+	// that some candidate of the patched set reads: a pair no candidate
+	// reads has no candidate dependent. A pruned pair that no candidate
+	// read before the patch is listed with its stand-in whether or not it
+	// changed, since its old bound was not retained. Only populated when
+	// UpperBoundOpt.Alpha > 0; otherwise there are no stand-ins.
 	StandIns []StandInChange
 }
 
@@ -165,12 +167,8 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 	}
 
 	ub := cs.opts.UpperBoundOpt
-	alpha := 0.0
-	if ub != nil {
-		alpha = ub.Alpha
-	}
-	keepBounds := alpha > 0
-	var prunedChanges []prunedChange
+	keepBounds := cs.keepsBounds()
+	var pruned []touchedPruned
 	prunedDelta := 0
 	var masks rowMasks // of the row being re-decided, built after the swap
 
@@ -178,7 +176,7 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 		k := pairbits.MakeKey(u, v)
 		exists := int(u) < oldN1 && int(v) < oldN2
 		wasCand := exists && oldContains(u, v)
-		ok, bound, pruned := cs.candidate(&masks, u, v)
+		ok, bound, isPruned := cs.candidate(&masks, u, v)
 		if ok != wasCand {
 			if ok {
 				delta.Added = append(delta.Added, k)
@@ -189,28 +187,21 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 		// A pre-existing non-candidate that passes the (unchanged) label
 		// constraint can only have been removed by §3.4 pruning.
 		wasPruned := exists && !wasCand && ub != nil && cs.Eligible(u, v)
-		if pruned && !wasPruned {
+		if isPruned && !wasPruned {
 			prunedDelta++
-		} else if !pruned && wasPruned {
+		} else if !isPruned && wasPruned {
 			prunedDelta--
 		}
-		if !keepBounds {
-			return
-		}
-		switch {
-		case pruned && !wasPruned:
-			prunedChanges = append(prunedChanges, prunedChange{k, bound, true})
-			delta.StandIns = append(delta.StandIns, StandInChange{k, alpha * bound})
-		case !pruned && wasPruned:
-			prunedChanges = append(prunedChanges, prunedChange{k, 0, false})
-			delta.StandIns = append(delta.StandIns, StandInChange{k, 0})
-		case pruned && wasPruned:
-			// Rows and columns keep their old ranges until the splice, so
-			// the pre-patch bound is still found where it was.
-			if i, ok := cs.prunedPos(u, v); !ok || cs.prunedBound[i] != bound {
-				prunedChanges = append(prunedChanges, prunedChange{k, bound, true})
-				delta.StandIns = append(delta.StandIns, StandInChange{k, alpha * bound})
+		if keepBounds && (isPruned || wasPruned) {
+			p := touchedPruned{k: k, bound: bound, pruned: isPruned}
+			if wasPruned {
+				// Rows keep their old ranges until the splice, so a
+				// pre-patch bound is still found where it was.
+				if i, ok := cs.prunedPos(u, v); ok {
+					p.retained, p.oldBound = true, cs.prunedBound[i]
+				}
 			}
+			pruned = append(pruned, p)
 		}
 	}
 
@@ -234,14 +225,16 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 
 	sortKeys(delta.Added)
 	sortKeys(delta.Removed)
-	sort.Slice(delta.StandIns, func(i, j int) bool { return delta.StandIns[i].Key < delta.StandIns[j].Key })
 	cs.prunedCount += prunedDelta
 
 	// Splice the sorted candidate list and re-derive the positional
 	// structures (row offsets plus the bitmap or hash index, under the
 	// grown universe's store shape) in one linear pass. Layout work is
-	// O(|Hc|); no candidate decision is repeated. An index error (the map
-	// outgrew maxCandidates) leaves the set unusable.
+	// O(|Hc|); no candidate decision is repeated. A dense store that
+	// neither grew nor changed shape flips the changed bits of its bitmap
+	// in place instead of filling a new one; oldContains is done reading
+	// it. An index error (the map outgrew maxCandidates) leaves the set
+	// unusable.
 	if oldAll || len(delta.Added) > 0 || len(delta.Removed) > 0 || n1 != oldN1 || n2 != oldN2 {
 		merged := make([]pairbits.Key, 0, len(cs.candPairs)+len(delta.Added)-len(delta.Removed))
 		ai, ri := 0, 0
@@ -258,16 +251,102 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 		}
 		merged = append(merged, delta.Added[ai:]...)
 		cs.candPairs = merged
-		if err := cs.indexCandidates(); err != nil {
+		if cs.dense && !oldAll && n1 == oldN1 && n2 == oldN2 {
+			for _, k := range delta.Added {
+				u, v := k.Split()
+				cs.candBits.Set(int(u)*n2 + int(v))
+			}
+			for _, k := range delta.Removed {
+				u, v := k.Split()
+				cs.candBits.Clear(int(u)*n2 + int(v))
+			}
+			if err := cs.deriveRowOff(); err != nil {
+				return nil, err
+			}
+		} else if err := cs.indexCandidates(); err != nil {
 			return nil, err
 		}
 	}
 
-	if keepBounds && (len(prunedChanges) > 0 || n1 != oldN1) {
-		sort.Slice(prunedChanges, func(i, j int) bool { return prunedChanges[i].k < prunedChanges[j].k })
-		cs.splicePruned(prunedChanges, oldN1)
+	if keepBounds {
+		changes := cs.retainedChanges(delta, pruned, inRow, inCol, &masks)
+		if len(changes) > 0 || n1 != oldN1 {
+			cs.splicePruned(changes, oldN1)
+		}
 	}
 	return delta, nil
+}
+
+// touchedPruned is a pair with a touched row or column that is pruned
+// after a Patch or was before it: its bound (0 unless pruned), and its
+// retained bound before the patch, if it had one.
+type touchedPruned struct {
+	k                pairbits.Key
+	bound, oldBound  float64
+	pruned, retained bool
+}
+
+// retainedChanges settles, after a Patch has re-decided membership, which
+// pairs the bound CSR retains: the pruned pairs that some candidate of the
+// patched set reads. That can change only for a pair with a touched row or
+// column (its status, bound and readers are new; pruned lists those that
+// are or were pruned) or for one that an Added or Removed candidate reads.
+// Any other pair keeps its readers, so it keeps its status and its bound:
+// a reader whose neighbourhood changed reaches it only through a touched
+// neighbour, which puts the pair in a touched row or column. The CSR still
+// holds the pre-patch bounds. It returns the key-sorted changes for
+// splicePruned and records in delta.StandIns the changed stand-ins that a
+// candidate reads. masks serves the rows of newly read pairs' bounds.
+func (cs *CandidateSet) retainedChanges(delta *PatchDelta, pruned []touchedPruned, inRow, inCol []bool, masks *rowMasks) []prunedChange {
+	alpha := cs.opts.UpperBoundOpt.Alpha
+	var changes []prunedChange
+	for _, p := range pruned {
+		read := cs.isRead(p.k.Split())
+		// fresh: the pair is pruned, and no bound or another was retained.
+		fresh := p.pruned && (!p.retained || p.oldBound != p.bound)
+		switch keep := p.pruned && read; {
+		case keep && fresh:
+			changes = append(changes, prunedChange{p.k, p.bound, true})
+		case !keep && p.retained:
+			changes = append(changes, prunedChange{p.k, 0, false})
+		}
+		if read && (fresh || !p.pruned) {
+			delta.StandIns = append(delta.StandIns, StandInChange{p.k, alpha * p.bound})
+		}
+	}
+
+	var reads []pairbits.Key
+	collect := func(k pairbits.Key) {
+		u, v := k.Split()
+		cs.forEachRead(u, v, func(x, y graph.NodeID) {
+			if !inRow[x] && !inCol[y] {
+				reads = append(reads, pairbits.MakeKey(x, y))
+			}
+		})
+	}
+	for _, k := range delta.Added {
+		collect(k)
+	}
+	for _, k := range delta.Removed {
+		collect(k)
+	}
+	sortKeys(reads)
+	for i, k := range reads {
+		if i > 0 && reads[i-1] == k {
+			continue
+		}
+		x, y := k.Split()
+		_, retained := cs.prunedPos(x, y)
+		switch keep := cs.Eligible(x, y) && !cs.Contains(x, y) && cs.isRead(x, y); {
+		case keep && !retained:
+			changes = append(changes, prunedChange{k, cs.upperBound(masks, x, y, cs.LabelSim(x, y)), true})
+		case !keep && retained:
+			changes = append(changes, prunedChange{k, 0, false})
+		}
+	}
+	sort.Slice(changes, func(i, j int) bool { return changes[i].k < changes[j].k })
+	sort.Slice(delta.StandIns, func(i, j int) bool { return delta.StandIns[i].Key < delta.StandIns[j].Key })
+	return changes
 }
 
 // prunedChange is one pruned pair whose retained bound a Patch sets (keep)

@@ -9,12 +9,12 @@ import (
 )
 
 // CandidateData is the raw serializable form of a CandidateSet: the
-// enumerated candidate map, the retained §3.4 bounds of pruned pairs, and
-// the store-shape discriminators. Everything else a CandidateSet holds
-// (graphs, normalized options, the label-similarity table, the dense
-// bitmap and the sparse index) is either supplied separately or re-derived
-// by NewCandidateSetFromData, so the snapshot codec persists only what
-// cannot be recomputed cheaply.
+// enumerated candidate map, the retained §3.4 bounds (those of the pruned
+// pairs some candidate reads), and the store-shape discriminators.
+// Everything else a CandidateSet holds (graphs, normalized options, the
+// label-similarity table, the dense bitmap and the sparse index) is either
+// supplied separately or re-derived by NewCandidateSetFromData, so the
+// snapshot codec persists only what cannot be recomputed cheaply.
 //
 // The slices returned by Data are shared with the set and must not be
 // modified; NewCandidateSetFromData takes ownership of its inputs.
@@ -31,8 +31,12 @@ type CandidateData struct {
 	RowOff    []int32
 
 	// PrunedKeys/PrunedBounds list the §3.4 bounds retained for pruned
-	// pairs (α > 0 only), key-sorted. PrunedCount is the total number of
-	// pruned pairs, which exceeds len(PrunedKeys) when bounds are not kept.
+	// pairs (α > 0 only), key-sorted: Data gives those some candidate
+	// reads, and NewCandidateSetFromData accepts any superset of them
+	// (data exported before the set kept only those) and drops the rest.
+	// PrunedCount is the total number of pruned pairs, which exceeds
+	// len(PrunedKeys) when bounds are not kept or some pruned pair is not
+	// read.
 	PrunedKeys   []pairbits.Key
 	PrunedBounds []float64
 	PrunedCount  int
@@ -73,12 +77,14 @@ func (cs *CandidateSet) labelFunc(u, v graph.NodeID) float64 {
 // NewCandidateSet: the label caches and the label table are rebuilt from
 // the graphs, the row offsets and membership index (dense bitmap or sparse
 // hash map) are re-derived from the pair list, and the retained bounds are
-// filed into their row CSR. The data's structural invariants are
-// validated — key ordering, id ranges, row offsets that agree with the
-// pair list, store-shape agreement with the options, that every candidate
-// is label-eligible, and that a retained bound belongs to a label-eligible
-// non-candidate — so corrupted input yields a descriptive error, never a
-// set whose lookups silently disagree with its enumeration.
+// filed into their row CSR, of which retainRead keeps the ones candidates
+// read. The data's structural invariants are validated — key ordering, id
+// ranges, row offsets that agree with the pair list, store-shape agreement
+// with the options, that every candidate is label-eligible, that a
+// retained bound belongs to a label-eligible non-candidate, and that every
+// such pair a candidate reads has one — so corrupted input yields a
+// descriptive error, never a set whose lookups silently disagree with its
+// enumeration.
 func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData) (*CandidateSet, error) {
 	cs, err := newCandidateBase(g1, g2, opts)
 	if err != nil {
@@ -165,6 +171,9 @@ func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData)
 	}
 	for u := 0; u < cs.n1; u++ {
 		cs.prunedOff[u+1] += cs.prunedOff[u]
+	}
+	if err := cs.retainRead(); err != nil {
+		return nil, err
 	}
 	return cs, nil
 }

@@ -31,6 +31,9 @@ func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
 // Set marks slot i.
 func (b Bitset) Set(i int) { b[i/64] |= 1 << (uint(i) % 64) }
 
+// Clear unmarks slot i.
+func (b Bitset) Clear(i int) { b[i/64] &^= 1 << (uint(i) % 64) }
+
 // Get reports whether slot i is marked.
 func (b Bitset) Get(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 

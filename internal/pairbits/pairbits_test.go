@@ -28,6 +28,11 @@ func TestBitset(t *testing.T) {
 	if b.Count() != 4 || !b.Get(129) || b.Get(1) {
 		t.Fatalf("bitset state wrong: count=%d", b.Count())
 	}
+	b.Clear(64)
+	b.Clear(1)
+	if b.Count() != 3 || b.Get(64) || !b.Get(63) {
+		t.Fatalf("Clear(64) left count=%d", b.Count())
+	}
 	b.ClearAll()
 	if b.Count() != 0 {
 		t.Fatal("ClearAll left bits set")

@@ -169,27 +169,69 @@ func retainBound(d *core.CandidateData, k pairbits.Key) {
 	d.PrunedCount++
 }
 
+// boundsFixture builds the maintainer and snapshot of a graph whose
+// candidates read some pruned pairs and not others (fs, θ = 0.9, §3.4
+// pruning with α = 0.3 and β = 0.6), on the store capPairs selects.
+func boundsFixture(tb testing.TB, capPairs int) (*dynamic.Maintainer, []byte) {
+	tb.Helper()
+	opts := core.DefaultOptions(exact.S)
+	opts.Threads = 1
+	opts.Theta = 0.9
+	opts.UpperBoundOpt = &core.UpperBound{Alpha: 0.3, Beta: 0.6}
+	opts.DenseCapPairs = capPairs
+	mt, err := dynamic.New(dataset.RandomGraph(11, 24, 72, 3), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(mt, &buf); err != nil {
+		tb.Fatal(err)
+	}
+	return mt, buf.Bytes()
+}
+
+// withAllBounds makes d retain the §3.4 bound of every pruned pair of cs,
+// read by a candidate or not, as a snapshot written before the set kept
+// only the read ones does.
+func withAllBounds(cs *core.CandidateSet) func(*core.CandidateData) {
+	return func(d *core.CandidateData) {
+		d.PrunedKeys, d.PrunedBounds = nil, nil
+		g1, g2 := cs.Graphs()
+		for u := 0; u < g1.NumNodes(); u++ {
+			for v := 0; v < g2.NumNodes(); v++ {
+				un, vn := graph.NodeID(u), graph.NodeID(v)
+				if cs.Eligible(un, vn) && !cs.Contains(un, vn) {
+					d.PrunedKeys = append(d.PrunedKeys, pairbits.MakeKey(un, vn))
+					d.PrunedBounds = append(d.PrunedBounds, cs.RowBounds(un, []graph.NodeID{vn}, nil)[0])
+				}
+			}
+		}
+	}
+}
+
+// dropFirstBound removes the first retained bound of d: that of a pruned
+// pair some candidate reads.
+func dropFirstBound(d *core.CandidateData) {
+	d.PrunedKeys = slices.Clone(d.PrunedKeys[1:])
+	d.PrunedBounds = slices.Clone(d.PrunedBounds[1:])
+}
+
 // TestCorruptCandidateData covers candidate sections that pass the CRC but
 // contradict themselves: a pair that is both a candidate and a pruned
-// pair with a retained bound, and a retained bound on a pair the label
-// constraint excludes. Both stores must refuse them with ErrCorrupt.
+// pair with a retained bound, a retained bound on a pair the label
+// constraint excludes, and a missing bound of a pruned pair a candidate
+// reads. Both stores must refuse them with ErrCorrupt. A section that
+// retains the bounds of every pruned pair, as snapshots written before
+// the set kept only the read ones do, must load, and saving it again
+// must give the current bytes.
 func TestCorruptCandidateData(t *testing.T) {
-	g := dataset.RandomGraph(11, 24, 72, 3)
 	for _, capPairs := range []int{core.DefaultOptions(exact.S).DenseCapPairs, 1} {
-		opts := core.DefaultOptions(exact.S)
-		opts.Threads = 1
-		opts.Theta = 0.9
-		opts.UpperBoundOpt = &core.UpperBound{Alpha: 0.3, Beta: 0.6}
-		opts.DenseCapPairs = capPairs
-		mt, err := dynamic.New(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := Write(mt, &buf); err != nil {
-			t.Fatal(err)
-		}
+		mt, snap := boundsFixture(t, capPairs)
+		g := mt.Graph()
 		cs := mt.Index().Candidates()
+		if n := len(cs.Data().PrunedKeys); n == 0 || n == cs.PrunedCount() {
+			t.Fatalf("cap %d: fixture retains %d of %d pruned pairs' bounds, want some but not all", capPairs, n, cs.PrunedCount())
+		}
 		var ineligible []pairbits.Key
 		for u := 0; u < g.NumNodes(); u++ {
 			for v := 0; v < g.NumNodes(); v++ {
@@ -207,16 +249,33 @@ func TestCorruptCandidateData(t *testing.T) {
 		}{
 			{"candidate pair with a retained bound", func(d *core.CandidateData) { retainBound(d, d.CandPairs[0]) }},
 			{"label-ineligible pair with a retained bound", func(d *core.CandidateData) { retainBound(d, ineligible[0]) }},
+			{"read pruned pair without a retained bound", dropFirstBound},
 		}
 		for _, c := range cases {
-			data := withCandidates(t, buf.Bytes(), c.edit)
+			data := withCandidates(t, snap, c.edit)
 			_, err := Read(bytes.NewReader(data))
 			if !errors.Is(err, ErrCorrupt) {
 				t.Errorf("cap %d, %s: want ErrCorrupt, got %v", capPairs, c.name, err)
 			}
 		}
-		if _, err := Read(bytes.NewReader(withCandidates(t, buf.Bytes(), func(*core.CandidateData) {}))); err != nil {
+		if _, err := Read(bytes.NewReader(withCandidates(t, snap, func(*core.CandidateData) {}))); err != nil {
 			t.Fatalf("cap %d: re-encoding the untouched candidate section broke the snapshot: %v", capPairs, err)
+		}
+
+		all := withCandidates(t, snap, withAllBounds(cs))
+		if len(all) <= len(snap) {
+			t.Fatalf("cap %d: retaining every pruned pair's bound gave %d bytes, the read ones %d", capPairs, len(all), len(snap))
+		}
+		loaded, err := Read(bytes.NewReader(all))
+		if err != nil {
+			t.Fatalf("cap %d: a snapshot retaining every pruned pair's bound failed to load: %v", capPairs, err)
+		}
+		var again bytes.Buffer
+		if err := Write(loaded, &again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), snap) {
+			t.Fatalf("cap %d: re-saving a snapshot retaining every pruned pair's bound gave %d bytes, not the %d of a fresh one", capPairs, again.Len(), len(snap))
 		}
 	}
 }

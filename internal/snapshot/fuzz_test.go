@@ -79,6 +79,13 @@ func FuzzLoadSnapshot(f *testing.F) {
 	// The retained-bounds seed with a candidate pair also holding a bound:
 	// a CRC-valid section the loader must refuse.
 	f.Add(withCandidates(f, seeds[1], func(d *core.CandidateData) { retainBound(d, d.CandPairs[0]) }))
+	// A snapshot whose candidates read pruned pairs, without the bound of
+	// one of them, which the loader must refuse, and with the bound of
+	// every pruned pair, as snapshots written before the set kept only the
+	// read ones carry, which it must accept.
+	mt, bounds := boundsFixture(f, core.DefaultOptions(exact.S).DenseCapPairs)
+	f.Add(withCandidates(f, bounds, dropFirstBound))
+	f.Add(withCandidates(f, bounds, withAllBounds(mt.Index().Candidates())))
 	f.Add([]byte("FSIMSNAP"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
