@@ -197,9 +197,10 @@ type QueryStats = query.Stats
 //	s, err := ix.Query(u, v)     // score identical to Result.Score(u, v)
 func NewIndex(g1, g2 *Graph, opts Options) (*Index, error) { return query.New(g1, g2, opts) }
 
-// Mutable is an editable graph for the dynamic-graph workload: node and
-// edge mutations in O(degree) with an append-only change log, and
-// O(|V|+|E|) snapshots into the immutable Graph.
+// Mutable is an editable graph: node and edge mutations in O(degree) with
+// an append-only change log, and O(|V|+|E|) snapshots into the immutable
+// Graph. Graph.Apply edits an immutable Graph directly, with the same
+// semantics, into a new Graph; it is what a Maintainer uses.
 type Mutable = graph.Mutable
 
 // NewMutable returns an empty mutable graph.

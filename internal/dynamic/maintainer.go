@@ -2,9 +2,11 @@
 // mutations (edge insertions/deletions and node insertions), instead of
 // recomputing the fixed point from scratch after every update.
 //
-// A Maintainer owns an evolving graph (graph.Mutable) and the converged
-// self-similarity scores of its current snapshot. Applying a batch of
-// changes patches the shared candidate component in place
+// A Maintainer holds one immutable graph, its current version, and the
+// converged self-similarity scores of that graph. Applying a batch of
+// changes derives the next graph version from the current one
+// (graph.Graph.Apply copies only the touched adjacency rows and shares
+// the label tables), patches the shared candidate component in place
 // (core.CandidateSet.Patch), seeds the worklist with exactly the
 // pairs whose Equation 3 update rule reads a changed edge — plus the
 // dependents of every pair whose candidacy or §3.4 stand-in shifted —
@@ -40,6 +42,7 @@ package dynamic
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,12 +100,13 @@ const coneLimit = 4 // denominator: fall back when 4·|cone| > |Hc|
 // an evolving graph (the paper's single-graph protocol: scores from the
 // graph to itself). Build one with New, mutate through Apply, and read
 // through Score/TopK, or ScoreAt/TopKAt to learn the version read as well.
-// A Maintainer is safe for concurrent readers; Apply excludes them while
-// it runs.
+// It holds the graph once, as the immutable current version that readers
+// and the candidate component share; Apply replaces it with the version
+// graph.Graph.Apply derives. A Maintainer is safe for concurrent readers;
+// Apply excludes them while it runs.
 type Maintainer struct {
 	mu sync.RWMutex
-	m  *graph.Mutable
-	g  *graph.Graph // current snapshot (guarded by mu)
+	g  *graph.Graph // current snapshot (guarded by mu); Apply derives the next from it
 	// snap mirrors g behind an atomic pointer so liveness-style readers
 	// (Graph) never block behind an in-flight Apply, which holds mu
 	// exclusively for the whole re-convergence — up to a full recompute.
@@ -143,7 +147,6 @@ func New(g *graph.Graph, opts core.Options) (*Maintainer, error) {
 		return nil, err
 	}
 	mt := &Maintainer{
-		m:     graph.MutableOf(g),
 		g:     g,
 		opts:  cs.Options(),
 		cs:    cs,
@@ -283,7 +286,7 @@ func (mt *Maintainer) applyLocked(changes []graph.Change) (Stats, error) {
 
 	// Validate the whole batch against the evolving node count before
 	// mutating anything, so a bad change cannot leave a half-applied batch.
-	n := graph.NodeID(mt.m.NumNodes())
+	n := graph.NodeID(mt.g.NumNodes())
 	for _, c := range changes {
 		switch c.Op {
 		case graph.OpAddNode:
@@ -298,38 +301,31 @@ func (mt *Maintainer) applyLocked(changes []graph.Change) (Stats, error) {
 	}
 
 	oldN := mt.g.NumNodes()
-	st := Stats{}
-	touched := make(map[graph.NodeID]bool)
-	for _, c := range changes {
-		effective, err := mt.m.Apply(c)
-		if err != nil {
-			return st, err // unreachable after validation; defensive
-		}
-		if !effective {
-			continue
-		}
-		st.Applied++
-		if c.Op != graph.OpAddNode {
-			if int(c.U) < oldN {
-				touched[c.U] = true
-			}
-			if int(c.V) < oldN {
-				touched[c.V] = true
-			}
-		}
+	g, applied, err := mt.g.Apply(changes)
+	if err != nil {
+		return Stats{}, err // unreachable after validation; defensive
 	}
+	st := Stats{Applied: len(applied)}
 	if st.Applied == 0 {
 		st.Duration = time.Since(start)
 		return st, nil
 	}
-	applied := mt.m.TakeLog()
-	g := mt.m.Snapshot()
-	touchedList := make([]graph.NodeID, 0, len(touched))
-	for u := range touched {
-		touchedList = append(touchedList, u)
+	// The pre-existing endpoints of the effective edge changes, once each.
+	var touched []graph.NodeID
+	for _, c := range applied {
+		if c.Op == graph.OpAddNode {
+			continue
+		}
+		for _, u := range [2]graph.NodeID{c.U, c.V} {
+			if int(u) < oldN {
+				touched = append(touched, u)
+			}
+		}
 	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
 
-	delta, err := mt.ix.Apply(g, g, touchedList, touchedList)
+	delta, err := mt.ix.Apply(g, g, touched, touched)
 	if err != nil {
 		return st, err
 	}
@@ -339,9 +335,9 @@ func (mt *Maintainer) applyLocked(changes []graph.Change) (Stats, error) {
 	mt.retainLocked(applied)
 	mt.store.remap(mt.cs, delta)
 
-	seeds := mt.seedPairs(touchedList, oldN, delta)
+	seeds, visited := mt.seedPairs(touched, oldN, delta)
 	st.Seeds = len(seeds)
-	cone, saturated := mt.coneOfInfluence(seeds)
+	cone, saturated := mt.coneOfInfluence(seeds, visited)
 	if saturated {
 		res, err := core.ComputeOn(mt.cs)
 		if err != nil {
@@ -375,12 +371,18 @@ func (mt *Maintainer) applyLocked(changes []graph.Change) (Stats, error) {
 //     did not).
 //
 // Everything else the update influences is reached from these seeds
-// through the reverse candidate adjacency (coneOfInfluence).
-func (mt *Maintainer) seedPairs(touched []graph.NodeID, oldN int, delta *core.PatchDelta) []pairbits.Key {
+// through the reverse candidate adjacency (coneOfInfluence). The seeds
+// come back once each, with the bitset over candidate positions that
+// marks them.
+func (mt *Maintainer) seedPairs(touched []graph.NodeID, oldN int, delta *core.PatchDelta) ([]pairbits.Key, pairbits.Bitset) {
 	n := mt.g.NumNodes()
-	seen := make(map[pairbits.Key]struct{})
-	add := func(u, v graph.NodeID) {
-		seen[pairbits.MakeKey(u, v)] = struct{}{}
+	seen := pairbits.NewBitset(mt.cs.NumCandidates())
+	var seeds []pairbits.Key
+	add := func(u, v graph.NodeID) { // admits candidate pairs only
+		if pos := mt.cs.Position(u, v); pos >= 0 && !seen.Get(pos) {
+			seen.Set(pos)
+			seeds = append(seeds, pairbits.MakeKey(u, v))
+		}
 	}
 	nodes := append([]graph.NodeID(nil), touched...)
 	for u := oldN; u < n; u++ {
@@ -389,9 +391,7 @@ func (mt *Maintainer) seedPairs(touched []graph.NodeID, oldN int, delta *core.Pa
 	for _, u := range nodes {
 		mt.cs.ForEachCandidate(u, func(v graph.NodeID) { add(u, v) })
 		for x := 0; x < n; x++ {
-			if mt.cs.Contains(graph.NodeID(x), u) {
-				add(graph.NodeID(x), u)
-			}
+			add(graph.NodeID(x), u)
 		}
 	}
 	flipped := make([]pairbits.Key, 0, len(delta.Added)+len(delta.Removed)+len(delta.StandIns))
@@ -402,57 +402,38 @@ func (mt *Maintainer) seedPairs(touched []graph.NodeID, oldN int, delta *core.Pa
 	}
 	for _, k := range flipped {
 		x, y := k.Split()
-		mt.cs.ForEachDependent(x, y, func(u, v graph.NodeID) {
-			if mt.cs.Contains(u, v) {
-				add(u, v)
-			}
-		})
+		mt.cs.ForEachDependent(x, y, add)
 	}
-	out := make([]pairbits.Key, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	return out
+	return seeds, seen
 }
 
-// coneOfInfluence expands the seeds through the reverse candidate
-// adjacency to every candidate pair the update can reach — the set whose
-// trajectories may differ from the pre-update computation. It bails out
-// once the cone exceeds the locality threshold (saturated = true): past
-// that point a localized replay costs as much as a fresh batch
-// computation, which is also trivially exact.
-func (mt *Maintainer) coneOfInfluence(seeds []pairbits.Key) ([]pairbits.Key, bool) {
-	limit := mt.cs.NumCandidates() / coneLimit
-	if limit < 1 {
-		limit = 1
-	}
-	visited := make(map[pairbits.Key]struct{}, len(seeds))
-	queue := make([]pairbits.Key, 0, len(seeds))
-	for _, k := range seeds {
-		if _, ok := visited[k]; !ok {
-			visited[k] = struct{}{}
-			queue = append(queue, k)
-		}
-	}
-	if len(visited) > limit {
+// coneOfInfluence expands the seeds, marked in visited by candidate
+// position, through the reverse candidate adjacency to every candidate
+// pair the update can reach — the set whose trajectories may differ from
+// the pre-update computation. It bails out once the cone exceeds the
+// locality threshold (saturated = true): past that point a localized
+// replay costs as much as a fresh batch computation, which is also
+// trivially exact.
+func (mt *Maintainer) coneOfInfluence(seeds []pairbits.Key, visited pairbits.Bitset) ([]pairbits.Key, bool) {
+	limit := max(mt.cs.NumCandidates()/coneLimit, 1)
+	queue := seeds
+	if len(queue) > limit {
 		return nil, true
 	}
 	for head := 0; head < len(queue); head++ {
 		x, y := queue[head].Split()
 		saturated := false
 		mt.cs.ForEachDependent(x, y, func(u, v graph.NodeID) {
-			if saturated || !mt.cs.Contains(u, v) {
+			if saturated {
 				return
 			}
-			k := pairbits.MakeKey(u, v)
-			if _, ok := visited[k]; ok {
+			pos := mt.cs.Position(u, v)
+			if pos < 0 || visited.Get(pos) {
 				return
 			}
-			visited[k] = struct{}{}
-			queue = append(queue, k)
-			if len(visited) > limit {
-				saturated = true
-			}
+			visited.Set(pos)
+			queue = append(queue, pairbits.MakeKey(u, v))
+			saturated = len(queue) > limit
 		})
 		if saturated {
 			return nil, true

@@ -63,7 +63,6 @@ func NewFromSnapshot(st SnapshotState) (*Maintainer, error) {
 		return nil, fmt.Errorf("dynamic: score store wants %d entries (one per candidate), snapshot has %d", want, len(st.Scores))
 	}
 	mt := &Maintainer{
-		m:     graph.MutableOf(st.Graph),
 		g:     st.Graph,
 		opts:  opts,
 		cs:    st.Candidates,

@@ -165,13 +165,6 @@ func (b *Builder) Build() *Graph {
 		g.inAdj[inPos[e[1]]] = e[0]
 		inPos[e[1]]++
 	}
-	for u := 0; u < n; u++ {
-		if d := g.OutDegree(NodeID(u)); d > g.maxOut {
-			g.maxOut = d
-		}
-		if d := g.InDegree(NodeID(u)); d > g.maxIn {
-			g.maxIn = d
-		}
-	}
+	g.maxOut, g.maxIn = maxDegree(g.outOff), maxDegree(g.inOff)
 	return g
 }

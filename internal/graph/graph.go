@@ -3,10 +3,11 @@
 // statistics, traversal, induced subgraphs and balls, plus text and DOT
 // serialization.
 //
-// A Graph is immutable once built; construct one with a Builder. Adjacency
-// is stored in compressed sparse row (CSR) form, with both out- and
-// in-adjacency materialized because every simulation variant in the paper
-// consults both N+ and N−.
+// A Graph is immutable once built; construct one with a Builder, and
+// derive an edited version with Apply, which leaves the original as it
+// was (Mutable is the editable form). Adjacency is stored in compressed
+// sparse row (CSR) form, with both out- and in-adjacency materialized
+// because every simulation variant in the paper consults both N+ and N−.
 package graph
 
 import "fmt"

@@ -2,11 +2,14 @@ package graph
 
 import "fmt"
 
-// Mutable is an editable node-labeled directed graph supporting the
-// dynamic-graph workload: node insertion and edge insertion/deletion in
-// O(degree) with duplicate detection, an append-only change log of the
-// effective mutations, and O(|V|+|E|) snapshots into the immutable CSR
-// Graph the rest of the repository consumes.
+// Mutable is the public editable node-labeled directed graph: node
+// insertion and edge insertion/deletion in O(degree) with duplicate
+// detection, an append-only change log of the effective mutations, and
+// O(|V|+|E|) snapshots into the immutable CSR Graph the rest of the
+// repository consumes. It is also the reference Graph.Apply is tested
+// against: applying changes to MutableOf(g) and taking Snapshot and Log
+// defines what g.Apply returns. The dynamic maintainer keeps no Mutable;
+// it derives each graph version from the last with Graph.Apply.
 //
 // Adjacency is kept sorted per node on both directions, so Snapshot is a
 // straight concatenation and HasEdge a binary search. Labels are interned
@@ -14,8 +17,7 @@ import "fmt"
 // every later Snapshot, which is what lets downstream candidate structures
 // be patched in place rather than rebuilt (see core.CandidateSet.Patch).
 //
-// A Mutable is not safe for concurrent use; callers serialize mutations
-// (dynamic.Maintainer does).
+// A Mutable is not safe for concurrent use; callers serialize mutations.
 type Mutable struct {
 	labels     []Label
 	labelNames []string

@@ -92,14 +92,7 @@ func FromCSR(c CSR) (*Graph, error) {
 	for i, name := range c.LabelNames {
 		g.labelIndex[name] = Label(i)
 	}
-	for u := 0; u < n; u++ {
-		if d := g.OutDegree(NodeID(u)); d > g.maxOut {
-			g.maxOut = d
-		}
-		if d := g.InDegree(NodeID(u)); d > g.maxIn {
-			g.maxIn = d
-		}
-	}
+	g.maxOut, g.maxIn = maxDegree(g.outOff), maxDegree(g.inOff)
 	return g, nil
 }
 
