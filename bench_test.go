@@ -5,9 +5,8 @@ package fsim
 // workloads so `go test -bench=.` exercises every reproduction path in
 // minutes. Full-scale runs come from `go run ./cmd/fsimbench <experiment>`.
 //
-// The Ablation* benchmarks isolate two engine design decisions: greedy vs
-// exact Hungarian mapping, and the dense-array vs hash-map candidate
-// stores.
+// The Ablation* benchmarks isolate an engine design decision: greedy vs
+// exact Hungarian mapping.
 
 import (
 	"bytes"
@@ -112,29 +111,6 @@ func BenchmarkAblationMatching(b *testing.B) {
 				ops := OperatorsFor(BJ)
 				ops.ExactMatching = mode.exact
 				opts.Operators = &ops
-				if _, err := Compute(g, g, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationStore isolates the candidate-store choice: the dense
-// array + bitmap vs the literal hash map of Algorithm 1, at θ = 1.
-func BenchmarkAblationStore(b *testing.B) {
-	g := benchGraph()
-	for _, mode := range []struct {
-		name string
-		cap  int
-	}{{"dense-bitmap", 0}, {"hash-map", 1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := DefaultOptions(BJ)
-				opts.Theta = 1
-				opts.Threads = 1
-				opts.MaxIters = 10
-				opts.DenseCapPairs = mode.cap
 				if _, err := Compute(g, g, opts); err != nil {
 					b.Fatal(err)
 				}

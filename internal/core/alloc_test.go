@@ -8,10 +8,9 @@ import (
 	"fsim/internal/exact"
 )
 
-// TestDenseComputeAllocations guards the candidate-aligned dense store: a
-// run over a θ > 0 candidate bitmap allocates per candidate, plus bitmap
-// ranks of a fraction of a byte per pair, and never a buffer over the
-// |V1|×|V2| pair universe. The two float64 buffers such a run once
+// TestDenseComputeAllocations guards the candidate-aligned store: a run
+// over θ > 0 candidate rows allocates per candidate, and never a buffer
+// over the |V1|×|V2| pair universe. The two float64 buffers such a run once
 // allocated took 16 bytes per pair alone, so the bound of 2 bytes per
 // pair fails if either comes back.
 func TestDenseComputeAllocations(t *testing.T) {
@@ -24,7 +23,7 @@ func TestDenseComputeAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !cs.dense || cs.allPairs {
-		t.Fatal("want the dense store with a candidate bitmap")
+		t.Fatal("want candidate rows within the dense cap")
 	}
 	pairs := uint64(g.NumNodes()) * uint64(g.NumNodes())
 	var before, after runtime.MemStats

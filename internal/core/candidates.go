@@ -22,34 +22,27 @@ import (
 //
 // The label layer is one strsim.Table: the label constraint L ≥ θ
 // (Remark 2) as a |Σ1|×|Σ2| bit matrix, and L only for the label pairs
-// that pass it. Every θ test reads the bit matrix: Eligible, candidate's
-// gate and the sparse store's resolver read one bit, the build's column
-// lists walk a label's row of words, and the §3.4 bound and the mapping
-// operators read the row eligibility masks built from it (labelMask). L
-// is read only where a value is needed, always for an eligible pair
-// (LabelSim, RowBounds, initScore).
+// that pass it. Every θ test reads the bit matrix: Eligible and
+// candidate's gate read one bit, the build's column lists walk a label's
+// row of words, and the §3.4 bound reads the row eligibility masks built
+// from it (labelMask). L is read only where a value is needed, always for
+// an eligible pair (LabelSim, RowBounds, initScore).
 //
-// Candidates are enumerated row-major, ascending v within each row
-// (candPairs/rowOff). Two stores implement membership tests on top,
-// chosen by storeShape from the pair universe and the label table:
-//
-//   - dense: a candidate bitmap over the full |V1|×|V2| pair universe (or
-//     nothing at all when θ = 0, every label pair is eligible and pruning
-//     is off — every pair is a candidate).
-//   - sparse: a hash map keyed by pair (the literal Hc of Algorithm 1),
-//     used when the pair universe exceeds Options.DenseCapPairs.
-//
-// Both stores keep the §3.4 bounds the same way, as a second CSR beside
-// the candidate rows, and only for the pruned pairs that some candidate's
-// Equation 3 update reads (forEachRead): the engine reads no other
-// stand-in. StandIn evaluates the bound of any other pruned pair when it
-// is asked for; the bound depends only on the graphs and labels, so both
-// ways give the same bits.
+// Hc is stored one of two ways, chosen by storeShape: all pairs, at
+// position u·|V2|+v, when θ = 0 leaves every label pair eligible, pruning
+// is off and the universe fits Options.DenseCapPairs; otherwise candidate
+// rows, row-major and ascending v (candPairs/rowOff), with the §3.4 bounds
+// of only the pruned pairs some candidate's Equation 3 update reads in a
+// second CSR beside them. StandIn evaluates any other pruned pair's bound
+// on demand, bit for bit. Every hot read (an Equation 3 update, a worklist
+// mark, a closure's admission) joins the rows of a g1 neighbour list with
+// a sorted g2 list (joinRows), and a pair the join does not yield reads 0;
+// Contains and Position binary-search one row, for the reads off those
+// paths.
 //
 // A CandidateSet changes only through Patch, which its owner runs under a
 // write lock that excludes every reader (query.Index.Apply); between
-// patches it is read-only and safe to share between any number of
-// concurrent readers.
+// patches it is read-only and safe to share between concurrent readers.
 type CandidateSet struct {
 	g1, g2 *graph.Graph
 	opts   Options // normalized
@@ -59,29 +52,25 @@ type CandidateSet struct {
 
 	// allEligible marks a table in which every label pair is eligible
 	// (θ = 0 with a label function that is never NaN or negative): every
-	// neighbour pair is eligible, so the Eq. 6 counts are the list sizes,
-	// the operators read every pair, and no row builds eligibility masks.
+	// neighbour pair is eligible, so the Eq. 6 counts are the list sizes
+	// and no row builds eligibility masks.
 	allEligible bool
-	// walkCost is what building a row's eligibility masks costs per
-	// neighbour, in matrix reads: the words of a label's row plus the mean
-	// eligible labels per g1 label (see engineMasked).
-	walkCost int
 	// boundMasks pools the row masks of RowBounds calls.
 	boundMasks sync.Pool
 
 	labels1, labels2 []graph.Label
 
+	// dense marks a pair universe within Options.DenseCapPairs; only the
+	// snapshot's store-shape byte records it apart from allPairs.
 	dense bool
-	// allPairs marks the fully-dense case (θ = 0 with every label pair
-	// eligible, no pruning): every pair is a candidate and the loops
-	// iterate rows directly.
+	// allPairs marks the all-pairs store (θ = 0 with every label pair
+	// eligible, no pruning, a dense universe): every pair is a candidate
+	// and the loops iterate rows directly.
 	allPairs bool
-	// Candidate enumeration (both stores; candPairs/rowOff are nil in the
-	// allPairs case).
+	// The candidate rows (nil in the allPairs case): row u's candidates are
+	// candPairs[rowOff[u]:rowOff[u+1]], ascending v.
 	candPairs []pairbits.Key
-	candBits  pairbits.Bitset // dense only; nil = all pairs
 	rowOff    []int32
-	index     map[pairbits.Key]int32 // sparse only
 
 	// Eq. 6 bounds of the pruned pairs some candidate reads, retained
 	// only when α > 0 (all three nil otherwise), under the rowOff
@@ -149,10 +138,8 @@ func (cs *CandidateSet) deriveLabelLayer(g1, g2 *graph.Graph) error {
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	pairs := table.EligiblePairs()
 	cs.table = table
-	cs.allEligible = pairs == len(names1)*len(names2)
-	cs.walkCost = table.RowWords() + pairs/max(len(names1), 1)
+	cs.allEligible = table.EligiblePairs() == len(names1)*len(names2)
 	return nil
 }
 
@@ -173,16 +160,12 @@ func nodeLabels(dst []graph.Label, g *graph.Graph, from int) []graph.Label {
 }
 
 // storeShape decides how the candidate map of an n1×n2 pair universe is
-// stored. dense selects the bitmap store: the pair universe must fit
-// Options.DenseCapPairs AND the platform int, both checked in 64-bit
-// arithmetic. On 32-bit builds n1·n2 computed in int silently wraps for
-// graphs beyond ~46k×46k nodes — a wrapped (possibly negative) product
-// would pass the cap check and every u·n2+v slot index after it would
-// mis-address the buffers, so the product is never formed in int unless
-// dense holds. allPairs marks a dense universe in which every pair is a
-// candidate, so nothing is enumerated: θ = 0, every label pair eligible
-// (allEligible; a custom Options.Label may be NaN or negative, failing
-// L ≥ 0) and no pruning.
+// stored. dense reports that the pair universe fits Options.DenseCapPairs
+// AND the platform int, both checked in 64-bit arithmetic, so the
+// all-pairs store's u·n2+v never wraps a 32-bit int. allPairs selects that
+// store: a dense universe in which every pair is a candidate — θ = 0,
+// every label pair eligible (allEligible; a custom Options.Label may be
+// NaN or negative, failing L ≥ 0) and no pruning.
 func storeShape(n1, n2 int, opts *Options, allEligible bool) (dense, allPairs bool) {
 	pairs := int64(n1) * int64(n2)
 	dense = pairs <= int64(opts.DenseCapPairs) && pairs <= int64(maxInt)
@@ -192,9 +175,8 @@ func storeShape(n1, n2 int, opts *Options, allEligible bool) (dense, allPairs bo
 // maxInt is the platform's largest int (untyped, usable in int64 compares).
 const maxInt = int(^uint(0) >> 1)
 
-// maxCandidates bounds the candidate enumeration: row offsets and the
-// sparse index store positions as int32, so a larger map would silently
-// wrap. Graphs that reach it need a higher Theta or upper-bound pruning.
+// maxCandidates bounds the candidate enumeration: row offsets store
+// positions as int32. Graphs that reach it need a higher Theta or pruning.
 const maxCandidates = math.MaxInt32
 
 // build enumerates Hc (Algorithm 1's Initializing step): pairs passing the
@@ -215,10 +197,9 @@ const maxCandidates = math.MaxInt32
 // from a shared cursor, each appending the chunk's candidates and the
 // bounds of its pruned pairs to its own buffers and recording the chunk's
 // extent there. The chunks are then concatenated in row order into exactly
-// sized arrays, indexCandidates derives the row offsets and the bitmap or
-// index from the result, and retainRead keeps the bounds that candidates
-// read, all on the calling goroutine: the set is the same at any thread
-// count and chunk schedule.
+// sized arrays, deriveRowOff derives the row offsets from the result, and
+// retainRead keeps the bounds that candidates read, all on the calling
+// goroutine: the set is the same at any thread count and chunk schedule.
 func (cs *CandidateSet) build() error {
 	if cs.allPairs {
 		return nil // every pair is a candidate
@@ -304,103 +285,106 @@ func (cs *CandidateSet) build() error {
 	for i := range workers {
 		cs.prunedCount += workers[i].pruned
 	}
-	if err := cs.indexCandidates(); err != nil {
+	if err := cs.deriveRowOff(); err != nil {
 		return err
 	}
 	if keepBounds {
-		return cs.retainRead()
+		return cs.retainRead(false)
 	}
 	return nil
 }
 
 // retainRead compacts the bound CSR to the pairs that some candidate's
-// Equation 3 update reads. One pass over every candidate's reads (the
-// neighbour products of forEachRead) marks the entries it hits, each found
-// by a binary search of its row, as StandIn finds them on either store;
-// the marked entries are then copied into exactly sized arrays. Under
-// α > 0 every label-eligible non-candidate is pruned, so a read of one
-// that has no entry means the CSR lacks a bound the engine needs:
-// retainRead refuses it.
-func (cs *CandidateSet) retainRead() error {
+// Equation 3 update reads: for each g1 node x it stamps the g2 nodes read
+// with x (stampReads) and keeps the entries of x's bound row whose column
+// is stamped. After a build the CSR holds every label-eligible
+// non-candidate, so no read needs a test. check is for a CSR from
+// elsewhere (NewCandidateSetFromData): it refuses a label-eligible read
+// that is in neither of x's rows, which lacks a bound the engine needs.
+func (cs *CandidateSet) retainRead(check bool) error {
 	hit := pairbits.NewBitset(len(cs.prunedCol))
-	for _, k := range cs.candPairs {
-		u, v := k.Split()
-		if cs.opts.WPlus > 0 {
-			if err := cs.markReads(hit, cs.g1.Out(u), cs.g2.Out(v)); err != nil {
-				return err
+	n := 0 // entries hit
+	// stamp[y] is x+1 once a candidate reads (x, y), and -(x+1) once the
+	// read is met in one of x's rows.
+	stamp := make([]int32, cs.n2)
+	var reads []graph.NodeID
+	for x := 0; x < cs.n1; x++ {
+		s := int32(x + 1)
+		reads = cs.stampReads(stamp, graph.NodeID(x), reads[:0])
+		for b := cs.prunedOff[x]; b < cs.prunedOff[x+1]; b++ {
+			if y := cs.prunedCol[b]; stamp[y] == s {
+				stamp[y] = -s
+				hit.Set(int(b))
+				n++
 			}
 		}
-		if cs.opts.WMinus > 0 {
-			if err := cs.markReads(hit, cs.g1.In(u), cs.g2.In(v)); err != nil {
-				return err
+		if !check {
+			continue
+		}
+		for _, k := range cs.candPairs[cs.rowOff[x]:cs.rowOff[x+1]] {
+			if y := keyCol(k); stamp[y] == s {
+				stamp[y] = -s
+			}
+		}
+		for _, y := range reads {
+			if stamp[y] == s && cs.Eligible(graph.NodeID(x), y) {
+				return fmt.Errorf("core: pruned pair (%d,%d), which a candidate reads, has no retained §3.4 bound", x, y)
 			}
 		}
 	}
-	n := hit.Count()
 	col := make([]graph.NodeID, 0, n)
-	bound := make([]float64, 0, n)
+	bnd := make([]float64, 0, n)
 	for u := 0; u < cs.n1; u++ {
 		lo, hi := cs.prunedOff[u], cs.prunedOff[u+1]
 		cs.prunedOff[u] = int32(len(col))
 		for i := lo; i < hi; i++ {
 			if hit.Get(int(i)) {
 				col = append(col, cs.prunedCol[i])
-				bound = append(bound, cs.prunedBound[i])
+				bnd = append(bnd, cs.prunedBound[i])
 			}
 		}
 	}
 	cs.prunedOff[cs.n1] = int32(n)
-	cs.prunedCol, cs.prunedBound = col, bound
+	cs.prunedCol, cs.prunedBound = col, bnd
 	return nil
 }
 
-// markReads marks in hit the CSR entries of the label-eligible
-// non-candidates of xs × ys, and refuses one that has none.
-func (cs *CandidateSet) markReads(hit pairbits.Bitset, xs, ys []graph.NodeID) error {
-	for _, x := range xs {
-		lo, hi := cs.prunedOff[x], cs.prunedOff[x+1]
-		for _, y := range ys {
-			if !cs.Eligible(x, y) || cs.Contains(x, y) {
-				continue // most reads: no entry to look for
+// stampReads sets stamp[y] = x+1 for every y that some candidate's
+// Equation 3 update reads with x — y ∈ N⁺(v) for each candidate (u, v)
+// with u ∈ N⁻(x) under w⁺, y ∈ N⁻(v) with u ∈ N⁺(x) under w⁻ — and
+// appends each such y to reads once.
+func (cs *CandidateSet) stampReads(stamp []int32, x graph.NodeID, reads []graph.NodeID) []graph.NodeID {
+	s := int32(x + 1)
+	for d, w := range [2]float64{cs.opts.WPlus, cs.opts.WMinus} {
+		if w <= 0 {
+			continue
+		}
+		us := cs.g1.In(x)
+		if d == 1 {
+			us = cs.g1.Out(x)
+		}
+		for _, u := range us {
+			for _, k := range cs.candPairs[cs.rowOff[u]:cs.rowOff[u+1]] {
+				ys := cs.g2.Out(keyCol(k))
+				if d == 1 {
+					ys = cs.g2.In(keyCol(k))
+				}
+				for _, y := range ys {
+					if stamp[y] != s {
+						stamp[y] = s
+						reads = append(reads, y)
+					}
+				}
 			}
-			i, ok := slices.BinarySearch(cs.prunedCol[lo:hi], y)
-			if !ok {
-				return fmt.Errorf("core: pruned pair (%d,%d), which a candidate reads, has no retained §3.4 bound", x, y)
-			}
-			hit.Set(int(lo) + i)
 		}
 	}
-	return nil
+	return reads
 }
 
-// indexCandidates derives the positional structures of the row-major
-// candidate enumeration candPairs under the set's store shape: the row
-// offsets, and the candidate bitmap (dense) or the hash map from pair to
-// position (sparse). It is the one place either store is filled — build,
-// Patch and NewCandidateSetFromData all end in it — and it refuses a map
-// whose positions would overflow the int32 offsets.
-func (cs *CandidateSet) indexCandidates() error {
-	if err := cs.deriveRowOff(); err != nil {
-		return err
-	}
-	cs.candBits, cs.index = nil, nil
-	if cs.dense {
-		cs.candBits = pairbits.NewBitset(cs.n1 * cs.n2)
-		for _, k := range cs.candPairs {
-			u, v := k.Split()
-			cs.candBits.Set(int(u)*cs.n2 + int(v))
-		}
-	} else {
-		cs.index = make(map[pairbits.Key]int32, len(cs.candPairs))
-		for pos, k := range cs.candPairs {
-			cs.index[k] = int32(pos)
-		}
-	}
-	return nil
-}
-
-// deriveRowOff derives the row offsets of the candidate enumeration into
-// a fresh array, refusing a map whose positions would overflow them.
+// deriveRowOff derives the row offsets of the candidate enumeration
+// candPairs into a fresh array, refusing a map whose positions would
+// overflow them. It is the one place the rows are indexed — build, Patch
+// and NewCandidateSetFromData all end in it.
 func (cs *CandidateSet) deriveRowOff() error {
 	cs.rowOff = make([]int32, cs.n1+1)
 	for _, k := range cs.candPairs {
@@ -574,16 +558,7 @@ func (cs *CandidateSet) NumCandidates() int {
 func (cs *CandidateSet) PrunedCount() int { return cs.prunedCount }
 
 // Contains reports whether the pair (u, v) is maintained in Hc.
-func (cs *CandidateSet) Contains(u, v graph.NodeID) bool {
-	if cs.allPairs {
-		return true
-	}
-	if cs.dense {
-		return cs.candBits.Get(int(u)*cs.n2 + int(v))
-	}
-	_, ok := cs.index[pairbits.MakeKey(u, v)]
-	return ok
-}
+func (cs *CandidateSet) Contains(u, v graph.NodeID) bool { return cs.Position(u, v) >= 0 }
 
 // StandIn returns the constant score a non-candidate pair contributes to
 // Equation 3 (§3.4): α·FSim̄ for a label-eligible non-candidate under
@@ -598,17 +573,6 @@ func (cs *CandidateSet) StandIn(u, v graph.NodeID) float64 {
 		return cs.opts.UpperBoundOpt.Alpha * cs.prunedBound[i]
 	}
 	return cs.opts.UpperBoundOpt.Alpha * cs.RowBounds(u, []graph.NodeID{v}, nil)[0]
-}
-
-// readStandIn returns the stand-in of a non-candidate pair that some
-// candidate reads: α·FSim̄ for a retained bound, 0 otherwise. Every pruned
-// pair a candidate reads has a retained bound, so a read pair without one
-// is label-ineligible.
-func (cs *CandidateSet) readStandIn(u, v graph.NodeID) float64 {
-	if i, ok := cs.prunedPos(u, v); ok {
-		return cs.opts.UpperBoundOpt.Alpha * cs.prunedBound[i]
-	}
-	return 0
 }
 
 // prunedPos binary-searches row u of the retained-bound CSR for column v,
@@ -655,46 +619,37 @@ func (cs *CandidateSet) RowBounds(u graph.NodeID, vs []graph.NodeID, dst []float
 
 // Position returns where candidate pair (u, v) sits in the candidate
 // enumeration — u·|V2|+v when every pair is a candidate, else its index in
-// the row-major candidate list — or -1 when (u, v) is not a candidate.
-// Scores that outlive an engine run (Result, the dynamic maintainer's
-// store, snapshots) keep one float64 per candidate at these positions.
+// the row-major candidate list, found by a binary search of row u — or -1
+// when (u, v) is not a candidate. Scores that outlive an engine run
+// (Result, the dynamic maintainer's store, snapshots) keep one float64 per
+// candidate at these positions.
 func (cs *CandidateSet) Position(u, v graph.NodeID) int {
-	switch {
-	case cs.allPairs:
+	if cs.allPairs {
 		return int(u)*cs.n2 + int(v)
-	case cs.dense:
-		if !cs.candBits.Get(int(u)*cs.n2 + int(v)) {
-			return -1
-		}
-		lo, hi := cs.rowOff[u], cs.rowOff[u+1]
-		i, _ := slices.BinarySearch(cs.candPairs[lo:hi], pairbits.MakeKey(u, v))
-		return int(lo) + i
-	default:
-		if i, ok := cs.index[pairbits.MakeKey(u, v)]; ok {
-			return int(i)
-		}
+	}
+	lo, hi := cs.rowOff[u], cs.rowOff[u+1]
+	i, ok := slices.BinarySearch(cs.candPairs[lo:hi], pairbits.MakeKey(u, v))
+	if !ok {
 		return -1
 	}
+	return int(lo) + i
 }
 
 // ScoreRow returns row u of a candidate-aligned score vector, read through
 // score(pos) at each candidate Position, as (v, score) pairs in ascending
 // v order.
 func (cs *CandidateSet) ScoreRow(u graph.NodeID, score func(pos int) float64) []stats.Ranked {
-	lo, hi := int(u)*cs.n2, (int(u)+1)*cs.n2
-	if !cs.allPairs {
-		lo, hi = int(cs.rowOff[u]), int(cs.rowOff[u+1])
-	}
+	lo, hi := cs.RowSpan(u)
 	out := make([]stats.Ranked, hi-lo)
 	for pos := lo; pos < hi; pos++ {
-		_, v := cs.pairAt(pos)
+		_, v := cs.PairAt(pos)
 		out[pos-lo] = stats.Ranked{Index: int(v), Score: score(pos)}
 	}
 	return out
 }
 
-// pairAt returns the candidate pair at position pos.
-func (cs *CandidateSet) pairAt(pos int) (u, v graph.NodeID) {
+// PairAt returns the candidate pair at position pos.
+func (cs *CandidateSet) PairAt(pos int) (u, v graph.NodeID) {
 	if cs.allPairs {
 		return graph.NodeID(pos / cs.n2), graph.NodeID(pos % cs.n2)
 	}
@@ -704,22 +659,27 @@ func (cs *CandidateSet) pairAt(pos int) (u, v graph.NodeID) {
 // ForEachCandidate calls fn for every candidate v of row u, in ascending v
 // order.
 func (cs *CandidateSet) ForEachCandidate(u graph.NodeID, fn func(v graph.NodeID)) {
-	if cs.allPairs {
-		for v := 0; v < cs.n2; v++ {
-			fn(graph.NodeID(v))
-		}
-		return
-	}
-	for pos := cs.rowOff[u]; pos < cs.rowOff[u+1]; pos++ {
-		_, v := cs.candPairs[pos].Split()
+	lo, hi := cs.RowSpan(u)
+	for pos := lo; pos < hi; pos++ {
+		_, v := cs.PairAt(pos)
 		fn(v)
 	}
+}
+
+// RowSpan returns the candidate positions of row u, lo ≤ pos < hi, in the
+// order ForEachCandidate visits them.
+func (cs *CandidateSet) RowSpan(u graph.NodeID) (lo, hi int) {
+	if cs.allPairs {
+		return int(u) * cs.n2, (int(u) + 1) * cs.n2
+	}
+	return int(cs.rowOff[u]), int(cs.rowOff[u+1])
 }
 
 // forEachRead enumerates the pairs whose previous-iteration scores the
 // Equation 3 update of (u, v) reads: the out-neighbor cross product under
 // w⁺ and the in-neighbor cross product under w⁻ (the forward direction of
-// the dependency adjacency; ForEachDependent is its reverse).
+// the dependency adjacency; ForEachCandidateDependent is its reverse).
+// The engine reads them through joinRows instead.
 func (cs *CandidateSet) forEachRead(u, v graph.NodeID, fn func(x, y graph.NodeID)) {
 	if cs.opts.WPlus > 0 {
 		for _, x := range cs.g1.Out(u) {
@@ -735,42 +695,4 @@ func (cs *CandidateSet) forEachRead(u, v graph.NodeID, fn func(x, y graph.NodeID
 			}
 		}
 	}
-}
-
-// isRead reports whether some candidate's Equation 3 update reads (x, y):
-// whether a pair ForEachDependent enumerates for it is a candidate.
-func (cs *CandidateSet) isRead(x, y graph.NodeID) bool {
-	read := false
-	cs.ForEachDependent(x, y, func(u, v graph.NodeID) { read = read || cs.Contains(u, v) })
-	return read
-}
-
-// ForEachDependent enumerates the pairs whose Equation 3 update reads
-// FSim(x, y) — the reverse candidate adjacency driving worklist
-// propagation.
-func (cs *CandidateSet) ForEachDependent(x, y graph.NodeID, fn func(u, v graph.NodeID)) {
-	forEachDependent(cs.g1, cs.g2, x, y, cs.opts.WPlus, cs.opts.WMinus, fn)
-}
-
-// updatePair evaluates Equation 3 for one pair, visiting the eligible
-// neighbour pairs through row u's masks m once the row has built them
-// (engineMasked), and every neighbour pair before. Workers recompute
-// pairs row by row, so a row's masks serve all its later pairs.
-func (cs *CandidateSet) updatePair(m *rowMasks, u, v graph.NodeID, lookup func(x, y graph.NodeID) float64, scratch *opScratch) float64 {
-	if cs.opts.PinDiagonal && u == v {
-		return 1
-	}
-	o := &cs.opts
-	out, in := &m.out, &m.in
-	if !cs.engineMasked(m, u, v) {
-		out, in = nil, nil
-	}
-	s := (1 - o.WPlus - o.WMinus) * cs.LabelSim(u, v)
-	if o.WPlus > 0 {
-		s += o.WPlus * cs.ops.neighborScore(cs.g1.Out(u), cs.g2.Out(v), cs.labels2, out, lookup, scratch)
-	}
-	if o.WMinus > 0 {
-		s += o.WMinus * cs.ops.neighborScore(cs.g1.In(u), cs.g2.In(v), cs.labels2, in, lookup, scratch)
-	}
-	return s
 }

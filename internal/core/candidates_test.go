@@ -15,7 +15,7 @@ import (
 // TestDensePairsOverflow pins the store-shape predicate's arithmetic: the
 // pair universe is evaluated in 64-bit regardless of platform, so products
 // that would wrap a 32-bit int (or exceed the configured cap) select the
-// sparse store instead of mis-addressing a dense buffer.
+// candidate rows instead of mis-addressing an all-pairs buffer.
 func TestDensePairsOverflow(t *testing.T) {
 	capCases := []struct {
 		n1, n2, cap int

@@ -10,10 +10,13 @@ import (
 	"fsim/internal/pairbits"
 )
 
-// rowSeeds lists row u's candidates of cs as closure seeds.
-func rowSeeds(cs *CandidateSet, u graph.NodeID) []pairbits.Key {
-	var seeds []pairbits.Key
-	cs.ForEachCandidate(u, func(v graph.NodeID) { seeds = append(seeds, pairbits.MakeKey(u, v)) })
+// rowSeeds lists the positions of row u's candidates of cs as closure
+// seeds.
+func rowSeeds(cs *CandidateSet, u graph.NodeID) []int {
+	var seeds []int
+	for pos, hi := cs.RowSpan(u); pos < hi; pos++ {
+		seeds = append(seeds, pos)
+	}
 	return seeds
 }
 
@@ -21,7 +24,7 @@ func rowSeeds(cs *CandidateSet, u graph.NodeID) []pairbits.Key {
 // fresh Closure's bit for bit — the same pairs in the same order, the same
 // scores, iterations and trajectory — and, under a pinned iteration
 // budget, every member's score equals a batch ComputeOn's.
-func requireClosureRun(t *testing.T, label string, cs *CandidateSet, c *Closure, seeds []pairbits.Key) {
+func requireClosureRun(t *testing.T, label string, cs *CandidateSet, c *Closure, seeds []int) {
 	t.Helper()
 	var fresh Closure
 	iters, _ := cs.RunClosure(&fresh, seeds)
@@ -42,8 +45,8 @@ func requireClosureRun(t *testing.T, label string, cs *CandidateSet, c *Closure,
 		t.Fatal(err)
 	}
 	for i := 0; i < fresh.Len(); i++ {
-		u, v := fresh.Pair(i)
-		if gu, gv := c.Pair(i); gu != u || gv != v {
+		u, v := cs.PairAt(fresh.Position(i))
+		if gu, gv := cs.PairAt(c.Position(i)); gu != u || gv != v {
 			t.Fatalf("%s: closure pair %d is (%d,%d) reused, (%d,%d) fresh", label, i, gu, gv, u, v)
 		}
 		got, want := c.Score(i), fresh.Score(i)
@@ -57,14 +60,13 @@ func requireClosureRun(t *testing.T, label string, cs *CandidateSet, c *Closure,
 }
 
 // TestClosureAcrossPatch reuses one Closure, whose engine keeps its
-// workers' row masks and whose dense-store ranks reuse their capacity,
-// across Patches that add out-edges to its seed row, shift candidate
-// positions, grow the node set within Options.DenseCapPairs, and cross it
-// into the sparse store. Each run starts on state the previous one left
-// behind — masks of the same row, ranks of the old candidate bitmap,
-// buffers sized to the old candidate count — and must rebuild it: its
-// closure and scores must equal a fresh Closure's and, under the pinned
-// budget, ComputeOn's bit for bit. The seed row's RowBounds, whose masks
+// buffers, worklists and member bitset, across Patches that add out-edges
+// to its seed row, shift candidate positions, grow the node set within
+// Options.DenseCapPairs, and past it. Each run starts on state the
+// previous one left behind — buffers and bitsets sized to the old
+// candidate count — and must rebuild it: its closure and scores must
+// equal a fresh Closure's and, under the pinned budget, ComputeOn's bit
+// for bit. The seed row's RowBounds, whose masks
 // are pooled, must likewise equal a fresh set's after the first Patch.
 func TestClosureAcrossPatch(t *testing.T) {
 	g := hubGraph(7, 170)
@@ -176,9 +178,9 @@ func dagGraph(seed int64, n, fanout int) *graph.Graph {
 // activates more pairs than the closure holds; a worklist that leaked
 // past the members would recompute non-member slots from whatever they
 // held, and could change when the run stops. Each closure's scores must
-// still equal ComputeOn's under a pinned budget. All three stores run:
-// all pairs (θ = 0), the candidate bitmap and the hash map (θ = 0.6
-// separates the three labels, with §3.4 stand-ins).
+// still equal ComputeOn's under a pinned budget. Both stores run: all
+// pairs (θ = 0), and the candidate rows (θ = 0.6 separates the three
+// labels, with §3.4 stand-ins), within Options.DenseCapPairs and past it.
 func TestClosureWorklistScope(t *testing.T) {
 	g := dagGraph(11, 60, 2)
 	for _, store := range []struct {
@@ -210,7 +212,7 @@ func TestClosureWorklistScope(t *testing.T) {
 			if !cs.Contains(u, v) {
 				continue
 			}
-			cs.RunClosure(&c, []pairbits.Key{pairbits.MakeKey(u, v)})
+			cs.RunClosure(&c, []int{cs.Position(u, v)})
 			if got := c.res.ActivePairs[0]; got != c.Len() {
 				t.Fatalf("%s seed (%d,%d): %d pairs active in round one, closure %d", store.name, u, v, got, c.Len())
 			}
@@ -221,15 +223,15 @@ func TestClosureWorklistScope(t *testing.T) {
 			}
 			members := make(map[pairbits.Key]bool, c.Len())
 			for i := 0; i < c.Len(); i++ {
-				a, b := c.Pair(i)
+				a, b := cs.PairAt(c.Position(i))
 				members[pairbits.MakeKey(a, b)] = true
 				if got, want := c.Score(i), res.Score(a, b); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s seed (%d,%d): (%d,%d) closure %v, ComputeOn %v", store.name, u, v, a, b, got, want)
 				}
 			}
 			for i := 0; i < c.Len(); i++ {
-				a, b := c.Pair(i)
-				cs.ForEachDependent(a, b, func(p, q graph.NodeID) {
+				a, b := cs.PairAt(c.Position(i))
+				referenceDependents(cs, a, b, func(p, q graph.NodeID) {
 					if cs.Contains(p, q) && !members[pairbits.MakeKey(p, q)] {
 						leaky++
 					}

@@ -21,6 +21,9 @@ import (
 type engine struct {
 	*CandidateSet
 	lay layout
+	// plan, when set, holds what each iterated pair reads; without it
+	// every update joins its reads.
+	plan *readPlan
 
 	prev, cur []float64
 
@@ -36,41 +39,26 @@ type engine struct {
 	active, nextActive, dirty pairbits.Bitset
 }
 
-// layout is a run's slot plan: pair → slot for worklist marks, slot →
-// pair, and the ranks a previous-score read resolves through
-// (lookupFunc). Every run, batch or localized, keeps one slot per
-// candidate at its CandidateSet.Position: the row-major candidate list
-// (the literal Hc of Algorithm 1), or u·|V2|+v when every pair is a
-// candidate. The buffers of a batch run are therefore the result's scores
-// as they stand. A localized run (Closure) iterates only the slots its
+// layout is a run's slot plan: slot → pair, and the slots the run
+// iterates. Every run, batch or localized, keeps one slot per candidate
+// at its CandidateSet.Position: the row-major candidate list (the literal
+// Hc of Algorithm 1), or u·|V2|+v when every pair is a candidate. The
+// buffers of a batch run are therefore the result's scores as they stand,
+// and every read of a previous score — an Equation 3 update's, a worklist
+// mark's, a closure's admission — resolves a pair to its slot by joining
+// rows (joinRows). A localized run (Closure) iterates only the slots its
 // member bitset marks; the closure property means no member reads another
 // candidate, so the other slots are never read.
-//
-// A candidate resolves to its slot by the rank of its bit in the
-// candidate bitmap (dense store) or through the index map (sparse store,
-// pair universe beyond Options.DenseCapPairs). A non-candidate pair reads
-// α·FSim̄ for a retained bound — found by the rank of the pruned-pair
-// bitmap, or by readStandIn's row search on the sparse store; every pruned
-// pair a candidate reads has one — and 0 otherwise, which makes a
-// label-ineligible pair read 0; the mapping operators read only the
-// label-eligible pairs once a row has built its eligibility masks, and
-// every pair before (and always under MapProduct), relying on that 0.
 type layout struct {
 	slots int // score-buffer length and worklist bitset span
 	count int // iterated pairs
 
 	// all marks the all-pairs store: pair (u, v) at slot u·stride + v.
-	// Otherwise slot i holds pairs[i], and index (sparse store) or cand,
-	// the rank of the candidate bitmap over universe slots u·stride + v
-	// (dense store), inverts it; pruned ranks the retained-bound pairs of
-	// the dense universe (zero without retained bounds). member marks the
-	// iterated slots, nil meaning every slot.
+	// Otherwise slot i holds pairs[i]. member marks the iterated slots,
+	// nil meaning every slot.
 	all    bool
 	stride int
 	pairs  []pairbits.Key
-	index  map[pairbits.Key]int32
-	cand   pairbits.Rank
-	pruned pairbits.Rank
 	member pairbits.Bitset
 }
 
@@ -94,28 +82,6 @@ func (l *layout) pairFrom(base, r, c, off int) (graph.NodeID, graph.NodeID) {
 	return graph.NodeID(r), graph.NodeID(c)
 }
 
-// position resolves pair (u, v) to its slot, reporting whether the pair
-// is a candidate.
-func (l *layout) position(u, v graph.NodeID) (int, bool) {
-	switch {
-	case l.all:
-		return int(u)*l.stride + int(v), true
-	case l.index != nil:
-		i, ok := l.index[pairbits.MakeKey(u, v)]
-		return int(i), ok
-	}
-	return l.cand.Index(int(u)*l.stride + int(v))
-}
-
-// mark puts pair (u, v) on worklist b when the layout iterates it;
-// non-iterated pairs (ineligible, pruned, outside a closure) hold
-// constants and are never recomputed.
-func (l *layout) mark(b pairbits.Bitset, u, v graph.NodeID) {
-	if i, ok := l.position(u, v); ok && (l.member == nil || l.member.Get(i)) {
-		b.Set(i)
-	}
-}
-
 // markAll sets every iterated slot of b.
 func (l *layout) markAll(b pairbits.Bitset) {
 	if l.member != nil {
@@ -130,46 +96,11 @@ func (l *layout) markAll(b pairbits.Bitset) {
 	}
 }
 
-// ranks holds the dense store's rank structures. They are rebuilt at the
-// start of every run, since a Patch may have moved them; a Closure keeps
-// one so its runs reuse the capacity.
-type ranks struct {
-	cand, pruned pairbits.Rank
-	prunedBits   pairbits.Bitset
-}
-
 // layout returns the slot plan of the set's score store, iterating every
-// candidate, with the dense store's ranks rebuilt into r.
-func (cs *CandidateSet) layout(r *ranks) layout {
+// candidate.
+func (cs *CandidateSet) layout() layout {
 	n := cs.NumCandidates()
-	l := layout{
-		slots: n, count: n, all: cs.allPairs,
-		stride: cs.n2, pairs: cs.candPairs, index: cs.index,
-	}
-	if cs.dense && !cs.allPairs {
-		r.cand.Reset(cs.candBits)
-		l.cand = r.cand
-		if cs.prunedOff != nil {
-			r.prunedBits = cs.fillPrunedBits(r.prunedBits)
-			r.pruned.Reset(r.prunedBits)
-			l.pruned = r.pruned
-		}
-	}
-	return l
-}
-
-// fillPrunedBits marks, in b's capacity, the retained-bound pairs of the
-// dense store's pair universe (slot u·|V2|+v). The CSR lists them
-// row-major, v-ascending, so a marked slot's rank is its position in
-// prunedCol/prunedBound.
-func (cs *CandidateSet) fillPrunedBits(b pairbits.Bitset) pairbits.Bitset {
-	b = resetBits(b, cs.n1*cs.n2)
-	for u := 0; u < cs.n1; u++ {
-		for _, v := range cs.prunedCol[cs.prunedOff[u]:cs.prunedOff[u+1]] {
-			b.Set(u*cs.n2 + int(v))
-		}
-	}
-	return b
+	return layout{slots: n, count: n, all: cs.allPairs, stride: cs.n2, pairs: cs.candPairs}
 }
 
 // chunkWords is the number of active-bitset words (64 slots each) a
@@ -241,7 +172,11 @@ func ComputeOn(cs *CandidateSet) (*Result, error) {
 // computeOn iterates Equation 3 to its fixed point over a prebuilt
 // candidate component, on every candidate.
 func computeOn(cs *CandidateSet, start time.Time) (*Result, error) {
-	e := &engine{CandidateSet: cs, lay: cs.layout(new(ranks))}
+	e := &engine{CandidateSet: cs, lay: cs.layout()}
+	e.initWorkers(cs.opts.Threads)
+	if p := new(readPlan); e.planAll(p) {
+		e.plan = p
+	}
 	e.prev = make([]float64, e.lay.slots)
 	e.cur = make([]float64, e.lay.slots)
 	e.initScores()
@@ -264,48 +199,167 @@ func computeOn(cs *CandidateSet, start time.Time) (*Result, error) {
 // read, transitively, iterated on the batch slot layout with a member
 // bitset marking them. Pairs outside the closure can never influence a
 // member, so the members' trajectory is the batch engine's. A Closure
-// keeps its buffers, worklists, worker state and dense-store ranks
-// between runs, so one Closure per goroutine runs repeated queries
-// without reallocating them, across Patches too. It is not safe for
-// concurrent use.
+// keeps its buffers, worklists and worker state between runs, so one
+// Closure per goroutine runs repeated queries without reallocating them,
+// across Patches too. It is not safe for concurrent use.
 type Closure struct {
 	e      engine
 	res    Result
-	ranks  ranks
 	member pairbits.Bitset
 	queue  []int // member slots in discovery order
+	plan   readPlan
+	rec    planRecorder
 }
 
-// RunClosure collects the dependency closure of the seeds that are
-// candidate pairs (the others are ignored) into c and iterates it to its
-// fixed point, on one worker and on the same worklist as Compute: every
-// member is active in round one, and afterwards a pair re-enters the
-// worklist only when a pair its update reads changed (by more than
-// Options.DeltaEps under DeltaMode). Members start from FSim⁰. A closure
-// with no member is not run.
-func (cs *CandidateSet) RunClosure(c *Closure, seeds []pairbits.Key) (iterations int, converged bool) {
-	e := &c.e
-	e.CandidateSet = cs
-	e.lay = cs.layout(&c.ranks)
-	l := &e.lay
-	c.member = resetBits(c.member, l.slots)
-	l.member = c.member
-	c.queue = c.queue[:0]
-	admit := func(u, v graph.NodeID) {
-		if i, ok := l.position(u, v); ok && !c.member.Get(i) {
-			c.member.Set(i)
-			c.queue = append(c.queue, i)
+// readPlan is what the iterated pairs of a run read: the yields of the
+// joins (joinRows) of each pair's Equation 3 update, recorded once (by the
+// workers before a batch run, or by a Closure's admission, which makes
+// those joins anyway) and replayed by every update of the pair. It holds
+// at most planReads reads per layout slot; a run that reads more is
+// iterated without one.
+type readPlan struct {
+	at    []int32 // slot → the pair's index k in plan order; nil when k is the slot
+	off   []int32 // pair k reads parts[k/span][off[3k+d]:off[3k+d+1]] under direction d
+	parts [][]planRead
+	span  int
+}
+
+// planRead is one read (S1[i], S2[j]) of an update: a candidate at slot
+// ref ≥ 0 or a retained bound at index ^ref of prunedBound.
+type planRead struct {
+	i, j, ref int32
+}
+
+const planReads = 2 // a readPlan's reads per layout slot, at most
+
+// reads returns pair k's reads under direction d (0: w⁺, 1: w⁻).
+func (p *readPlan) reads(k, d int) []planRead {
+	return p.parts[k/p.span][p.off[3*k+d]:p.off[3*k+d+1]]
+}
+
+// planRecorder records a readPlan's reads through its join visitors.
+type planRecorder struct {
+	reads []planRead
+	admit func(pos int) // when not nil, called with each candidate read
+	full  bool          // the reads are no longer recorded
+	cand  func(i, j, pos int)
+	bound func(i, j, b int)
+}
+
+// init readies r's join visitors.
+func (r *planRecorder) init() {
+	r.cand = func(i, j, pos int) {
+		if r.admit != nil {
+			r.admit(pos)
+		}
+		if !r.full {
+			r.reads = append(r.reads, planRead{int32(i), int32(j), int32(pos)})
 		}
 	}
-	for _, k := range seeds {
-		admit(k.Split())
+	r.bound = func(i, j, b int) {
+		if !r.full {
+			r.reads = append(r.reads, planRead{int32(i), int32(j), ^int32(b)})
+		}
 	}
+}
+
+// record appends the joins of (u, v)'s update, their extent to off[0:3].
+func (e *engine) record(r *planRecorder, u, v graph.NodeID, off []int32) {
+	off[0] = int32(len(r.reads))
+	if e.opts.WPlus > 0 {
+		e.joinRows(e.g1.Out(u), e.g2.Out(v), r.cand, r.bound)
+	}
+	off[1] = int32(len(r.reads))
+	if e.opts.WMinus > 0 {
+		e.joinRows(e.g1.In(u), e.g2.In(v), r.cand, r.bound)
+	}
+	off[2] = int32(len(r.reads))
+}
+
+// planAll records into p what every slot of a batch layout reads, each
+// worker a contiguous range of slots into its own part, and reports
+// whether the plan fits. An all-pairs run reads |N(u)|·|N(v)| candidates
+// per pair, which seldom fits, so it is not planned.
+func (e *engine) planAll(p *readPlan) bool {
+	l := &e.lay
+	if l.all || l.slots > maxCandidates {
+		return false
+	}
+	n := len(e.workers)
+	p.at, p.span = nil, max((l.slots+n-1)/n, 1)
+	p.off = make([]int32, 3*l.slots)
+	p.parts = make([][]planRead, n)
+	limit := int64(planReads * l.slots)
+	var next, used atomic.Int64
+	e.runWorkers(func(w *engineWorker) {
+		part := int(next.Add(1) - 1)
+		lo := min(part*p.span, l.slots)
+		hi := min(lo+p.span, l.slots)
+		r := &planRecorder{reads: make([]planRead, 0, planReads*(hi-lo))}
+		r.init()
+		for slot := lo; slot < hi; slot++ {
+			start := len(r.reads)
+			u, v := l.pair(slot)
+			e.record(r, u, v, p.off[3*slot:])
+			if used.Add(int64(len(r.reads)-start)) > limit {
+				return
+			}
+		}
+		p.parts[part] = r.reads
+	})
+	return used.Load() <= limit
+}
+
+// RunClosure collects the dependency closure of the seeds, given by
+// candidate position, into c and iterates it to its fixed point, on one
+// worker and on the same worklist as Compute: every member is active in
+// round one, and afterwards a pair re-enters the worklist only when a pair
+// its update reads changed (by more than Options.DeltaEps under
+// DeltaMode). Members start from FSim⁰. A closure with no member is not
+// run.
+func (cs *CandidateSet) RunClosure(c *Closure, seeds []int) (iterations int, converged bool) {
+	e := &c.e
+	e.CandidateSet = cs
+	e.lay = cs.layout()
+	l := &e.lay
+	c.member = pairbits.Reset(c.member, l.slots)
+	l.member = c.member
+	c.queue = c.queue[:0]
+	p := &c.plan
+	p.at = slices.Grow(p.at[:0], l.slots)[:l.slots]
+	p.off = p.off[:0]
+	admit := func(pos int) {
+		if !c.member.Get(pos) {
+			c.member.Set(pos)
+			c.queue = append(c.queue, pos)
+		}
+	}
+	for _, pos := range seeds {
+		admit(pos)
+	}
+	// Record while the plan fits, and only admit once it does not.
+	r := &c.rec
+	if r.cand == nil {
+		r.init()
+	}
+	limit := planReads * l.slots
+	r.reads, r.admit, r.full = r.reads[:0], admit, l.slots > maxCandidates
 	for head := 0; head < len(c.queue); head++ {
-		u, v := l.pair(c.queue[head])
-		cs.forEachRead(u, v, admit)
+		slot := c.queue[head]
+		p.at[slot] = int32(head)
+		u, v := l.pair(slot)
+		p.off = append(p.off, 0, 0, 0)
+		e.record(r, u, v, p.off[3*head:])
+		r.full = r.full || len(r.reads) > limit
 	}
+	r.admit = nil
 	if len(c.queue) == 0 {
 		return 0, false
+	}
+	e.plan = nil
+	if !r.full {
+		p.parts, p.span = append(p.parts[:0], r.reads), max(len(c.queue), 1)
+		e.plan = p
 	}
 	l.count = len(c.queue)
 	e.prev = slices.Grow(e.prev[:0], l.slots)[:l.slots]
@@ -322,13 +376,12 @@ func (cs *CandidateSet) RunClosure(c *Closure, seeds []pairbits.Key) (iterations
 // Len is the number of pairs the last run iterated.
 func (c *Closure) Len() int { return len(c.queue) }
 
-// Pair returns the i-th pair of the last run's closure, 0 ≤ i < Len, in
-// discovery order: the seeds that are candidates come first, in seed
-// order and each once.
-func (c *Closure) Pair(i int) (graph.NodeID, graph.NodeID) { return c.e.lay.pair(c.queue[i]) }
+// Position returns the candidate position of the i-th pair of the last
+// run's closure, 0 ≤ i < Len, in discovery order: the seeds come first, in
+// seed order and each once.
+func (c *Closure) Position(i int) int { return c.queue[i] }
 
-// Score returns the final score of the i-th pair of the last run's
-// closure.
+// Score returns the final score of the i-th pair of the last closure.
 func (c *Closure) Score(i int) float64 { return c.e.prev[c.queue[i]] }
 
 // run iterates to the fixed point over the engine's layout, recording the
@@ -366,20 +419,15 @@ func (e *engine) settled(maxAbs, maxRel float64) bool {
 }
 
 // initWorkers (re)builds n padded per-worker states. Scratch survives from
-// earlier runs of the same engine; the score accessor is rebuilt for the
-// current layout, and the row masks are reset, since the candidate set may
-// have been patched since the last run.
+// earlier runs of the same engine.
 func (e *engine) initWorkers(n int) {
 	if len(e.workers) != n {
 		e.workers = make([]engineWorker, n)
 	}
 	for t := range e.workers {
-		w := &e.workers[t]
-		if w.scratch == nil {
+		if w := &e.workers[t]; w.scratch == nil {
 			w.scratch = newOpScratch()
 		}
-		w.lookup = e.lookupFunc()
-		w.masks.reset()
 	}
 }
 
@@ -391,14 +439,11 @@ func (e *engine) initScores() {
 }
 
 // updateState is one worker's reusable per-iteration context: operator
-// scratch, the row eligibility masks of the row it last recomputed, score
-// accessor and running extrema. Every recomputation goes through
+// scratch and running extrema. Every recomputation goes through
 // updateSlot, so a slot's arithmetic is the same whichever iteration (or,
 // in tests, which reference sweep) recomputes it.
 type updateState struct {
 	scratch *opScratch
-	masks   rowMasks
-	lookup  func(x, y graph.NodeID) float64
 	work    int64
 	maxAbs  float64
 	maxRel  float64
@@ -407,7 +452,7 @@ type updateState struct {
 // updateSlot recomputes pair (u, v) into cur[i] (Lines 5–8 of Algorithm 1)
 // and returns the absolute score change.
 func (e *engine) updateSlot(st *updateState, u, v graph.NodeID, i int) float64 {
-	s := e.updatePair(&st.masks, u, v, st.lookup, st.scratch)
+	s := e.updatePair(u, v, i, st.scratch)
 	st.work += int64(e.g1.OutDegree(u))*int64(e.g2.OutDegree(v)) +
 		int64(e.g1.InDegree(u))*int64(e.g2.InDegree(v)) + 1
 	p := e.prev[i]
@@ -430,6 +475,63 @@ func (e *engine) updateSlot(st *updateState, u, v graph.NodeID, i int) float64 {
 		st.maxRel = 1 // score appeared from zero: not converged
 	}
 	return d
+}
+
+// updatePair evaluates Equation 3 for the pair (u, v) at slot i from the
+// previous-iteration scores.
+func (e *engine) updatePair(u, v graph.NodeID, i int, scratch *opScratch) float64 {
+	o := &e.opts
+	if o.PinDiagonal && u == v {
+		return 1
+	}
+	s := (1 - o.WPlus - o.WMinus) * e.LabelSim(u, v)
+	if o.WPlus > 0 {
+		s += o.WPlus * e.directionScore(i, 0, e.g1.Out(u), e.g2.Out(v), scratch)
+	}
+	if o.WMinus > 0 {
+		s += o.WMinus * e.directionScore(i, 1, e.g1.In(u), e.g2.In(v), scratch)
+	}
+	return s
+}
+
+// directionScore evaluates Equation 2 for direction d (0 under w⁺, 1 under
+// w⁻) of the update at slot i, between the neighbour lists s1 of u and s2
+// of v. It lists the weights of s1 × s2 from the join of the rows of s1
+// with s2 (joinRows), or from the slot's plan, which recorded it: a
+// candidate weighs its previous score, a retained bound its stand-in
+// α·FSim̄, and every pair the join does not yield 0, which for a
+// label-ineligible pair is what excluding it from the mapping contributes
+// (see Operators.neighborScore).
+func (e *engine) directionScore(i, d int, s1, s2 []graph.NodeID, scratch *opScratch) float64 {
+	w := scratch.w[:0]
+	var alpha float64
+	if e.prunedOff != nil {
+		alpha = e.opts.UpperBoundOpt.Alpha
+	}
+	if p := e.plan; p != nil {
+		k := i
+		if p.at != nil {
+			k = int(p.at[i])
+		}
+		for _, r := range p.reads(k, d) {
+			s := 0.0
+			if r.ref >= 0 {
+				s = e.prev[r.ref]
+			} else {
+				s = alpha * e.prunedBound[^r.ref]
+			}
+			w = append(w, weight{r.i, r.j, s})
+		}
+	} else {
+		cand := func(i, j, pos int) { w = append(w, weight{int32(i), int32(j), e.prev[pos]}) }
+		var bound func(i, j, b int)
+		if e.prunedOff != nil {
+			bound = func(i, j, b int) { w = append(w, weight{int32(i), int32(j), alpha * e.prunedBound[b]}) }
+		}
+		e.joinRows(s1, s2, cand, bound)
+	}
+	scratch.w = w
+	return e.ops.neighborScore(len(s1), len(s2), w, scratch)
 }
 
 // runWorkers resets every worker state, fans body out over the worker
@@ -477,22 +579,10 @@ func (e *engine) reduce(work []int64) (maxAbs, maxRel float64) {
 // capacity from an earlier run is reused.
 func (e *engine) initWorklist() {
 	copy(e.cur, e.prev)
-	e.active = resetBits(e.active, e.lay.slots)
-	e.nextActive = resetBits(e.nextActive, e.lay.slots)
-	e.dirty = resetBits(e.dirty, e.lay.slots)
+	e.active = pairbits.Reset(e.active, e.lay.slots)
+	e.nextActive = pairbits.Reset(e.nextActive, e.lay.slots)
+	e.dirty = pairbits.Reset(e.dirty, e.lay.slots)
 	e.lay.markAll(e.active)
-}
-
-// resetBits returns an all-clear bitset spanning n bits, reusing b's
-// capacity when it suffices.
-func resetBits(b pairbits.Bitset, n int) pairbits.Bitset {
-	words := (n + 63) / 64
-	if cap(b) < words {
-		return pairbits.NewBitset(n)
-	}
-	b = b[:words]
-	b.ClearAll()
-	return b
 }
 
 // iterateDelta runs one synchronous update of the active worklist
@@ -555,7 +645,7 @@ func (e *engine) iterateDelta(work []int64) (maxAbs, maxRel float64) {
 
 // syncAndAdvance runs between iterations, after the buffer swap. It builds
 // the next worklist by propagating the dirty set through the reverse
-// candidate adjacency: a pair re-enters the worklist only when a pair its
+// candidate adjacency (ForEachCandidateDependent): a pair re-enters the worklist only when a pair its
 // Equation 3 value reads has changed. Under damping a dirty pair also
 // re-enters on its own — its next value mixes in its own previous score,
 // so it keeps moving even when its neighbors are at rest. It then restores
@@ -578,7 +668,11 @@ func (e *engine) syncAndAdvance() {
 		l.markAll(next)
 		e.dirty.ClearAll()
 	} else {
-		mark := func(u, v graph.NodeID) { l.mark(next, u, v) }
+		mark := func(pos int) {
+			if l.member == nil || l.member.Get(pos) {
+				next.Set(pos)
+			}
+		}
 		damping := e.opts.Damping
 		for i, word := range e.dirty {
 			if word == 0 {
@@ -590,7 +684,7 @@ func (e *engine) syncAndAdvance() {
 			}
 			for ; word != 0; word &= word - 1 {
 				x, y := l.pair(i*64 + bits.TrailingZeros64(word))
-				forEachDependent(e.g1, e.g2, x, y, e.opts.WPlus, e.opts.WMinus, mark)
+				e.ForEachCandidateDependent(x, y, mark)
 			}
 		}
 	}
@@ -602,51 +696,4 @@ func (e *engine) syncAndAdvance() {
 	}
 	e.active, e.nextActive = next, e.active
 	e.nextActive.ClearAll()
-}
-
-// lookupFunc returns the previous-iteration score accessor used by the
-// mapping operators, built once per run for the engine's layout. The
-// accessor alone decides what a non-candidate contributes: its §3.4
-// stand-in, α·FSim̄ for a retained bound, and 0 otherwise, which for a
-// label-ineligible pair is what excluding it from the mapping would
-// contribute (see neighborScore). All pairs is a single array load; the
-// other stores resolve a pair to its slot (position). No resolver checks
-// the label constraint: a pair that fails it is neither a candidate nor
-// pruned, and resolves to 0. The operators read such pairs only under
-// MapProduct and in rows that have not built their masks.
-func (e *engine) lookupFunc() func(x, y graph.NodeID) float64 {
-	l := &e.lay
-	switch {
-	case l.all:
-		n2 := l.stride
-		return func(x, y graph.NodeID) float64 { return e.prev[int(x)*n2+int(y)] }
-	case l.index != nil:
-		return func(x, y graph.NodeID) float64 {
-			if i, ok := l.index[pairbits.MakeKey(x, y)]; ok {
-				return e.prev[i]
-			}
-			return e.readStandIn(x, y)
-		}
-	}
-	n2, cand := l.stride, l.cand
-	return func(x, y graph.NodeID) float64 {
-		i := int(x)*n2 + int(y)
-		if pos, ok := cand.Index(i); ok {
-			return e.prev[pos]
-		}
-		return e.rankedStandIn(i)
-	}
-}
-
-// rankedStandIn returns the stand-in of non-candidate slot i of the dense
-// store's pair universe: α·FSim̄ for a retained bound, 0 otherwise.
-func (e *engine) rankedStandIn(i int) float64 {
-	if e.prunedOff == nil {
-		return 0
-	}
-	j, ok := e.lay.pruned.Index(i)
-	if !ok {
-		return 0
-	}
-	return e.opts.UpperBoundOpt.Alpha * e.prunedBound[j]
 }

@@ -247,14 +247,25 @@ func TestThreadDeterminism(t *testing.T) {
 	}
 }
 
-// TestStoreEquivalence verifies that all three candidate stores — fully
-// dense, dense with a candidate bitmap (forced via a no-op upper bound),
-// and the sparse hash map (forced via DenseCapPairs = 1) — produce
+// mergedRead is what an Equation 3 update reads of (x, y) from scores,
+// the candidate-aligned scores of cs: the join of row x with the list
+// {y}, which yields a candidate's score or a retained bound's stand-in,
+// and 0 for any other pair.
+func mergedRead(cs *CandidateSet, scores []float64, x, y graph.NodeID) float64 {
+	s := 0.0
+	cs.joinRows([]graph.NodeID{x}, []graph.NodeID{y},
+		func(_, _, pos int) { s = scores[pos] },
+		func(_, _, b int) { s = cs.opts.UpperBoundOpt.Alpha * cs.prunedBound[b] })
+	return s
+}
+
+// TestStoreEquivalence verifies that both candidate stores — all pairs,
+// and the candidate rows (forced via a no-op upper bound), within
+// Options.DenseCapPairs and past it (DenseCapPairs = 1) — produce
 // bit-identical scores. A second pair of runs prunes with α > 0, so that
-// non-candidate reads resolve to retained §3.4 stand-ins: the dense
-// store's pruned-bitmap rank must read exactly what the hash map's
-// resolver reads at every pair, and StandIn at every pair a candidate
-// reads (the engine reads no other).
+// non-candidate reads resolve to retained §3.4 stand-ins: the merged read
+// of every pair must be the same within the cap and past it, and equal
+// StandIn at every pair a candidate reads (the engine reads no other).
 func TestStoreEquivalence(t *testing.T) {
 	g1 := dataset.RandomGraph(31, 30, 90, 3)
 	g2 := dataset.RandomGraph(32, 35, 100, 3)
@@ -267,30 +278,30 @@ func TestStoreEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		bitmap := dense
-		bitmap.UpperBoundOpt = &UpperBound{Alpha: 0, Beta: 0} // β=0 prunes nothing (bounds > 0)
-		rb, err := Compute(g1, g2, bitmap)
+		rows := dense
+		rows.UpperBoundOpt = &UpperBound{Alpha: 0, Beta: 0} // β=0 prunes nothing (bounds > 0)
+		rb, err := Compute(g1, g2, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rb.CandidateCount != g1.NumNodes()*g2.NumNodes() {
-			t.Fatalf("variant %v: bitmap candidates %d, want all %d pairs",
+			t.Fatalf("variant %v: row candidates %d, want all %d pairs",
 				variant, rb.CandidateCount, g1.NumNodes()*g2.NumNodes())
 		}
 
-		hash := bitmap
-		hash.DenseCapPairs = 1 // force the hash-map store
-		rh, err := Compute(g1, g2, hash)
+		pastCap := rows
+		pastCap.DenseCapPairs = 1 // the rows past the cap
+		rh, err := Compute(g1, g2, pastCap)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		rd.ForEach(func(u, v graph.NodeID, s float64) {
 			if s2 := rb.Score(u, v); s != s2 {
-				t.Fatalf("variant %v: bitmap/dense mismatch at (%d,%d): %v vs %v", variant, u, v, s, s2)
+				t.Fatalf("variant %v: rows/all-pairs mismatch at (%d,%d): %v vs %v", variant, u, v, s, s2)
 			}
 			if s2 := rh.Score(u, v); s != s2 {
-				t.Fatalf("variant %v: hash/dense mismatch at (%d,%d): %v vs %v", variant, u, v, s, s2)
+				t.Fatalf("variant %v: rows past the cap/all-pairs mismatch at (%d,%d): %v vs %v", variant, u, v, s, s2)
 			}
 		})
 
@@ -300,30 +311,26 @@ func TestStoreEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prunedHash := pruned
-		prunedHash.DenseCapPairs = 1
-		rph, err := Compute(g1, g2, prunedHash)
+		prunedPastCap := pruned
+		prunedPastCap.DenseCapPairs = 1
+		rph, err := Compute(g1, g2, prunedPastCap)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rp.PrunedCount == 0 || rp.PrunedCount != rph.PrunedCount {
-			t.Fatalf("variant %v: pruned counts %d (bitmap) and %d (hash), want equal and > 0",
+			t.Fatalf("variant %v: pruned counts %d (within the cap) and %d (past it), want equal and > 0",
 				variant, rp.PrunedCount, rph.PrunedCount)
 		}
-		e := &engine{CandidateSet: rp.cs, lay: rp.cs.layout(new(ranks)), prev: rp.scores}
-		lookup := e.lookupFunc()
-		eh := &engine{CandidateSet: rph.cs, lay: rph.cs.layout(new(ranks)), prev: rph.scores}
-		lookupHash := eh.lookupFunc()
 		standIns := 0
 		for u := 0; u < g1.NumNodes(); u++ {
 			for v := 0; v < g2.NumNodes(); v++ {
 				un, vn := graph.NodeID(u), graph.NodeID(v)
 				if s, s2 := rp.Score(un, vn), rph.Score(un, vn); s != s2 {
-					t.Fatalf("variant %v: α > 0 hash/bitmap mismatch at (%d,%d): %v vs %v", variant, u, v, s, s2)
+					t.Fatalf("variant %v: α > 0 mismatch past the cap at (%d,%d): %v vs %v", variant, u, v, s, s2)
 				}
-				got := lookup(un, vn)
-				if want := lookupHash(un, vn); got != want {
-					t.Fatalf("variant %v: dense read of (%d,%d) = %v, hash-map read %v", variant, u, v, got, want)
+				got := mergedRead(rp.cs, rp.scores, un, vn)
+				if want := mergedRead(rph.cs, rph.scores, un, vn); got != want {
+					t.Fatalf("variant %v: merged read of (%d,%d) = %v within the cap, %v past it", variant, u, v, got, want)
 				}
 				if !rph.cs.isRead(un, vn) {
 					continue
@@ -335,7 +342,7 @@ func TestStoreEquivalence(t *testing.T) {
 					standIns++
 				}
 				if got != want {
-					t.Fatalf("variant %v: dense read of (%d,%d) = %v, want %v", variant, u, v, got, want)
+					t.Fatalf("variant %v: merged read of (%d,%d) = %v, want %v", variant, u, v, got, want)
 				}
 			}
 		}
@@ -350,8 +357,8 @@ func TestStoreEquivalence(t *testing.T) {
 // the reference sweep of every pair (referenceSweep) — bit-identically by
 // default and under DeltaMode at DeltaEps = 0 (skipped pairs are exactly
 // those whose inputs are unchanged), and within 1e-9 at a small positive
-// DeltaEps — and the dense and sparse stores must agree with each other
-// under delta mode.
+// DeltaEps — and the candidate rows within Options.DenseCapPairs and past
+// it must agree with each other under delta mode.
 func TestDeltaEquivalenceProperty(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		n1 := 10 + int(seed%7)
@@ -399,7 +406,7 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 		}
 
 		sparseDelta := exactDelta
-		sparseDelta.DenseCapPairs = 1 // force the hash-map store
+		sparseDelta.DenseCapPairs = 1 // the rows past the cap
 		rs, err := Compute(g1, g2, sparseDelta)
 		if err != nil {
 			t.Fatal(err)
@@ -567,15 +574,15 @@ func TestDeltaEpsValidation(t *testing.T) {
 	}
 }
 
-// TestThetaStoreEquivalence verifies bit-identical dense-bitmap and
-// hash-map scores under an active label constraint (θ > 0). The dense
-// store reads a label-ineligible pair as 0 from its candidate bitmap; the
-// hash map's lookup returns 0 for it from the label check, before its
-// index probe. The mapping operators never check θ themselves, so the
-// cases cover every operator branch that reads such a 0 where the
-// constraint used to exclude the pair: best and bidirectional, greedy and
-// Hungarian matching, the product mapping (SimRank) and the max-normalized
-// matching (RoleSim) on a self-pair, and §3.4 pruning with stand-ins.
+// TestThetaStoreEquivalence verifies bit-identical scores of the candidate
+// rows within Options.DenseCapPairs and past it (DenseCapPairs = 1) under
+// an active label constraint (θ > 0). The merge skips a label-ineligible
+// pair, which the operators then read as 0. The mapping operators never
+// check θ themselves, so the cases cover every operator branch that reads
+// such a 0 where the constraint used to exclude the pair: best and
+// bidirectional, greedy and Hungarian matching, the product mapping
+// (SimRank) and the max-normalized matching (RoleSim) on a self-pair, and
+// §3.4 pruning with stand-ins.
 func TestThetaStoreEquivalence(t *testing.T) {
 	g1 := dataset.RandomGraph(33, 30, 90, 4)
 	g2 := dataset.RandomGraph(34, 35, 100, 4)
@@ -618,7 +625,7 @@ func TestThetaStoreEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !rb.cs.dense || rb.cs.allPairs || rb.CandidateCount == 0 {
-				t.Fatalf("want the dense store with a non-empty candidate bitmap (%d candidates)", rb.CandidateCount)
+				t.Fatalf("want non-empty candidate rows within the cap (%d candidates)", rb.CandidateCount)
 			}
 			if h1.NumNodes()*h2.NumNodes() == rb.CandidateCount+rb.PrunedCount {
 				t.Fatal("θ excluded no pair; the test would be vacuous")

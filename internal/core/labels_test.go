@@ -217,9 +217,10 @@ func negativeLabel(a, b string) float64 {
 // TestThetaZeroIneligibleStores runs θ = 0 under custom label functions
 // that are NaN or negative on the pairs of distinct RandomGraph labels,
 // so those label pairs fail L ≥ θ and only the pairs of equal labels are
-// candidates. The dense store must enumerate the same candidates as the
-// hash-map store and give every pair the same score bit for bit, rather
-// than iterate every pair as the all-pairs store does.
+// candidates. The candidate rows within Options.DenseCapPairs must
+// enumerate the same candidates as past it and give every pair the same
+// score bit for bit, rather than iterate every pair as the all-pairs store
+// does.
 func TestThetaZeroIneligibleStores(t *testing.T) {
 	g := dataset.RandomGraph(3, 30, 90, 6)
 	for _, fn := range []strsim.Func{nanLabel, negativeLabel} {
@@ -236,7 +237,7 @@ func TestThetaZeroIneligibleStores(t *testing.T) {
 			t.Fatal(err)
 		}
 		if dense.CandidateCount != sparse.CandidateCount || dense.cs.allPairs {
-			t.Fatalf("%d candidates (all pairs %v) in the dense store, %d in the sparse one",
+			t.Fatalf("%d candidates (all pairs %v) within the cap, %d past it",
 				dense.CandidateCount, dense.cs.allPairs, sparse.CandidateCount)
 		}
 		for u := 0; u < g.NumNodes(); u++ {

@@ -2,10 +2,8 @@ package core
 
 import (
 	"math"
-	"math/bits"
 
 	"fsim/internal/exact"
-	"fsim/internal/graph"
 	"fsim/internal/matching"
 )
 
@@ -125,32 +123,23 @@ func (op *Operators) mapBound(n1, n2, e1, e2 int) float64 {
 	panic("core: unknown mapping")
 }
 
-// neighborScore computes FSimχ(S1, S2) of Equation 2 for one direction:
-// the mapping operator's maximum score mass divided by Ωχ, with the
-// empty-set conventions applied. lookup returns the previous-iteration
-// score of a cross pair; m is the row eligibility mask of s1, nil when
-// every pair is to be read (MapProduct, or every label pair eligible),
-// and labels2 the g2 node labels.
+// neighborScore computes FSimχ(S1, S2) of Equation 2 for one direction,
+// between n1 neighbours S1 and n2 neighbours S2: the mapping operator's
+// maximum score mass divided by Ωχ, with the empty-set conventions
+// applied. w lists the previous-iteration scores of the cross pairs that
+// may read above 0, in ascending (i, j) order; every pair it does not list
+// reads 0.
 //
-// With a mask the operators visit only the label-eligible pairs: for each
-// y ∈ s2, the positions of s1 in P[ℓ2(y)]. A label-ineligible pair would
-// read 0 (Remark 2), and scores are never negative, so skipping it leaves
-// a maximum unchanged and leaves its entry of a zero-initialised weight
-// matrix at 0 — every operator gives exactly what reading every pair
-// would. MapBest and MapBidirectional then keep a running maximum per x
-// in scratch and sum them in x order once every y is visited, as the
-// x-major loops without a mask do; the per-y maxima of MapBidirectional
-// are summed in y order on the way, as its y-major loop does.
-// MapInjective fills an n1 × n2 weight matrix from the caller's scratch,
-// so greedy and Hungarian matching stay allocation-free in the hot loop.
-func (op *Operators) neighborScore(
-	s1, s2 []graph.NodeID,
-	labels2 []graph.Label,
-	m *labelMask,
-	lookup func(x, y graph.NodeID) float64,
-	scratch *opScratch,
-) float64 {
-	n1, n2 := len(s1), len(s2)
+// Scores are never negative, so a pair read as 0 leaves every maximum
+// unchanged, adds nothing to a sum and leaves its entry of a
+// zero-initialised weight matrix at 0: each operator gives exactly what
+// reading every pair would, in the same order of additions. MapProduct
+// sums the listed scores x-major, ascending y; MapBest and
+// MapBidirectional keep a running maximum per x (and per y) in scratch
+// and sum them in x (and y) order. MapInjective fills an n1 × n2 weight
+// matrix from the caller's scratch, so greedy and Hungarian matching stay
+// allocation-free in the hot loop.
+func (op *Operators) neighborScore(n1, n2 int, w []weight, scratch *opScratch) float64 {
 	switch {
 	case n1 == 0 && n2 == 0:
 		return op.EmptyBoth
@@ -162,65 +151,46 @@ func (op *Operators) neighborScore(
 	var sum float64
 	switch op.Mapping {
 	case MapProduct:
-		for _, x := range s1 {
-			for _, y := range s2 {
-				sum += lookup(x, y)
-			}
+		for _, e := range w {
+			sum += e.s
 		}
 	case MapBest, MapBidirectional:
-		if m == nil {
-			sum = bestSums(op.Mapping, s1, s2, lookup)
-			break
-		}
-		best := scratch.floats(n1)
-		clear(best)
-		sumY := 0.0
-		for _, y := range s2 {
-			bestY := 0.0
-			for w, word := range m.of(labels2[y]) {
-				for ; word != 0; word &= word - 1 {
-					i := w*64 + bits.TrailingZeros64(word)
-					s := lookup(s1[i], y)
-					if s > best[i] {
-						best[i] = s
-					}
-					if s > bestY {
-						bestY = s
-					}
-				}
-			}
-			sumY += bestY
-		}
-		for _, b := range best {
-			sum += b
-		}
+		bi := n1
 		if op.Mapping == MapBidirectional {
+			bi += n2
+		}
+		best := scratch.floats(bi)
+		clear(best)
+		bestX, bestY := best[:n1], best[n1:]
+		for _, e := range w {
+			if e.s > bestX[e.i] {
+				bestX[e.i] = e.s
+			}
+			if len(bestY) > 0 && e.s > bestY[e.j] {
+				bestY[e.j] = e.s
+			}
+		}
+		for _, s := range bestX {
+			sum += s
+		}
+		if len(bestY) > 0 {
+			sumY := 0.0
+			for _, s := range bestY {
+				sumY += s
+			}
 			sum += sumY
 		}
 	case MapInjective:
-		w := scratch.floats(n1 * n2)
-		if m == nil {
-			for i, x := range s1 {
-				for j, y := range s2 {
-					w[i*n2+j] = lookup(x, y)
-				}
-			}
-		} else {
-			clear(w)
-			for j, y := range s2 {
-				for k, word := range m.of(labels2[y]) {
-					for ; word != 0; word &= word - 1 {
-						i := k*64 + bits.TrailingZeros64(word)
-						w[i*n2+j] = lookup(s1[i], y)
-					}
-				}
-			}
+		m := scratch.floats(n1 * n2)
+		clear(m)
+		for _, e := range w {
+			m[int(e.i)*n2+int(e.j)] = e.s
 		}
 		switch {
 		case n1 == 1 || n2 == 1:
 			// An injective matching with a single-element side is just the
 			// best pair.
-			for _, s := range w {
+			for _, s := range m {
 				if s > sum {
 					sum = s
 				}
@@ -228,82 +198,34 @@ func (op *Operators) neighborScore(
 		case n1 == 2 && n2 == 2:
 			// 2×2 matching in closed form: the better of the two diagonals
 			// (which is also exact, not just greedy).
-			d1 := w[0] + w[3]
-			d2 := w[1] + w[2]
+			d1 := m[0] + m[3]
+			d2 := m[1] + m[2]
 			if d2 > d1 {
 				d1 = d2
 			}
 			sum = d1
 		case op.ExactMatching:
-			_, sum = matching.Hungarian(w, n1, n2, scratch.m)
+			_, sum = matching.Hungarian(m, n1, n2, scratch.m)
 		default:
 			scratch.m.Grow(n1, n2)
-			sum, _ = matching.GreedyDense(w, n1, n2, scratch.m)
+			sum, _ = matching.GreedyDense(m, n1, n2, scratch.m)
 		}
 	}
 	return sum / op.omega(n1, n2)
 }
 
-// bestSums is MapBest's or MapBidirectional's score mass over every pair
-// of s1 × s2: Σ_{x∈s1} max_{y∈s2} lookup(x, y), x-major, plus for
-// MapBidirectional Σ_{y∈s2} max_{x∈s1} lookup(x, y), summed apart and
-// added last.
-func bestSums(mapping MappingKind, s1, s2 []graph.NodeID, lookup func(x, y graph.NodeID) float64) float64 {
-	sum := 0.0
-	for _, x := range s1 {
-		best := 0.0
-		for _, y := range s2 {
-			if s := lookup(x, y); s > best {
-				best = s
-			}
-		}
-		sum += best
-	}
-	if mapping != MapBidirectional {
-		return sum
-	}
-	sumY := 0.0
-	for _, y := range s2 {
-		best := 0.0
-		for _, x := range s1 {
-			if s := lookup(x, y); s > best {
-				best = s
-			}
-		}
-		sumY += best
-	}
-	return sum + sumY
+// weight is the previous-iteration score s of the cross pair (S1[i],
+// S2[j]) of one direction of an Equation 3 update.
+type weight struct {
+	i, j int32
+	s    float64
 }
 
-// forEachDependent enumerates the pairs whose Equation 3 value reads
-// FSim(x, y) — the reverse adjacency of the delta worklist. Every mapping
-// operator (best, injective, bidirectional, product) consumes the full
-// previous-iteration score cross product of the neighbor sets it maps, so
-// the dependency structure is mapping-independent: (u, v) recomputes from
-// (x, y) iff x ∈ Out(u) ∧ y ∈ Out(v) (the w⁺ term; equivalently
-// u ∈ In(x) ∧ v ∈ In(y)) or x ∈ In(u) ∧ y ∈ In(v) (the w⁻ term). A
-// direction with zero weight contributes nothing to Equation 3 and is
-// skipped.
-func forEachDependent(g1, g2 *graph.Graph, x, y graph.NodeID, wplus, wminus float64, mark func(u, v graph.NodeID)) {
-	if wplus > 0 {
-		for _, u := range g1.In(x) {
-			for _, v := range g2.In(y) {
-				mark(u, v)
-			}
-		}
-	}
-	if wminus > 0 {
-		for _, u := range g1.Out(x) {
-			for _, v := range g2.Out(y) {
-				mark(u, v)
-			}
-		}
-	}
-}
-
-// opScratch holds the per-worker reusable buffers of neighborScore.
+// opScratch holds the per-worker reusable buffers of directionScore and
+// neighborScore.
 type opScratch struct {
-	weights []float64 // MapInjective's weight matrix, or the per-x maxima
+	w       []weight
+	weights []float64 // MapInjective's weight matrix, or the per-x and per-y maxima
 	m       *matching.Scratch
 }
 

@@ -92,16 +92,16 @@ type Options struct {
 	// UpperBoundOpt enables §3.4's upper-bound pruning; nil disables it.
 	UpperBoundOpt *UpperBound
 
-	// DenseCapPairs picks the candidate store's encoding and nothing
-	// else: a pair universe |V1|·|V2| within it is stored as a candidate
-	// bitmap, a larger one as the hash map of Algorithm 1 (slower lookups,
-	// memory proportional to |Hc|). Both give bit-identical scores, and
-	// CandidateSet.Patch re-picks the encoding as a maintained graph
-	// grows. 0 uses the default of 48M pairs: ~9 MB per pair bitmap with
-	// its rank, and ~0.8 GB for the two float64 buffers when every pair is
-	// a candidate (θ = 0, pruning off). The product is evaluated in 64-bit
-	// arithmetic, so pair universes that overflow the platform int select
-	// the sparse store instead of mis-indexing.
+	// DenseCapPairs bounds the all-pairs store and nothing else: when
+	// every pair is a candidate (θ = 0 with every label pair eligible,
+	// pruning off) a pair universe |V1|·|V2| within it keeps no
+	// enumeration, only the two float64 score buffers at u·|V2|+v, and a
+	// larger one is enumerated as candidate rows like any other set. Both
+	// give bit-identical scores, and CandidateSet.Patch re-picks the store
+	// as a maintained graph grows. 0 uses the default of 48M pairs, ~0.8 GB
+	// of score buffers. The product is evaluated in 64-bit arithmetic, so
+	// pair universes that overflow the platform int take the rows instead
+	// of mis-indexing.
 	DenseCapPairs int
 
 	// PinDiagonal keeps FSim(u, u) = 1 across iterations (requires

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fsim/internal/graph"
@@ -57,11 +58,11 @@ func (d *PatchDelta) Empty() bool {
 // decisions plus O(|Hc|) structural splicing, versus O(|V1|·|V2|)
 // decisions for a rebuild.
 //
-// Node growth can carry the pair universe past Options.DenseCapPairs.
-// Patch then re-derives the store shape of the grown universe and
-// re-indexes the same row-major enumeration under it: the patched set
-// equals a fresh NewCandidateSet on (g1, g2), store shape included, so a
-// maintained graph never needs rebuilding.
+// Node growth can carry the pair universe past Options.DenseCapPairs, and
+// vocabulary growth can add an ineligible label pair; either ends the
+// all-pairs store. Patch then re-derives the store shape and enumerates
+// the rows: the patched set equals a fresh NewCandidateSet on (g1, g2),
+// store shape included, so a maintained graph never needs rebuilding.
 //
 // Patching invalidates Results previously computed on this set: their
 // scores sit at candidate positions (Position), which a patch shifts.
@@ -89,15 +90,14 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 
 	delta := &PatchDelta{OldN1: cs.n1, OldN2: cs.n2, N1: n1, N2: n2}
 	oldN1, oldN2 := cs.n1, cs.n2
-	oldAll, oldDense, oldBits, oldIndex := cs.allPairs, cs.dense, cs.candBits, cs.index
+	// The pre-patch rows stay readable through the splice, which writes
+	// fresh arrays.
+	oldAll, oldPairs, oldRowOff := cs.allPairs, cs.candPairs, cs.rowOff
 	oldContains := func(u, v graph.NodeID) bool {
-		switch {
-		case oldAll:
+		if oldAll {
 			return true
-		case oldDense:
-			return oldBits.Get(int(u)*oldN2 + int(v))
 		}
-		_, ok := oldIndex[pairbits.MakeKey(u, v)]
+		_, ok := slices.BinarySearch(oldPairs[oldRowOff[u]:oldRowOff[u+1]], pairbits.MakeKey(u, v))
 		return ok
 	}
 
@@ -227,14 +227,10 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 	sortKeys(delta.Removed)
 	cs.prunedCount += prunedDelta
 
-	// Splice the sorted candidate list and re-derive the positional
-	// structures (row offsets plus the bitmap or hash index, under the
-	// grown universe's store shape) in one linear pass. Layout work is
-	// O(|Hc|); no candidate decision is repeated. A dense store that
-	// neither grew nor changed shape flips the changed bits of its bitmap
-	// in place instead of filling a new one; oldContains is done reading
-	// it. An index error (the map outgrew maxCandidates) leaves the set
-	// unusable.
+	// Splice the sorted candidate list into a fresh array and re-derive
+	// the row offsets in one linear pass. Layout work is O(|Hc|); no
+	// candidate decision is repeated. An offset error (the map outgrew
+	// maxCandidates) leaves the set unusable.
 	if oldAll || len(delta.Added) > 0 || len(delta.Removed) > 0 || n1 != oldN1 || n2 != oldN2 {
 		merged := make([]pairbits.Key, 0, len(cs.candPairs)+len(delta.Added)-len(delta.Removed))
 		ai, ri := 0, 0
@@ -251,19 +247,7 @@ func (cs *CandidateSet) Patch(g1, g2 *graph.Graph, touched1, touched2 []graph.No
 		}
 		merged = append(merged, delta.Added[ai:]...)
 		cs.candPairs = merged
-		if cs.dense && !oldAll && n1 == oldN1 && n2 == oldN2 {
-			for _, k := range delta.Added {
-				u, v := k.Split()
-				cs.candBits.Set(int(u)*n2 + int(v))
-			}
-			for _, k := range delta.Removed {
-				u, v := k.Split()
-				cs.candBits.Clear(int(u)*n2 + int(v))
-			}
-			if err := cs.deriveRowOff(); err != nil {
-				return nil, err
-			}
-		} else if err := cs.indexCandidates(); err != nil {
+		if err := cs.deriveRowOff(); err != nil {
 			return nil, err
 		}
 	}

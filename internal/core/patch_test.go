@@ -25,7 +25,7 @@ func patchOptions(seed int64) Options {
 		opts.UpperBoundOpt = &UpperBound{Alpha: 0, Beta: 0.5}
 	}
 	if seed%2 == 1 {
-		opts.DenseCapPairs = 1 // force the hash-map store
+		opts.DenseCapPairs = 1 // the rows past the cap
 	}
 	return opts
 }

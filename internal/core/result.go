@@ -78,7 +78,7 @@ func (r *Result) Contains(u, v graph.NodeID) bool { return r.cs.Contains(u, v) }
 // ForEach calls fn for every maintained pair in deterministic (u, v) order.
 func (r *Result) ForEach(fn func(u, v graph.NodeID, score float64)) {
 	for pos, n := 0, r.cs.NumCandidates(); pos < n; pos++ {
-		u, v := r.cs.pairAt(pos)
+		u, v := r.cs.PairAt(pos)
 		fn(u, v, r.at(pos))
 	}
 }

@@ -9,10 +9,11 @@ import (
 // labelMask is the row eligibility mask of one neighbour list s1 of a g1
 // row (N⁺(u) or N⁻(u)): for every g2 label b, the bitmask P[b] of the
 // positions i of s1 whose label may pair with b, L(ℓ1(s1[i]), b) ≥ θ, in
-// ⌈|s1|/64⌉ words. Every θ test made for the row reads it: a neighbour y
-// of v has the eligible partners P[ℓ2(y)] in s1, so the Eq. 6 counts and
-// the mapping operators cost O(|N(v)|) mask reads plus one read per
-// eligible pair, instead of |N(u)|·|N(v)| bit-matrix reads.
+// ⌈|s1|/64⌉ words. The Eq. 6 counts of the row's pairs read it (the
+// build, RowBounds, Patch): a neighbour y of v has the eligible partners
+// P[ℓ2(y)] in s1, so the counts cost O(|N(v)|) mask reads instead of
+// |N(u)|·|N(v)| bit-matrix reads. The mapping operators read no mask:
+// they read the candidate store's rows, which hold no ineligible pair.
 //
 // build walks each neighbour's row of matrix words once, setting its bit
 // in P[b] for every eligible b: about |s1|·(|Σ2|/64 + eligible labels per
@@ -99,26 +100,22 @@ func (m *labelMask) eligibleCounts(labels2 []graph.Label, s2 []graph.NodeID) (e1
 
 // rowMasks holds the masks of one g1 row u, one per weighted direction
 // (out: N⁺(u), in: N⁻(u)). The zero value describes no row. A rowMasks
-// must not outlive the candidate set state it was built on: engine runs
-// and RowBounds reset theirs before use, and Patch and the build use their
+// must not outlive the candidate set state it was built on: RowBounds
+// resets its pooled ones before use, and Patch and the build use their
 // own.
 type rowMasks struct {
 	row     int // u+1 of the row described; 0 for none
 	out, in labelMask
-	// An engine row not yet described: u+1, and the neighbours of v over
-	// the pairs it read unmasked (see engineMasked).
-	rentRow, rent int
 }
 
 // reset forgets the described row, so the next use rebuilds.
-func (m *rowMasks) reset() { m.row, m.rentRow = 0, 0 }
+func (m *rowMasks) reset() { m.row = 0 }
 
 // maskRow readies m for row u of cs, rebuilding the masks of the weighted
 // directions when m describes another row, and reports whether row u
-// reads masks at all. It does not when every pair is read anyway:
-// MapProduct reads every pair and bounds by |S1|·|S2|, and when every
-// label pair is eligible the Eq. 6 counts are the list sizes and every
-// operator reads every pair.
+// reads masks at all. It does not when the counts need none: MapProduct
+// bounds by |S1|·|S2|, and when every label pair is eligible the Eq. 6
+// counts are the list sizes.
 func (cs *CandidateSet) maskRow(m *rowMasks, u graph.NodeID) bool {
 	if cs.ops.Mapping == MapProduct || cs.allEligible {
 		return false
@@ -133,31 +130,4 @@ func (cs *CandidateSet) maskRow(m *rowMasks, u graph.NodeID) bool {
 		}
 	}
 	return true
-}
-
-// engineMasked reports whether the engine's update of pair (u, v) reads
-// row u's masks, building them when the row has earned them. A direction
-// read unmasked costs |N(u)| lookups per neighbour of v, and building the
-// row's masks |N(u)|·walkCost matrix reads, so a row reads its pairs
-// unmasked until the neighbours of v over them exceed walkCost, and then
-// builds. Like renting until the rent reaches the price, a row never pays
-// more than about twice the cheaper of the two: a hub row, or a row of
-// many pairs, builds early; a serving row of a few pairs of small degree
-// (and a dependency-closure row, usually one pair per iteration) never
-// builds. Both ways read the same scores, since every store reads a
-// label-ineligible pair as 0.
-func (cs *CandidateSet) engineMasked(m *rowMasks, u, v graph.NodeID) bool {
-	if m.row == int(u)+1 {
-		return true
-	}
-	if cs.ops.Mapping == MapProduct || cs.allEligible {
-		return false // no row builds masks (see maskRow)
-	}
-	if m.rentRow != int(u)+1 {
-		m.rentRow, m.rent = int(u)+1, 0
-	}
-	if m.rent += len(cs.g2.Out(v)) + len(cs.g2.In(v)); m.rent <= cs.walkCost {
-		return false
-	}
-	return cs.maskRow(m, u)
 }

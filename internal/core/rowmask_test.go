@@ -109,18 +109,20 @@ func referenceNeighborScore(op *Operators, s1, s2 []graph.NodeID, lookup func(x,
 	return sum / op.omega(n1, n2)
 }
 
-// fullMask is the mask of an n-node list of label 0 against g2 label 0,
-// the one label pair, which is eligible: every position.
-func fullMask(n int) *labelMask {
-	label := []string{"a"}
-	table, err := strsim.NewTable(strsim.Indicator, label, label, 1, 1)
-	if err != nil {
-		panic(err)
+// weightsOf lists the weights of s1 × s2 under lookup in (i, j) order,
+// every pair when all is set and otherwise only those that read above 0,
+// as the candidate store's merge lists only the pairs it holds a score
+// for.
+func weightsOf(s1, s2 []graph.NodeID, lookup func(x, y graph.NodeID) float64, all bool) []weight {
+	var w []weight
+	for i, x := range s1 {
+		for j, y := range s2 {
+			if s := lookup(x, y); all || s > 0 {
+				w = append(w, weight{int32(i), int32(j), s})
+			}
+		}
 	}
-	cs := &CandidateSet{table: table, labels1: make([]graph.Label, n)}
-	m := &labelMask{}
-	m.build(cs, make([]graph.NodeID, n))
-	return m
+	return w
 }
 
 // maskedDirection is one direction of a pair (u, v): the neighbour lists
@@ -172,10 +174,9 @@ func requireMaskedCounts(t *testing.T, cs *CandidateSet, m *rowMasks, label stri
 	}
 }
 
-// requireMaskedScores checks that neighborScore, with the row masks that
-// maskRow readies (none when every pair is read) and with none, of every
-// pair and weighted direction of cs equals referenceNeighborScore bit for
-// bit,
+// requireMaskedScores checks that neighborScore of every pair and weighted
+// direction of cs, over the weights of the pairs that read above 0 and
+// over those of every pair, equals referenceNeighborScore bit for bit,
 // under a lookup that reads pseudo-random positive scores for eligible
 // pairs and 0 for ineligible ones, as every store does. Ties are frequent
 // (scores come from eight levels), so greedy tie-breaking is exercised.
@@ -194,25 +195,17 @@ func requireMaskedScores(t *testing.T, cs *CandidateSet, label string) {
 	for u := 0; u < cs.n1; u++ {
 		un := graph.NodeID(u)
 		for v := 0; v < cs.n2; v++ {
-			vn := graph.NodeID(v)
-			masked := cs.maskRow(&m, un)
-			for k, d := range directions(cs, &m, un, vn) {
+			for k, d := range directions(cs, &m, un, graph.NodeID(v)) {
 				if weights[k] == 0 {
-					continue // maskRow builds only the weighted directions
+					continue
 				}
-				if !masked {
-					d.mask = nil // every pair is read
-				}
-				got := cs.ops.neighborScore(d.s1, d.s2, cs.labels2, d.mask, lookup, scratch)
 				want := referenceNeighborScore(cs.ops, d.s1, d.s2, lookup, ref)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s: (%d,%d) |S1|=%d |S2|=%d: masked %v, reference %v",
-						label, u, v, len(d.s1), len(d.s2), got, want)
-				}
-				// An engine row reads its first pairs unmasked.
-				if got := cs.ops.neighborScore(d.s1, d.s2, cs.labels2, nil, lookup, scratch); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s: (%d,%d) |S1|=%d |S2|=%d: unmasked %v, reference %v",
-						label, u, v, len(d.s1), len(d.s2), got, want)
+				for _, all := range []bool{false, true} {
+					got := cs.ops.neighborScore(len(d.s1), len(d.s2), weightsOf(d.s1, d.s2, lookup, all), scratch)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: (%d,%d) |S1|=%d |S2|=%d every pair listed %v: %v, reference %v",
+							label, u, v, len(d.s1), len(d.s2), all, got, want)
+					}
 				}
 			}
 		}
@@ -245,9 +238,10 @@ func hubGraph(seed int64, n int) *graph.Graph {
 // pairwise definitions they replace: for every mapping (exact matching
 // included), at θ ∈ {0.4, 0.6, 0.8} and at θ = 0, on a graph whose hubs
 // have more than 64 and more than 128 neighbours, the masked Eq. 6 counts
-// equal referenceEligibleCounts and the masked neighborScore equals
-// referenceNeighborScore bit for bit, before and after a Patch that grows
-// the label vocabulary and the hubs.
+// equal referenceEligibleCounts, and neighborScore over the weights of the
+// pairs that read above 0 equals referenceNeighborScore over every pair
+// bit for bit, before and after a Patch that grows the label vocabulary
+// and the hubs.
 func TestRowMaskEquivalence(t *testing.T) {
 	const n = 170
 	mappings := []struct {

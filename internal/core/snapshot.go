@@ -12,15 +12,16 @@ import (
 // enumerated candidate map, the retained §3.4 bounds (those of the pruned
 // pairs some candidate reads), and the store-shape discriminators.
 // Everything else a CandidateSet holds (graphs, normalized options, the
-// label-similarity table, the dense bitmap and the sparse index) is either
-// supplied separately or re-derived by NewCandidateSetFromData, so the
-// snapshot codec persists only what cannot be recomputed cheaply.
+// label-similarity table, the row offsets) is either supplied separately
+// or re-derived by NewCandidateSetFromData, so the snapshot codec
+// persists only what cannot be recomputed cheaply.
 //
 // The slices returned by Data are shared with the set and must not be
 // modified; NewCandidateSetFromData takes ownership of its inputs.
 type CandidateData struct {
-	// Dense and AllPairs mirror the store-shape flags; they are validated
-	// against the graphs and options on reconstruction rather than trusted.
+	// Dense and AllPairs mirror the store-shape flags (Dense: the pair
+	// universe fits Options.DenseCapPairs); they are validated against the
+	// graphs and options on reconstruction rather than trusted.
 	Dense    bool
 	AllPairs bool
 
@@ -75,16 +76,15 @@ func (cs *CandidateSet) labelFunc(u, v graph.NodeID) float64 {
 // NewCandidateSetFromData reconstructs a CandidateSet from a previously
 // exported enumeration, skipping the O(|V1|·|V2|) candidate decisions of
 // NewCandidateSet: the label caches and the label table are rebuilt from
-// the graphs, the row offsets and membership index (dense bitmap or sparse
-// hash map) are re-derived from the pair list, and the retained bounds are
-// filed into their row CSR, of which retainRead keeps the ones candidates
-// read. The data's structural invariants are validated — key ordering, id
-// ranges, row offsets that agree with the pair list, store-shape agreement
-// with the options, that every candidate is label-eligible, that a
-// retained bound belongs to a label-eligible non-candidate, and that every
-// such pair a candidate reads has one — so corrupted input yields a
-// descriptive error, never a set whose lookups silently disagree with its
-// enumeration.
+// the graphs, the row offsets are re-derived from the pair list, and the
+// retained bounds are filed into their row CSR, of which retainRead keeps
+// the ones candidates read. The data's structural invariants are
+// validated — key ordering, id ranges, row offsets that agree with the
+// pair list, store-shape agreement with the options, that every candidate
+// is label-eligible, that a retained bound belongs to a label-eligible
+// non-candidate, and that every such pair a candidate reads has one — so
+// corrupted input yields a descriptive error, never a set whose lookups
+// silently disagree with its enumeration.
 func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData) (*CandidateSet, error) {
 	cs, err := newCandidateBase(g1, g2, opts)
 	if err != nil {
@@ -125,7 +125,7 @@ func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData)
 		}
 	}
 	cs.candPairs = d.CandPairs
-	if err := cs.indexCandidates(); err != nil {
+	if err := cs.deriveRowOff(); err != nil {
 		return nil, err
 	}
 	if !slices.Equal(cs.rowOff, d.RowOff) {
@@ -172,7 +172,7 @@ func NewCandidateSetFromData(g1, g2 *graph.Graph, opts Options, d CandidateData)
 	for u := 0; u < cs.n1; u++ {
 		cs.prunedOff[u+1] += cs.prunedOff[u]
 	}
-	if err := cs.retainRead(); err != nil {
+	if err := cs.retainRead(true); err != nil {
 		return nil, err
 	}
 	return cs, nil

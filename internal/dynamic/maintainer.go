@@ -127,6 +127,11 @@ type Maintainer struct {
 	// onApply, when set, observes every effective Apply (see SetApplyHook).
 	onApply func(version uint64, st Stats)
 	closed  bool
+	// The last Apply's cone (candidate positions, seeds first) and its
+	// bitset, and the g1 nodes 0, 1, … that seedPairs joins, kept for reuse.
+	cone    []int
+	visited pairbits.Bitset
+	rows    []graph.NodeID
 }
 
 // New computes the initial fixed point of g against itself and returns a
@@ -335,10 +340,8 @@ func (mt *Maintainer) applyLocked(changes []graph.Change) (Stats, error) {
 	mt.retainLocked(applied)
 	mt.store.remap(mt.cs, delta)
 
-	seeds, visited := mt.seedPairs(touched, oldN, delta)
-	st.Seeds = len(seeds)
-	cone, saturated := mt.coneOfInfluence(seeds, visited)
-	if saturated {
+	st.Seeds = mt.seedPairs(touched, oldN, delta)
+	if mt.coneOfInfluence() {
 		res, err := core.ComputeOn(mt.cs)
 		if err != nil {
 			return st, err
@@ -349,10 +352,8 @@ func (mt *Maintainer) applyLocked(changes []graph.Change) (Stats, error) {
 		st.Duration = time.Since(start)
 		return st, nil
 	}
-	st.Cone = len(cone)
-	rst, err := mt.ix.Replay(cone, func(u, v graph.NodeID, score float64) {
-		mt.store.set(mt.cs, u, v, score)
-	})
+	st.Cone = len(mt.cone)
+	rst, err := mt.ix.ReplayAt(mt.cone, func(pos int, score float64) { mt.store.scores[pos] = score })
 	if err != nil {
 		return st, err
 	}
@@ -371,73 +372,68 @@ func (mt *Maintainer) applyLocked(changes []graph.Change) (Stats, error) {
 //     did not).
 //
 // Everything else the update influences is reached from these seeds
-// through the reverse candidate adjacency (coneOfInfluence). The seeds
-// come back once each, with the bitset over candidate positions that
-// marks them.
-func (mt *Maintainer) seedPairs(touched []graph.NodeID, oldN int, delta *core.PatchDelta) ([]pairbits.Key, pairbits.Bitset) {
-	n := mt.g.NumNodes()
-	seen := pairbits.NewBitset(mt.cs.NumCandidates())
-	var seeds []pairbits.Key
-	add := func(u, v graph.NodeID) { // admits candidate pairs only
-		if pos := mt.cs.Position(u, v); pos >= 0 && !seen.Get(pos) {
-			seen.Set(pos)
-			seeds = append(seeds, pairbits.MakeKey(u, v))
+// through the reverse candidate adjacency (coneOfInfluence). The seeds'
+// positions start mt.cone, once each, marked in mt.visited; it returns
+// their number. Touched columns are found by one join of every row.
+func (mt *Maintainer) seedPairs(touched []graph.NodeID, oldN int, delta *core.PatchDelta) int {
+	cs := mt.cs
+	mt.cone = mt.cone[:0]
+	mt.visited = pairbits.Reset(mt.visited, cs.NumCandidates())
+	add := func(pos int) {
+		if !mt.visited.Get(pos) {
+			mt.visited.Set(pos)
+			mt.cone = append(mt.cone, pos)
 		}
 	}
-	nodes := append([]graph.NodeID(nil), touched...)
+	n := mt.g.NumNodes()
+	nodes := touched[:len(touched):len(touched)] // ascending, below oldN: the new nodes follow in order
 	for u := oldN; u < n; u++ {
 		nodes = append(nodes, graph.NodeID(u))
 	}
 	for _, u := range nodes {
-		mt.cs.ForEachCandidate(u, func(v graph.NodeID) { add(u, v) })
-		for x := 0; x < n; x++ {
-			add(graph.NodeID(x), u)
+		lo, hi := cs.RowSpan(u)
+		for pos := lo; pos < hi; pos++ {
+			add(pos)
 		}
 	}
-	flipped := make([]pairbits.Key, 0, len(delta.Added)+len(delta.Removed)+len(delta.StandIns))
-	flipped = append(flipped, delta.Added...)
-	flipped = append(flipped, delta.Removed...)
+	for len(mt.rows) < n {
+		mt.rows = append(mt.rows, graph.NodeID(len(mt.rows)))
+	}
+	cs.ForEachCandidateIn(mt.rows[:n], nodes, add)
+	for _, keys := range [2][]pairbits.Key{delta.Added, delta.Removed} {
+		for _, k := range keys {
+			x, y := k.Split()
+			cs.ForEachCandidateDependent(x, y, add)
+		}
+	}
 	for _, sc := range delta.StandIns {
-		flipped = append(flipped, sc.Key)
+		x, y := sc.Key.Split()
+		cs.ForEachCandidateDependent(x, y, add)
 	}
-	for _, k := range flipped {
-		x, y := k.Split()
-		mt.cs.ForEachDependent(x, y, add)
-	}
-	return seeds, seen
+	return len(mt.cone)
 }
 
-// coneOfInfluence expands the seeds, marked in visited by candidate
-// position, through the reverse candidate adjacency to every candidate
+// coneOfInfluence expands the seeds at the front of mt.cone, marked in
+// mt.visited, through the reverse candidate adjacency to every candidate
 // pair the update can reach — the set whose trajectories may differ from
-// the pre-update computation. It bails out once the cone exceeds the
-// locality threshold (saturated = true): past that point a localized
-// replay costs as much as a fresh batch computation, which is also
-// trivially exact.
-func (mt *Maintainer) coneOfInfluence(seeds []pairbits.Key, visited pairbits.Bitset) ([]pairbits.Key, bool) {
-	limit := max(mt.cs.NumCandidates()/coneLimit, 1)
-	queue := seeds
-	if len(queue) > limit {
-		return nil, true
-	}
-	for head := 0; head < len(queue); head++ {
-		x, y := queue[head].Split()
-		saturated := false
-		mt.cs.ForEachDependent(x, y, func(u, v graph.NodeID) {
-			if saturated {
-				return
-			}
-			pos := mt.cs.Position(u, v)
-			if pos < 0 || visited.Get(pos) {
-				return
-			}
-			visited.Set(pos)
-			queue = append(queue, pairbits.MakeKey(u, v))
-			saturated = len(queue) > limit
-		})
-		if saturated {
-			return nil, true
+// the pre-update computation — appending their positions to mt.cone. It
+// bails out once the cone exceeds the locality threshold (saturated =
+// true): past that point a localized replay costs as much as a fresh
+// batch computation, which is also trivially exact.
+func (mt *Maintainer) coneOfInfluence() (saturated bool) {
+	cs := mt.cs
+	limit := max(cs.NumCandidates()/coneLimit, 1)
+	saturated = len(mt.cone) > limit
+	add := func(pos int) {
+		if !saturated && !mt.visited.Get(pos) {
+			mt.visited.Set(pos)
+			mt.cone = append(mt.cone, pos)
+			saturated = len(mt.cone) > limit
 		}
 	}
-	return queue, false
+	for head := 0; head < len(mt.cone) && !saturated; head++ {
+		x, y := cs.PairAt(mt.cone[head])
+		cs.ForEachCandidateDependent(x, y, add)
+	}
+	return saturated
 }

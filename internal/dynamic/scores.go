@@ -26,11 +26,6 @@ func (s *scoreStore) score(cs *core.CandidateSet, u, v graph.NodeID) float64 {
 	return cs.StandIn(u, v)
 }
 
-// set writes the maintained score of a candidate pair.
-func (s *scoreStore) set(cs *core.CandidateSet, u, v graph.NodeID, score float64) {
-	s.scores[cs.Position(u, v)] = score
-}
-
 // remap carries the store across a candidate-set patch (see
 // core.CandidateSet.RemapScores). Pairs that entered the map start at 0;
 // the maintainer always replays them before reads.

@@ -45,47 +45,21 @@ func (b Bitset) Count() (total int) {
 	return
 }
 
+// Reset returns an all-clear bitset covering n slots, reusing b's capacity
+// when it suffices.
+func Reset(b Bitset, n int) Bitset {
+	words := (n + 63) / 64
+	if cap(b) < words {
+		return NewBitset(n)
+	}
+	b = b[:words]
+	b.ClearAll()
+	return b
+}
+
 // ClearAll unmarks every slot.
 func (b Bitset) ClearAll() {
 	for i := range b {
 		b[i] = 0
 	}
-}
-
-// Rank answers rank queries over a bitset: where a marked slot falls among
-// all marked slots in ascending order. It keeps one prefix count per word,
-// so a query is two loads and a popcount. The bitset must not change while
-// the rank is in use; a Rank is then safe for concurrent readers.
-type Rank struct {
-	bits Bitset
-	pre  []int32
-}
-
-// NewRank builds the per-word prefix counts of b, which may mark at most
-// math.MaxInt32 slots.
-func NewRank(b Bitset) Rank {
-	var r Rank
-	r.Reset(b)
-	return r
-}
-
-// Reset rebuilds r over b, reusing the capacity of r's prefix counts.
-func (r *Rank) Reset(b Bitset) {
-	if cap(r.pre) < len(b) {
-		r.pre = make([]int32, len(b))
-	}
-	r.bits, r.pre = b, r.pre[:len(b)]
-	n := int32(0)
-	for i, w := range b {
-		r.pre[i] = n
-		n += int32(bits.OnesCount64(w))
-	}
-}
-
-// Index returns the number of marked slots below slot i — slot i's index
-// among the marked slots when it is one — and whether slot i is marked.
-func (r Rank) Index(i int) (int, bool) {
-	w := r.bits[i/64]
-	bit := uint64(1) << (uint(i) % 64)
-	return int(r.pre[i/64]) + bits.OnesCount64(w&(bit-1)), w&bit != 0
 }

@@ -37,47 +37,11 @@ func TestBitset(t *testing.T) {
 	if b.Count() != 0 {
 		t.Fatal("ClearAll left bits set")
 	}
-}
-
-// TestRank checks Rank.Index against a linear count of the marked slots
-// below each slot, across word boundaries.
-func TestRank(t *testing.T) {
-	const n = 200
-	b := NewBitset(n)
-	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 150, 199} {
-		b.Set(i)
+	b.Set(100)
+	if r := Reset(b, 70); len(r) != 2 || &r[0] != &b[0] || r.Count() != 0 || b[1] != 0 {
+		t.Fatalf("Reset(b, 70) = %d words, count %d; want b's first 2 words, all clear", len(r), r.Count())
 	}
-	r := NewRank(b)
-	below := 0
-	for i := 0; i < n; i++ {
-		got, marked := r.Index(i)
-		if got != below || marked != b.Get(i) {
-			t.Fatalf("Index(%d) = (%d, %v), want (%d, %v)", i, got, marked, below, b.Get(i))
-		}
-		if marked {
-			below++
-		}
-	}
-}
-
-// TestRankReset rebuilds one Rank over bitsets of growing and shrinking
-// length: each Reset must answer exactly like a NewRank of the same
-// bitset, whatever prefix counts the earlier one left in its capacity.
-func TestRankReset(t *testing.T) {
-	var r Rank
-	for step, n := range []int{130, 700, 64, 300} {
-		b := NewBitset(n)
-		for i := step; i < n; i += 3 + step {
-			b.Set(i)
-		}
-		r.Reset(b)
-		want := NewRank(b)
-		for i := 0; i < n; i++ {
-			gi, gm := r.Index(i)
-			wi, wm := want.Index(i)
-			if gi != wi || gm != wm {
-				t.Fatalf("step %d: Index(%d) = (%d, %v) after Reset, NewRank (%d, %v)", step, i, gi, gm, wi, wm)
-			}
-		}
+	if r := Reset(b, 200); len(r) != 4 || r.Count() != 0 {
+		t.Fatalf("Reset(b, 200) = %d words, count %d; want 4 clear words", len(r), r.Count())
 	}
 }

@@ -105,26 +105,48 @@ func (ix *Index) Apply(g1, g2 *graph.Graph, touched1, touched2 []graph.NodeID) (
 // Replay runs one localized fresh fixed point seeded at the given
 // candidate pairs — their dependency closure is collected and iterated
 // exactly like a query — and streams every closure pair's final score to
-// fn in an unspecified order. The dynamic maintainer uses it to
-// re-converge only the neighborhood of a graph update: the scores fn
-// receives are the ones a from-scratch batch computation would assign
-// those pairs (bit-identical under a pinned iteration budget). Seeds that
-// are not candidate pairs are ignored.
+// fn in an unspecified order. The scores fn receives are the ones a
+// from-scratch batch computation would assign those pairs (bit-identical
+// under a pinned iteration budget). Seeds that are not candidate pairs
+// are ignored.
 func (ix *Index) Replay(seeds []pairbits.Key, fn func(u, v graph.NodeID, score float64)) (Stats, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	pos := make([]int, 0, len(seeds))
+	for _, k := range seeds {
+		if p := ix.cs.Position(k.Split()); p >= 0 {
+			pos = append(pos, p)
+		}
+	}
+	return ix.replayLocked(pos, func(p int, score float64) {
+		u, v := ix.cs.PairAt(p)
+		fn(u, v, score)
+	}), nil
+}
+
+// ReplayAt is Replay with the seeds and the streamed pairs given by
+// candidate position (core.CandidateSet.Position). The dynamic maintainer
+// uses it to re-converge only the neighborhood of a graph update, whose
+// cone of influence it collects by position.
+func (ix *Index) ReplayAt(seeds []int, fn func(pos int, score float64)) (Stats, error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.replayLocked(seeds, fn), nil
+}
+
+// replayLocked implements ReplayAt under a held read lock.
+func (ix *Index) replayLocked(seeds []int, fn func(pos int, score float64)) Stats {
 	s := ix.pool.Get().(*state)
 	defer ix.pool.Put(s)
 	st := s.run(ix.cs, seeds)
 	c := &s.closure
 	if c.Len() == 0 {
-		return Stats{}, nil
+		return Stats{}
 	}
 	for i := 0; i < c.Len(); i++ {
-		u, v := c.Pair(i)
-		fn(u, v, c.Score(i))
+		fn(c.Position(i), c.Score(i))
 	}
-	return st, nil
+	return st
 }
 
 // Candidates exposes the shared candidate component.
@@ -167,15 +189,12 @@ func (ix *Index) topKLocked(u graph.NodeID, k int) ([]stats.Ranked, Stats, error
 	if err := CheckTopK(u, k, ix.n1); err != nil {
 		return nil, Stats{}, err
 	}
-	seeds := ix.seedRow(u, k)
-	if len(seeds) == 0 {
-		return nil, Stats{}, nil
-	}
 	s := ix.pool.Get().(*state)
 	defer ix.pool.Put(s)
-	s.seeds = s.seeds[:0]
-	for _, v := range seeds {
-		s.seeds = append(s.seeds, pairbits.MakeKey(u, v))
+	var seeds []graph.NodeID
+	seeds, s.seeds = ix.seedRow(u, k, s.seeds[:0])
+	if len(seeds) == 0 {
+		return nil, Stats{}, nil
 	}
 	st := s.run(ix.cs, s.seeds)
 
@@ -216,12 +235,13 @@ func (ix *Index) queryLocked(u, v graph.NodeID) (float64, Stats, error) {
 	if err := CheckPair(u, v, ix.n1, ix.n2); err != nil {
 		return 0, Stats{}, err
 	}
-	if !ix.cs.Contains(u, v) {
+	pos := ix.cs.Position(u, v)
+	if pos < 0 {
 		return ix.cs.StandIn(u, v), Stats{}, nil
 	}
 	s := ix.pool.Get().(*state)
 	defer ix.pool.Put(s)
-	s.seeds = append(s.seeds[:0], pairbits.MakeKey(u, v))
+	s.seeds = append(s.seeds[:0], pos)
 	st := s.run(ix.cs, s.seeds)
 	return s.closure.Score(0), st, nil
 }
@@ -258,13 +278,18 @@ func CheckPair(u, v graph.NodeID, n1, n2 int) error {
 // pair); since FSimχ(u, v) ≤ FSim̄(u, v), a candidate failing the
 // threshold cannot rank above any of the k certified ones. Under damping
 // the transient scores may exceed Eq. 6's fixed-point bound, so pruning is
-// disabled and every row candidate is seeded.
-func (ix *Index) seedRow(u graph.NodeID, k int) []graph.NodeID {
+// disabled and every row candidate is seeded. It returns the seeds, and
+// their candidate positions appended to pos.
+func (ix *Index) seedRow(u graph.NodeID, k int, pos []int) ([]graph.NodeID, []int) {
 	opts := ix.cs.Options()
 	var cands []graph.NodeID
 	ix.cs.ForEachCandidate(u, func(v graph.NodeID) { cands = append(cands, v) })
+	lo, _ := ix.cs.RowSpan(u) // cands[i] sits at position lo+i
 	if len(cands) <= k || opts.Damping > 0 {
-		return cands
+		for i := range cands {
+			pos = append(pos, lo+i)
+		}
+		return cands, pos
 	}
 	labelW := (1 - opts.Damping) * (1 - opts.WPlus - opts.WMinus)
 	lb := func(v graph.NodeID) float64 {
@@ -284,7 +309,8 @@ func (ix *Index) seedRow(u graph.NodeID, k int) []graph.NodeID {
 	for i, v := range cands {
 		if (opts.PinDiagonal && u == v) || bounds[i] >= kth {
 			seeds = append(seeds, v)
+			pos = append(pos, lo+i)
 		}
 	}
-	return seeds
+	return seeds, pos
 }

@@ -24,7 +24,7 @@ func propertyOptions(seed int64) (core.Options, exact.Variant) {
 		opts.UpperBoundOpt = &core.UpperBound{Alpha: 0.3, Beta: 0.4}
 	}
 	if seed%2 == 1 {
-		opts.DenseCapPairs = 1 // force the hash-map store
+		opts.DenseCapPairs = 1 // the rows past the cap
 	}
 	if seed%7 == 3 {
 		// DeltaMode is off, so Compute ignores DeltaEps — queries must too

@@ -66,9 +66,8 @@ func do(t *testing.T, s *Server, method, target, body string, out any) *httptest
 // hits alike.
 func TestServedScoresMatchCompute(t *testing.T) {
 	g := dataset.RandomGraph(11, 18, 54, 3)
-	// Both score stores: the dense default, and the hash-map store a cap
-	// of one pair forces. Each is compared with a fresh Compute on the
-	// same store.
+	// Within the dense cap and past it (a cap of one pair), each compared
+	// with a fresh Compute under the same cap.
 	for _, denseCap := range []int{0, 1} {
 		t.Run(fmt.Sprintf("DenseCapPairs=%d", denseCap), func(t *testing.T) {
 			opts := testOptions()

@@ -31,9 +31,9 @@
 // map in SCOR) are not read; cold-start from the graph text.
 //
 // Only state that cannot be recomputed cheaply is stored: the label index,
-// degree maxima, similarity table, candidate bitmap/hash index and the
-// row offsets of the retained bounds are all re-derived on load, which
-// keeps snapshots compact and loading I/O-bound.
+// degree maxima, similarity table and the row offsets of the candidates
+// and of the retained bounds are all re-derived on load, which keeps
+// snapshots compact and loading I/O-bound.
 //
 // # Atomicity
 //
@@ -478,7 +478,9 @@ func decodeGraph(payload []byte) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Candidate store modes on the wire.
+// Candidate store modes on the wire. candDense and candSparse both carry
+// candidate rows; they record whether the pair universe fits
+// Options.DenseCapPairs, which a load checks against the options.
 const (
 	candAllPairs = 0
 	candDense    = 1

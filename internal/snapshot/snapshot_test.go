@@ -34,7 +34,7 @@ func propertyOptions(seed int64) core.Options {
 		opts.UpperBoundOpt = &core.UpperBound{Alpha: 0, Beta: 0.5}
 	}
 	if seed%2 == 1 {
-		opts.DenseCapPairs = 1 // force the hash-map store
+		opts.DenseCapPairs = 1 // the rows past the cap
 	}
 	if seed%7 == 3 {
 		opts.DeltaMode = true
@@ -158,8 +158,8 @@ func assertEqualState(t *testing.T, seed int64, want, got *dynamic.Maintainer) {
 }
 
 // TestRoundTripProperty is the snapshot subsystem's correctness property
-// over 50 seeded configurations (all four variants, dense and hash-map
-// candidate stores, θ and §3.4 shaping, versions advanced past zero by
+// over 50 seeded configurations (all four variants, candidate universes
+// within Options.DenseCapPairs and past it, θ and §3.4 shaping, versions advanced past zero by
 // random update batches): LoadSnapshot(SaveSnapshot(x)) reproduces the
 // graph, candidate membership, §3.4 stand-ins and bounds, bit-identical
 // scores, rankings and the graph version.
