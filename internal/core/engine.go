@@ -21,9 +21,6 @@ import (
 type engine struct {
 	*CandidateSet
 	lay layout
-	// plan, when set, holds what each iterated pair reads; without it
-	// every update joins its reads.
-	plan *readPlan
 
 	prev, cur []float64
 
@@ -174,9 +171,6 @@ func ComputeOn(cs *CandidateSet) (*Result, error) {
 func computeOn(cs *CandidateSet, start time.Time) (*Result, error) {
 	e := &engine{CandidateSet: cs, lay: cs.layout()}
 	e.initWorkers(cs.opts.Threads)
-	if p := new(readPlan); e.planAll(p) {
-		e.plan = p
-	}
 	e.prev = make([]float64, e.lay.slots)
 	e.cur = make([]float64, e.lay.slots)
 	e.initScores()
@@ -207,107 +201,6 @@ type Closure struct {
 	res    Result
 	member pairbits.Bitset
 	queue  []int // member slots in discovery order
-	plan   readPlan
-	rec    planRecorder
-}
-
-// readPlan is what the iterated pairs of a run read: the yields of the
-// joins (joinRows) of each pair's Equation 3 update, recorded once (by the
-// workers before a batch run, or by a Closure's admission, which makes
-// those joins anyway) and replayed by every update of the pair. It holds
-// at most planReads reads per layout slot; a run that reads more is
-// iterated without one.
-type readPlan struct {
-	at    []int32 // slot → the pair's index k in plan order; nil when k is the slot
-	off   []int32 // pair k reads parts[k/span][off[3k+d]:off[3k+d+1]] under direction d
-	parts [][]planRead
-	span  int
-}
-
-// planRead is one read (S1[i], S2[j]) of an update: a candidate at slot
-// ref ≥ 0 or a retained bound at index ^ref of prunedBound.
-type planRead struct {
-	i, j, ref int32
-}
-
-const planReads = 2 // a readPlan's reads per layout slot, at most
-
-// reads returns pair k's reads under direction d (0: w⁺, 1: w⁻).
-func (p *readPlan) reads(k, d int) []planRead {
-	return p.parts[k/p.span][p.off[3*k+d]:p.off[3*k+d+1]]
-}
-
-// planRecorder records a readPlan's reads through its join visitors.
-type planRecorder struct {
-	reads []planRead
-	admit func(pos int) // when not nil, called with each candidate read
-	full  bool          // the reads are no longer recorded
-	cand  func(i, j, pos int)
-	bound func(i, j, b int)
-}
-
-// init readies r's join visitors.
-func (r *planRecorder) init() {
-	r.cand = func(i, j, pos int) {
-		if r.admit != nil {
-			r.admit(pos)
-		}
-		if !r.full {
-			r.reads = append(r.reads, planRead{int32(i), int32(j), int32(pos)})
-		}
-	}
-	r.bound = func(i, j, b int) {
-		if !r.full {
-			r.reads = append(r.reads, planRead{int32(i), int32(j), ^int32(b)})
-		}
-	}
-}
-
-// record appends the joins of (u, v)'s update, their extent to off[0:3].
-func (e *engine) record(r *planRecorder, u, v graph.NodeID, off []int32) {
-	off[0] = int32(len(r.reads))
-	if e.opts.WPlus > 0 {
-		e.joinRows(e.g1.Out(u), e.g2.Out(v), r.cand, r.bound)
-	}
-	off[1] = int32(len(r.reads))
-	if e.opts.WMinus > 0 {
-		e.joinRows(e.g1.In(u), e.g2.In(v), r.cand, r.bound)
-	}
-	off[2] = int32(len(r.reads))
-}
-
-// planAll records into p what every slot of a batch layout reads, each
-// worker a contiguous range of slots into its own part, and reports
-// whether the plan fits. An all-pairs run reads |N(u)|·|N(v)| candidates
-// per pair, which seldom fits, so it is not planned.
-func (e *engine) planAll(p *readPlan) bool {
-	l := &e.lay
-	if l.all || l.slots > maxCandidates {
-		return false
-	}
-	n := len(e.workers)
-	p.at, p.span = nil, max((l.slots+n-1)/n, 1)
-	p.off = make([]int32, 3*l.slots)
-	p.parts = make([][]planRead, n)
-	limit := int64(planReads * l.slots)
-	var next, used atomic.Int64
-	e.runWorkers(func(w *engineWorker) {
-		part := int(next.Add(1) - 1)
-		lo := min(part*p.span, l.slots)
-		hi := min(lo+p.span, l.slots)
-		r := &planRecorder{reads: make([]planRead, 0, planReads*(hi-lo))}
-		r.init()
-		for slot := lo; slot < hi; slot++ {
-			start := len(r.reads)
-			u, v := l.pair(slot)
-			e.record(r, u, v, p.off[3*slot:])
-			if used.Add(int64(len(r.reads)-start)) > limit {
-				return
-			}
-		}
-		p.parts[part] = r.reads
-	})
-	return used.Load() <= limit
 }
 
 // RunClosure collects the dependency closure of the seeds, given by
@@ -325,41 +218,28 @@ func (cs *CandidateSet) RunClosure(c *Closure, seeds []int) (iterations int, con
 	c.member = pairbits.Reset(c.member, l.slots)
 	l.member = c.member
 	c.queue = c.queue[:0]
-	p := &c.plan
-	p.at = slices.Grow(p.at[:0], l.slots)[:l.slots]
-	p.off = p.off[:0]
-	admit := func(pos int) {
+	e.initWorkers(1)
+	js := &e.workers[0].scratch.join
+	admit := func(_, _, pos int) {
 		if !c.member.Get(pos) {
 			c.member.Set(pos)
 			c.queue = append(c.queue, pos)
 		}
 	}
 	for _, pos := range seeds {
-		admit(pos)
+		admit(0, 0, pos)
 	}
-	// Record while the plan fits, and only admit once it does not.
-	r := &c.rec
-	if r.cand == nil {
-		r.init()
-	}
-	limit := planReads * l.slots
-	r.reads, r.admit, r.full = r.reads[:0], admit, l.slots > maxCandidates
 	for head := 0; head < len(c.queue); head++ {
-		slot := c.queue[head]
-		p.at[slot] = int32(head)
-		u, v := l.pair(slot)
-		p.off = append(p.off, 0, 0, 0)
-		e.record(r, u, v, p.off[3*head:])
-		r.full = r.full || len(r.reads) > limit
+		u, v := l.pair(c.queue[head])
+		if cs.opts.WPlus > 0 {
+			cs.joinRows(js, cs.g1.Out(u), cs.g2.Out(v), admit, nil)
+		}
+		if cs.opts.WMinus > 0 {
+			cs.joinRows(js, cs.g1.In(u), cs.g2.In(v), admit, nil)
+		}
 	}
-	r.admit = nil
 	if len(c.queue) == 0 {
 		return 0, false
-	}
-	e.plan = nil
-	if !r.full {
-		p.parts, p.span = append(p.parts[:0], r.reads), max(len(c.queue), 1)
-		e.plan = p
 	}
 	l.count = len(c.queue)
 	e.prev = slices.Grow(e.prev[:0], l.slots)[:l.slots]
@@ -452,7 +332,7 @@ type updateState struct {
 // updateSlot recomputes pair (u, v) into cur[i] (Lines 5–8 of Algorithm 1)
 // and returns the absolute score change.
 func (e *engine) updateSlot(st *updateState, u, v graph.NodeID, i int) float64 {
-	s := e.updatePair(u, v, i, st.scratch)
+	s := e.updatePair(u, v, st.scratch)
 	st.work += int64(e.g1.OutDegree(u))*int64(e.g2.OutDegree(v)) +
 		int64(e.g1.InDegree(u))*int64(e.g2.InDegree(v)) + 1
 	p := e.prev[i]
@@ -477,59 +357,38 @@ func (e *engine) updateSlot(st *updateState, u, v graph.NodeID, i int) float64 {
 	return d
 }
 
-// updatePair evaluates Equation 3 for the pair (u, v) at slot i from the
+// updatePair evaluates Equation 3 for the pair (u, v) from the
 // previous-iteration scores.
-func (e *engine) updatePair(u, v graph.NodeID, i int, scratch *opScratch) float64 {
+func (e *engine) updatePair(u, v graph.NodeID, scratch *opScratch) float64 {
 	o := &e.opts
 	if o.PinDiagonal && u == v {
 		return 1
 	}
 	s := (1 - o.WPlus - o.WMinus) * e.LabelSim(u, v)
 	if o.WPlus > 0 {
-		s += o.WPlus * e.directionScore(i, 0, e.g1.Out(u), e.g2.Out(v), scratch)
+		s += o.WPlus * e.directionScore(e.g1.Out(u), e.g2.Out(v), scratch)
 	}
 	if o.WMinus > 0 {
-		s += o.WMinus * e.directionScore(i, 1, e.g1.In(u), e.g2.In(v), scratch)
+		s += o.WMinus * e.directionScore(e.g1.In(u), e.g2.In(v), scratch)
 	}
 	return s
 }
 
-// directionScore evaluates Equation 2 for direction d (0 under w⁺, 1 under
-// w⁻) of the update at slot i, between the neighbour lists s1 of u and s2
-// of v. It lists the weights of s1 × s2 from the join of the rows of s1
-// with s2 (joinRows), or from the slot's plan, which recorded it: a
-// candidate weighs its previous score, a retained bound its stand-in
-// α·FSim̄, and every pair the join does not yield 0, which for a
-// label-ineligible pair is what excluding it from the mapping contributes
-// (see Operators.neighborScore).
-func (e *engine) directionScore(i, d int, s1, s2 []graph.NodeID, scratch *opScratch) float64 {
+// directionScore evaluates Equation 2 between the neighbour lists s1 of u
+// and s2 of v. It lists the weights of s1 × s2 from the join of the rows
+// of s1 with s2 (joinRows): a candidate weighs its previous score, a
+// retained bound its stand-in α·FSim̄, and every pair the join does not
+// yield 0, which for a label-ineligible pair is what excluding it from the
+// mapping contributes (see Operators.neighborScore).
+func (e *engine) directionScore(s1, s2 []graph.NodeID, scratch *opScratch) float64 {
 	w := scratch.w[:0]
-	var alpha float64
+	cand := func(i, j, pos int) { w = append(w, weight{int32(i), int32(j), e.prev[pos]}) }
+	var bound func(i, j, b int)
 	if e.prunedOff != nil {
-		alpha = e.opts.UpperBoundOpt.Alpha
+		alpha := e.opts.UpperBoundOpt.Alpha
+		bound = func(i, j, b int) { w = append(w, weight{int32(i), int32(j), alpha * e.prunedBound[b]}) }
 	}
-	if p := e.plan; p != nil {
-		k := i
-		if p.at != nil {
-			k = int(p.at[i])
-		}
-		for _, r := range p.reads(k, d) {
-			s := 0.0
-			if r.ref >= 0 {
-				s = e.prev[r.ref]
-			} else {
-				s = alpha * e.prunedBound[^r.ref]
-			}
-			w = append(w, weight{r.i, r.j, s})
-		}
-	} else {
-		cand := func(i, j, pos int) { w = append(w, weight{int32(i), int32(j), e.prev[pos]}) }
-		var bound func(i, j, b int)
-		if e.prunedOff != nil {
-			bound = func(i, j, b int) { w = append(w, weight{int32(i), int32(j), alpha * e.prunedBound[b]}) }
-		}
-		e.joinRows(s1, s2, cand, bound)
-	}
+	e.joinRows(&scratch.join, s1, s2, cand, bound)
 	scratch.w = w
 	return e.ops.neighborScore(len(s1), len(s2), w, scratch)
 }
@@ -674,6 +533,7 @@ func (e *engine) syncAndAdvance() {
 			}
 		}
 		damping := e.opts.Damping
+		js := &e.workers[0].scratch.join
 		for i, word := range e.dirty {
 			if word == 0 {
 				continue
@@ -684,7 +544,7 @@ func (e *engine) syncAndAdvance() {
 			}
 			for ; word != 0; word &= word - 1 {
 				x, y := l.pair(i*64 + bits.TrailingZeros64(word))
-				e.ForEachCandidateDependent(x, y, mark)
+				e.ForEachCandidateDependent(js, x, y, mark)
 			}
 		}
 	}

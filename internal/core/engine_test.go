@@ -253,7 +253,8 @@ func TestThreadDeterminism(t *testing.T) {
 // and 0 for any other pair.
 func mergedRead(cs *CandidateSet, scores []float64, x, y graph.NodeID) float64 {
 	s := 0.0
-	cs.joinRows([]graph.NodeID{x}, []graph.NodeID{y},
+	var js JoinScratch
+	cs.joinRows(&js, []graph.NodeID{x}, []graph.NodeID{y},
 		func(_, _, pos int) { s = scores[pos] },
 		func(_, _, b int) { s = cs.opts.UpperBoundOpt.Alpha * cs.prunedBound[b] })
 	return s
@@ -332,7 +333,7 @@ func TestStoreEquivalence(t *testing.T) {
 				if want := mergedRead(rph.cs, rph.scores, un, vn); got != want {
 					t.Fatalf("variant %v: merged read of (%d,%d) = %v within the cap, %v past it", variant, u, v, got, want)
 				}
-				if !rph.cs.isRead(un, vn) {
+				if !rph.cs.isRead(&JoinScratch{}, un, vn) {
 					continue
 				}
 				want := rph.cs.StandIn(un, vn)
@@ -358,7 +359,9 @@ func TestStoreEquivalence(t *testing.T) {
 // default and under DeltaMode at DeltaEps = 0 (skipped pairs are exactly
 // those whose inputs are unchanged), and within 1e-9 at a small positive
 // DeltaEps — and the candidate rows within Options.DenseCapPairs and past
-// it must agree with each other under delta mode.
+// it must agree with each other under delta mode. The reference sweep
+// itself must equal the pairwise sweep (pairwiseSweep), which reads every
+// pair with no join.
 func TestDeltaEquivalenceProperty(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		n1 := 10 + int(seed%7)
@@ -384,6 +387,7 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSweepEquivalent(t, rf, rc, fmt.Sprintf("seed %d variant %v: default", seed, variant))
+		requirePairwise(t, fmt.Sprintf("seed %d variant %v: sweep", seed, variant), rf)
 
 		exactDelta := full
 		exactDelta.DeltaMode = true
@@ -576,8 +580,10 @@ func TestDeltaEpsValidation(t *testing.T) {
 
 // TestThetaStoreEquivalence verifies bit-identical scores of the candidate
 // rows within Options.DenseCapPairs and past it (DenseCapPairs = 1) under
-// an active label constraint (θ > 0). The merge skips a label-ineligible
-// pair, which the operators then read as 0. The mapping operators never
+// an active label constraint (θ > 0), and against the pairwise sweep
+// (pairwiseSweep), which reads every pair of the universe with no join.
+// The merge skips a label-ineligible pair, which the operators then read
+// as 0. The mapping operators never
 // check θ themselves, so the cases cover every operator branch that reads
 // such a 0 where the constraint used to exclude the pair: best and
 // bidirectional, greedy and Hungarian matching, the product mapping
@@ -644,6 +650,7 @@ func TestThetaStoreEquivalence(t *testing.T) {
 					t.Fatalf("θ>0 store mismatch at (%d,%d): %v vs %v", u, v, s, s2)
 				}
 			})
+			requirePairwise(t, "θ>0", rb)
 		})
 	}
 }

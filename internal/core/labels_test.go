@@ -220,7 +220,7 @@ func negativeLabel(a, b string) float64 {
 // candidates. The candidate rows within Options.DenseCapPairs must
 // enumerate the same candidates as past it and give every pair the same
 // score bit for bit, rather than iterate every pair as the all-pairs store
-// does.
+// does, and equal the pairwise sweep (pairwiseSweep).
 func TestThetaZeroIneligibleStores(t *testing.T) {
 	g := dataset.RandomGraph(3, 30, 90, 6)
 	for _, fn := range []strsim.Func{nanLabel, negativeLabel} {
@@ -240,6 +240,7 @@ func TestThetaZeroIneligibleStores(t *testing.T) {
 			t.Fatalf("%d candidates (all pairs %v) within the cap, %d past it",
 				dense.CandidateCount, dense.cs.allPairs, sparse.CandidateCount)
 		}
+		requirePairwise(t, "within the cap", dense)
 		for u := 0; u < g.NumNodes(); u++ {
 			for v := 0; v < g.NumNodes(); v++ {
 				un, vn := graph.NodeID(u), graph.NodeID(v)

@@ -7,20 +7,52 @@ import (
 	"fsim/internal/pairbits"
 )
 
-// gallopRatio is where joinRows walks a row instead of ys: when ys is
-// more than gallopRatio times longer than the row.
-const gallopRatio = 8
+// JoinScratch is one goroutine's scratch for joining candidate rows with a
+// g2 list: the position table of the list, at[y] = j+1 for each ys[j] and
+// 0 for every other g2 node. A join fills it only when some row reads it
+// and clears what it filled before it returns, so the zero value is ready
+// and one JoinScratch serves any number of candidate sets, Patches between
+// them included. It is not safe for concurrent use.
+type JoinScratch struct {
+	at []int32
+}
 
-// joinRows is the one read of the candidate store: for each x = xs[i] it
-// merges row x of the candidate rows and, when bound is not nil, of the
-// retained-bound CSR with the ascending g2 list ys, calling cand(i, j, pos)
-// for each ys[j] that is a candidate at position pos and bound(i, j, b)
-// for each ys[j] whose bound row x retains at index b of prunedBound, in
-// ascending j. Every other ys[j] is a non-candidate without a bound. Both
-// sides are v-ascending: it walks the shorter one and gallops in the
-// other from the last hit, skipping, when it walks ys, each y whose label
-// pair with x fails θ (one bit), since neither row holds such a pair.
-func (cs *CandidateSet) joinRows(xs, ys []graph.NodeID, cand func(i, j, pos int), bound func(i, j, b int)) {
+// fill returns the position table of ys over n2 g2 nodes.
+func (js *JoinScratch) fill(n2 int, ys []graph.NodeID) []int32 {
+	if len(js.at) < n2 {
+		js.at = make([]int32, n2)
+	}
+	for j, y := range ys {
+		js.at[y] = int32(j + 1)
+	}
+	return js.at
+}
+
+// clear undoes fill(n2, ys).
+func (js *JoinScratch) clear(ys []graph.NodeID) {
+	for _, y := range ys {
+		js.at[y] = 0
+	}
+}
+
+// joinRows is the one read of the candidate store: for each x = xs[i] in
+// turn, it joins row x of the candidate rows and, when bound is not nil,
+// of the retained-bound CSR with the ascending g2 list ys. It calls
+// cand(i, j, pos) for each ys[j] that is a candidate of row x, at
+// candidate position pos, and bound(i, j, b) for each ys[j] whose bound
+// row x retains, at index b of prunedCol/prunedBound, in ascending j.
+// Every other ys[j] is a non-candidate without a retained bound.
+//
+// Both rows and ys are v-ascending, so each row is read once, front to
+// back: its entries, in column order, are looked up in the position table
+// of ys (JoinScratch), filled once for all the rows, so a join costs
+// O(|ys|) plus O(1) per row entry. A row longer than ys (a hub row against
+// a short list) is instead searched from ys, each y found by a galloping
+// search from where the last one was found, O(|ys|·log(n/|ys|)) for a row
+// of n entries; that walk skips every y whose label pair with x fails the
+// label constraint, one bit of the label table, since neither row holds
+// such a pair.
+func (cs *CandidateSet) joinRows(js *JoinScratch, xs, ys []graph.NodeID, cand func(i, j, pos int), bound func(i, j, b int)) {
 	if cs.allPairs {
 		for i, x := range xs {
 			base := int(x) * cs.n2
@@ -30,6 +62,10 @@ func (cs *CandidateSet) joinRows(xs, ys []graph.NodeID, cand func(i, j, pos int)
 		}
 		return
 	}
+	if len(ys) == 0 {
+		return
+	}
+	var at []int32 // the position table of ys, once a row has read it
 	for i, x := range xs {
 		rowLo := int(cs.rowOff[x])
 		row := cs.candPairs[rowLo:cs.rowOff[x+1]]
@@ -39,40 +75,40 @@ func (cs *CandidateSet) joinRows(xs, ys []graph.NodeID, cand func(i, j, pos int)
 			colLo = int(cs.prunedOff[x])
 			col = cs.prunedCol[colLo:cs.prunedOff[x+1]]
 		}
-		ci, pi := 0, 0
-		if len(ys) > gallopRatio*(len(row)+len(col)) {
-			// Walk the row entries in column order, searching ys for each.
-			j := 0
-			for (ci < len(row) || pi < len(col)) && j < len(ys) {
-				isCand := pi == len(col) || (ci < len(row) && keyCol(row[ci]) < col[pi])
-				y := graph.NodeID(0)
-				if isCand {
-					y = keyCol(row[ci])
-				} else {
-					y = col[pi]
-				}
-				if j += gallop(ys[j:], y); j < len(ys) && ys[j] == y {
-					if isCand {
-						cand(i, j, rowLo+ci)
-					} else {
-						bound(i, j, colLo+pi)
+		n := len(row) + len(col)
+		if n == 0 {
+			continue
+		}
+		pi := 0
+		if n <= len(ys) {
+			// Look the rows' entries up in ys, in column order.
+			if at == nil {
+				at = js.fill(cs.n2, ys)
+			}
+			for ci, k := range row {
+				y := keyCol(k)
+				for ; pi < len(col) && col[pi] < y; pi++ {
+					if j := at[col[pi]]; j != 0 {
+						bound(i, int(j-1), colLo+pi)
 					}
-					j++
 				}
-				if isCand {
-					ci++
-				} else {
-					pi++
+				if j := at[y]; j != 0 {
+					cand(i, int(j-1), rowLo+ci)
+				}
+			}
+			for ; pi < len(col); pi++ {
+				if j := at[col[pi]]; j != 0 {
+					bound(i, int(j-1), colLo+pi)
 				}
 			}
 			continue
 		}
-		// Walk ys, searching the rows for each label-eligible y.
+		// Search the rows from ys, skipping each label-ineligible y.
 		var eligible []uint64 // x's row of the label table; nil when every pair is eligible
 		if !cs.allEligible {
 			eligible = cs.table.Row(int(cs.labels1[x]))
 		}
-		key := pairbits.MakeKey(x, 0)
+		key, ci := pairbits.MakeKey(x, 0), 0
 		for j, y := range ys {
 			if eligible != nil && !isSet(eligible, cs.labels2[y]) {
 				continue
@@ -95,6 +131,9 @@ func (cs *CandidateSet) joinRows(xs, ys []graph.NodeID, cand func(i, j, pos int)
 				break
 			}
 		}
+	}
+	if at != nil {
+		js.clear(ys)
 	}
 }
 
@@ -136,27 +175,27 @@ func gallop[T cmp.Ordered](s []T, t T) int {
 // x ∈ N⁺(u) ∧ y ∈ N⁺(v) (the w⁺ term, equivalently u ∈ N⁻(x) ∧
 // v ∈ N⁻(y)) or x ∈ N⁻(u) ∧ y ∈ N⁻(v) (the w⁻ term), and a direction of
 // zero weight reads nothing. It joins the rows of N⁻(x) with N⁻(y) under
-// w⁺, and of N⁺(x) with N⁺(y) under w⁻ (joinRows).
-func (cs *CandidateSet) ForEachCandidateDependent(x, y graph.NodeID, fn func(pos int)) {
+// w⁺, and of N⁺(x) with N⁺(y) under w⁻ (joinRows), with js as scratch.
+func (cs *CandidateSet) ForEachCandidateDependent(js *JoinScratch, x, y graph.NodeID, fn func(pos int)) {
 	cand := func(_, _, pos int) { fn(pos) }
 	if cs.opts.WPlus > 0 {
-		cs.joinRows(cs.g1.In(x), cs.g2.In(y), cand, nil)
+		cs.joinRows(js, cs.g1.In(x), cs.g2.In(y), cand, nil)
 	}
 	if cs.opts.WMinus > 0 {
-		cs.joinRows(cs.g1.Out(x), cs.g2.Out(y), cand, nil)
+		cs.joinRows(js, cs.g1.Out(x), cs.g2.Out(y), cand, nil)
 	}
 }
 
 // ForEachCandidateIn calls fn with the candidate position of every
 // candidate (x, y) with x ∈ xs and y ∈ ys, row by row and ascending y
-// within a row; ys must be ascending.
-func (cs *CandidateSet) ForEachCandidateIn(xs, ys []graph.NodeID, fn func(pos int)) {
-	cs.joinRows(xs, ys, func(_, _, pos int) { fn(pos) }, nil)
+// within a row, with js as scratch; ys must be ascending.
+func (cs *CandidateSet) ForEachCandidateIn(js *JoinScratch, xs, ys []graph.NodeID, fn func(pos int)) {
+	cs.joinRows(js, xs, ys, func(_, _, pos int) { fn(pos) }, nil)
 }
 
 // isRead reports whether some candidate's Equation 3 update reads (x, y).
-func (cs *CandidateSet) isRead(x, y graph.NodeID) bool {
+func (cs *CandidateSet) isRead(js *JoinScratch, x, y graph.NodeID) bool {
 	read := false
-	cs.ForEachCandidateDependent(x, y, func(int) { read = true })
+	cs.ForEachCandidateDependent(js, x, y, func(int) { read = true })
 	return read
 }

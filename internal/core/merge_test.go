@@ -14,9 +14,10 @@ import (
 
 // mergeGraph is a random graph over labelVocabulary plus a label far from
 // every other ("zzzz"), whose rows are empty at θ = 0.6. Node 1 is a hub
-// whose out- and in-lists hold about half the nodes, longer than
-// gallopRatio times the shorter rows, while the rows of the commoner
-// labels are longer than gallopRatio times most lists. It has self-loops,
+// whose out- and in-lists hold about half the nodes, longer than the
+// shorter rows (looked up in the list's position table), while the rows
+// of the commoner labels are longer than most lists (searched from the
+// list by galloping). It has self-loops,
 // edges at the first and the last node, and isolated nodes.
 func mergeGraph(seed int64, n int) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
@@ -127,6 +128,7 @@ func requireMergedReads(t *testing.T, label string, rng *rand.Rand, cs, fresh *C
 	read := bruteReads(fresh)
 	keeps := cs.keepsBounds()
 	var got, want []mergeYield
+	var js JoinScratch
 	cand := func(i, j, pos int) { got = append(got, mergeYield{i: i, j: j, pos: pos}) }
 	bound := func(i, j, b int) {
 		got = append(got, mergeYield{i: i, j: j, pos: -1, bound: true, standIn: cs.opts.UpperBoundOpt.Alpha * cs.prunedBound[b]})
@@ -147,9 +149,12 @@ func requireMergedReads(t *testing.T, label string, rng *rand.Rand, cs, fresh *C
 			wantRow(i, x, ys)
 		}
 		got = got[:0]
-		cs.joinRows(xs, ys, cand, bound)
+		cs.joinRows(&js, xs, ys, cand, bound)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: rows %v against %v: join yields %v, want %v", label, xs, ys, got, want)
+		}
+		if slices.ContainsFunc(js.at, func(j int32) bool { return j != 0 }) {
+			t.Fatalf("%s: rows %v against %v: the join left its position table dirty", label, xs, ys)
 		}
 	}
 	xs := make([]graph.NodeID, cs.n1)
@@ -168,7 +173,7 @@ func requireMergedReads(t *testing.T, label string, rng *rand.Rand, cs, fresh *C
 		for y := 0; y < cs.n2; y++ {
 			yn := graph.NodeID(y)
 			gotDep, wantDep = gotDep[:0], wantDep[:0]
-			cs.ForEachCandidateDependent(x, yn, func(pos int) { gotDep = append(gotDep, pos) })
+			cs.ForEachCandidateDependent(&js, x, yn, func(pos int) { gotDep = append(gotDep, pos) })
 			referenceDependents(cs, x, yn, func(u, v graph.NodeID) {
 				if cs.Contains(u, v) {
 					wantDep = append(wantDep, position[pairbits.MakeKey(u, v)])

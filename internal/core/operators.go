@@ -224,6 +224,7 @@ type weight struct {
 // opScratch holds the per-worker reusable buffers of directionScore and
 // neighborScore.
 type opScratch struct {
+	join    JoinScratch
 	w       []weight
 	weights []float64 // MapInjective's weight matrix, or the per-x and per-y maxima
 	m       *matching.Scratch

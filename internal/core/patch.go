@@ -284,8 +284,10 @@ type touchedPruned struct {
 func (cs *CandidateSet) retainedChanges(delta *PatchDelta, pruned []touchedPruned, inRow, inCol []bool, masks *rowMasks) []prunedChange {
 	alpha := cs.opts.UpperBoundOpt.Alpha
 	var changes []prunedChange
+	var js JoinScratch
 	for _, p := range pruned {
-		read := cs.isRead(p.k.Split())
+		x, y := p.k.Split()
+		read := cs.isRead(&js, x, y)
 		// fresh: the pair is pruned, and no bound or another was retained.
 		fresh := p.pruned && (!p.retained || p.oldBound != p.bound)
 		switch keep := p.pruned && read; {
@@ -321,7 +323,7 @@ func (cs *CandidateSet) retainedChanges(delta *PatchDelta, pruned []touchedPrune
 		}
 		x, y := k.Split()
 		_, retained := cs.prunedPos(x, y)
-		switch keep := cs.Eligible(x, y) && !cs.Contains(x, y) && cs.isRead(x, y); {
+		switch keep := cs.Eligible(x, y) && !cs.Contains(x, y) && cs.isRead(&js, x, y); {
 		case keep && !retained:
 			changes = append(changes, prunedChange{k, cs.upperBound(masks, x, y, cs.LabelSim(x, y)), true})
 		case !keep && retained:

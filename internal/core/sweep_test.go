@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"testing"
 
 	"fsim/internal/dataset"
 	"fsim/internal/exact"
 	"fsim/internal/graph"
+	"fsim/internal/matching"
 )
 
 // referenceSweep iterates Equation 3 over cs the way Algorithm 1 states
@@ -45,6 +47,76 @@ func referenceSweep(cs *CandidateSet) *Result {
 	res.Work[0] = st.work
 	res.scores = e.prev
 	return res
+}
+
+// pairwiseSweep iterates Equation 3 over every candidate of cs for iters
+// rounds with no join and no worklist: each update reads every pair of its
+// neighbour cross products through a lookup over the whole pair universe
+// — a candidate's previous score (Contains), any other pair's StandIn,
+// which is 0 for a label-ineligible pair — and scores each direction with
+// referenceNeighborScore. It returns the scores over the n1×n2 universe,
+// u-major, 0 off the candidates. A run of Compute that stopped after iters
+// iterations must reproduce it bit for bit: every pair the engine's join
+// skips must read what the lookup gives it.
+func pairwiseSweep(cs *CandidateSet, iters int) []float64 {
+	o := &cs.opts
+	n := cs.n1 * cs.n2
+	prev, cur := make([]float64, n), make([]float64, n)
+	isCand, standIn := make([]bool, n), make([]float64, n)
+	for u := 0; u < cs.n1; u++ {
+		for v := 0; v < cs.n2; v++ {
+			un, vn, i := graph.NodeID(u), graph.NodeID(v), u*cs.n2+v
+			if isCand[i] = cs.Contains(un, vn); isCand[i] {
+				prev[i] = cs.initScore(un, vn)
+			} else {
+				standIn[i] = cs.StandIn(un, vn)
+			}
+		}
+	}
+	lookup := func(x, y graph.NodeID) float64 {
+		if i := int(x)*cs.n2 + int(y); isCand[i] {
+			return prev[i]
+		}
+		return standIn[int(x)*cs.n2+int(y)]
+	}
+	m := matching.NewScratch(8, 8)
+	for it := 0; it < iters; it++ {
+		for i := range cur {
+			if !isCand[i] {
+				continue
+			}
+			u, v := graph.NodeID(i/cs.n2), graph.NodeID(i%cs.n2)
+			s := 1.0
+			if !o.PinDiagonal || u != v {
+				s = (1 - o.WPlus - o.WMinus) * cs.LabelSim(u, v)
+				if o.WPlus > 0 {
+					s += o.WPlus * referenceNeighborScore(cs.ops, cs.g1.Out(u), cs.g2.Out(v), lookup, m)
+				}
+				if o.WMinus > 0 {
+					s += o.WMinus * referenceNeighborScore(cs.ops, cs.g1.In(u), cs.g2.In(v), lookup, m)
+				}
+			}
+			if o.Damping > 0 {
+				s = o.Damping*prev[i] + (1-o.Damping)*s
+			}
+			cur[i] = s
+		}
+		prev, cur = cur, prev
+	}
+	return prev
+}
+
+// requirePairwise checks the score of every candidate of res against
+// pairwiseSweep over its candidate set for as many iterations as res ran,
+// bit for bit.
+func requirePairwise(t *testing.T, label string, res *Result) {
+	t.Helper()
+	want := pairwiseSweep(res.cs, res.Iterations)
+	res.ForEach(func(u, v graph.NodeID, s float64) {
+		if w := want[int(u)*res.cs.n2+int(v)]; math.Float64bits(s) != math.Float64bits(w) {
+			t.Fatalf("%s: FSim(%d,%d) = %v, the pairwise sweep %v", label, u, v, s, w)
+		}
+	})
 }
 
 // sweepOf runs referenceSweep on a fresh candidate set of (g1, g2, opts).

@@ -128,10 +128,12 @@ type Maintainer struct {
 	onApply func(version uint64, st Stats)
 	closed  bool
 	// The last Apply's cone (candidate positions, seeds first) and its
-	// bitset, and the g1 nodes 0, 1, … that seedPairs joins, kept for reuse.
+	// bitset, the g1 nodes 0, 1, … that seedPairs joins and the joins'
+	// scratch, kept for reuse.
 	cone    []int
 	visited pairbits.Bitset
 	rows    []graph.NodeID
+	join    core.JoinScratch
 }
 
 // New computes the initial fixed point of g against itself and returns a
@@ -399,16 +401,16 @@ func (mt *Maintainer) seedPairs(touched []graph.NodeID, oldN int, delta *core.Pa
 	for len(mt.rows) < n {
 		mt.rows = append(mt.rows, graph.NodeID(len(mt.rows)))
 	}
-	cs.ForEachCandidateIn(mt.rows[:n], nodes, add)
+	cs.ForEachCandidateIn(&mt.join, mt.rows[:n], nodes, add)
 	for _, keys := range [2][]pairbits.Key{delta.Added, delta.Removed} {
 		for _, k := range keys {
 			x, y := k.Split()
-			cs.ForEachCandidateDependent(x, y, add)
+			cs.ForEachCandidateDependent(&mt.join, x, y, add)
 		}
 	}
 	for _, sc := range delta.StandIns {
 		x, y := sc.Key.Split()
-		cs.ForEachCandidateDependent(x, y, add)
+		cs.ForEachCandidateDependent(&mt.join, x, y, add)
 	}
 	return len(mt.cone)
 }
@@ -433,7 +435,7 @@ func (mt *Maintainer) coneOfInfluence() (saturated bool) {
 	}
 	for head := 0; head < len(mt.cone) && !saturated; head++ {
 		x, y := cs.PairAt(mt.cone[head])
-		cs.ForEachCandidateDependent(x, y, add)
+		cs.ForEachCandidateDependent(&mt.join, x, y, add)
 	}
 	return saturated
 }
